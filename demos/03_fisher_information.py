@@ -25,9 +25,8 @@ np.set_printoptions(precision=6, suppress=True)
 # --- the qubit bit-flip/phase-flip pair is exactly solvable in Bloch form
 sc = scenario_pauli2()
 eps = np.array([2e-3, 3e-3])
-spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps, sc.fd_step)
-rho_in = pure_state_density(sc.input_state)
-drho = [sc.channel.finite_difference_derivative(rho_in, mu, eps, sc.fd_step) for mu in range(2)]
+spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+drho = sc.channel.derivative(pure_state_density(sc.input_state), eps)
 
 slds = sld_operators(spec.probs, spec.basis, drho)
 print("SLD vs closed form:",
@@ -47,9 +46,8 @@ print("inverse eigenvalues:", np.linalg.eigvalsh(jinv))
 # --- with an ancilla the picture changes completely
 bell = scenario_ancilla_bell()
 eps = np.array([1e-3, 2e-3])
-spec, grads = output_spectrum_with_gradients(bell.channel, bell.input_state, eps, bell.fd_step)
-rho_in = pure_state_density(bell.input_state)
-drho = [bell.channel.finite_difference_derivative(rho_in, mu, eps, bell.fd_step) for mu in range(2)]
+spec, grads = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
+drho = bell.channel.derivative(pure_state_density(bell.input_state), eps)
 
 jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
 print("\nancilla-Bell inverse Fisher:\n", jq.inverse)

@@ -29,7 +29,7 @@ np.set_printoptions(precision=6, suppress=True)
 
 bell = scenario_ancilla_bell()
 eps = np.array([1e-3, 2e-3])
-spec, grads = output_spectrum_with_gradients(bell.channel, bell.input_state, eps, bell.fd_step)
+spec, grads = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
 
 shifts = spec.shifts()
 jdiv = divergent_fisher(shifts, grads[:, 1:], [0, 1])
@@ -45,8 +45,7 @@ print("\nunbiasedness residual:",
       unbiasedness_residual(povm, bell.channel, bell.input_state, eps))
 
 mse = analytic_mse(povm, bell.channel, bell.input_state, eps)
-rho_in = pure_state_density(bell.input_state)
-drho = [bell.channel.finite_difference_derivative(rho_in, mu, eps, bell.fd_step) for mu in range(2)]
+drho = bell.channel.derivative(pure_state_density(bell.input_state), eps)
 jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
 print("error matrix:\n", mse.entries)
 print("gap to the quantum bound (exact attainment here):\n", cr_gap(mse, jq))
@@ -58,7 +57,7 @@ scales = np.geomspace(1e-5, 1e-2, 8)
 gaps = []
 for s in scales:
     e = s * np.asarray(sc.sweep.direction)
-    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, e, s / 100)
+    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, e)
     jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
     score = raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0, 1]), jdiv)
     v = analytic_mse(build_povm(score), sc.channel, sc.input_state, e)

@@ -3,7 +3,7 @@
 run_sweep drives every quantity across a geometric noise grid, fits
 asymptotic orders, and grades them against the scenario's expectations.
 Reports are deterministic given (scenario, seed); Monte Carlo sampling is
-counter-based and reproducible for any worker partitioning.
+counter-based and reproducible for any partition of its blocks.
 """
 import tempfile
 
@@ -56,7 +56,7 @@ print("byte-deterministic:",
 # --- Monte Carlo: sample the estimator, compare to the analytic moments
 sc = scenario_ancilla_bell()
 eps = np.array([1e-3, 2e-3])
-spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps, sc.fd_step)
+spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
 povm = build_povm(raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0, 1]), jdiv))
 

@@ -6,12 +6,17 @@ indexed by a vector of small non-negative noise strengths eps = (eps_1,
 to kappa * 1 at eps = 0, and jump (dissipator) terms whose contribution
 is weighted linearly by the corresponding eps component.
 
+A channel is plain data: explicit channels are affine in eps, and
+square-root-completion channels evaluate their single identity-family
+operator in closed form from the generators and dissipator sums.  Both
+have an exact eps-derivative.
+
 Channels are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,66 +45,39 @@ def pure_state_density(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def density_residuals(rho: np.ndarray) -> tuple[float, float, float]:
-    """(Hermiticity, trace-1, negativity) residuals of a candidate density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    herm = hermiticity_residual(rho)
-    tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    neg = max(0.0, -float(w[0]))
-    return float(herm), float(tr), neg
-
-
-def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    herm, tr, neg = density_residuals(rho)
-    return herm <= 1e-12 * max(1.0, frobenius(rho)) and tr <= 1e-12 * 10 and neg <= tol
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # Kraus terms
 
 
 @dataclass(frozen=True)
 class IdentityKrausTerm:
-    """Kraus operator of the form weight * 1 - sum_mu eps_mu linear[mu] + higher(eps)."""
+    """Kraus operator of the affine form weight * 1 - sum_mu eps_mu linear[mu]."""
 
     weight: complex
     linear: tuple[np.ndarray, ...]
-    higher: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, eps: np.ndarray) -> np.ndarray:
         dim = self.linear[0].shape[0]
         out = self.weight * np.eye(dim, dtype=complex)
         for mu, n_mu in enumerate(self.linear):
             out = out - eps[mu] * n_mu
-        if self.higher is not None:
-            out = out + self.higher(eps)
         return out
 
 
 @dataclass(frozen=True)
 class JumpKrausTerm:
-    """Kraus operator base + higher(eps), entering with weight eps[param]."""
+    """Kraus operator base, entering with weight eps[param]."""
 
     param: int  # 0-based parameter index
     base: np.ndarray
-    higher: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def evaluate(self, eps: np.ndarray) -> np.ndarray:
-        if self.higher is None:
-            return self.base
-        return self.base + self.higher(eps)
 
 
 def _validate_eps(eps, num_params: int) -> np.ndarray:
     eps = np.asarray(eps, dtype=float).reshape(-1)
     if eps.shape[0] != num_params:
         raise DimensionMismatch(f"expected {num_params} noise parameters, got {eps.shape[0]}")
+    if not np.all(np.isfinite(eps)):
+        raise ConfigInvalid("noise parameters must be finite")
     if np.any(eps < 0):
         raise ConfigInvalid("noise parameters must be non-negative")
     return eps
@@ -110,6 +88,12 @@ class LowNoiseChannel:
 
     Use the module-level builders ``explicit_channel`` and
     ``sqrt_completion_channel`` rather than the constructor.
+
+    For the ``"sqrt-completion"`` builder, ``identity_terms`` holds the
+    first-order data (weight 1, linear[mu] = S_mu / 2 + i G_mu) and the
+    identity-family Kraus operator itself is
+    exp(-i sum eps_mu G_mu) sqrt(1 - sum eps_mu S_mu), with G_mu the
+    ``generators`` (None means all zero) and S_mu the dissipator sums.
     """
 
     def __init__(
@@ -119,6 +103,7 @@ class LowNoiseChannel:
         identity_terms: Sequence[IdentityKrausTerm],
         jump_terms: Sequence[JumpKrausTerm],
         builder: str = "explicit",
+        generators: Sequence[np.ndarray] | None = None,
         validate: bool = True,
     ):
         self.dim = int(dim)
@@ -126,6 +111,8 @@ class LowNoiseChannel:
         self.identity_terms = tuple(identity_terms)
         self.jump_terms = tuple(jump_terms)
         self.builder = builder
+        self.generators = None if generators is None else tuple(generators)
+        self._sums = tuple(self.dissipator_sum(mu) for mu in range(self.num_params))
         self._hamiltonians: tuple[np.ndarray, ...] | None = None
         if validate:
             self._validate()
@@ -151,6 +138,8 @@ class LowNoiseChannel:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        # With affine identity terms the eps = 0 map is sum |kappa|^2 times the
+        # identity, so this weight check is the identity-limit check.
         wsum = sum(abs(t.weight) ** 2 for t in self.identity_terms)
         if abs(wsum - 1.0) > 1e-12:
             raise InconsistentKrausData(f"identity-term weights give sum |kappa|^2 = {wsum!r}")
@@ -171,9 +160,6 @@ class LowNoiseChannel:
                         raise ConfigInvalid(
                             f"jump operators {i} and {j} of parameter {mu + 1} are proportional"
                         )
-        res = self.identity_limit_residual()
-        if res > 1e-12:
-            raise InconsistentKrausData(f"channel does not reduce to identity at eps=0 ({res:g})")
         # first-order trace preservation, checked via the Hamiltonian split
         self._hamiltonians = tuple(self._hamiltonian(mu) for mu in range(self.num_params))
         nmax = max((np.linalg.norm(n, 2) for t in self.identity_terms for n in t.linear), default=0.0)
@@ -185,27 +171,68 @@ class LowNoiseChannel:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _identity_kraus(self, eps: np.ndarray, with_derivative: bool = False):
+        """Identity-family Kraus operators at eps and, on request, their derivatives.
+
+        Returns (ops, dops) with dops[k][mu] = d ops[k] / d eps_mu, or None.
+        The square-root completion differentiates sqrt and exp(-i .) by the
+        Daleckii-Krein formula in the eigenbases of their Hermitian arguments
+        (Bhatia, Matrix Analysis, Thm V.3.3).
+        """
+        if self.builder != "sqrt-completion":
+            ops = [t.evaluate(eps) for t in self.identity_terms]
+            if not with_derivative:
+                return ops, None
+            return ops, [[-n for n in t.linear] for t in self.identity_terms]
+        arg = np.eye(self.dim, dtype=complex)
+        for mu in range(self.num_params):
+            arg = arg - eps[mu] * self._sums[mu]
+        a, va = np.linalg.eigh((arg + dagger(arg)) / 2)
+        if a[0] < -POSITIVITY_TOL:
+            raise TPCPViolation(f"completion argument has negative eigenvalue {a[0]:g}; eps outside validity region")
+        root = np.sqrt(np.clip(a, 0.0, None))
+        k0 = (va * root) @ dagger(va)
+        dk0 = None
+        if with_derivative:
+            denom = root[:, None] + root[None, :]
+            if np.any(denom <= 0.0):
+                raise TPCPViolation("completion argument is singular; its square root has no derivative")
+            dk0 = [-(va @ ((dagger(va) @ s @ va) / denom) @ dagger(va)) for s in self._sums]
+        if self.generators is not None:
+            htot = sum(e * g for e, g in zip(eps, self.generators))
+            h, vh = np.linalg.eigh(htot)
+            unitary = (vh * np.exp(-1j * h)) @ dagger(vh)
+            if with_derivative:
+                # divided differences of exp(-i h): -i exp(-i (h_i + h_j)/2) sinc((h_i - h_j)/2)
+                kernel = -1j * np.exp(-0.5j * (h[:, None] + h[None, :])) * np.sinc((h[:, None] - h[None, :]) / (2 * np.pi))
+                dk0 = [
+                    vh @ ((dagger(vh) @ g @ vh) * kernel) @ dagger(vh) @ k0 + unitary @ d
+                    for g, d in zip(self.generators, dk0)
+                ]
+            k0 = unitary @ k0
+        return [k0], None if dk0 is None else [dk0]
+
     def kraus_operators(self, eps) -> list[np.ndarray]:
         """All Kraus operators at eps, jump terms carrying their sqrt(eps) weight."""
         eps = _validate_eps(eps, self.num_params)
-        ops = [t.evaluate(eps) for t in self.identity_terms]
-        for t in self.jump_terms:
-            ops.append(np.sqrt(eps[t.param]) * t.evaluate(eps))
-        return ops
+        ops, _ = self._identity_kraus(eps)
+        return ops + [np.sqrt(eps[t.param]) * t.base for t in self.jump_terms]
+
+    def _check_state(self, rho: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"state has shape {rho.shape}, channel dimension {self.dim}")
+        return rho
 
     def apply(self, rho: np.ndarray, eps) -> np.ndarray:
         """Output state of the channel at noise vector eps."""
         eps = _validate_eps(eps, self.num_params)
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"state has shape {rho.shape}, channel dimension {self.dim}")
+        rho = self._check_state(rho)
         out = np.zeros_like(rho)
-        for t in self.identity_terms:
-            b = t.evaluate(eps)
+        for b in self._identity_kraus(eps)[0]:
             out = out + b @ rho @ dagger(b)
         for t in self.jump_terms:
-            c = t.evaluate(eps)
-            out = out + eps[t.param] * (c @ rho @ dagger(c))
+            out = out + eps[t.param] * (t.base @ rho @ dagger(t.base))
         tr = np.trace(out)
         if abs(tr - np.trace(rho)) > TRACE_TOL:
             raise TPCPViolation(f"output trace deviates by {abs(tr - np.trace(rho)):g}; eps outside validity region")
@@ -215,32 +242,28 @@ class LowNoiseChannel:
         """Frobenius deviation of the Kraus completeness sum from the identity."""
         eps = _validate_eps(eps, self.num_params)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for t in self.identity_terms:
-            b = t.evaluate(eps)
+        for b in self._identity_kraus(eps)[0]:
             acc = acc + dagger(b) @ b
         for t in self.jump_terms:
-            c = t.evaluate(eps)
-            acc = acc + eps[t.param] * (dagger(c) @ c)
+            acc = acc + eps[t.param] * (dagger(t.base) @ t.base)
         return frobenius(acc - np.eye(self.dim))
 
-    def identity_limit_residual(self) -> float:
-        """max ||channel_0[rho] - rho|| over basis projectors and random pure probes."""
-        zero = np.zeros(self.num_params)
-        probes = [np.outer(e, e.conj()) for e in np.eye(self.dim, dtype=complex)]
-        rng = np.random.Generator(np.random.Philox(key=[916023, self.dim]))
-        for _ in range(2 * self.dim):
-            v = random_pure_state(self.dim, rng)
-            probes.append(np.outer(v, v.conj()))
-        worst = 0.0
-        for rho in probes:
-            out = np.zeros_like(rho)
-            for t in self.identity_terms:
-                b = t.evaluate(zero)
-                out = out + b @ rho @ dagger(b)
-            worst = max(worst, frobenius(out - rho))
-        return worst
-
     # -- derivatives ---------------------------------------------------------
+
+    def derivative(self, rho: np.ndarray, eps) -> list[np.ndarray]:
+        """Exact derivatives d channel[rho] / d eps_mu at eps, one per parameter."""
+        eps = _validate_eps(eps, self.num_params)
+        rho = self._check_state(rho)
+        ops, dops = self._identity_kraus(eps, with_derivative=True)
+        out = []
+        for mu in range(self.num_params):
+            acc = np.zeros_like(rho)
+            for k, dk in zip(ops, dops):
+                acc = acc + dk[mu] @ rho @ dagger(k) + k @ rho @ dagger(dk[mu])
+            for m in self.jumps_for(mu):
+                acc = acc + m @ rho @ dagger(m)
+            out.append(acc)
+        return out
 
     def _hamiltonian(self, mu: int) -> np.ndarray:
         for t in self.identity_terms:
@@ -249,7 +272,7 @@ class LowNoiseChannel:
         x = np.zeros((self.dim, self.dim), dtype=complex)
         for t in self.identity_terms:
             x = x + np.conj(t.weight) * t.linear[mu]
-        x = x - 0.5 * self.dissipator_sum(mu)
+        x = x - 0.5 * self._sums[mu]
         h = -1j * x
         res = hermiticity_residual(h)
         if res > 1e-8:
@@ -283,8 +306,9 @@ class LowNoiseChannel:
     def finite_difference_derivative(self, rho: np.ndarray, mu: int, eps0, h: float) -> np.ndarray:
         """Second-order finite difference of eps -> channel[rho] along parameter mu.
 
-        Uses a one-sided stencil at the eps_mu = 0 boundary (the noise
-        parameters cannot go negative) and a central stencil inside.
+        An independent reference for ``derivative``.  Uses a one-sided
+        stencil at the eps_mu = 0 boundary (the noise parameters cannot go
+        negative) and a central stencil inside.
         """
         eps0 = _validate_eps(eps0, self.num_params)
         if h <= 0:
@@ -318,49 +342,21 @@ class LowNoiseChannel:
         def lift(x: np.ndarray) -> np.ndarray:
             return np.kron(x, eye)
 
-        def lift_fn(f):
-            if f is None:
-                return None
-            return lambda eps: np.kron(f(eps), eye)
-
-        id_terms = [
-            IdentityKrausTerm(
-                weight=t.weight,
-                linear=tuple(lift(n) for n in t.linear),
-                higher=lift_fn(t.higher),
-            )
-            for t in self.identity_terms
-        ]
-        jump_terms = [
-            JumpKrausTerm(param=t.param, base=lift(t.base), higher=lift_fn(t.higher))
-            for t in self.jump_terms
-        ]
         return LowNoiseChannel(
             dim=self.dim**2,
             num_params=self.num_params,
-            identity_terms=id_terms,
-            jump_terms=jump_terms,
+            identity_terms=[
+                IdentityKrausTerm(weight=t.weight, linear=tuple(lift(n) for n in t.linear))
+                for t in self.identity_terms
+            ],
+            jump_terms=[JumpKrausTerm(param=t.param, base=lift(t.base)) for t in self.jump_terms],
             builder=self.builder,
+            generators=None if self.generators is None else [lift(g) for g in self.generators],
         )
 
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _sqrtm_psd(a: np.ndarray) -> np.ndarray:
-    a = (a + dagger(a)) / 2
-    w, v = np.linalg.eigh(a)
-    if w[0] < -POSITIVITY_TOL:
-        raise TPCPViolation(f"completion argument has negative eigenvalue {w[0]:g}; eps outside validity region")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-def _expm_antiherm(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ dagger(v)
 
 
 def sqrt_completion_channel(
@@ -387,13 +383,6 @@ def sqrt_completion_channel(
             if m.shape != (dim, dim):
                 raise DimensionMismatch("jump operators must share one square shape")
             jumps.append(JumpKrausTerm(param=mu, base=m))
-    ssum = []
-    for mu in range(num_params):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for t in jumps:
-            if t.param == mu:
-                acc = acc + dagger(t.base) @ t.base
-        ssum.append(acc)
     gens = None
     if generators is not None:
         if len(generators) != num_params:
@@ -402,33 +391,18 @@ def sqrt_completion_channel(
 
     linear = []
     for mu in range(num_params):
-        n_mu = 0.5 * ssum[mu]
+        n_mu = 0.5 * sum(dagger(t.base) @ t.base for t in jumps if t.param == mu)
         if gens is not None:
             n_mu = n_mu + 1j * gens[mu]
         linear.append(n_mu)
 
-    def higher(eps: np.ndarray) -> np.ndarray:
-        arg = np.eye(dim, dtype=complex)
-        for mu in range(num_params):
-            arg = arg - eps[mu] * ssum[mu]
-        b = _sqrtm_psd(arg)
-        if gens is not None:
-            htot = np.zeros((dim, dim), dtype=complex)
-            for mu in range(num_params):
-                htot = htot + eps[mu] * gens[mu]
-            b = _expm_antiherm(htot) @ b
-        trunc = np.eye(dim, dtype=complex)
-        for mu in range(num_params):
-            trunc = trunc - eps[mu] * linear[mu]
-        return b - trunc
-
-    term = IdentityKrausTerm(weight=1.0 + 0j, linear=tuple(linear), higher=higher)
     return LowNoiseChannel(
         dim=dim,
         num_params=num_params,
-        identity_terms=[term],
+        identity_terms=[IdentityKrausTerm(weight=1.0 + 0j, linear=tuple(linear))],
         jump_terms=jumps,
         builder="sqrt-completion",
+        generators=gens,
         validate=validate,
     )
 
@@ -465,13 +439,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def channel_to_config(ch: LowNoiseChannel) -> dict:
-    """JSON-able description of a channel.
-
-    Explicit channels are serialized through their stored coefficients; any
-    ``higher`` closures are not representable and are dropped, so a
-    round-tripped explicit channel is trace preserving to second order only.
-    Square-root-completion channels round-trip exactly.
-    """
+    """JSON-able description of a channel; both builders round-trip exactly."""
     cfg: dict = {
         "dim": ch.dim,
         "num_params": ch.num_params,
@@ -481,13 +449,8 @@ def channel_to_config(ch: LowNoiseChannel) -> dict:
         ],
     }
     if ch.builder == "sqrt-completion":
-        gens = []
-        for mu in range(ch.num_params):
-            n_mu = ch.identity_terms[0].linear[mu]
-            g = (n_mu - 0.5 * ch.dissipator_sum(mu)) / 1j
-            gens.append(g)
-        if any(frobenius(g) > 1e-14 for g in gens):
-            cfg["generators"] = [matrix_to_json(g) for g in gens]
+        if ch.generators is not None:
+            cfg["generators"] = [matrix_to_json(g) for g in ch.generators]
     else:
         cfg["identity_terms"] = [
             {

@@ -1,21 +1,18 @@
 """Derivatives of Hermitian eigenvalue curves along noise-parameter directions.
 
-Given a matrix-valued function eps -> M(eps), the eigenvalue derivatives
-are taken as finite differences of the diagonal elements of M in the base
-eigenbasis.  At the base point the diagonal element's derivative equals
-the eigenvalue derivative (Hellmann-Feynman), which sidesteps the curve
-pairing problem entirely and survives near-degenerate spectra where
-matching perturbed eigenvalue lists to base labels is ill-conditioned.
+Given a Hermitian matrix M(eps) and its exact derivatives d_mu M, the
+eigenvalue derivatives are the Hellmann-Feynman diagonals <n|d_mu M|n>
+in the base eigenbasis.  This sidesteps the curve pairing problem
+entirely and survives near-degenerate spectra where matching perturbed
+eigenvalue lists to base labels is ill-conditioned.
 
 Inside degenerate clusters the base eigenvectors are first rotated to
-diagonalize the restriction of the perturbation in each parameter
-direction, taken in parameter order; this is exact first-order
-degenerate perturbation theory whenever the restricted perturbations
-commute, and a documented deterministic choice otherwise.
+diagonalize the restriction of d_mu M in each parameter direction, taken
+in parameter order; this is exact first-order degenerate perturbation
+theory whenever the restricted derivatives commute, and a documented
+deterministic choice otherwise.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -58,51 +55,21 @@ def _refine_cluster(vectors: np.ndarray, idx: list[int], perts: list[np.ndarray]
 
 
 def eigencurve_derivatives(
-    fn: Callable[[np.ndarray], np.ndarray],
-    eps: np.ndarray,
-    step: float,
+    matrix: np.ndarray,
+    derivatives,
     cluster_rtol: float = CLUSTER_RTOL,
 ):
     """Eigenvalues (descending), adapted eigenvectors, and per-parameter derivatives.
 
-    Returns (values, vectors, derivs) with derivs of shape (D, N).  Uses
-    Richardson-extrapolated second-order stencils: central in the interior,
-    one-sided at the eps_mu = 0 boundary (negative noise strengths are
-    outside the model).
+    derivatives[mu] is d matrix / d eps_mu.  Returns (values, vectors,
+    derivs) with derivs[mu, n] = <n|d_mu matrix|n> of shape (D, N).
     """
-    eps = np.asarray(eps, dtype=float)
-    num_params = eps.shape[0]
-    base = _sym(np.asarray(fn(eps)))
-    values, vectors = _eigh_desc(base)
+    values, vectors = _eigh_desc(np.asarray(matrix))
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     tol = cluster_rtol * scale
-
-    unit = np.eye(num_params)
-    perts = [
-        _sym(np.asarray(fn(eps + step * unit[mu]))) - base for mu in range(num_params)
-    ]
+    perts = [_sym(np.asarray(d)) for d in derivatives]
     for cluster in _clusters(values, tol):
         if len(cluster) > 1:
             _refine_cluster(vectors, cluster, perts, 0, tol)
-
-    def diag_at(t: float, mu: int) -> np.ndarray:
-        m = _sym(np.asarray(fn(eps + t * unit[mu])))
-        return np.real(np.einsum("in,ij,jn->n", vectors.conj(), m, vectors))
-
-    derivs = np.zeros((num_params, values.shape[0]))
-    g0 = np.real(np.einsum("in,ij,jn->n", vectors.conj(), base, vectors))
-    for mu in range(num_params):
-        if eps[mu] >= step:
-            def d_central(h: float) -> np.ndarray:
-                return (diag_at(h, mu) - diag_at(-h, mu)) / (2 * h)
-
-            d1 = d_central(step)
-            d2 = d_central(step / 2)
-        else:
-            def d_onesided(h: float) -> np.ndarray:
-                return (4 * diag_at(h, mu) - 3 * g0 - diag_at(2 * h, mu)) / (2 * h)
-
-            d1 = d_onesided(step)
-            d2 = d_onesided(step / 2)
-        derivs[mu] = (4 * d2 - d1) / 3
+    derivs = np.real(np.einsum("in,mij,jn->mn", vectors.conj(), np.asarray(perts), vectors))
     return values, vectors, derivs

@@ -245,14 +245,13 @@ def sample_measurements(
     shots: int,
     seed: int,
     block_size: int = 1 << 16,
-    workers: int = 1,
 ) -> MSEMatrix:
     """Monte Carlo estimate of the mean and mean-square-error matrix.
 
     Counter-based RNG keyed by (seed, block index) over a fixed block grid:
-    the same seed yields the same stream on any platform.  Workers take
-    blocks round-robin and their integer counts merge commutatively, so the
-    result is independent of the worker count.
+    the same seed yields the same stream on any platform, and the integer
+    block counts merge commutatively, so any partition of the blocks gives
+    the same result.
     """
     if shots < 1:
         raise BadProbabilities("shots must be >= 1")
@@ -270,10 +269,9 @@ def sample_measurements(
     num_blocks = (shots + block_size - 1) // block_size
     last = shots - block_size * (num_blocks - 1)
     counts = np.zeros(len(q), dtype=np.int64)
-    for w in range(max(1, workers)):
-        for b in range(w, num_blocks, max(1, workers)):
-            n = last if b == num_blocks - 1 else block_size
-            counts += _block_count(q, b, n, seed)
+    for b in range(num_blocks):
+        n = last if b == num_blocks - 1 else block_size
+        counts += _block_count(q, b, n, seed)
 
     num_params = eps_true.shape[0]
     xs = povm.estimates

@@ -205,23 +205,12 @@ def fisher_pseudo_inverse(fm: FisherMatrix, rcond: float = 1e-12) -> FisherMatri
     return FisherMatrix(kind=fm.kind, entries=entries, inverse=inv, condition_number=cond)
 
 
-def direction_quadratic_form(fm: FisherMatrix, u: np.ndarray, inverse: bool = False) -> float:
-    m = fm.inverse if inverse else fm.entries
-    if m is None:
-        raise SingularFisher("inverse not populated")
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != m.shape[0]:
-        raise DimensionMismatch("direction vector has wrong length")
-    return float(u @ m @ u)
-
-
 def pure_input_dominance(
     ch,
     rho_mixed: np.ndarray,
     decomposition,
     u: np.ndarray,
     eps,
-    fd_step: float | None = None,
     support_threshold: float | None = None,
     tol: float = 1e-8,
 ) -> bool:
@@ -236,15 +225,13 @@ def pure_input_dominance(
     if np.linalg.norm(recon - rho_mixed) > 1e-10:
         raise DimensionMismatch("decomposition does not reconstruct the mixed state")
     eps = np.asarray(eps, dtype=float)
-    step = fd_step if fd_step is not None else max(float(np.max(eps)) / 100.0, 1e-9)
 
     def quad(rho_in: np.ndarray) -> float:
         out = ch.apply(rho_in, eps)
         w, v = np.linalg.eigh((out + dagger(out)) / 2)
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
-        drho = [ch.finite_difference_derivative(rho_in, mu, eps, step) for mu in range(ch.num_params)]
-        fm = quantum_fisher(w, v, drho, support_threshold)
+        fm = quantum_fisher(w, v, ch.derivative(rho_in, eps), support_threshold)
         return float(np.asarray(u, float) @ fm.entries @ np.asarray(u, float))
 
     mixed_val = quad(rho_mixed)

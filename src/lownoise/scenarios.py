@@ -39,11 +39,13 @@ class SweepConfig:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
+        s = np.asarray(self.scales, dtype=float)
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(s))):
+            raise ConfigInvalid("sweep direction and scales must be finite")
         if d.size == 0 or np.any(d <= 0):
             raise ConfigInvalid("sweep direction components must be positive")
         if abs(float(np.sum(d)) - 1.0) > 1e-9:
             raise ConfigInvalid("sweep direction must sum to 1")
-        s = np.asarray(self.scales, dtype=float)
         if s.size == 0:
             raise ConfigInvalid("sweep needs at least one scale")
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
@@ -62,7 +64,6 @@ class Scenario:
     channel: LowNoiseChannel
     input_state: np.ndarray
     sweep: SweepConfig
-    fd_step: float | None = None  # absolute FD step; None = scale/100
     closed_forms: dict[str, Callable] = field(default_factory=dict)
     expected_orders: dict[str, tuple[float, float]] = field(default_factory=dict)
     attainment_expected: bool = True
@@ -277,7 +278,6 @@ def scenario_pauli2(
         channel=channel,
         input_state=phi_state_vec / np.linalg.norm(phi_state_vec),
         sweep=SweepConfig(direction=tuple(direction), scales=tuple(scales), seed=seed),
-        fd_step=2e-3,  # the map is linear in eps, so a wide exact stencil beats h ~ scale
         closed_forms={
             "output_bloch": output_bloch,
             "purity_gap": purity_gap,
@@ -365,7 +365,6 @@ def scenario_ancilla_bell(
         channel=channel,
         input_state=psi,
         sweep=SweepConfig(direction=tuple(direction), scales=tuple(scales), seed=seed),
-        fd_step=2e-3,
         closed_forms={
             "deviation_printed": deviation_printed,
             "shifts": shifts_closed,
@@ -470,12 +469,18 @@ def scenario_to_config(sc: Scenario) -> dict:
             "scales": [float(s) for s in sc.sweep.scales],
             "seed": sc.sweep.seed,
         },
-        "fd_step": sc.fd_step,
         "frame": matrix_to_json(sc.frame) if sc.frame is not None else None,
     }
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
+    """Scenario described by a config.
+
+    A config named after a built-in gets the built-in, closed forms
+    included, only when the built-in with the config's sweep describes the
+    same scenario; otherwise the config's own channel, input state and
+    frame are used as given.
+    """
     try:
         name = cfg["name"]
         channel = channel_from_config(cfg["channel"])
@@ -488,17 +493,18 @@ def scenario_from_config(cfg: dict) -> Scenario:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed scenario config: {exc}") from exc
-    if name in SCENARIO_BUILDERS:
-        # rebuild through the named constructor so closed forms come along
-        return build_scenario(
-            name, direction=sweep.direction, scales=sweep.scales, seed=sweep.seed
-        )
     frame = matrix_from_json(cfg["frame"]) if cfg.get("frame") else None
-    return Scenario(
+    norm = np.linalg.norm(phi)
+    given = Scenario(
         name=name,
         channel=channel,
-        input_state=phi / np.linalg.norm(phi),
+        # a normalized state is kept bit for bit, so the config hash holds
+        input_state=phi if np.isclose(norm, 1.0, rtol=0.0, atol=1e-12) else phi / norm,
         sweep=sweep,
-        fd_step=cfg.get("fd_step"),
         frame=frame,
     )
+    if name in SCENARIO_BUILDERS:
+        named = build_scenario(name, direction=sweep.direction, scales=sweep.scales, seed=sweep.seed)
+        if scenario_to_config(named) == scenario_to_config(given):
+            return named
+    return given

@@ -267,23 +267,22 @@ def output_spectrum_with_gradients(
     ch: LowNoiseChannel,
     phi: np.ndarray,
     eps: np.ndarray,
-    fd_step: float,
 ) -> tuple[OutputSpectrum, np.ndarray]:
     """Output spectrum plus per-parameter eigenvalue derivatives at one point.
 
-    The returned spectrum's basis is the cluster-refined eigenbasis from the
-    differentiation, so degenerate eigenvectors pair correctly with their
-    shift derivatives; downstream estimator construction relies on this.
+    The derivatives are Hellmann-Feynman diagonals of the channel's exact
+    state derivative.  The returned spectrum's basis is the cluster-refined
+    eigenbasis, so degenerate eigenvectors pair correctly with their shift
+    derivatives; downstream estimator construction relies on this.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
+    eps = np.asarray(eps, dtype=float)
     rho_in = pure_state_density(phi)
     values, vectors, derivs = curves.eigencurve_derivatives(
-        lambda e: ch.apply(rho_in, e), np.asarray(eps, dtype=float), fd_step
+        ch.apply(rho_in, eps), ch.derivative(rho_in, eps)
     )
     vectors = _fix_phases(vectors, phi)
-    spec = OutputSpectrum(
-        eps=np.asarray(eps, dtype=float), probs=values, basis=vectors, input_state=phi
-    )
+    spec = OutputSpectrum(eps=eps, probs=values, basis=vectors, input_state=phi)
     return spec, derivs
 
 
@@ -292,7 +291,6 @@ def output_shift_curves(
     phi: np.ndarray,
     direction: np.ndarray,
     scales,
-    fd_step: float | None = None,
 ):
     """Output-spectrum shift data across a scale sweep.
 
@@ -305,9 +303,7 @@ def output_shift_curves(
     shift_rows = []
     grad_rows = []
     for s in scales:
-        eps = s * direction
-        step = fd_step if fd_step is not None else s / 100.0
-        spec, derivs = output_spectrum_with_gradients(ch, phi, eps, step)
+        spec, derivs = output_spectrum_with_gradients(ch, phi, s * direction)
         spectra.append(spec)
         shift_rows.append(spec.shifts())
         grad_rows.append(derivs)

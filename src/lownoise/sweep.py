@@ -13,7 +13,7 @@ import numpy as np
 from . import estimator as est
 from . import fisher, spectral
 from .errors import LowNoiseError, SingularFisher
-from .linalg import fit_or_floor
+from .linalg import fit_or_floor, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
 
@@ -30,18 +30,13 @@ def _matrix(m) -> list:
 def _point_record(sc: Scenario, scale: float, spec, grads, labels) -> dict:
     """All per-point quantities; raises LowNoiseError subtypes on failure."""
     eps = spec.eps
-    num_params = sc.channel.num_params
     dim = sc.channel.dim
     shifts = spec.shifts()
     shift_grads = grads[:, 1:]
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-    step = sc.fd_step if sc.fd_step is not None else scale / 100.0
 
     rho_in = np.outer(spec.input_state, spec.input_state.conj())
-    drho = [
-        sc.channel.finite_difference_derivative(rho_in, mu, eps, step)
-        for mu in range(num_params)
-    ]
+    drho = sc.channel.derivative(rho_in, eps)
 
     jq = fisher.quantum_fisher(spec.probs, spec.basis, drho)
     jq_inv = fisher.fisher_inverse(jq)
@@ -126,6 +121,10 @@ def _fit(scales, values, name: str) -> dict:
     }
 
 
+def _error(exc: LowNoiseError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _norm_series(points, key) -> list[float]:
     return [float(np.linalg.norm(p[key])) for p in points]
 
@@ -134,29 +133,45 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     """Evaluate the full pipeline over the scenario's scale grid.
 
     Any per-point library error is recorded in that point's record and
-    fails the report; points are never silently skipped.
+    fails the report; points are never silently skipped.  Shifts are
+    classified over the scales whose spectrum succeeded; if that fails,
+    every point records the classification error.
     """
     scales = list(sc.sweep.scales)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 
-    spectra, shift_rows, grad_rows = spectral.output_shift_curves(
-        sc.channel, sc.input_state, direction, scales, sc.fd_step
-    )
-    labels, label_fits = spectral.classify_shift_curves(scales, shift_rows)
+    spectra: dict[int, tuple] = {}  # scale index -> (spectrum, eigenvalue gradients)
+    errors: dict[int, str] = {}
+    for t, scale in enumerate(scales):
+        try:
+            spectra[t] = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
+        except LowNoiseError as exc:
+            errors[t] = _error(exc)
+    labels: tuple[str, ...] = ()
+    if spectra:
+        try:
+            labels, _ = spectral.classify_shift_curves(
+                [scales[t] for t in spectra], [spec.shifts() for spec, _ in spectra.values()]
+            )
+        except LowNoiseError as exc:
+            errors = {t: errors.get(t, _error(exc)) for t in range(len(scales))}
 
     points = []
-    had_error = False
-    for t, (scale, spec, grads) in enumerate(zip(scales, spectra, grad_rows)):
+    for t, scale in enumerate(scales):
+        if t in errors:
+            points.append({"scale": float(scale), "error": errors[t]})
+            continue
+        spec, grads = spectra[t]
         try:
             rec = _point_record(sc, scale, spec, grads, labels)
+            if shots > 0:
+                rec["mc"] = _monte_carlo_record(sc, spec, grads, labels, shots, sc.sweep.seed * 1009 + t)
         except LowNoiseError as exc:
-            rec = {"scale": float(scale), "error": f"{type(exc).__name__}: {exc}"}
-            had_error = True
-        if shots > 0 and rec.get("error") is None:
-            rec["mc"] = _monte_carlo_record(sc, spec, grads, labels, shots, sc.sweep.seed * 1009 + t)
+            rec = {"scale": float(scale), "error": _error(exc)}
         points.append(rec)
 
-    good = [p for p in points if p.get("error") is None]
+    good = [p for p in points if p["error"] is None]
+    had_error = len(good) < len(points)
     fits = []
     checks = []
     if good:
@@ -181,10 +196,12 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             ]
             fits.append(_fit(gs, vals, "quantum_jinv_vs_reference"))
         if "bad_direction_gap" in sc.expected_orders and len(good) >= 2:
-            a = np.asarray(good[0]["quantum_fisher_inverse"])
-            b = np.asarray(good[1]["quantum_fisher_inverse"])
-            r = good[1]["scale"] / good[0]["scale"]
-            jinv0 = (r * a - b) / (r - 1.0)
+            jinv0 = richardson_zero_limit(
+                good[0]["scale"],
+                np.asarray(good[0]["quantum_fisher_inverse"]),
+                good[1]["scale"],
+                np.asarray(good[1]["quantum_fisher_inverse"]),
+            )
             w, v = np.linalg.eigh(jinv0)
             u0 = v[:, -1]
             vals = [

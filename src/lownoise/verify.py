@@ -70,9 +70,8 @@ def check_ancilla_bell() -> CheckResult:
         want = np.sort(sc.closed_forms["shifts"](eps))
         if np.max(np.abs(got - want)) > 1e-14:
             failures.append(f"shifts deviate from (eps2, eps1, 0) at scale {s:g}")
-        spec, grads = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps, sc.fd_step)
-        rho_in = pure_state_density(sc.input_state)
-        drho = [sc.channel.finite_difference_derivative(rho_in, mu, eps, sc.fd_step) for mu in range(2)]
+        spec, grads = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+        drho = sc.channel.derivative(pure_state_density(sc.input_state), eps)
         jq = fisher.quantum_fisher(spec.probs, spec.basis, drho)
         l1 = abs(jq.entries[0, 0] * eps[0] - 1.0)
         l2 = abs(jq.entries[1, 1] * eps[1] - 1.0)
@@ -99,9 +98,8 @@ def check_pauli() -> CheckResult:
     jinvs = []
     for s in sc.sweep.scales:
         eps = s * direction
-        spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps, sc.fd_step)
-        drho = [sc.channel.finite_difference_derivative(rho_in, mu, eps, sc.fd_step) for mu in range(2)]
-        jq = fisher.quantum_fisher(spec.probs, spec.basis, drho)
+        spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+        jq = fisher.quantum_fisher(spec.probs, spec.basis, sc.channel.derivative(rho_in, eps))
         closed = sc.closed_forms["fisher"](eps)
         tol = 1e-8 * np.maximum(1.0, np.abs(closed))
         if np.any(np.abs(jq.entries - closed) > tol):
@@ -128,10 +126,19 @@ def check_pauli() -> CheckResult:
 # criterion 3: three-level closed forms via the covariance reduction
 
 
-def _leading_inverse_fisher(ch, phi, eps: np.ndarray, step: float) -> np.ndarray:
-    """Inverse divergent Fisher from the jump-covariance eigenvalue curves."""
-    lam = lambda e: spectral.jump_covariance(ch, phi, e).entries
-    values, _, derivs = curves.eigencurve_derivatives(lam, eps, step)
+def _leading_inverse_fisher(ch, phi, eps: np.ndarray) -> np.ndarray:
+    """Inverse divergent Fisher from the jump-covariance eigenvalue curves.
+
+    Entry (i, j) of the covariance carries sqrt(eps_p_i eps_p_j), so
+    d_mu Lambda = Lambda o (d_i + d_j) with d_i = [p_i = mu] / (2 eps_mu).
+    """
+    lm = spectral.jump_covariance(ch, phi, eps)
+    params = np.array([p for p, _ in lm.index])
+    derivatives = []
+    for mu in range(ch.num_params):
+        d = (params == mu) / (2.0 * eps[mu])
+        derivatives.append(lm.entries * (d[:, None] + d[None, :]))
+    values, _, derivs = curves.eigencurve_derivatives(lm.entries, derivatives)
     jdiv = fisher.divergent_fisher(values, derivs, list(range(values.shape[0])))
     return fisher.fisher_inverse(jdiv).inverse
 
@@ -151,7 +158,7 @@ def check_threelevel() -> CheckResult:
             failures.append(f"shift closed form off by rel {rel:.2e} at eps={eps}")
     for s in (1e-3, 2e-3):
         eps = s * direction
-        jinv = _leading_inverse_fisher(sc.channel, sc.input_state, eps, s / 100)
+        jinv = _leading_inverse_fisher(sc.channel, sc.input_state, eps)
         closed = sc.closed_forms["jinv"](eps)
         rel = float(np.max(np.abs(jinv - closed) / np.abs(closed)))
         if rel > 1e-6:
@@ -248,7 +255,7 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
             for mu in range(num_params):
                 rem = rem - eps[mu] * d0[mu]
             first_order.append(np.linalg.norm(rem))
-            spec, grads = spectral.output_spectrum_with_gradients(ch, phi, eps, s / 100)
+            spec, grads = spectral.output_spectrum_with_gradients(ch, phi, eps)
             specs.append(spec)
             grad_rows.append(grads)
         fit = power_order_fit(list(zip(scales, first_order)))
@@ -317,7 +324,7 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     failures: list[str] = []
     sc = scenario_ancilla_bell()
     eps = np.array([1e-3, 2e-3])
-    spec, grads = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps, sc.fd_step)
+    spec, grads = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
     shifts = spec.shifts()
     included = [i for i in range(shifts.shape[0]) if shifts[i] > 1e-6]
     jdiv = fisher.divergent_fisher(shifts, grads[:, 1:], included)
@@ -331,9 +338,6 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     mc2 = est.sample_measurements(povm, sc.channel, sc.input_state, eps, shots, seed)
     if not (np.array_equal(mc.entries, mc2.entries) and np.array_equal(mc.mean, mc2.mean)):
         failures.append("rerun with the same seed changed the result")
-    mc4 = est.sample_measurements(povm, sc.channel, sc.input_state, eps, shots, seed, workers=4)
-    if not np.array_equal(mc.entries, mc4.entries):
-        failures.append("worker count changed the result")
     rep_a = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)
     rep_b = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)
     if rep_a != rep_b:

@@ -17,12 +17,14 @@ from lownoise.errors import (
     TPCPViolation,
 )
 from lownoise.linalg import fit_or_floor
+from lownoise.spectral import output_spectrum_with_gradients
 from lownoise.scenarios import (
     SIGMA_X,
     SIGMA_Z,
     bloch_vector,
     density_from_bloch,
     random_channel,
+    random_input_state,
     scenario_ancilla_bell,
     scenario_pauli2,
     scenario_threelevel,
@@ -93,22 +95,6 @@ class TestTPCPResidual:
             LowNoiseChannel(2, 1, [term], [JumpKrausTerm(0, SIGMA_X)])
 
 
-class TestIdentityLimit:
-    def test_pauli_zero(self, pauli):
-        assert pauli.channel.identity_limit_residual() <= 1e-14
-
-    def test_threelevel_zero(self, threelevel):
-        assert threelevel.channel.identity_limit_residual() <= 1e-12
-
-    def test_flip_channel_detected(self):
-        term = IdentityKrausTerm(weight=1.0 + 0j, linear=(np.zeros((2, 2), complex),))
-        flip = IdentityKrausTerm(weight=0.0 + 0j, linear=(np.zeros((2, 2), complex),),
-                                 higher=lambda eps: SIGMA_X)
-        ch = LowNoiseChannel(2, 1, [term, flip], [JumpKrausTerm(0, SIGMA_X)], validate=False)
-        # this fixture is not a valid low-noise channel; used only as an oracle
-        assert ch.identity_limit_residual() >= 1.0
-
-
 class TestDerivativeAtZero:
     def test_annihilated_input(self):
         ch = sqrt_completion_channel([[LOWER]])
@@ -141,6 +127,58 @@ class TestDerivativeAtZero:
             assert np.linalg.norm(d - d.conj().T) <= 1e-12
 
 
+def explicit_damping():
+    """Amplitude damping with the affine identity term 1 - eps S/2 (TP to second order)."""
+    s = LOWER.conj().T @ LOWER
+    return LowNoiseChannel(2, 1, [IdentityKrausTerm(1.0 + 0j, (0.5 * s,))], [JumpKrausTerm(0, LOWER)])
+
+
+def assert_matches_central_difference(ch, rho, eps, tol=1e-7):
+    exact = ch.derivative(rho, eps)
+    assert len(exact) == ch.num_params
+    for mu in range(ch.num_params):
+        fd = ch.finite_difference_derivative(rho, mu, eps, 1e-6)
+        assert np.max(np.abs(exact[mu] - fd)) <= tol
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("with_hamiltonian", [False, True])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_channel_matches_central_difference(self, dim, with_hamiltonian):
+        num_params = min(dim - 1, 3) if dim > 2 else 2
+        ch = random_channel(dim, num_params, [1] * num_params, seed=40 + dim, with_hamiltonian=with_hamiltonian)
+        rho = pure_state_density(random_input_state(dim, dim))
+        assert_matches_central_difference(ch, rho, np.linspace(1e-3, 3e-3, num_params))
+
+    def test_explicit_channel_matches_central_difference(self):
+        rho = pure_state_density(np.array([0.6, 0.8j]))
+        assert_matches_central_difference(explicit_damping(), rho, np.array([1e-4]))
+
+    def test_ancilla_extended_matches_central_difference(self):
+        ch = random_channel(2, 2, [1, 1], seed=12, with_hamiltonian=True).ancilla_extend()
+        rho = pure_state_density(random_input_state(4, 12))
+        assert_matches_central_difference(ch, rho, np.array([2e-3, 1e-3]))
+
+    @pytest.mark.parametrize("with_hamiltonian", [False, True])
+    def test_zero_noise_matches_lindblad_form(self, with_hamiltonian):
+        ch = random_channel(4, 3, [1, 2, 1], seed=21, with_hamiltonian=with_hamiltonian)
+        rho = pure_state_density(random_input_state(4, 21))
+        exact = ch.derivative(rho, np.zeros(3))
+        for mu in range(3):
+            assert np.max(np.abs(exact[mu] - ch.derivative_at_zero(mu, rho))) <= 1e-12
+
+    def test_eigenvalue_gradients_match_central_difference(self, threelevel):
+        eps = np.array([2e-3, 3e-3])
+        spec, grads = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+        rho = pure_state_density(threelevel.input_state)
+        h = 1e-6
+        for mu in range(2):
+            step = h * np.eye(2)[mu]
+            up = np.linalg.eigvalsh(threelevel.channel.apply(rho, eps + step))[::-1]
+            down = np.linalg.eigvalsh(threelevel.channel.apply(rho, eps - step))[::-1]
+            assert np.max(np.abs(grads[mu] - (up - down) / (2 * h))) <= 1e-7
+
+
 class TestHamiltonianGenerator:
     def test_plain_sqrt_completion_gives_zero(self, threelevel):
         for mu in range(2):
@@ -166,7 +204,6 @@ class TestHamiltonianGenerator:
         bad = IdentityKrausTerm(
             weight=good.weight,
             linear=(good.linear[0] + 1e-3 * SIGMA_X,),
-            higher=good.higher,
         )
         ch = LowNoiseChannel(2, 1, [bad], list(base.jump_terms), validate=False)
         with pytest.raises(InconsistentKrausData):
@@ -292,6 +329,9 @@ class TestConfigRoundTrip:
         cfg = channel_to_config(ch)
         ch2 = channel_from_config(cfg)
         assert channel_to_config(ch2) == cfg
+        rho = pure_state_density(np.array([0.6, 0.8j]))
+        eps = np.array([1e-4])
+        assert np.max(np.abs(ch.apply(rho, eps) - ch2.apply(rho, eps))) <= 1e-15
 
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):

@@ -69,3 +69,23 @@ def test_verify_smoke():
 
 def test_random_suite_smoke():
     assert main(["random-suite", "--seeds", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["three-level", "--direction", "nan,nan"], ["pauli2", "--scales", "1e-4,1e-3,1e-2,inf"]],
+)
+def test_run_non_finite_input(args):
+    assert main(["run", *args]) == 2
+
+
+def test_run_failed_points_are_recorded(tmp_path):
+    # the three-level completion leaves its positivity region above scale 1
+    out = tmp_path / "t.jsonl"
+    assert main(["run", "three-level", "--scales", "1e-3:2:8", "--out", str(out)]) == 1
+    records = parse_jsonl(out.read_text())
+    points = [r for r in records if r["kind"] == "point"]
+    assert len(points) == 8
+    assert points[0]["error"] is None
+    assert points[-1]["error"].startswith("TPCPViolation")
+    assert records[-1] == {"kind": "summary", "passed": False}

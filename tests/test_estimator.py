@@ -37,8 +37,7 @@ def threelevel():
 
 def estimator_pipeline(sc, s, included=None):
     eps = s * np.asarray(sc.sweep.direction)
-    step = sc.fd_step if sc.fd_step is not None else s / 100
-    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps, step)
+    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
     shifts = spec.shifts()
     if included is None:
         included = [i for i in range(shifts.shape[0]) if shifts[i] > 1e-3 * s]
@@ -70,7 +69,7 @@ class TestScoreOperators:
         ch = sqrt_completion_channel([[LOWER]])
         phi = np.array([0.0, 1.0], dtype=complex)
         eps = np.array([2e-3])
-        spec, grads = output_spectrum_with_gradients(ch, phi, eps, 2e-5)
+        spec, grads = output_spectrum_with_gradients(ch, phi, eps)
         score = build_score_operators(spec, spec.shifts(), grads[:, 1:], [0])
         v = spec.basis[:, 1]
         want = (1 / eps[0]) * np.outer(v, v.conj())
@@ -121,7 +120,7 @@ class TestBuildPOVM:
         ch = sqrt_completion_channel([[LOWER]])
         phi = np.array([0.0, 1.0], dtype=complex)
         eps = np.array([1e-3])
-        spec, grads = output_spectrum_with_gradients(ch, phi, eps, 1e-5)
+        spec, grads = output_spectrum_with_gradients(ch, phi, eps)
         score = raise_index(
             build_score_operators(spec, spec.shifts(), grads[:, 1:], [0]),
             divergent_fisher(spec.shifts(), grads[:, 1:], [0]),
@@ -220,13 +219,13 @@ class TestAnalyticMSE:
         gaps = []
         for s in SCALES:
             eps = np.array([s])
-            spec, grads = output_spectrum_with_gradients(ch, phi, eps, s / 100)
+            spec, grads = output_spectrum_with_gradients(ch, phi, eps)
             jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0])
             score = raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0]), jdiv)
             povm = build_povm(score)
             mse = analytic_mse(povm, ch, phi, eps)
             rho_in = pure_state_density(phi)
-            drho = [ch.finite_difference_derivative(rho_in, 0, eps, s / 100)]
+            drho = ch.derivative(rho_in, eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
             gaps.append(abs(mse.entries[0, 0] - jq.inverse[0, 0]))
         fit = power_order_fit(list(zip(SCALES, gaps)))
@@ -248,10 +247,7 @@ class TestAnalyticMSE:
             )
             mse = analytic_mse(bad, threelevel.channel, threelevel.input_state, eps)
             rho_in = pure_state_density(threelevel.input_state)
-            drho = [
-                threelevel.channel.finite_difference_derivative(rho_in, mu, eps, s / 100)
-                for mu in range(2)
-            ]
+            drho = threelevel.channel.derivative(rho_in, eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
             gaps.append(np.linalg.norm(mse.entries - jq.inverse))
         fit = power_order_fit(list(zip(SCALES, gaps)))
@@ -264,7 +260,7 @@ class TestCRGap:
         povm = build_povm(score)
         mse = analytic_mse(povm, bell.channel, bell.input_state, eps)
         rho_in = pure_state_density(bell.input_state)
-        drho = [bell.channel.finite_difference_derivative(rho_in, mu, eps, bell.fd_step) for mu in range(2)]
+        drho = bell.channel.derivative(rho_in, eps)
         jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
         gap = cr_gap(mse, jq)
         assert np.max(np.abs(gap)) <= 1e-12
@@ -290,14 +286,6 @@ class TestSampling:
         b = sample_measurements(povm, bell.channel, bell.input_state, eps, shots=4321, seed=7)
         np.testing.assert_array_equal(a.entries, b.entries)
         np.testing.assert_array_equal(a.mean, b.mean)
-
-    def test_worker_count_invariance(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
-        povm = build_povm(score)
-        kw = dict(shots=300_000, seed=9, block_size=1 << 14)
-        a = sample_measurements(povm, bell.channel, bell.input_state, eps, workers=1, **kw)
-        b = sample_measurements(povm, bell.channel, bell.input_state, eps, workers=5, **kw)
-        np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_monte_carlo_agrees_with_analytic(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)

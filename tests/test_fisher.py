@@ -44,13 +44,8 @@ def threelevel():
 
 def pipeline_quantities(sc, s):
     eps = s * np.asarray(sc.sweep.direction)
-    step = sc.fd_step if sc.fd_step is not None else s / 100
-    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps, step)
-    rho_in = pure_state_density(sc.input_state)
-    drho = [
-        sc.channel.finite_difference_derivative(rho_in, mu, eps, step)
-        for mu in range(sc.channel.num_params)
-    ]
+    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+    drho = sc.channel.derivative(pure_state_density(sc.input_state), eps)
     return eps, spec, grads, drho
 
 
@@ -202,7 +197,7 @@ class TestNondegeneracy:
         ch = random_channel(2, 3, [1, 1, 1], seed=31)
         phi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         eps = np.full(3, 1e-3)
-        spec, grads = output_spectrum_with_gradients(ch, phi, eps, 1e-5)
+        spec, grads = output_spectrum_with_gradients(ch, phi, eps)
         gram = sqrt_prob_gram(spec.probs, grads)
         det = nondegeneracy_det(spec.probs, grads)
         assert abs(det) <= 1e-12 * max(1.0, np.linalg.norm(gram)) ** 3

@@ -4,6 +4,7 @@ import pytest
 from lownoise.channels import channel_to_config, pure_state_density
 from lownoise.errors import ConfigInvalid
 from lownoise.report import config_hash
+from lownoise.sweep import run_sweep
 from lownoise.scenarios import (
     SweepConfig,
     build_scenario,
@@ -134,6 +135,14 @@ class TestScenarioConfig:
         cfg = scenario_to_config(sc)
         sc2 = scenario_from_config(cfg)
         assert scenario_to_config(sc2) == cfg
+
+    def test_builtin_name_with_other_channel_keeps_the_file(self):
+        cfg = scenario_to_config(scenario_threelevel())
+        cfg["channel"] = channel_to_config(random_channel(3, 2, [1, 1], seed=5))
+        sc = scenario_from_config(cfg)
+        assert scenario_to_config(sc) == cfg
+        assert not sc.closed_forms and not sc.expected_orders
+        assert run_sweep(sc).config_hash == config_hash(cfg)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigInvalid):

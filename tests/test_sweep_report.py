@@ -62,6 +62,12 @@ class TestRunSweep:
         assert not gap["at_floor"]
         assert gap["slope"] <= 0.3
 
+    def test_failed_classification_fails_every_point(self):
+        # three scales are too few for the slope fit that classifies the shifts
+        report = run_sweep(scenario_threelevel(scales=(1e-4, 1e-3, 1e-2)))
+        assert not report.passed
+        assert [p["error"].split(":")[0] for p in report.points] == ["DegenerateSamples"] * 3
+
     def test_monte_carlo_points(self):
         report = run_sweep(scenario_ancilla_bell(scales=FAST_SCALES), shots=2000)
         for p in report.points:
