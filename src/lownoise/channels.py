@@ -27,7 +27,7 @@ from .errors import (
     StepTooLarge,
     TPCPViolation,
 )
-from .linalg import dagger, frobenius, hermiticity_residual, require_hermitian
+from .linalg import dagger, eigensolve, frobenius, hermiticity_residual, require_hermitian
 
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-12
@@ -187,7 +187,7 @@ class LowNoiseChannel:
         arg = np.eye(self.dim, dtype=complex)
         for mu in range(self.num_params):
             arg = arg - eps[mu] * self._sums[mu]
-        a, va = np.linalg.eigh((arg + dagger(arg)) / 2)
+        a, va = eigensolve((arg + dagger(arg)) / 2)
         if a[0] < -POSITIVITY_TOL:
             raise TPCPViolation(f"completion argument has negative eigenvalue {a[0]:g}; eps outside validity region")
         root = np.sqrt(np.clip(a, 0.0, None))
@@ -200,7 +200,7 @@ class LowNoiseChannel:
             dk0 = [-(va @ ((dagger(va) @ s @ va) / denom) @ dagger(va)) for s in self._sums]
         if self.generators is not None:
             htot = sum(e * g for e, g in zip(eps, self.generators))
-            h, vh = np.linalg.eigh(htot)
+            h, vh = eigensolve(htot)
             unitary = (vh * np.exp(-1j * h)) @ dagger(vh)
             if with_derivative:
                 # divided differences of exp(-i h): -i exp(-i (h_i + h_j)/2) sinc((h_i - h_j)/2)

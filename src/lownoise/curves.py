@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import dagger, eigensolve
 
 CLUSTER_RTOL = 1e-10
 
@@ -26,7 +26,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _eigh_desc(m: np.ndarray):
-    w, v = np.linalg.eigh(_sym(m))
+    w, v = eigensolve(_sym(m))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -45,7 +45,7 @@ def _refine_cluster(vectors: np.ndarray, idx: list[int], perts: list[np.ndarray]
         return
     cols = vectors[:, idx]
     restricted = _sym(dagger(cols) @ perts[depth] @ cols)
-    w, r = np.linalg.eigh(restricted)
+    w, r = eigensolve(restricted)
     w = w[::-1]
     r = r[:, ::-1]
     vectors[:, idx] = cols @ r

@@ -20,6 +20,8 @@ from .linalg import dagger
 from .spectral import OutputSpectrum
 
 MERGE_RTOL = 1e-10
+# Shots per Monte Carlo block; the block grid defines the random stream.
+SHOT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -200,17 +202,6 @@ def analytic_mse(povm: EstimatorPOVM, ch: LowNoiseChannel, phi: np.ndarray, eps_
     return MSEMatrix(entries=entries, source="analytic", mean=mean)
 
 
-def score_second_moment(povm: EstimatorPOVM, ch: LowNoiseChannel, phi: np.ndarray, eps_true) -> np.ndarray:
-    """Tr[rho {A^mu, A^nu}]/2 evaluated through the estimator's outcomes."""
-    rho = ch.apply(pure_state_density(phi), np.asarray(eps_true, dtype=float))
-    q = outcome_probabilities(povm, rho)
-    num_params = povm.estimates.shape[1]
-    out = np.zeros((num_params, num_params))
-    for qn, x in zip(q, povm.estimates):
-        out += qn * np.outer(x, x)
-    return out
-
-
 def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
     """Gap matrix V - J^-1 (point-wise; aggregate order fits live in sweeps)."""
     if jinv.inverse is None:
@@ -232,11 +223,6 @@ def cr_direction_margin(gap: np.ndarray, num_directions: int, seed: int) -> floa
     return worst
 
 
-def _block_count(q: np.ndarray, block: int, n: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-    return rng.multinomial(n, q)
-
-
 def sample_measurements(
     povm: EstimatorPOVM,
     ch: LowNoiseChannel,
@@ -244,14 +230,15 @@ def sample_measurements(
     eps_true,
     shots: int,
     seed: int,
-    block_size: int = 1 << 16,
 ) -> MSEMatrix:
     """Monte Carlo estimate of the mean and mean-square-error matrix.
 
-    Counter-based RNG keyed by (seed, block index) over a fixed block grid:
-    the same seed yields the same stream on any platform, and the integer
-    block counts merge commutatively, so any partition of the blocks gives
-    the same result.
+    The shots fall on a fixed grid of SHOT_BLOCK-shot blocks, the last one
+    possibly partial.  Block b draws its multinomial counts from a
+    counter-based Philox stream keyed by (seed, b): one generator is built
+    per call and re-keyed to counter 0 before each block, which is the
+    state a fresh ``Philox(key=[seed, b])`` starts in.  The same seed thus
+    gives the same counts on any platform.
     """
     if shots < 1:
         raise BadProbabilities("shots must be >= 1")
@@ -266,12 +253,17 @@ def sample_measurements(
     q = np.clip(q, 0.0, None)
     q = q / np.sum(q)
 
-    num_blocks = (shots + block_size - 1) // block_size
-    last = shots - block_size * (num_blocks - 1)
+    bitgen = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bitgen)
+    # a fresh generator's state (counter 0, empty buffer); only the key's
+    # block word changes from block to block
+    state = bitgen.state
+    key = state["state"]["key"]
     counts = np.zeros(len(q), dtype=np.int64)
-    for b in range(num_blocks):
-        n = last if b == num_blocks - 1 else block_size
-        counts += _block_count(q, b, n, seed)
+    for b, start in enumerate(range(0, shots, SHOT_BLOCK)):
+        key[1] = b
+        bitgen.state = state
+        counts += rng.multinomial(min(SHOT_BLOCK, shots - start), q)
 
     num_params = eps_true.shape[0]
     xs = povm.estimates

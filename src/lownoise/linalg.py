@@ -59,17 +59,24 @@ class HermitianSpectrum:
         return (v * self.eigenvalues) @ dagger(v)
 
 
+def eigensolve(m: np.ndarray, vectors: bool = True):
+    """One np.linalg.eigh call, or eigvalsh without vectors; ascending order.
+
+    Raises NoConvergence where numpy raises LinAlgError.
+    """
+    try:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def hermitian_eigendecompose(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Raises NonHermitian if the input fails the Hermiticity check and
     NoConvergence if the eigensolver fails.
     """
-    m = require_hermitian(m, rtol)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    w, v = eigensolve(require_hermitian(m, rtol))
     return HermitianSpectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 

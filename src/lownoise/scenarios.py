@@ -20,7 +20,7 @@ from .channels import (
     sqrt_completion_channel,
 )
 from .errors import ConfigInvalid
-from .linalg import dagger
+from .linalg import dagger, eigensolve
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -272,7 +272,7 @@ def scenario_pauli2(
         w = np.array([v[1], -v[0]])
         return np.outer(w, w) / phi_norm
 
-    phi_state_vec = np.linalg.eigh(density_from_bloch(r))[1][:, -1]
+    phi_state_vec = eigensolve(density_from_bloch(r))[1][:, -1]
     return Scenario(
         name="pauli2",
         channel=channel,

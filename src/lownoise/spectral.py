@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import LowNoiseChannel, pure_state_density
 from .errors import ConfigInvalid, ReductionInvalid
-from .linalg import PowerFit, dagger, fit_or_floor
+from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
 
 ORDER_ONE_BAND = (0.85, 1.15)
@@ -64,7 +64,7 @@ def diagonalize_output(ch: LowNoiseChannel, phi: np.ndarray, eps) -> OutputSpect
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho = ch.apply(pure_state_density(phi), eps)
-    w, v = np.linalg.eigh((rho + dagger(rho)) / 2)
+    w, v = eigensolve((rho + dagger(rho)) / 2)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     v = _fix_phases(v, phi)
@@ -143,7 +143,7 @@ def deviation_matrix(
 
 def deviation_eigenvalues(dm: DeviationMatrix) -> np.ndarray:
     """Eigenvalue shifts carried by the deviation matrix, descending."""
-    return np.linalg.eigvalsh(dm.entries)[::-1].copy()
+    return eigensolve(dm.entries, vectors=False)[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def reduced_shifts(lm: JumpCovariance, dim: int) -> np.ndarray:
     k = lm.entries.shape[0]
     if k > dim - 1:
         raise ReductionInvalid(f"reduction needs K <= N-1, got K={k}, N={dim}")
-    return np.linalg.eigvalsh(lm.entries)[::-1].copy()
+    return eigensolve(lm.entries, vectors=False)[::-1].copy()
 
 
 def trace_power_residual(dm_leading: DeviationMatrix, lm: JumpCovariance, kmax: int) -> float:

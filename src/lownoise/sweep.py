@@ -13,7 +13,7 @@ import numpy as np
 from . import estimator as est
 from . import fisher, spectral
 from .errors import LowNoiseError, SingularFisher
-from .linalg import fit_or_floor, richardson_zero_limit
+from .linalg import eigensolve, fit_or_floor, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
 
@@ -27,8 +27,12 @@ def _matrix(m) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _point_record(sc: Scenario, scale: float, spec, grads, labels) -> dict:
-    """All per-point quantities; raises LowNoiseError subtypes on failure."""
+def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, mc_seed: int) -> dict:
+    """All per-point quantities; raises LowNoiseError subtypes on failure.
+
+    With shots > 0 the record also carries ``mc``: the point's estimator
+    sampled with seed mc_seed and tested against its analytic MSE.
+    """
     eps = spec.eps
     dim = sc.channel.dim
     shifts = spec.shifts()
@@ -77,8 +81,8 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels) -> dict:
         lead_vals = spectral.deviation_eigenvalues(dm_lead)
         reduced_residual = float(np.max(np.abs(np.sort(padded) - np.sort(lead_vals))))
 
-    jinv_eigs = np.linalg.eigvalsh(jq_inv.inverse)[::-1]
-    return {
+    jinv_eigs = eigensolve(jq_inv.inverse, vectors=False)[::-1]
+    rec = {
         "scale": float(scale),
         "eps": [float(x) for x in eps],
         "probs": [float(p) for p in spec.probs],
@@ -106,6 +110,18 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels) -> dict:
         "pseudo": bool(pseudo),
         "error": None,
     }
+    if shots > 0:
+        mc = est.sample_measurements(povm, sc.channel, spec.input_state, eps, shots, mc_seed)
+        dev = np.abs(mc.entries - mse.entries)
+        rec["mc"] = {
+            "shots": shots,
+            "seed": mc_seed,
+            "mean": [float(x) for x in mc.mean],
+            "mse": _matrix(mc.entries),
+            "standard_error": _matrix(mc.standard_error),
+            "within_4se_of_analytic": bool(np.all(dev <= 4.0 * mc.standard_error + 1e-300)),
+        }
+    return rec
 
 
 def _fit(scales, values, name: str) -> dict:
@@ -163,9 +179,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             continue
         spec, grads = spectra[t]
         try:
-            rec = _point_record(sc, scale, spec, grads, labels)
-            if shots > 0:
-                rec["mc"] = _monte_carlo_record(sc, spec, grads, labels, shots, sc.sweep.seed * 1009 + t)
+            rec = _point_record(sc, scale, spec, grads, labels, shots, sc.sweep.seed * 1009 + t)
         except LowNoiseError as exc:
             rec = {"scale": float(scale), "error": _error(exc)}
         points.append(rec)
@@ -202,7 +216,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
                 good[1]["scale"],
                 np.asarray(good[1]["quantum_fisher_inverse"]),
             )
-            w, v = np.linalg.eigh(jinv0)
+            w, v = eigensolve(jinv0)
             u0 = v[:, -1]
             vals = [
                 abs(float(u0 @ (np.asarray(p["mse"]) - np.asarray(p["quantum_fisher_inverse"])) @ u0))
@@ -288,29 +302,3 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         checks=checks,
         passed=bool(passed),
     )
-
-
-def _monte_carlo_record(sc: Scenario, spec, grads, labels, shots: int, seed: int) -> dict:
-    shifts = spec.shifts()
-    shift_grads = grads[:, 1:]
-    included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-    jdiv = fisher.divergent_fisher(shifts, shift_grads, included)
-    try:
-        score = est.raise_index(est.build_score_operators(spec, shifts, shift_grads, included), jdiv)
-    except SingularFisher:
-        score = est.raise_index(
-            est.build_score_operators(spec, shifts, shift_grads, included), jdiv, pseudo=True
-        )
-    povm = est.build_povm(score)
-    analytic = est.analytic_mse(povm, sc.channel, spec.input_state, spec.eps)
-    mc = est.sample_measurements(povm, sc.channel, spec.input_state, spec.eps, shots, seed)
-    dev = np.abs(mc.entries - analytic.entries)
-    within = bool(np.all(dev <= 4.0 * mc.standard_error + 1e-300))
-    return {
-        "shots": shots,
-        "seed": seed,
-        "mean": [float(x) for x in mc.mean],
-        "mse": _matrix(mc.entries),
-        "standard_error": _matrix(mc.standard_error),
-        "within_4se_of_analytic": within,
-    }

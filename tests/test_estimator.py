@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from lownoise import sweep
 from lownoise.channels import pure_state_density, sqrt_completion_channel
 from lownoise.errors import BadProbabilities, EmptySum
 from lownoise.estimator import (
+    SHOT_BLOCK,
     EstimatorPOVM,
     analytic_mse,
     build_povm,
@@ -13,12 +15,11 @@ from lownoise.estimator import (
     outcome_probabilities,
     raise_index,
     sample_measurements,
-    score_second_moment,
     unbiasedness_residual,
 )
 from lownoise.fisher import divergent_fisher, fisher_inverse, quantum_fisher
 from lownoise.linalg import power_order_fit
-from lownoise.scenarios import scenario_ancilla_bell, scenario_threelevel
+from lownoise.scenarios import build_scenario, scenario_ancilla_bell, scenario_threelevel
 from lownoise.spectral import output_spectrum_with_gradients
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
@@ -33,6 +34,48 @@ def bell():
 @pytest.fixture(scope="module")
 def threelevel():
     return scenario_threelevel()
+
+
+def score_second_moment(povm, ch, phi, eps_true):
+    """Tr[rho {A^mu, A^nu}]/2 evaluated through the estimator's outcomes."""
+    rho = ch.apply(pure_state_density(phi), np.asarray(eps_true, dtype=float))
+    q = outcome_probabilities(povm, rho)
+    num_params = povm.estimates.shape[1]
+    out = np.zeros((num_params, num_params))
+    for qn, x in zip(q, povm.estimates):
+        out += qn * np.outer(x, x)
+    return out
+
+
+def reference_sample(povm, ch, phi, eps_true, shots, seed):
+    """Monte Carlo with a fresh Generator(Philox(key=[seed, b])) for every block b.
+
+    Returns (entries, mean, standard_error) computed as sample_measurements
+    documents them, from counts drawn independently of its re-keyed generator.
+    """
+    eps_true = np.asarray(eps_true, dtype=float)
+    q = outcome_probabilities(povm, ch.apply(pure_state_density(phi), eps_true))
+    q = np.clip(q, 0.0, None)
+    q = q / np.sum(q)
+    num_blocks = (shots + SHOT_BLOCK - 1) // SHOT_BLOCK
+    counts = np.zeros(len(q), dtype=np.int64)
+    for b in range(num_blocks):
+        n = shots - SHOT_BLOCK * b if b == num_blocks - 1 else SHOT_BLOCK
+        counts += np.random.Generator(np.random.Philox(key=[seed, b])).multinomial(n, q)
+    xs = povm.estimates
+    dev = xs - eps_true
+    weights = counts / shots
+    num_params = eps_true.shape[0]
+    entries = np.zeros((num_params, num_params))
+    se = np.zeros((num_params, num_params))
+    for mu in range(num_params):
+        for nu in range(num_params):
+            w = dev[:, mu] * dev[:, nu]
+            m1 = float(w @ weights)
+            m2 = float((w * w) @ weights)
+            entries[mu, nu] = m1
+            se[mu, nu] = np.sqrt(max(m2 - m1 * m1, 0.0) / shots)
+    return entries, xs.T @ weights, se
 
 
 def estimator_pipeline(sc, s, included=None):
@@ -304,3 +347,46 @@ class TestSampling:
         )
         with pytest.raises(BadProbabilities):
             sample_measurements(broken, bell.channel, bell.input_state, eps, shots=10, seed=1)
+
+    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK, SHOT_BLOCK + 1, 3 * SHOT_BLOCK + 5])
+    def test_stream_matches_fresh_generator_per_block(self, threelevel, shots):
+        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        povm = build_povm(score)
+        mc = sample_measurements(povm, threelevel.channel, threelevel.input_state, eps, shots=shots, seed=41)
+        entries, mean, se = reference_sample(povm, threelevel.channel, threelevel.input_state, eps, shots, 41)
+        assert np.array_equal(mc.entries, entries)
+        assert np.array_equal(mc.mean, mean)
+        assert np.array_equal(mc.standard_error, se)
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
+    """Each point's mc record samples the POVM and tests against the MSE of its own analysis."""
+    built = []
+    mses = []
+
+    def spy_povm(score):
+        built.append(build_povm(score))
+        return built[-1]
+
+    def spy_mse(povm, ch, phi, eps_true):
+        mses.append(analytic_mse(povm, ch, phi, eps_true))
+        return mses[-1]
+
+    monkeypatch.setattr(sweep.est, "build_povm", spy_povm)
+    monkeypatch.setattr(sweep.est, "analytic_mse", spy_mse)
+    sc = build_scenario(name, scales=tuple(np.geomspace(1e-5, 1e-2, 4)), seed=3)
+    shots = 2 * SHOT_BLOCK + 3
+    report = sweep.run_sweep(sc, shots=shots)
+    assert len(built) == len(mses) == len(report.points)
+    for t, (p, povm, mse) in enumerate(zip(report.points, built, mses)):
+        seed = 3 * 1009 + t
+        entries, mean, se = reference_sample(povm, sc.channel, sc.input_state, p["eps"], shots, seed)
+        assert p["mc"] == {
+            "shots": shots,
+            "seed": seed,
+            "mean": [float(x) for x in mean],
+            "mse": [[float(x) for x in row] for row in entries],
+            "standard_error": [[float(x) for x in row] for row in se],
+            "within_4se_of_analytic": bool(np.all(np.abs(entries - mse.entries) <= 4.0 * se + 1e-300)),
+        }

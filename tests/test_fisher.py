@@ -11,11 +11,10 @@ from lownoise.fisher import (
     nondegeneracy_det,
     pure_input_dominance,
     quantum_fisher,
-    sld_fisher_cross_check,
     sld_operators,
     sqrt_prob_gram,
 )
-from lownoise.linalg import fit_or_floor, power_order_fit
+from lownoise.linalg import dagger, fit_or_floor, power_order_fit
 from lownoise.scenarios import (
     random_channel,
     scenario_ancilla_bell,
@@ -25,6 +24,19 @@ from lownoise.scenarios import (
 from lownoise.spectral import output_spectrum_with_gradients
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
+
+
+def sld_fisher_cross_check(probs, basis, slds):
+    """Independent Fisher evaluation Tr[rho {L_mu, L_nu}]/2."""
+    rho = (basis * probs) @ dagger(basis)
+    ops = slds.operators
+    num = len(ops)
+    out = np.zeros((num, num))
+    for mu in range(num):
+        for nu in range(num):
+            anti = ops[mu] @ ops[nu] + ops[nu] @ ops[mu]
+            out[mu, nu] = float(np.real(np.trace(rho @ anti))) / 2
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +146,15 @@ class TestClassicalFisher:
         dprobs = np.zeros((2, 2))
         jc = classical_fisher(probs, dprobs)
         np.testing.assert_allclose(jc.entries, np.zeros((2, 2)))
+
+    def test_sqrt_probability_form(self, pauli, threelevel, bell):
+        # sum_n dp dp^T / p_n = 4 sum_n d(sqrt p) d(sqrt p)^T on the same support
+        for sc in (pauli, threelevel, bell):
+            for s in SCALES[::3]:
+                eps, spec, grads, drho = pipeline_quantities(sc, s)
+                jc = classical_fisher(spec.probs, grads)
+                alt = 4.0 * sqrt_prob_gram(spec.probs, grads)
+                assert np.max(np.abs(jc.entries - alt)) <= 1e-9 * max(1.0, float(np.max(np.abs(jc.entries))))
 
     def test_divergent_is_leading_part(self, threelevel):
         # classical minus divergent stays bounded while each diverges as 1/s

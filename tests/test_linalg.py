@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lownoise.errors import DegenerateSamples, DimensionMismatch, NonHermitian
+from lownoise.errors import DegenerateSamples, DimensionMismatch, NoConvergence, NonHermitian
 from lownoise.linalg import (
+    eigensolve,
     fit_or_floor,
     hermitian_eigendecompose,
     matrix_residual_norm,
@@ -51,6 +52,25 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             hermitian_eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_eigensolve_matches_numpy(self):
+        m = random_hermitian(4, seed=5)
+        w, v = eigensolve(m)
+        want_w, want_v = np.linalg.eigh(m)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(eigensolve(m, vectors=False), np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+    def test_solver_failure_is_no_convergence(self, monkeypatch, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        with pytest.raises(NoConvergence):
+            eigensolve(SIGMA_Z, vectors=solver == "eigh")
+        if solver == "eigh":
+            with pytest.raises(NoConvergence):
+                hermitian_eigendecompose(SIGMA_Z)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

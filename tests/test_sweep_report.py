@@ -68,6 +68,18 @@ class TestRunSweep:
         assert not report.passed
         assert [p["error"].split(":")[0] for p in report.points] == ["DegenerateSamples"] * 3
 
+    @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+    def test_eigensolver_failure_recorded_per_point(self, monkeypatch, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        sc = scenario_threelevel(scales=FAST_SCALES)
+        monkeypatch.setattr(np.linalg, solver, fail)
+        report = run_sweep(sc)
+        assert not report.passed
+        assert len(report.points) == len(FAST_SCALES)
+        assert [p["error"] for p in report.points] == ["NoConvergence: Eigenvalues did not converge"] * len(FAST_SCALES)
+
     def test_monte_carlo_points(self):
         report = run_sweep(scenario_ancilla_bell(scales=FAST_SCALES), shots=2000)
         for p in report.points:
