@@ -4,8 +4,8 @@ A low-noise channel is a family of quantum operations indexed by a vector
 of small non-negative noise strengths eps.  At eps = 0 it is the identity;
 each eps component switches on a dissipative jump contribution linearly.
 This script builds channels two ways, applies them, and inspects the
-derived quantities: trace preservation, the eps-derivative at zero, and
-the effective Hamiltonian hiding in the identity-family Kraus term.
+derived quantities: trace preservation, the eps-derivatives, and the
+effective Hamiltonian hiding in the identity-family Kraus term.
 """
 import numpy as np
 
@@ -32,6 +32,13 @@ print("trace-preservation residual at eps=(0.01, 0.03):",
 rho = density_from_bloch(np.array([1.0, 0.0, 0.0]))
 out = channel.apply(rho, [0.01, 0.02])
 print("input Bloch:", bloch_vector(rho), "-> output Bloch:", bloch_vector(out))
+
+# evaluate() builds the Kraus operators once and returns the output state,
+# its exact derivatives d rho / d eps_mu and the completeness residual.
+ev = channel.evaluate(rho, [0.01, 0.02])
+print("evaluate() output equals apply():", np.array_equal(ev.output, out))
+print("d output / d eps_2 (Bloch):", bloch_vector(ev.derivatives[1]))
+print("completeness residual:", ev.tpcp_residual)
 
 # --- the first-order motion splits into dissipation plus a commutator.
 # With no generators supplied the Hamiltonian part is zero.

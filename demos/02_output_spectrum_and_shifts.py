@@ -34,7 +34,8 @@ print("output eigenvalues:", spec.probs)
 print("shifts (the small ones):", spec.shifts())
 
 # route 2: deviation matrix in a deterministic complement frame
-dm_full = deviation_matrix(sc.channel, sc.input_state, eps, "full")
+# (the full variant compresses the output state the spectrum already holds)
+dm_full = deviation_matrix(sc.channel, sc.input_state, eps, "full", output=spec.output)
 dm_lead = deviation_matrix(sc.channel, sc.input_state, eps, "leading")
 print("\ndeviation eigenvalues (full):   ", deviation_eigenvalues(dm_full))
 print("deviation eigenvalues (leading):", deviation_eigenvalues(dm_lead))

@@ -13,7 +13,6 @@ from lownoise import (
     divergent_fisher,
     fisher_inverse,
     nondegeneracy_det,
-    pure_state_density,
     quantum_fisher,
     sld_operators,
 )
@@ -26,7 +25,11 @@ np.set_printoptions(precision=6, suppress=True)
 sc = scenario_pauli2()
 eps = np.array([2e-3, 3e-3])
 spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-drho = sc.channel.derivative(pure_state_density(sc.input_state), eps)
+# The spectrum comes from one channel.evaluate() at eps and carries its
+# record: the output state, the exact d rho / d eps_mu and the Kraus
+# completeness residual.
+drho = spec.derivatives
+print("completeness residual:", spec.evaluation.tpcp_residual)
 
 slds = sld_operators(spec.probs, spec.basis, drho)
 print("SLD vs closed form:",
@@ -47,9 +50,8 @@ print("inverse eigenvalues:", np.linalg.eigvalsh(jinv))
 bell = scenario_ancilla_bell()
 eps = np.array([1e-3, 2e-3])
 spec, grads = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
-drho = bell.channel.derivative(pure_state_density(bell.input_state), eps)
 
-jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
 print("\nancilla-Bell inverse Fisher:\n", jq.inverse)
 print("reference diag(eps) - eps eps^T:\n", np.diag(eps) - np.outer(eps, eps))
 

@@ -60,8 +60,8 @@ spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
 povm = build_povm(raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0, 1]), jdiv))
 
-analytic = analytic_mse(povm, sc.channel, sc.input_state, eps)
-mc = sample_measurements(povm, sc.channel, sc.input_state, eps, shots=10**6, seed=2026)
+analytic = analytic_mse(povm, spec.output, eps)
+mc = sample_measurements(povm, spec.output, eps, shots=10**6, seed=2026)
 print("\nanalytic error matrix:\n", analytic.entries)
 print("empirical (10^6 shots):\n", mc.entries)
 print("all entries within 4 standard errors:",

@@ -10,6 +10,7 @@ sampling.
 __version__ = "0.1.0"
 
 from .channels import (
+    ChannelEvaluation,
     IdentityKrausTerm,
     JumpKrausTerm,
     LowNoiseChannel,

@@ -9,7 +9,9 @@ is weighted linearly by the corresponding eps component.
 A channel is plain data: explicit channels are affine in eps, and
 square-root-completion channels evaluate their single identity-family
 operator in closed form from the generators and dissipator sums.  Both
-have an exact eps-derivative.
+have an exact eps-derivative; ``LowNoiseChannel.evaluate`` returns the
+output state, its derivatives and the completeness residual from one
+evaluation of the Kraus operators.
 
 Channels are immutable after construction and all operations are pure.
 """
@@ -39,8 +41,7 @@ POSITIVITY_TOL = 1e-12
 
 def pure_state_density(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    n = np.linalg.norm(vec)
-    if not np.isclose(n, 1.0, atol=1e-12):
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
         raise ConfigInvalid("state vector must be normalized")
     return np.outer(vec, vec.conj())
 
@@ -70,6 +71,19 @@ class JumpKrausTerm:
 
     param: int  # 0-based parameter index
     base: np.ndarray
+
+
+@dataclass(frozen=True)
+class ChannelEvaluation:
+    """Channel output at one noise point, with its exact eps-derivatives.
+
+    derivatives[mu] is d channel[rho] / d eps_mu; tpcp_residual is the
+    Frobenius deviation of the Kraus completeness sum from the identity.
+    """
+
+    output: np.ndarray
+    derivatives: tuple[np.ndarray, ...]
+    tpcp_residual: float
 
 
 def _validate_eps(eps, num_params: int) -> np.ndarray:
@@ -212,24 +226,15 @@ class LowNoiseChannel:
             k0 = unitary @ k0
         return [k0], None if dk0 is None else [dk0]
 
-    def kraus_operators(self, eps) -> list[np.ndarray]:
-        """All Kraus operators at eps, jump terms carrying their sqrt(eps) weight."""
-        eps = _validate_eps(eps, self.num_params)
-        ops, _ = self._identity_kraus(eps)
-        return ops + [np.sqrt(eps[t.param]) * t.base for t in self.jump_terms]
-
     def _check_state(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"state has shape {rho.shape}, channel dimension {self.dim}")
         return rho
 
-    def apply(self, rho: np.ndarray, eps) -> np.ndarray:
-        """Output state of the channel at noise vector eps."""
-        eps = _validate_eps(eps, self.num_params)
-        rho = self._check_state(rho)
+    def _output(self, ops, rho: np.ndarray, eps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rho)
-        for b in self._identity_kraus(eps)[0]:
+        for b in ops:
             out = out + b @ rho @ dagger(b)
         for t in self.jump_terms:
             out = out + eps[t.param] * (t.base @ rho @ dagger(t.base))
@@ -238,32 +243,50 @@ class LowNoiseChannel:
             raise TPCPViolation(f"output trace deviates by {abs(tr - np.trace(rho)):g}; eps outside validity region")
         return out
 
-    def tpcp_residual(self, eps) -> float:
-        """Frobenius deviation of the Kraus completeness sum from the identity."""
-        eps = _validate_eps(eps, self.num_params)
+    def _completeness_residual(self, ops, eps: np.ndarray) -> float:
         acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for b in self._identity_kraus(eps)[0]:
+        for b in ops:
             acc = acc + dagger(b) @ b
         for t in self.jump_terms:
             acc = acc + eps[t.param] * (dagger(t.base) @ t.base)
         return frobenius(acc - np.eye(self.dim))
 
-    # -- derivatives ---------------------------------------------------------
+    def apply(self, rho: np.ndarray, eps) -> np.ndarray:
+        """Output state of the channel at noise vector eps."""
+        eps = _validate_eps(eps, self.num_params)
+        rho = self._check_state(rho)
+        return self._output(self._identity_kraus(eps)[0], rho, eps)
 
-    def derivative(self, rho: np.ndarray, eps) -> list[np.ndarray]:
-        """Exact derivatives d channel[rho] / d eps_mu at eps, one per parameter."""
+    def tpcp_residual(self, eps) -> float:
+        """Frobenius deviation of the Kraus completeness sum from the identity."""
+        eps = _validate_eps(eps, self.num_params)
+        return self._completeness_residual(self._identity_kraus(eps)[0], eps)
+
+    def evaluate(self, rho: np.ndarray, eps) -> ChannelEvaluation:
+        """Output state, exact d channel[rho] / d eps_mu and completeness residual at eps.
+
+        One Kraus evaluation serves all three; the output equals ``apply``'s
+        and the residual equals ``tpcp_residual``'s bit for bit.
+        """
         eps = _validate_eps(eps, self.num_params)
         rho = self._check_state(rho)
         ops, dops = self._identity_kraus(eps, with_derivative=True)
-        out = []
+        output = self._output(ops, rho, eps)
+        derivatives = []
         for mu in range(self.num_params):
             acc = np.zeros_like(rho)
             for k, dk in zip(ops, dops):
                 acc = acc + dk[mu] @ rho @ dagger(k) + k @ rho @ dagger(dk[mu])
             for m in self.jumps_for(mu):
                 acc = acc + m @ rho @ dagger(m)
-            out.append(acc)
-        return out
+            derivatives.append(acc)
+        return ChannelEvaluation(
+            output=output,
+            derivatives=tuple(derivatives),
+            tpcp_residual=self._completeness_residual(ops, eps),
+        )
+
+    # -- derivatives at zero --------------------------------------------------
 
     def _hamiltonian(self, mu: int) -> np.ndarray:
         for t in self.identity_terms:
@@ -306,7 +329,7 @@ class LowNoiseChannel:
     def finite_difference_derivative(self, rho: np.ndarray, mu: int, eps0, h: float) -> np.ndarray:
         """Second-order finite difference of eps -> channel[rho] along parameter mu.
 
-        An independent reference for ``derivative``.  Uses a one-sided
+        An independent reference for ``evaluate``'s derivatives.  Uses a one-sided
         stencil at the eps_mu = 0 boundary (the noise parameters cannot go
         negative) and a central stencil inside.
         """

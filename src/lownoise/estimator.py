@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LowNoiseChannel, pure_state_density
 from .errors import BadProbabilities, DimensionMismatch, EmptySum
 from .fisher import FisherMatrix, fisher_inverse, fisher_pseudo_inverse
 from .linalg import dagger
@@ -163,13 +162,15 @@ def build_povm(score: ScoreOperators) -> EstimatorPOVM:
 
 
 def outcome_probabilities(povm: EstimatorPOVM, rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != povm.projectors[0].shape:
+        raise DimensionMismatch(f"state has shape {rho.shape}, estimator acts on {povm.projectors[0].shape}")
     return np.array([float(np.real(np.trace(p @ rho))) for p in povm.projectors])
 
 
-def unbiasedness_residual(povm: EstimatorPOVM, ch: LowNoiseChannel, phi: np.ndarray, eps_true) -> np.ndarray:
-    """|E[x_mu] - eps_mu| per parameter at the true noise point."""
+def unbiasedness_residual(povm: EstimatorPOVM, rho: np.ndarray, eps_true) -> np.ndarray:
+    """|E[x_mu] - eps_mu| per parameter; rho is the channel output at eps_true."""
     eps_true = np.asarray(eps_true, dtype=float)
-    rho = ch.apply(pure_state_density(phi), eps_true)
     q = outcome_probabilities(povm, rho)
     mean = povm.estimates.T @ q
     return np.abs(mean - eps_true)
@@ -187,10 +188,12 @@ class MSEMatrix:
     mean_standard_error: np.ndarray | None = None
 
 
-def analytic_mse(povm: EstimatorPOVM, ch: LowNoiseChannel, phi: np.ndarray, eps_true) -> MSEMatrix:
-    """Exact second moment sum_n q_n (x_n - eps)(x_n - eps)^T."""
+def analytic_mse(povm: EstimatorPOVM, rho: np.ndarray, eps_true) -> MSEMatrix:
+    """Exact second moment sum_n q_n (x_n - eps)(x_n - eps)^T.
+
+    rho is the channel output at eps_true; q_n = Tr[P_n rho].
+    """
     eps_true = np.asarray(eps_true, dtype=float)
-    rho = ch.apply(pure_state_density(phi), eps_true)
     q = outcome_probabilities(povm, rho)
     num_params = eps_true.shape[0]
     entries = np.zeros((num_params, num_params))
@@ -225,13 +228,15 @@ def cr_direction_margin(gap: np.ndarray, num_directions: int, seed: int) -> floa
 
 def sample_measurements(
     povm: EstimatorPOVM,
-    ch: LowNoiseChannel,
-    phi: np.ndarray,
+    rho: np.ndarray,
     eps_true,
     shots: int,
     seed: int,
 ) -> MSEMatrix:
     """Monte Carlo estimate of the mean and mean-square-error matrix.
+
+    rho is the channel output at eps_true; outcomes are drawn from
+    q_n = Tr[P_n rho].
 
     The shots fall on a fixed grid of SHOT_BLOCK-shot blocks, the last one
     possibly partial.  Block b draws its multinomial counts from a
@@ -243,7 +248,6 @@ def sample_measurements(
     if shots < 1:
         raise BadProbabilities("shots must be >= 1")
     eps_true = np.asarray(eps_true, dtype=float)
-    rho = ch.apply(pure_state_density(phi), eps_true)
     q = outcome_probabilities(povm, rho)
     if np.any(q < -1e-8):
         raise BadProbabilities(f"negative outcome probability {np.min(q):g}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySum, SingularFisher
-from .linalg import dagger, eigensolve
+from .linalg import dagger, eigensolve, guarded
 
 SUPPORT_RTOL = 1e-12
 
@@ -149,7 +149,7 @@ def nondegeneracy_det(probs: np.ndarray, dprobs: np.ndarray, support_threshold: 
     A vanishing determinant signals a degenerate parameterization of the
     output eigenvalue distribution (always the case for D > N-1).
     """
-    return float(np.linalg.det(sqrt_prob_gram(probs, dprobs, support_threshold)))
+    return float(guarded(np.linalg.det, sqrt_prob_gram(probs, dprobs, support_threshold)))
 
 
 def fisher_inverse(fm: FisherMatrix) -> FisherMatrix:
@@ -179,7 +179,7 @@ def fisher_pseudo_inverse(fm: FisherMatrix, rcond: float = 1e-12) -> FisherMatri
     the resulting estimator is only unbiased inside the row space.
     """
     entries = np.asarray(fm.entries, dtype=float)
-    inv = np.linalg.pinv((entries + entries.T) / 2, rcond=rcond, hermitian=True)
+    inv = guarded(np.linalg.pinv, (entries + entries.T) / 2, rcond=rcond, hermitian=True)
     w = np.abs(eigensolve(entries, vectors=False))
     w = w[w > rcond * np.max(w)] if np.max(w) > 0 else w
     cond = float(np.max(w) / np.min(w)) if w.size else float("inf")
@@ -208,11 +208,11 @@ def pure_input_dominance(
     eps = np.asarray(eps, dtype=float)
 
     def quad(rho_in: np.ndarray) -> float:
-        out = ch.apply(rho_in, eps)
-        w, v = eigensolve((out + dagger(out)) / 2)
+        ev = ch.evaluate(rho_in, eps)
+        w, v = eigensolve((ev.output + dagger(ev.output)) / 2)
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
-        fm = quantum_fisher(w, v, ch.derivative(rho_in, eps), support_threshold)
+        fm = quantum_fisher(w, v, ev.derivatives, support_threshold)
         return float(np.asarray(u, float) @ fm.entries @ np.asarray(u, float))
 
     mixed_val = quad(rho_mixed)

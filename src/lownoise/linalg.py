@@ -59,15 +59,20 @@ class HermitianSpectrum:
         return (v * self.eigenvalues) @ dagger(v)
 
 
+def guarded(solver, *args, **kwargs):
+    """solver(*args, **kwargs) for a numpy solver; its LinAlgError becomes NoConvergence."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def eigensolve(m: np.ndarray, vectors: bool = True):
     """One np.linalg.eigh call, or eigvalsh without vectors; ascending order.
 
     Raises NoConvergence where numpy raises LinAlgError.
     """
-    try:
-        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    return guarded(np.linalg.eigh if vectors else np.linalg.eigvalsh, m)
 
 
 def hermitian_eigendecompose(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> HermitianSpectrum:
@@ -114,7 +119,7 @@ def power_order_fit(samples) -> PowerFit:
         raise DegenerateSamples("values must be positive for a log-log fit")
     x = np.log(scales)
     y = np.log(values)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = guarded(np.polyfit, x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return PowerFit(slope=float(slope), intercept=float(intercept), residual=resid)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LowNoiseChannel, pure_state_density
-from .errors import ConfigInvalid, ReductionInvalid
+from .channels import ChannelEvaluation, LowNoiseChannel, pure_state_density
+from .errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
 from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
 
@@ -25,16 +25,30 @@ SHIFT_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class OutputSpectrum:
-    """Diagonalized channel output for a pure input state."""
+    """Diagonalized channel output for a pure input state.
+
+    ``evaluation`` is the channel evaluation the spectrum was taken from;
+    ``output`` and ``derivatives`` read the state and its exact
+    eps-derivatives from it.
+    """
 
     eps: np.ndarray
     probs: np.ndarray  # descending
     basis: np.ndarray  # unitary, columns are eigenvectors
     input_state: np.ndarray
+    evaluation: ChannelEvaluation
 
     @property
     def dim(self) -> int:
         return self.probs.shape[0]
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.evaluation.output
+
+    @property
+    def derivatives(self) -> tuple[np.ndarray, ...]:
+        return self.evaluation.derivatives
 
     def shifts(self) -> np.ndarray:
         """Small eigenvalues p_1..p_{N-1}; they vanish at eps = 0."""
@@ -59,16 +73,11 @@ def _fix_phases(basis: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def diagonalize_output(ch: LowNoiseChannel, phi: np.ndarray, eps) -> OutputSpectrum:
     """Spectrum of channel[|phi><phi|] with eigenvalues sorted descending.
 
-    Eigenvector phases are fixed so <phi|n> is real and non-negative
-    whenever it is nonzero, making the basis deterministic.
+    The spectrum of ``output_spectrum_with_gradients`` without the
+    eigenvalue gradients.  Eigenvector phases are fixed so <phi|n> is real
+    and non-negative whenever it is nonzero, making the basis deterministic.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    rho = ch.apply(pure_state_density(phi), eps)
-    w, v = eigensolve((rho + dagger(rho)) / 2)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    v = _fix_phases(v, phi)
-    return OutputSpectrum(eps=np.asarray(eps, dtype=float), probs=w, basis=v, input_state=phi)
+    return output_spectrum_with_gradients(ch, phi, eps)[0]
 
 
 def complement_basis(phi: np.ndarray) -> np.ndarray:
@@ -79,7 +88,7 @@ def complement_basis(phi: np.ndarray) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     n = phi.shape[0]
-    if not np.isclose(np.linalg.norm(phi), 1.0, atol=1e-12):
+    if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
         raise ConfigInvalid("input state must be normalized")
     skip = int(np.argmax(np.abs(phi)))
     cols = [phi] + [np.eye(n, dtype=complex)[:, j] for j in range(n) if j != skip]
@@ -97,9 +106,9 @@ def complement_basis(phi: np.ndarray) -> np.ndarray:
 class DeviationMatrix:
     """Output-minus-input operator compressed to the complement of the input.
 
-    variant "full" holds the exact compression at the given eps; variant
-    "leading" holds the rank-structured first-order part built from the
-    jump operators alone (a Gram sum, positive semidefinite).
+    variant "full" holds the exact compression of the output state at the
+    given eps; variant "leading" holds the rank-structured first-order part
+    built from the jump operators alone (a Gram sum, positive semidefinite).
     """
 
     entries: np.ndarray
@@ -114,7 +123,15 @@ def deviation_matrix(
     eps,
     variant: str = "full",
     frame: np.ndarray | None = None,
+    output: np.ndarray | None = None,
 ) -> DeviationMatrix:
+    """Deviation matrix of channel[|phi><phi|] at eps in a complement frame.
+
+    The "full" variant compresses ``output``, the channel's output state at
+    eps (``OutputSpectrum.output`` or ``ChannelEvaluation.output``), and
+    needs it; the "leading" variant is built from the jump operators alone.
+    frame defaults to ``complement_basis(phi)``.
+    """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
     if frame is None:
@@ -127,9 +144,12 @@ def deviation_matrix(
         if np.linalg.norm(dagger(frame) @ phi) > 1e-10:
             raise ConfigInvalid("frame columns must be orthogonal to the input state")
     if variant == "full":
-        rho_in = pure_state_density(phi)
-        delta = ch.apply(rho_in, eps) - rho_in
-        entries = dagger(frame) @ delta @ frame
+        if output is None:
+            raise ConfigInvalid("the full deviation matrix needs the channel's output state")
+        output = np.asarray(output, dtype=complex)
+        if output.shape != (phi.shape[0], phi.shape[0]):
+            raise DimensionMismatch(f"output state has shape {output.shape}, input dimension {phi.shape[0]}")
+        entries = dagger(frame) @ (output - pure_state_density(phi)) @ frame
     elif variant == "leading":
         entries = np.zeros((frame.shape[1], frame.shape[1]), dtype=complex)
         for t in ch.jump_terms:
@@ -193,9 +213,12 @@ def delta_shift_classification(
 ) -> SpectralShifts:
     """Deviation-matrix shifts at the largest scale, classified over the sweep."""
     direction = np.asarray(direction, dtype=float)
+    rho_in = pure_state_density(phi)
     rows = []
     for s in scales:
-        dm = deviation_matrix(ch, phi, s * direction, variant=variant, frame=frame)
+        eps = s * direction
+        output = ch.apply(rho_in, eps) if variant == "full" else None
+        dm = deviation_matrix(ch, phi, eps, variant=variant, frame=frame, output=output)
         rows.append(deviation_eigenvalues(dm))
     labels, fits = classify_shift_curves(scales, rows)
     return SpectralShifts(values=np.asarray(rows[-1]), labels=labels, fits=fits)
@@ -270,19 +293,19 @@ def output_spectrum_with_gradients(
 ) -> tuple[OutputSpectrum, np.ndarray]:
     """Output spectrum plus per-parameter eigenvalue derivatives at one point.
 
-    The derivatives are Hellmann-Feynman diagonals of the channel's exact
-    state derivative.  The returned spectrum's basis is the cluster-refined
-    eigenbasis, so degenerate eigenvectors pair correctly with their shift
-    derivatives; downstream estimator construction relies on this.
+    One ``ch.evaluate`` gives the output state and its exact derivatives;
+    the spectrum carries both for downstream consumers.  The eigenvalue
+    derivatives are Hellmann-Feynman diagonals of the state derivative.
+    The returned spectrum's basis is the cluster-refined eigenbasis, so
+    degenerate eigenvectors pair correctly with their shift derivatives;
+    downstream estimator construction relies on this.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
-    rho_in = pure_state_density(phi)
-    values, vectors, derivs = curves.eigencurve_derivatives(
-        ch.apply(rho_in, eps), ch.derivative(rho_in, eps)
-    )
+    ev = ch.evaluate(pure_state_density(phi), eps)
+    values, vectors, derivs = curves.eigencurve_derivatives(ev.output, ev.derivatives)
     vectors = _fix_phases(vectors, phi)
-    spec = OutputSpectrum(eps=eps, probs=values, basis=vectors, input_state=phi)
+    spec = OutputSpectrum(eps=eps, probs=values, basis=vectors, input_state=phi, evaluation=ev)
     return spec, derivs
 
 

@@ -30,6 +30,9 @@ def _matrix(m) -> list:
 def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, mc_seed: int) -> dict:
     """All per-point quantities; raises LowNoiseError subtypes on failure.
 
+    Every quantity reads the output state and its derivatives from spec;
+    the channel is not evaluated again.
+
     With shots > 0 the record also carries ``mc``: the point's estimator
     sampled with seed mc_seed and tested against its analytic MSE.
     """
@@ -39,10 +42,7 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, m
     shift_grads = grads[:, 1:]
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
 
-    rho_in = np.outer(spec.input_state, spec.input_state.conj())
-    drho = sc.channel.derivative(rho_in, eps)
-
-    jq = fisher.quantum_fisher(spec.probs, spec.basis, drho)
+    jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
     jq_inv = fisher.fisher_inverse(jq)
     jc = fisher.classical_fisher(spec.probs, grads)
     jdiv = fisher.divergent_fisher(shifts, shift_grads, included)
@@ -58,8 +58,8 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, m
     score = est.build_score_operators(spec, shifts, shift_grads, included)
     score = est.raise_index(score, jdiv, pseudo=pseudo)
     povm = est.build_povm(score)
-    bias = est.unbiasedness_residual(povm, sc.channel, spec.input_state, eps)
-    mse = est.analytic_mse(povm, sc.channel, spec.input_state, eps)
+    bias = est.unbiasedness_residual(povm, spec.output, eps)
+    mse = est.analytic_mse(povm, spec.output, eps)
 
     gap_quantum = est.cr_gap(mse, jq_inv)
     gap_divergent = mse.entries - jdiv_inv.inverse if jdiv_inv is not None else None
@@ -67,7 +67,7 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, m
     cr_margin = est.cr_direction_margin(gap_quantum, CR_DIRECTIONS, seed=sc.sweep.seed)
 
     # deviation-matrix and covariance cross checks
-    dm_full = spectral.deviation_matrix(sc.channel, spec.input_state, eps, "full", sc.frame)
+    dm_full = spectral.deviation_matrix(sc.channel, spec.input_state, eps, "full", sc.frame, output=spec.output)
     dm_lead = spectral.deviation_matrix(sc.channel, spec.input_state, eps, "leading", sc.frame)
     lead_vs_full = float(np.linalg.norm(dm_full.entries - dm_lead.entries))
     trace_power = None
@@ -111,7 +111,7 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, m
         "error": None,
     }
     if shots > 0:
-        mc = est.sample_measurements(povm, sc.channel, spec.input_state, eps, shots, mc_seed)
+        mc = est.sample_measurements(povm, spec.output, eps, shots, mc_seed)
         dev = np.abs(mc.entries - mse.entries)
         rec["mc"] = {
             "shots": shots,

@@ -62,7 +62,8 @@ def check_ancilla_bell() -> CheckResult:
     jinv_gap = []
     for s in sc.sweep.scales:
         eps = s * direction
-        dm = spectral.deviation_matrix(sc.channel, sc.input_state, eps, "full", sc.frame)
+        spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+        dm = spectral.deviation_matrix(sc.channel, sc.input_state, eps, "full", sc.frame, output=spec.output)
         printed = sc.closed_forms["deviation_printed"](eps)
         if np.max(np.abs(dm.entries - printed)) > 1e-14:
             failures.append(f"deviation matrix deviates from the reference at scale {s:g}")
@@ -70,9 +71,7 @@ def check_ancilla_bell() -> CheckResult:
         want = np.sort(sc.closed_forms["shifts"](eps))
         if np.max(np.abs(got - want)) > 1e-14:
             failures.append(f"shifts deviate from (eps2, eps1, 0) at scale {s:g}")
-        spec, grads = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-        drho = sc.channel.derivative(pure_state_density(sc.input_state), eps)
-        jq = fisher.quantum_fisher(spec.probs, spec.basis, drho)
+        jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
         l1 = abs(jq.entries[0, 0] * eps[0] - 1.0)
         l2 = abs(jq.entries[1, 1] * eps[1] - 1.0)
         if l1 > 10 * np.sum(eps) or l2 > 10 * np.sum(eps):
@@ -94,12 +93,11 @@ def check_pauli() -> CheckResult:
     failures: list[str] = []
     sc = scenario_pauli2()
     direction = np.asarray(sc.sweep.direction)
-    rho_in = pure_state_density(sc.input_state)
     jinvs = []
     for s in sc.sweep.scales:
         eps = s * direction
         spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-        jq = fisher.quantum_fisher(spec.probs, spec.basis, sc.channel.derivative(rho_in, eps))
+        jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
         closed = sc.closed_forms["fisher"](eps)
         tol = 1e-8 * np.maximum(1.0, np.abs(closed))
         if np.any(np.abs(jq.entries - closed) > tol):
@@ -246,16 +244,18 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         grad_rows = []
         for s in scales:
             eps = s * direction
-            if ch.tpcp_residual(eps) > 1e-10:
+            # one channel evaluation per scale: the spectrum carries the
+            # output state, its derivatives and the completeness residual
+            spec, grads = spectral.output_spectrum_with_gradients(ch, phi, eps)
+            if spec.evaluation.tpcp_residual > 1e-10:
                 failures.append(f"seed {seed}: trace-preservation residual at scale {s:g}")
-            out = ch.apply(rho_in, eps)
-            if np.min(eigensolve((out + out.conj().T) / 2, vectors=False)) < -1e-10:
+            # probs diagonalize the symmetrized output state
+            if np.min(spec.probs) < -1e-10:
                 failures.append(f"seed {seed}: output negativity at scale {s:g}")
-            rem = out - rho_in
+            rem = spec.output - rho_in
             for mu in range(num_params):
                 rem = rem - eps[mu] * d0[mu]
             first_order.append(np.linalg.norm(rem))
-            spec, grads = spectral.output_spectrum_with_gradients(ch, phi, eps)
             specs.append(spec)
             grad_rows.append(grads)
         fit = power_order_fit(list(zip(scales, first_order)))
@@ -330,12 +330,12 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     jdiv = fisher.divergent_fisher(shifts, grads[:, 1:], included)
     score = est.raise_index(est.build_score_operators(spec, shifts, grads[:, 1:], included), jdiv)
     povm = est.build_povm(score)
-    analytic = est.analytic_mse(povm, sc.channel, sc.input_state, eps)
-    mc = est.sample_measurements(povm, sc.channel, sc.input_state, eps, shots, seed)
+    analytic = est.analytic_mse(povm, spec.output, eps)
+    mc = est.sample_measurements(povm, spec.output, eps, shots, seed)
     dev = np.abs(mc.entries - analytic.entries)
     if not np.all(dev <= 4.0 * mc.standard_error + 1e-300):
         failures.append("empirical MSE outside 4 standard errors of the analytic value")
-    mc2 = est.sample_measurements(povm, sc.channel, sc.input_state, eps, shots, seed)
+    mc2 = est.sample_measurements(povm, spec.output, eps, shots, seed)
     if not (np.array_equal(mc.entries, mc2.entries) and np.array_equal(mc.mean, mc2.mean)):
         failures.append("rerun with the same seed changed the result")
     rep_a = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)

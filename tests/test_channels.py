@@ -12,6 +12,7 @@ from lownoise.channels import (
 )
 from lownoise.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     InconsistentKrausData,
     StepTooLarge,
     TPCPViolation,
@@ -134,7 +135,7 @@ def explicit_damping():
 
 
 def assert_matches_central_difference(ch, rho, eps, tol=1e-7):
-    exact = ch.derivative(rho, eps)
+    exact = ch.evaluate(rho, eps).derivatives
     assert len(exact) == ch.num_params
     for mu in range(ch.num_params):
         fd = ch.finite_difference_derivative(rho, mu, eps, 1e-6)
@@ -163,7 +164,7 @@ class TestDerivative:
     def test_zero_noise_matches_lindblad_form(self, with_hamiltonian):
         ch = random_channel(4, 3, [1, 2, 1], seed=21, with_hamiltonian=with_hamiltonian)
         rho = pure_state_density(random_input_state(4, 21))
-        exact = ch.derivative(rho, np.zeros(3))
+        exact = ch.evaluate(rho, np.zeros(3)).derivatives
         for mu in range(3):
             assert np.max(np.abs(exact[mu] - ch.derivative_at_zero(mu, rho))) <= 1e-12
 
@@ -177,6 +178,44 @@ class TestDerivative:
             up = np.linalg.eigvalsh(threelevel.channel.apply(rho, eps + step))[::-1]
             down = np.linalg.eigvalsh(threelevel.channel.apply(rho, eps - step))[::-1]
             assert np.max(np.abs(grads[mu] - (up - down) / (2 * h))) <= 1e-7
+
+
+EVALUATE_CASES = [
+    ("random", lambda: random_channel(3, 2, [1, 2], seed=5)),
+    ("random-hamiltonian", lambda: random_channel(4, 3, [1, 1, 2], seed=6, with_hamiltonian=True)),
+    ("explicit", lambda: explicit_damping()),
+    ("ancilla", lambda: random_channel(2, 2, [1, 1], seed=12, with_hamiltonian=True).ancilla_extend()),
+]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("name,build", EVALUATE_CASES, ids=[c[0] for c in EVALUATE_CASES])
+    def test_matches_apply_and_tpcp_residual_bitwise(self, name, build):
+        ch = build()
+        rho = pure_state_density(random_input_state(ch.dim, 3))
+        for s in (0.0, 1e-5, 1e-4):
+            eps = np.linspace(s, 2 * s, ch.num_params)
+            ev = ch.evaluate(rho, eps)
+            assert np.array_equal(ev.output, ch.apply(rho, eps))
+            assert ev.tpcp_residual == ch.tpcp_residual(eps)
+            assert len(ev.derivatives) == ch.num_params
+
+    def test_outside_validity_raises(self):
+        ch = sqrt_completion_channel([[LOWER]])
+        rho = pure_state_density(np.array([0.0, 1.0], dtype=complex))
+        with pytest.raises(TPCPViolation):
+            ch.evaluate(rho, np.array([1.5]))
+
+    def test_state_shape_checked(self, pauli):
+        with pytest.raises(DimensionMismatch):
+            pauli.channel.evaluate(np.eye(3, dtype=complex) / 3, np.array([1e-3, 1e-3]))
+
+
+def test_nearly_normalized_vector_rejected():
+    # within np.isclose's default rtol of 1, but the state's trace is 1 + 1e-5
+    v = np.array([1.0 + 5e-6, 0.0], dtype=complex)
+    with pytest.raises(ConfigInvalid):
+        pure_state_density(v)
 
 
 class TestHamiltonianGenerator:

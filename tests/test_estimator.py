@@ -3,7 +3,7 @@ import pytest
 
 from lownoise import sweep
 from lownoise.channels import pure_state_density, sqrt_completion_channel
-from lownoise.errors import BadProbabilities, EmptySum
+from lownoise.errors import BadProbabilities, DimensionMismatch, EmptySum
 from lownoise.estimator import (
     SHOT_BLOCK,
     EstimatorPOVM,
@@ -203,7 +203,7 @@ class TestUnbiasedness:
     def test_bell_expectation_exact(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        res = unbiasedness_residual(povm, bell.channel, bell.input_state, eps)
+        res = unbiasedness_residual(povm, spec.output, eps)
         assert np.max(res) <= 1e-5  # exact appart from differencing noise
 
     def test_threelevel_second_order(self, threelevel):
@@ -211,15 +211,14 @@ class TestUnbiasedness:
         for s in SCALES:
             eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
-            vals.append(np.max(unbiasedness_residual(povm, threelevel.channel, threelevel.input_state, eps)))
+            vals.append(np.max(unbiasedness_residual(povm, spec.output, eps)))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.8 <= fit.slope <= 2.2
 
     def test_kernel_outcome_contributes_nothing(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        rho = bell.channel.apply(pure_state_density(bell.input_state), eps)
-        q = outcome_probabilities(povm, rho)
+        q = outcome_probabilities(povm, spec.output)
         mean_with = povm.estimates.T @ q
         keep = [i for i in range(len(q)) if np.max(np.abs(povm.estimates[i])) > 0]
         mean_without = sum(q[i] * povm.estimates[i] for i in keep)
@@ -230,14 +229,20 @@ class TestAnalyticMSE:
     def test_bell_matches_exact_inverse(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, bell.channel, bell.input_state, eps)
+        mse = analytic_mse(povm, spec.output, eps)
         closed = bell.closed_forms["jinv"](eps)
         assert np.max(np.abs(mse.entries - closed)) <= 1e-9
+
+    def test_state_of_another_dimension_rejected(self, bell):
+        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        povm = build_povm(score)
+        with pytest.raises(DimensionMismatch):
+            analytic_mse(povm, np.eye(2, dtype=complex) / 2, eps)
 
     def test_second_moment_identity(self, threelevel):
         eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, threelevel.channel, threelevel.input_state, eps)
+        mse = analytic_mse(povm, spec.output, eps)
         second = score_second_moment(povm, threelevel.channel, threelevel.input_state, eps)
         # V = S - eps mean^T - mean eps^T + eps eps^T exactly
         recon = second - np.outer(eps, mse.mean) - np.outer(mse.mean, eps) + np.outer(eps, eps)
@@ -248,7 +253,7 @@ class TestAnalyticMSE:
         for s in SCALES:
             eps, spec, grads, jdiv, score = estimator_pipeline(bell, s)
             povm = build_povm(score)
-            mse = analytic_mse(povm, bell.channel, bell.input_state, eps)
+            mse = analytic_mse(povm, spec.output, eps)
             second = score_second_moment(povm, bell.channel, bell.input_state, eps)
             vals.append(np.linalg.norm(mse.entries - second))
         fit = power_order_fit(list(zip(SCALES, vals)))
@@ -266,10 +271,8 @@ class TestAnalyticMSE:
             jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0])
             score = raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0]), jdiv)
             povm = build_povm(score)
-            mse = analytic_mse(povm, ch, phi, eps)
-            rho_in = pure_state_density(phi)
-            drho = ch.derivative(rho_in, eps)
-            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+            mse = analytic_mse(povm, spec.output, eps)
+            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(abs(mse.entries[0, 0] - jq.inverse[0, 0]))
         fit = power_order_fit(list(zip(SCALES, gaps)))
         assert 1.8 <= fit.slope <= 2.2
@@ -288,10 +291,8 @@ class TestAnalyticMSE:
                 estimates=povm.estimates,
                 reference_eps=povm.reference_eps,
             )
-            mse = analytic_mse(bad, threelevel.channel, threelevel.input_state, eps)
-            rho_in = pure_state_density(threelevel.input_state)
-            drho = threelevel.channel.derivative(rho_in, eps)
-            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+            mse = analytic_mse(bad, spec.output, eps)
+            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(np.linalg.norm(mse.entries - jq.inverse))
         fit = power_order_fit(list(zip(SCALES, gaps)))
         assert fit.slope < 1.8
@@ -301,10 +302,8 @@ class TestCRGap:
     def test_exact_attainment_zero_gap(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, bell.channel, bell.input_state, eps)
-        rho_in = pure_state_density(bell.input_state)
-        drho = bell.channel.derivative(rho_in, eps)
-        jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+        mse = analytic_mse(povm, spec.output, eps)
+        jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
         gap = cr_gap(mse, jq)
         assert np.max(np.abs(gap)) <= 1e-12
         assert cr_direction_margin(gap, 100, seed=1) >= -1e-12
@@ -318,23 +317,23 @@ class TestSampling:
     def test_single_shot_rank_one(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, bell.channel, bell.input_state, eps, shots=1, seed=5)
+        mc = sample_measurements(povm, spec.output, eps, shots=1, seed=5)
         w = np.linalg.eigvalsh(mc.entries)
         assert np.sum(np.abs(w) > 1e-15) <= 1  # outer product of one outcome deviation
 
     def test_seed_determinism(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        a = sample_measurements(povm, bell.channel, bell.input_state, eps, shots=4321, seed=7)
-        b = sample_measurements(povm, bell.channel, bell.input_state, eps, shots=4321, seed=7)
+        a = sample_measurements(povm, spec.output, eps, shots=4321, seed=7)
+        b = sample_measurements(povm, spec.output, eps, shots=4321, seed=7)
         np.testing.assert_array_equal(a.entries, b.entries)
         np.testing.assert_array_equal(a.mean, b.mean)
 
     def test_monte_carlo_agrees_with_analytic(self, bell):
         eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        analytic = analytic_mse(povm, bell.channel, bell.input_state, eps)
-        mc = sample_measurements(povm, bell.channel, bell.input_state, eps, shots=10**6, seed=2026)
+        analytic = analytic_mse(povm, spec.output, eps)
+        mc = sample_measurements(povm, spec.output, eps, shots=10**6, seed=2026)
         assert np.all(np.abs(mc.entries - analytic.entries) <= 4 * mc.standard_error + 1e-300)
 
     def test_bad_probabilities(self, bell):
@@ -346,13 +345,13 @@ class TestSampling:
             reference_eps=povm.reference_eps,
         )
         with pytest.raises(BadProbabilities):
-            sample_measurements(broken, bell.channel, bell.input_state, eps, shots=10, seed=1)
+            sample_measurements(broken, spec.output, eps, shots=10, seed=1)
 
     @pytest.mark.parametrize("shots", [1, SHOT_BLOCK, SHOT_BLOCK + 1, 3 * SHOT_BLOCK + 5])
     def test_stream_matches_fresh_generator_per_block(self, threelevel, shots):
         eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, threelevel.channel, threelevel.input_state, eps, shots=shots, seed=41)
+        mc = sample_measurements(povm, spec.output, eps, shots=shots, seed=41)
         entries, mean, se = reference_sample(povm, threelevel.channel, threelevel.input_state, eps, shots, 41)
         assert np.array_equal(mc.entries, entries)
         assert np.array_equal(mc.mean, mean)
@@ -369,8 +368,8 @@ def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
         built.append(build_povm(score))
         return built[-1]
 
-    def spy_mse(povm, ch, phi, eps_true):
-        mses.append(analytic_mse(povm, ch, phi, eps_true))
+    def spy_mse(povm, rho, eps_true):
+        mses.append(analytic_mse(povm, rho, eps_true))
         return mses[-1]
 
     monkeypatch.setattr(sweep.est, "build_povm", spy_povm)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lownoise.channels import pure_state_density
-from lownoise.errors import EmptySum, SingularFisher
+from lownoise.errors import EmptySum, NoConvergence, SingularFisher
 from lownoise.fisher import (
     classical_fisher,
     divergent_fisher,
@@ -57,8 +57,7 @@ def threelevel():
 def pipeline_quantities(sc, s):
     eps = s * np.asarray(sc.sweep.direction)
     spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-    drho = sc.channel.derivative(pure_state_density(sc.input_state), eps)
-    return eps, spec, grads, drho
+    return eps, spec, grads, spec.derivatives
 
 
 class TestSLD:
@@ -198,6 +197,14 @@ class TestDivergentFisher:
 
 
 class TestNondegeneracy:
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "det", fail)
+        with pytest.raises(NoConvergence):
+            nondegeneracy_det(np.array([0.9, 0.1]), np.array([[-1.0, 1.0]]))
+
     def test_bell_gate_order(self, bell):
         dets = []
         for s in SCALES:
@@ -225,6 +232,15 @@ class TestNondegeneracy:
 
 
 class TestFisherInverse:
+    def test_pseudo_inverse_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "pinv", fail)
+        fm = divergent_fisher(np.array([1e-3]), np.array([[1.0], [2.0]]), [0])
+        with pytest.raises(NoConvergence):
+            fisher_pseudo_inverse(fm)
+
     def test_bell_inverse_closed_form(self, bell):
         eps, spec, grads, drho = pipeline_quantities(bell, 3e-3)
         jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))

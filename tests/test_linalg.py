@@ -111,6 +111,15 @@ class TestTensorProduct:
 
 
 class TestPowerOrderFit:
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np, "polyfit", fail)
+        s = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+        with pytest.raises(NoConvergence):
+            power_order_fit(list(zip(s, s**2)))
+
     def test_exact_square(self):
         s = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         fit = power_order_fit(list(zip(s, s**2)))

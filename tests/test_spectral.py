@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lownoise.channels import sqrt_completion_channel
-from lownoise.errors import ReductionInvalid
+from lownoise.channels import pure_state_density, sqrt_completion_channel
+from lownoise.errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
 from lownoise.linalg import power_order_fit
 from lownoise.scenarios import (
     random_channel,
@@ -76,6 +76,10 @@ class TestComplementBasis:
         v = complement_basis(np.array([1.0, 0.0, 0.0], dtype=complex))
         np.testing.assert_allclose(v, np.eye(3, dtype=complex)[:, 1:], atol=1e-15)
 
+    def test_nearly_normalized_input_rejected(self):
+        with pytest.raises(ConfigInvalid):
+            complement_basis(np.array([1.0 + 5e-6, 0.0, 0.0], dtype=complex))
+
     def test_orthonormal_completion(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -93,23 +97,33 @@ class TestComplementBasis:
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, _ = np.linalg.qr(g)
         rotated = frame @ q
-        a = deviation_eigenvalues(deviation_matrix(threelevel.channel, phi, eps, "full", frame))
-        b = deviation_eigenvalues(deviation_matrix(threelevel.channel, phi, eps, "full", rotated))
+        out = threelevel.channel.apply(pure_state_density(phi), eps)
+        a = deviation_eigenvalues(deviation_matrix(threelevel.channel, phi, eps, "full", frame, output=out))
+        b = deviation_eigenvalues(deviation_matrix(threelevel.channel, phi, eps, "full", rotated, output=out))
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestDeviationMatrix:
     def test_zero_at_zero_noise(self, threelevel):
-        dm = deviation_matrix(threelevel.channel, threelevel.input_state, np.zeros(2))
+        spec = diagonalize_output(threelevel.channel, threelevel.input_state, np.zeros(2))
+        dm = deviation_matrix(threelevel.channel, threelevel.input_state, np.zeros(2), output=spec.output)
         np.testing.assert_allclose(dm.entries, np.zeros((2, 2)), atol=1e-14)
 
     def test_bell_printed_frame(self, bell):
         for s in SCALES:
             eps = s * np.asarray(bell.sweep.direction)
-            dm = deviation_matrix(bell.channel, bell.input_state, eps, "full", bell.frame)
+            spec = diagonalize_output(bell.channel, bell.input_state, eps)
+            dm = deviation_matrix(bell.channel, bell.input_state, eps, "full", bell.frame, output=spec.output)
             np.testing.assert_allclose(
                 dm.entries, bell.closed_forms["deviation_printed"](eps), atol=1e-14
             )
+
+    def test_full_variant_needs_the_output_state(self, threelevel):
+        eps = np.array([1e-3, 2e-3])
+        with pytest.raises(ConfigInvalid):
+            deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full")
+        with pytest.raises(DimensionMismatch):
+            deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full", output=np.eye(2) / 2)
 
     def test_leading_is_psd_and_hermitian(self, threelevel):
         eps = np.array([1e-3, 2e-3])
@@ -121,7 +135,8 @@ class TestDeviationMatrix:
         vals = []
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
-            full = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full")
+            spec = diagonalize_output(threelevel.channel, threelevel.input_state, eps)
+            full = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full", output=spec.output)
             lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "leading")
             vals.append(np.linalg.norm(full.entries - lead.entries))
         fit = power_order_fit(list(zip(SCALES, vals)))
