@@ -15,9 +15,10 @@ import numpy as np
 from lownoise import (
     deviation_eigenvalues,
     deviation_matrix,
-    diagonalize_output,
     jump_covariance,
+    output_deviation_matrix,
     output_shift_curves,
+    output_spectrum_with_gradients,
     reduced_shifts,
     trace_power_residual,
 )
@@ -29,14 +30,15 @@ np.set_printoptions(precision=6, suppress=True)
 sc = scenario_threelevel()
 eps = np.array([1e-3, 2e-3])
 
-spec = diagonalize_output(sc.channel, sc.input_state, eps)
+spec, _ = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 print("output eigenvalues:", spec.probs)
 print("shifts (the small ones):", spec.shifts())
 
 # route 2: deviation matrix in a deterministic complement frame
-# (the full variant compresses the output state the spectrum already holds)
-dm_full = deviation_matrix(sc.channel, sc.input_state, eps, "full", output=spec.output)
-dm_lead = deviation_matrix(sc.channel, sc.input_state, eps, "leading")
+# (the full matrix compresses the output state the spectrum already holds;
+# the leading one is built from the jump operators alone)
+dm_full = output_deviation_matrix(spec.output, sc.input_state)
+dm_lead = deviation_matrix(sc.channel, sc.input_state, eps)
 print("\ndeviation eigenvalues (full):   ", deviation_eigenvalues(dm_full))
 print("deviation eigenvalues (leading):", deviation_eigenvalues(dm_lead))
 print("full-vs-leading difference is second order:",

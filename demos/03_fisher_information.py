@@ -29,7 +29,7 @@ spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 # record: the output state, the exact d rho / d eps_mu and the Kraus
 # completeness residual.
 drho = spec.derivatives
-print("completeness residual:", spec.evaluation.tpcp_residual)
+print("completeness residual:", spec.tpcp_residual)
 
 slds = sld_operators(spec.probs, spec.basis, drho)
 print("SLD vs closed form:",

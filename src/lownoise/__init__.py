@@ -94,8 +94,8 @@ from .spectral import (
     delta_shift_classification,
     deviation_eigenvalues,
     deviation_matrix,
-    diagonalize_output,
     jump_covariance,
+    output_deviation_matrix,
     output_shift_curves,
     output_spectrum_with_gradients,
     reduced_shifts,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelEvaluation, LowNoiseChannel, pure_state_density
+from .channels import LowNoiseChannel, pure_state_density
 from .errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
 from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
@@ -27,28 +27,22 @@ SHIFT_FLOOR = 1e-13
 class OutputSpectrum:
     """Diagonalized channel output for a pure input state.
 
-    ``evaluation`` is the channel evaluation the spectrum was taken from;
-    ``output`` and ``derivatives`` read the state and its exact
-    eps-derivatives from it.
+    ``output``, ``derivatives`` and ``tpcp_residual`` are the channel
+    evaluation the spectrum was taken from: the output state, its exact
+    eps-derivatives and the Kraus completeness residual.
     """
 
     eps: np.ndarray
     probs: np.ndarray  # descending
     basis: np.ndarray  # unitary, columns are eigenvectors
     input_state: np.ndarray
-    evaluation: ChannelEvaluation
+    output: np.ndarray
+    derivatives: tuple[np.ndarray, ...]
+    tpcp_residual: float
 
     @property
     def dim(self) -> int:
         return self.probs.shape[0]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.evaluation.output
-
-    @property
-    def derivatives(self) -> tuple[np.ndarray, ...]:
-        return self.evaluation.derivatives
 
     def shifts(self) -> np.ndarray:
         """Small eigenvalues p_1..p_{N-1}; they vanish at eps = 0."""
@@ -68,16 +62,6 @@ def _fix_phases(basis: np.ndarray, phi: np.ndarray) -> np.ndarray:
             if abs(pivot) > 0:
                 out[:, k] = col * (pivot.conjugate() / abs(pivot))
     return out
-
-
-def diagonalize_output(ch: LowNoiseChannel, phi: np.ndarray, eps) -> OutputSpectrum:
-    """Spectrum of channel[|phi><phi|] with eigenvalues sorted descending.
-
-    The spectrum of ``output_spectrum_with_gradients`` without the
-    eigenvalue gradients.  Eigenvector phases are fixed so <phi|n> is real
-    and non-negative whenever it is nonzero, making the basis deterministic.
-    """
-    return output_spectrum_with_gradients(ch, phi, eps)[0]
 
 
 def complement_basis(phi: np.ndarray) -> np.ndarray:
@@ -106,59 +90,64 @@ def complement_basis(phi: np.ndarray) -> np.ndarray:
 class DeviationMatrix:
     """Output-minus-input operator compressed to the complement of the input.
 
-    variant "full" holds the exact compression of the output state at the
-    given eps; variant "leading" holds the rank-structured first-order part
-    built from the jump operators alone (a Gram sum, positive semidefinite).
+    variant "full" holds the exact compression of the output state at a
+    noise point; variant "leading" holds the rank-structured first-order
+    part built from the jump operators alone (a Gram sum, positive
+    semidefinite).
     """
 
     entries: np.ndarray
     variant: str
     frame: np.ndarray
-    eps: np.ndarray
+
+
+def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
+    """frame checked against phi, or ``complement_basis(phi)`` when None."""
+    if frame is None:
+        return complement_basis(phi)
+    frame = np.asarray(frame, dtype=complex)
+    gram = dagger(frame) @ frame
+    if np.linalg.norm(gram - np.eye(frame.shape[1])) > 1e-10:
+        raise ConfigInvalid("frame columns must be orthonormal")
+    if np.linalg.norm(dagger(frame) @ phi) > 1e-10:
+        raise ConfigInvalid("frame columns must be orthogonal to the input state")
+    return frame
+
+
+def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarray | None = None) -> DeviationMatrix:
+    """Full deviation matrix: output - |phi><phi| compressed to a complement frame.
+
+    output is the channel's output state at the noise point
+    (``OutputSpectrum.output``); frame defaults to ``complement_basis(phi)``.
+    """
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    output = np.asarray(output, dtype=complex)
+    if output.shape != (phi.shape[0], phi.shape[0]):
+        raise DimensionMismatch(f"output state has shape {output.shape}, input dimension {phi.shape[0]}")
+    frame = _complement_frame(phi, frame)
+    entries = dagger(frame) @ (output - pure_state_density(phi)) @ frame
+    return DeviationMatrix(entries=(entries + dagger(entries)) / 2, variant="full", frame=frame)
 
 
 def deviation_matrix(
     ch: LowNoiseChannel,
     phi: np.ndarray,
     eps,
-    variant: str = "full",
     frame: np.ndarray | None = None,
-    output: np.ndarray | None = None,
 ) -> DeviationMatrix:
-    """Deviation matrix of channel[|phi><phi|] at eps in a complement frame.
+    """Leading deviation matrix of channel[|phi><phi|] at eps in a complement frame.
 
-    The "full" variant compresses ``output``, the channel's output state at
-    eps (``OutputSpectrum.output`` or ``ChannelEvaluation.output``), and
-    needs it; the "leading" variant is built from the jump operators alone.
-    frame defaults to ``complement_basis(phi)``.
+    Built from the jump operators alone; frame defaults to
+    ``complement_basis(phi)``.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
-    if frame is None:
-        frame = complement_basis(phi)
-    else:
-        frame = np.asarray(frame, dtype=complex)
-        gram = dagger(frame) @ frame
-        if np.linalg.norm(gram - np.eye(frame.shape[1])) > 1e-10:
-            raise ConfigInvalid("frame columns must be orthonormal")
-        if np.linalg.norm(dagger(frame) @ phi) > 1e-10:
-            raise ConfigInvalid("frame columns must be orthogonal to the input state")
-    if variant == "full":
-        if output is None:
-            raise ConfigInvalid("the full deviation matrix needs the channel's output state")
-        output = np.asarray(output, dtype=complex)
-        if output.shape != (phi.shape[0], phi.shape[0]):
-            raise DimensionMismatch(f"output state has shape {output.shape}, input dimension {phi.shape[0]}")
-        entries = dagger(frame) @ (output - pure_state_density(phi)) @ frame
-    elif variant == "leading":
-        entries = np.zeros((frame.shape[1], frame.shape[1]), dtype=complex)
-        for t in ch.jump_terms:
-            u = dagger(frame) @ (t.base @ phi)
-            entries = entries + eps[t.param] * np.outer(u, u.conj())
-    else:
-        raise ConfigInvalid(f"unknown deviation-matrix variant {variant!r}")
-    entries = (entries + dagger(entries)) / 2
-    return DeviationMatrix(entries=entries, variant=variant, frame=frame, eps=eps)
+    frame = _complement_frame(phi, frame)
+    entries = np.zeros((frame.shape[1], frame.shape[1]), dtype=complex)
+    for t in ch.jump_terms:
+        u = dagger(frame) @ (t.base @ phi)
+        entries = entries + eps[t.param] * np.outer(u, u.conj())
+    return DeviationMatrix(entries=(entries + dagger(entries)) / 2, variant="leading", frame=frame)
 
 
 def deviation_eigenvalues(dm: DeviationMatrix) -> np.ndarray:
@@ -217,8 +206,12 @@ def delta_shift_classification(
     rows = []
     for s in scales:
         eps = s * direction
-        output = ch.apply(rho_in, eps) if variant == "full" else None
-        dm = deviation_matrix(ch, phi, eps, variant=variant, frame=frame, output=output)
+        if variant == "full":
+            dm = output_deviation_matrix(ch.apply(rho_in, eps), phi, frame)
+        elif variant == "leading":
+            dm = deviation_matrix(ch, phi, eps, frame)
+        else:
+            raise ConfigInvalid(f"unknown deviation-matrix variant {variant!r}")
         rows.append(deviation_eigenvalues(dm))
     labels, fits = classify_shift_curves(scales, rows)
     return SpectralShifts(values=np.asarray(rows[-1]), labels=labels, fits=fits)
@@ -293,19 +286,29 @@ def output_spectrum_with_gradients(
 ) -> tuple[OutputSpectrum, np.ndarray]:
     """Output spectrum plus per-parameter eigenvalue derivatives at one point.
 
-    One ``ch.evaluate`` gives the output state and its exact derivatives;
-    the spectrum carries both for downstream consumers.  The eigenvalue
+    One ``ch.evaluate`` gives the output state, its exact derivatives and
+    the completeness residual; the spectrum carries them for downstream
+    consumers.  Eigenvalues are sorted descending.  The eigenvalue
     derivatives are Hellmann-Feynman diagonals of the state derivative.
     The returned spectrum's basis is the cluster-refined eigenbasis, so
     degenerate eigenvectors pair correctly with their shift derivatives;
-    downstream estimator construction relies on this.
+    downstream estimator construction relies on this.  Eigenvector phases
+    are fixed so <phi|n> is real and non-negative whenever it is nonzero.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
     ev = ch.evaluate(pure_state_density(phi), eps)
     values, vectors, derivs = curves.eigencurve_derivatives(ev.output, ev.derivatives)
     vectors = _fix_phases(vectors, phi)
-    spec = OutputSpectrum(eps=eps, probs=values, basis=vectors, input_state=phi, evaluation=ev)
+    spec = OutputSpectrum(
+        eps=eps,
+        probs=values,
+        basis=vectors,
+        input_state=phi,
+        output=ev.output,
+        derivatives=ev.derivatives,
+        tpcp_residual=ev.tpcp_residual,
+    )
     return spec, derivs
 
 

@@ -67,8 +67,8 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, m
     cr_margin = est.cr_direction_margin(gap_quantum, CR_DIRECTIONS, seed=sc.sweep.seed)
 
     # deviation-matrix and covariance cross checks
-    dm_full = spectral.deviation_matrix(sc.channel, spec.input_state, eps, "full", sc.frame, output=spec.output)
-    dm_lead = spectral.deviation_matrix(sc.channel, spec.input_state, eps, "leading", sc.frame)
+    dm_full = spectral.output_deviation_matrix(spec.output, spec.input_state, sc.frame)
+    dm_lead = spectral.deviation_matrix(sc.channel, spec.input_state, eps, sc.frame)
     lead_vs_full = float(np.linalg.norm(dm_full.entries - dm_lead.entries))
     trace_power = None
     reduced_residual = None

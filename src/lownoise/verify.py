@@ -63,7 +63,7 @@ def check_ancilla_bell() -> CheckResult:
     for s in sc.sweep.scales:
         eps = s * direction
         spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-        dm = spectral.deviation_matrix(sc.channel, sc.input_state, eps, "full", sc.frame, output=spec.output)
+        dm = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
         printed = sc.closed_forms["deviation_printed"](eps)
         if np.max(np.abs(dm.entries - printed)) > 1e-14:
             failures.append(f"deviation matrix deviates from the reference at scale {s:g}")
@@ -163,7 +163,7 @@ def check_threelevel() -> CheckResult:
             failures.append(f"inverse-Fisher closed form off by rel {rel:.2e} at scale {s:g}")
     for s in (1e-4, 1e-3, 1e-2):
         eps = s * direction
-        dm = spectral.deviation_matrix(sc.channel, sc.input_state, eps, "leading")
+        dm = spectral.deviation_matrix(sc.channel, sc.input_state, eps)
         lm = spectral.jump_covariance(sc.channel, sc.input_state, eps)
         lead = spectral.deviation_eigenvalues(dm)
         reduced = spectral.reduced_shifts(lm, sc.channel.dim)
@@ -247,7 +247,7 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
             # one channel evaluation per scale: the spectrum carries the
             # output state, its derivatives and the completeness residual
             spec, grads = spectral.output_spectrum_with_gradients(ch, phi, eps)
-            if spec.evaluation.tpcp_residual > 1e-10:
+            if spec.tpcp_residual > 1e-10:
                 failures.append(f"seed {seed}: trace-preservation residual at scale {s:g}")
             # probs diagonalize the symmetrized output state
             if np.min(spec.probs) < -1e-10:
@@ -272,7 +272,7 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         if fit_cvd is not None and fit_cvd.slope < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope:.3f} diverges")
         eps = 1e-3 * direction
-        dm_lead = spectral.deviation_matrix(ch, phi, eps, "leading")
+        dm_lead = spectral.deviation_matrix(ch, phi, eps)
         lm = spectral.jump_covariance(ch, phi, eps)
         if spectral.trace_power_residual(dm_lead, lm, kmax=5) > 1e-11:
             failures.append(f"seed {seed}: trace-power identity residual")

@@ -2,68 +2,85 @@
 
 The output state, its exact derivatives and the completeness residual at a
 point all come from one ``_identity_kraus`` call; every consumer downstream
-reads them from the spectrum.  Calls made by a channel's own construction
-check (``_validate``) are counted apart.
+reads them from the spectrum.  Calls are counted by the phase they are made
+in: a channel's own construction check (``_validate``) and the pure-input
+dominance check are counted apart from the per-point evaluations.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from lownoise import verify
+from lownoise import fisher, verify
 from lownoise.channels import LowNoiseChannel
 from lownoise.scenarios import DEFAULT_SCALES, build_scenario
 from lownoise.sweep import run_sweep
 
-DOMINANCE_FIXTURES = 20  # mixed-state fixtures of check_property_suite
-DOMINANCE_EVALUATIONS = 3  # the mixture and its two pure components
+
+class KrausCounter:
+    """_identity_kraus calls, keyed by the phase they were made in."""
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+        self.phase = "evaluations"
+
+    def within(self, phase: str, fn):
+        """fn, with its _identity_kraus calls counted under phase."""
+
+        def wrapped(*args, **kwargs):
+            outer, self.phase = self.phase, phase
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.phase = outer
+
+        return wrapped
 
 
 @pytest.fixture
 def kraus_calls(monkeypatch):
-    """Counts _identity_kraus calls made outside channel construction."""
-    counts = {"evaluations": 0, "validation": 0}
-    validating = [False]
+    counter = KrausCounter()
     kraus = LowNoiseChannel._identity_kraus
-    validate = LowNoiseChannel._validate
 
     def counting_kraus(self, eps, with_derivative=False):
-        counts["validation" if validating[0] else "evaluations"] += 1
+        counter.counts[counter.phase] += 1
         return kraus(self, eps, with_derivative)
 
-    def flagged_validate(self):
-        validating[0] = True
-        try:
-            validate(self)
-        finally:
-            validating[0] = False
-
     monkeypatch.setattr(LowNoiseChannel, "_identity_kraus", counting_kraus)
-    monkeypatch.setattr(LowNoiseChannel, "_validate", flagged_validate)
-    return counts
+    monkeypatch.setattr(LowNoiseChannel, "_validate", counter.within("validation", LowNoiseChannel._validate))
+    return counter
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
 @pytest.mark.parametrize("shots", [0, 1000])
 def test_sweep_evaluates_the_channel_once_per_point(kraus_calls, name, shots):
     sc = build_scenario(name, seed=1)
-    kraus_calls.update(evaluations=0, validation=0)
+    kraus_calls.counts.clear()
     report = run_sweep(sc, shots=shots)
     assert all(p["error"] is None for p in report.points)
-    assert kraus_calls == {"evaluations": len(sc.sweep.scales), "validation": 0}
+    assert kraus_calls.counts == {"evaluations": len(sc.sweep.scales)}
 
 
-def test_property_suite_evaluates_each_scale_once(kraus_calls):
+def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
+    input_states = []
+    dominance = kraus_calls.within("dominance", fisher.pure_input_dominance)
+
+    def counted_dominance(ch, rho_mixed, decomposition, *args, **kwargs):
+        input_states.append(1 + len(decomposition))  # the mixture and its components
+        return dominance(ch, rho_mixed, decomposition, *args, **kwargs)
+
+    monkeypatch.setattr(fisher, "pure_input_dominance", counted_dominance)
     num_seeds = 3
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    per_scale = num_seeds * len(DEFAULT_SCALES)
-    assert kraus_calls["evaluations"] == per_scale + DOMINANCE_FIXTURES * DOMINANCE_EVALUATIONS
-    # each random channel checks trace preservation at three scales when built
-    assert kraus_calls["validation"] == 3 * (num_seeds + DOMINANCE_FIXTURES)
+    assert kraus_calls.counts["evaluations"] == num_seeds * len(DEFAULT_SCALES)
+    # the dominance check evaluates each input state once
+    assert input_states and kraus_calls.counts["dominance"] == sum(input_states)
 
 
 def test_evaluate_makes_one_kraus_call(kraus_calls):
     sc = build_scenario("three-level")
     rho = np.outer(sc.input_state, sc.input_state.conj())
-    kraus_calls.update(evaluations=0, validation=0)
+    kraus_calls.counts.clear()
     sc.channel.evaluate(rho, np.array([1e-3, 2e-3]))
-    assert kraus_calls["evaluations"] == 1
+    assert kraus_calls.counts == {"evaluations": 1}

@@ -17,9 +17,10 @@ from lownoise.spectral import (
     delta_shift_classification,
     deviation_eigenvalues,
     deviation_matrix,
-    diagonalize_output,
     jump_covariance,
+    output_deviation_matrix,
     output_shift_curves,
+    output_spectrum_with_gradients,
     reduced_shifts,
     trace_power_residual,
 )
@@ -39,19 +40,19 @@ def threelevel():
 
 class TestDiagonalizeOutput:
     def test_zero_noise_is_input_projector(self, threelevel):
-        spec = diagonalize_output(threelevel.channel, threelevel.input_state, np.zeros(2))
+        spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, np.zeros(2))
         np.testing.assert_allclose(spec.probs, [1, 0, 0], atol=1e-14)
         assert abs(np.vdot(spec.basis[:, 0], threelevel.input_state)) >= 1 - 1e-10
 
     def test_bell_probs_exact(self, bell):
         eps = np.array([1e-3, 2e-3])
-        spec = diagonalize_output(bell.channel, bell.input_state, eps)
+        spec, _ = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
         np.testing.assert_allclose(spec.probs, [1 - 3e-3, 2e-3, 1e-3, 0.0], atol=1e-14)
 
     def test_threelevel_probs_match_closed_shifts(self, threelevel):
         for s in (1e-4, 1e-3):
             eps = s * np.asarray(threelevel.sweep.direction)
-            spec = diagonalize_output(threelevel.channel, threelevel.input_state, eps)
+            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             dp = threelevel.closed_forms["shifts"](eps)
             want = np.array([1 - dp.sum(), dp[0], dp[1]])
             assert np.max(np.abs(spec.probs - want)) <= 10 * s * s
@@ -59,14 +60,14 @@ class TestDiagonalizeOutput:
     def test_probability_invariants(self, threelevel):
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
-            spec = diagonalize_output(threelevel.channel, threelevel.input_state, eps)
+            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             assert abs(spec.probs.sum() - 1) <= 1e-12
             assert spec.probs.min() >= -1e-12
             assert 1 - spec.probs[0] <= 4.0 * np.sum(eps)
 
     def test_phase_convention(self, threelevel):
         eps = np.array([1e-3, 1e-3])
-        spec = diagonalize_output(threelevel.channel, threelevel.input_state, eps)
+        spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
         overlap = np.vdot(threelevel.input_state, spec.basis[:, 0])
         assert abs(overlap.imag) <= 1e-12 and overlap.real > 0
 
@@ -98,36 +99,33 @@ class TestComplementBasis:
         q, _ = np.linalg.qr(g)
         rotated = frame @ q
         out = threelevel.channel.apply(pure_state_density(phi), eps)
-        a = deviation_eigenvalues(deviation_matrix(threelevel.channel, phi, eps, "full", frame, output=out))
-        b = deviation_eigenvalues(deviation_matrix(threelevel.channel, phi, eps, "full", rotated, output=out))
+        a = deviation_eigenvalues(output_deviation_matrix(out, phi, frame))
+        b = deviation_eigenvalues(output_deviation_matrix(out, phi, rotated))
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestDeviationMatrix:
     def test_zero_at_zero_noise(self, threelevel):
-        spec = diagonalize_output(threelevel.channel, threelevel.input_state, np.zeros(2))
-        dm = deviation_matrix(threelevel.channel, threelevel.input_state, np.zeros(2), output=spec.output)
+        spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, np.zeros(2))
+        dm = output_deviation_matrix(spec.output, threelevel.input_state)
         np.testing.assert_allclose(dm.entries, np.zeros((2, 2)), atol=1e-14)
 
     def test_bell_printed_frame(self, bell):
         for s in SCALES:
             eps = s * np.asarray(bell.sweep.direction)
-            spec = diagonalize_output(bell.channel, bell.input_state, eps)
-            dm = deviation_matrix(bell.channel, bell.input_state, eps, "full", bell.frame, output=spec.output)
+            spec, _ = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
+            dm = output_deviation_matrix(spec.output, bell.input_state, bell.frame)
             np.testing.assert_allclose(
                 dm.entries, bell.closed_forms["deviation_printed"](eps), atol=1e-14
             )
 
-    def test_full_variant_needs_the_output_state(self, threelevel):
-        eps = np.array([1e-3, 2e-3])
-        with pytest.raises(ConfigInvalid):
-            deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full")
+    def test_output_of_another_dimension_rejected(self, threelevel):
         with pytest.raises(DimensionMismatch):
-            deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full", output=np.eye(2) / 2)
+            output_deviation_matrix(np.eye(2) / 2, threelevel.input_state)
 
     def test_leading_is_psd_and_hermitian(self, threelevel):
         eps = np.array([1e-3, 2e-3])
-        dm = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "leading")
+        dm = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
         assert np.linalg.norm(dm.entries - dm.entries.conj().T) <= 1e-12
         assert np.min(np.linalg.eigvalsh(dm.entries)) >= -1e-12
 
@@ -135,9 +133,9 @@ class TestDeviationMatrix:
         vals = []
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
-            spec = diagonalize_output(threelevel.channel, threelevel.input_state, eps)
-            full = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "full", output=spec.output)
-            lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "leading")
+            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+            full = output_deviation_matrix(spec.output, threelevel.input_state)
+            lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
             vals.append(np.linalg.norm(full.entries - lead.entries))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.85 <= fit.slope <= 2.15
@@ -146,8 +144,8 @@ class TestDeviationMatrix:
         vals = []
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
-            lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "leading")
-            spec = diagonalize_output(threelevel.channel, threelevel.input_state, eps)
+            lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
+            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             diff = np.sort(deviation_eigenvalues(lead)) - np.sort(spec.shifts())
             vals.append(np.max(np.abs(diff)))
         fit = power_order_fit(list(zip(SCALES, vals)))
@@ -207,7 +205,7 @@ class TestReducedShifts:
         lm = jump_covariance(threelevel.channel, threelevel.input_state, eps)
         got = reduced_shifts(lm, 3)
         lead = deviation_eigenvalues(
-            deviation_matrix(threelevel.channel, threelevel.input_state, eps, "leading")
+            deviation_matrix(threelevel.channel, threelevel.input_state, eps)
         )
         assert np.max(np.abs(np.sort(got) - np.sort(lead))) <= 1e-12
 
@@ -245,20 +243,20 @@ class TestTracePowerIdentity:
             ch = random_channel(dim, num_params, k_mu, seed=200 + seed)
             phi = random_input_state(dim, seed)
             eps = np.full(num_params, 1e-3 / num_params)
-            dm = deviation_matrix(ch, phi, eps, "leading")
+            dm = deviation_matrix(ch, phi, eps)
             lm = jump_covariance(ch, phi, eps)
             assert trace_power_residual(dm, lm, kmax=5) <= 1e-11
 
     def test_threelevel(self, threelevel):
         eps = np.array([1e-3, 2e-3])
-        dm = deviation_matrix(threelevel.channel, threelevel.input_state, eps, "leading")
+        dm = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
         lm = jump_covariance(threelevel.channel, threelevel.input_state, eps)
         assert trace_power_residual(dm, lm, kmax=4) <= 1e-13
 
     def test_zero_case(self):
         ch = sqrt_completion_channel([[np.eye(2, dtype=complex)]])
         phi = np.array([1.0, 0.0], dtype=complex)
-        dm = deviation_matrix(ch, phi, np.array([1e-3]), "leading")
+        dm = deviation_matrix(ch, phi, np.array([1e-3]))
         lm = jump_covariance(ch, phi, np.array([1e-3]))
         assert trace_power_residual(dm, lm, kmax=5) == 0.0
 
