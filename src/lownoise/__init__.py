@@ -45,6 +45,7 @@ from .estimator import (
     build_povm,
     build_score_operators,
     cr_direction_margin,
+    cr_directions,
     cr_gap,
     raise_index,
     sample_measurements,
@@ -88,10 +89,8 @@ from .spectral import (
     DeviationMatrix,
     JumpCovariance,
     OutputSpectrum,
-    SpectralShifts,
     classify_shift_curves,
     complement_basis,
-    delta_shift_classification,
     deviation_eigenvalues,
     deviation_matrix,
     jump_covariance,

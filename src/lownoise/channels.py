@@ -11,7 +11,10 @@ square-root-completion channels evaluate their single identity-family
 operator in closed form from the generators and dissipator sums.  Both
 have an exact eps-derivative; ``LowNoiseChannel.evaluate`` returns the
 output state, its derivatives and the completeness residual from one
-evaluation of the Kraus operators.
+evaluation of the Kraus operators.  Evaluation takes one noise vector of
+shape (D,) or a stack of B of them, shape (B, D): a stack is evaluated in
+one pass, with one stacked eigensolve per Hermitian argument, and the
+results carry a leading B axis.  One noise vector is the one-row stack.
 
 Channels are immutable after construction and all operations are pure.
 """
@@ -58,10 +61,11 @@ class IdentityKrausTerm:
     linear: tuple[np.ndarray, ...]
 
     def evaluate(self, eps: np.ndarray) -> np.ndarray:
+        """The operator at each row of a (B, D) stack of noise points, shape (B, N, N)."""
         dim = self.linear[0].shape[0]
         out = self.weight * np.eye(dim, dtype=complex)
         for mu, n_mu in enumerate(self.linear):
-            out = out - eps[mu] * n_mu
+            out = out - eps[:, mu, None, None] * n_mu
         return out
 
 
@@ -74,28 +78,49 @@ class JumpKrausTerm:
 
 
 class ChannelEvaluation(NamedTuple):
-    """Channel output at one noise point, with its exact eps-derivatives.
+    """Channel output at a noise point, with its exact eps-derivatives.
 
-    derivatives[mu] is d channel[rho] / d eps_mu; tpcp_residual is the
-    Frobenius deviation of the Kraus completeness sum from the identity.
-    A NamedTuple rather than a frozen dataclass: it is as immutable and
-    costs a fifth of the time to define at import.
+    derivatives[mu] is d channel[rho] / d eps_mu, shape (D, N, N);
+    tpcp_residual is the Frobenius deviation of the Kraus completeness sum
+    from the identity.  For a (B, D) stack of noise points every field
+    carries a leading B axis: output (B, N, N), derivatives (B, D, N, N)
+    and tpcp_residual (B,).  A NamedTuple rather than a frozen dataclass:
+    it is as immutable and costs a fifth of the time to define at import.
     """
 
     output: np.ndarray
-    derivatives: tuple[np.ndarray, ...]
-    tpcp_residual: float
+    derivatives: np.ndarray
+    tpcp_residual: float | np.ndarray
 
 
-def _validate_eps(eps, num_params: int) -> np.ndarray:
-    eps = np.asarray(eps, dtype=float).reshape(-1)
-    if eps.shape[0] != num_params:
-        raise DimensionMismatch(f"expected {num_params} noise parameters, got {eps.shape[0]}")
-    if not np.isfinite(eps).all():
-        raise ConfigInvalid("noise parameters must be finite")
-    if (eps < 0).any():
-        raise ConfigInvalid("noise parameters must be non-negative")
-    return eps
+def _at_row(bad: np.ndarray) -> str:
+    """Where a check failed in a stack: the first row bad marks, or nothing for one row."""
+    if bad.shape[0] == 1:
+        return ""
+    return f" (row {int(np.argmax(bad))})"
+
+
+def _validate_eps(eps, num_params: int) -> tuple[np.ndarray, bool]:
+    """eps as a (B, D) stack, and whether it was one (D,) noise vector.
+
+    One pass over the whole stack; an error in a stack of several rows
+    names the first offending row.
+    """
+    eps = np.asarray(eps, dtype=float)
+    single = eps.ndim < 2
+    if single:
+        eps = eps.reshape(1, -1)
+    elif eps.ndim > 2:
+        raise DimensionMismatch(f"noise parameters must have shape (D,) or (B, D), got {eps.shape}")
+    if eps.shape[1] != num_params:
+        raise DimensionMismatch(f"expected {num_params} noise parameters, got {eps.shape[1]}")
+    finite = np.isfinite(eps).all(axis=1)
+    if not finite.all():
+        raise ConfigInvalid("noise parameters must be finite" + _at_row(~finite))
+    negative = (eps < 0).any(axis=1)
+    if negative.any():
+        raise ConfigInvalid("noise parameters must be non-negative" + _at_row(negative))
+    return eps, single
 
 
 class LowNoiseChannel:
@@ -179,53 +204,65 @@ class LowNoiseChannel:
         self._hamiltonians = tuple(self._hamiltonian(mu) for mu in range(self.num_params))
         nmax = max((np.linalg.norm(n, 2) for t in self.identity_terms for n in t.linear), default=0.0)
         quad = 10.0 * (1.0 + nmax + len(self.identity_terms)) ** 2
-        for s in (1e-6, 1e-4, 1e-2):
-            eps = np.full(self.num_params, s / self.num_params)
-            if self.tpcp_residual(eps) > 1e-10 + quad * s * s:
+        scales = (1e-6, 1e-4, 1e-2)
+        residuals = self.tpcp_residual([[s / self.num_params] * self.num_params for s in scales])
+        for s, residual in zip(scales, residuals):
+            if residual > 1e-10 + quad * s * s:
                 raise TPCPViolation(f"trace-preservation residual too large at scale {s:g}")
 
     # -- evaluation ---------------------------------------------------------
 
     def _identity_kraus(self, eps: np.ndarray, with_derivative: bool = False):
-        """Identity-family Kraus operators at eps and, on request, their derivatives.
+        """Identity-family Kraus operators on a validated (B, D) stack eps.
 
-        Returns (ops, dops) with dops[k][mu] = d ops[k] / d eps_mu, or None.
-        The square-root completion differentiates sqrt and exp(-i .) by the
-        Daleckii-Krein formula in the eigenbases of their Hermitian arguments
-        (Bhatia, Matrix Analysis, Thm V.3.3).
+        Returns (ops, dops): ops[k] has shape (B, N, N) and
+        dops[k][..., mu, :, :] = d ops[k] / d eps_mu, shape (B, D, N, N), or
+        (D, N, N) for the affine explicit terms; dops is None unless asked
+        for.  The square-root completion makes one stacked eigensolve of
+        its B completion arguments and one of its B generator sums, and
+        differentiates sqrt and exp(-i .) by the Daleckii-Krein formula in
+        their eigenbases (Bhatia, Matrix Analysis, Thm V.3.3).
         """
         if self.builder != "sqrt-completion":
             ops = [t.evaluate(eps) for t in self.identity_terms]
             if not with_derivative:
                 return ops, None
-            return ops, [[-n for n in t.linear] for t in self.identity_terms]
+            return ops, [-np.asarray(t.linear) for t in self.identity_terms]
         arg = np.eye(self.dim, dtype=complex)
         for mu in range(self.num_params):
-            arg = arg - eps[mu] * self._sums[mu]
+            arg = arg - eps[:, mu, None, None] * self._sums[mu]
         a, va = eigensolve((arg + dagger(arg)) / 2)
-        if a[0] < -POSITIVITY_TOL:
-            raise TPCPViolation(f"completion argument has negative eigenvalue {a[0]:g}; eps outside validity region")
+        negative = a[:, 0] < -POSITIVITY_TOL
+        if negative.any():
+            low = a[np.argmax(negative), 0]
+            raise TPCPViolation(
+                f"completion argument has negative eigenvalue {low:g}; eps outside validity region" + _at_row(negative)
+            )
         root = np.sqrt(np.clip(a, 0.0, None))
-        k0 = (va * root) @ dagger(va)
+        k0 = (va * root[:, None, :]) @ dagger(va)
         dk0 = None
         if with_derivative:
-            denom = root[:, None] + root[None, :]
-            if np.any(denom <= 0.0):
-                raise TPCPViolation("completion argument is singular; its square root has no derivative")
+            denom = root[:, :, None] + root[:, None, :]
+            singular = (denom <= 0.0).any(axis=(1, 2))
+            if singular.any():
+                raise TPCPViolation(
+                    "completion argument is singular; its square root has no derivative" + _at_row(singular)
+                )
             dk0 = [-(va @ ((dagger(va) @ s @ va) / denom) @ dagger(va)) for s in self._sums]
         if self.generators is not None:
-            htot = sum(e * g for e, g in zip(eps, self.generators))
+            htot = sum(eps[:, mu, None, None] * g for mu, g in enumerate(self.generators))
             h, vh = eigensolve(htot)
-            unitary = (vh * np.exp(-1j * h)) @ dagger(vh)
+            unitary = (vh * np.exp(-1j * h)[:, None, :]) @ dagger(vh)
             if with_derivative:
                 # divided differences of exp(-i h): -i exp(-i (h_i + h_j)/2) sinc((h_i - h_j)/2)
-                kernel = -1j * np.exp(-0.5j * (h[:, None] + h[None, :])) * np.sinc((h[:, None] - h[None, :]) / (2 * np.pi))
+                hi, hj = h[:, :, None], h[:, None, :]
+                kernel = -1j * np.exp(-0.5j * (hi + hj)) * np.sinc((hi - hj) / (2 * np.pi))
                 dk0 = [
                     vh @ ((dagger(vh) @ g @ vh) * kernel) @ dagger(vh) @ k0 + unitary @ d
                     for g, d in zip(self.generators, dk0)
                 ]
             k0 = unitary @ k0
-        return [k0], None if dk0 is None else [dk0]
+        return [k0], None if dk0 is None else [np.stack(dk0, axis=1)]
 
     def _check_state(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -234,64 +271,74 @@ class LowNoiseChannel:
         return rho
 
     def apply(self, rho: np.ndarray, eps, kraus=None) -> np.ndarray:
-        """Output state of the channel at noise vector eps.
+        """Output state of the channel at noise vector eps, or at each row of a (B, D) stack.
 
-        kraus is the identity-family Kraus operators at eps when the caller
-        has built them already (``evaluate`` passes its own); they are
-        built here otherwise.
+        kraus is the identity-family Kraus operators that ``_identity_kraus``
+        built for the (B, D) stack eps, which the caller has validated
+        (``evaluate`` passes its own); the output then has shape (B, N, N).
+        Without kraus, eps is validated and the operators are built here.
         """
-        eps = _validate_eps(eps, self.num_params)
-        rho = self._check_state(rho)
+        single = False
         if kraus is None:
+            eps, single = _validate_eps(eps, self.num_params)
             kraus = self._identity_kraus(eps)[0]
-        out = np.zeros_like(rho)
+        rho = self._check_state(rho)
+        out = np.zeros((eps.shape[0],) + rho.shape, dtype=complex)
         for b in kraus:
             out = out + b @ rho @ dagger(b)
         for t in self.jump_terms:
-            out = out + eps[t.param] * (t.base @ rho @ dagger(t.base))
-        tr = np.trace(out)
-        if abs(tr - np.trace(rho)) > TRACE_TOL:
-            raise TPCPViolation(f"output trace deviates by {abs(tr - np.trace(rho)):g}; eps outside validity region")
-        return out
+            out = out + eps[:, t.param, None, None] * (t.base @ rho @ dagger(t.base))
+        drift = np.abs(np.trace(out, axis1=1, axis2=2) - np.trace(rho))
+        off = drift > TRACE_TOL
+        if off.any():
+            raise TPCPViolation(
+                f"output trace deviates by {drift[np.argmax(off)]:g}; eps outside validity region" + _at_row(off)
+            )
+        return out[0] if single else out
 
-    def tpcp_residual(self, eps, kraus=None) -> float:
+    def tpcp_residual(self, eps, kraus=None) -> float | np.ndarray:
         """Frobenius deviation of the Kraus completeness sum from the identity.
 
-        kraus is as for ``apply``.
+        A float at one noise vector, one per row of a (B, D) stack; kraus
+        is as for ``apply``, and with it the result is the (B,) array.
         """
-        eps = _validate_eps(eps, self.num_params)
+        single = False
         if kraus is None:
+            eps, single = _validate_eps(eps, self.num_params)
             kraus = self._identity_kraus(eps)[0]
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        acc = np.zeros((eps.shape[0], self.dim, self.dim), dtype=complex)
         for b in kraus:
             acc = acc + dagger(b) @ b
         for t in self.jump_terms:
-            acc = acc + eps[t.param] * (dagger(t.base) @ t.base)
-        return frobenius(acc - np.eye(self.dim))
+            acc = acc + eps[:, t.param, None, None] * (dagger(t.base) @ t.base)
+        residuals = np.array([frobenius(r) for r in acc - np.eye(self.dim)])
+        return float(residuals[0]) if single else residuals
 
     def evaluate(self, rho: np.ndarray, eps) -> ChannelEvaluation:
         """Output state, exact d channel[rho] / d eps_mu and completeness residual at eps.
 
-        One Kraus evaluation serves all three: ``apply`` and
+        eps is one noise vector (D,) or a stack (B, D); see
+        ``ChannelEvaluation`` for the shapes.  One Kraus evaluation serves
+        all three: eps is validated once, and ``apply`` and
         ``tpcp_residual`` get the operators built here.
         """
-        eps = _validate_eps(eps, self.num_params)
+        eps, single = _validate_eps(eps, self.num_params)
         rho = self._check_state(rho)
         ops, dops = self._identity_kraus(eps, with_derivative=True)
         output = self.apply(rho, eps, kraus=ops)
-        derivatives = []
+        derivatives = np.empty((eps.shape[0], self.num_params) + rho.shape, dtype=complex)
         for mu in range(self.num_params):
-            acc = np.zeros_like(rho)
+            acc = np.zeros_like(output)
             for k, dk in zip(ops, dops):
-                acc = acc + dk[mu] @ rho @ dagger(k) + k @ rho @ dagger(dk[mu])
+                d = dk[..., mu, :, :]
+                acc = acc + d @ rho @ dagger(k) + k @ rho @ dagger(d)
             for m in self.jumps_for(mu):
                 acc = acc + m @ rho @ dagger(m)
-            derivatives.append(acc)
-        return ChannelEvaluation(
-            output=output,
-            derivatives=tuple(derivatives),
-            tpcp_residual=self.tpcp_residual(eps, kraus=ops),
-        )
+            derivatives[:, mu] = acc
+        residuals = self.tpcp_residual(eps, kraus=ops)
+        if single:
+            return ChannelEvaluation(output[0], derivatives[0], float(residuals[0]))
+        return ChannelEvaluation(output, derivatives, residuals)
 
     # -- derivatives at zero --------------------------------------------------
 
@@ -340,7 +387,7 @@ class LowNoiseChannel:
         stencil at the eps_mu = 0 boundary (the noise parameters cannot go
         negative) and a central stencil inside.
         """
-        eps0 = _validate_eps(eps0, self.num_params)
+        eps0 = _validate_eps(eps0, self.num_params)[0][0]
         if h <= 0:
             raise StepTooLarge("step must be positive")
         e = np.zeros_like(eps0)

@@ -11,6 +11,9 @@ diagonalize the restriction of d_mu M in each parameter direction, taken
 in parameter order; this is exact first-order degenerate perturbation
 theory whenever the restricted derivatives commute, and a documented
 deterministic choice otherwise.
+
+A stack of matrices is diagonalised by one stacked eigensolve; clusters
+are then refined matrix by matrix.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _eigh_desc(m: np.ndarray):
     w, v = eigensolve(_sym(m))
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def _clusters(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -62,14 +65,24 @@ def eigencurve_derivatives(
     """Eigenvalues (descending), adapted eigenvectors, and per-parameter derivatives.
 
     derivatives[mu] is d matrix / d eps_mu.  Returns (values, vectors,
-    derivs) with derivs[mu, n] = <n|d_mu matrix|n> of shape (D, N).
+    derivs) with derivs[mu, n] = <n|d_mu matrix|n> of shape (D, N).  For a
+    stack of B matrices (B, N, N) with derivatives (B, D, N, N) every
+    result carries a leading B axis.
     """
-    values, vectors = _eigh_desc(np.asarray(matrix))
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    tol = cluster_rtol * scale
-    perts = [_sym(np.asarray(d)) for d in derivatives]
-    for cluster in _clusters(values, tol):
-        if len(cluster) > 1:
-            _refine_cluster(vectors, cluster, perts, 0, tol)
-    derivs = np.real(np.einsum("in,mij,jn->mn", vectors.conj(), np.asarray(perts), vectors))
+    matrix = np.asarray(matrix)
+    perts = _sym(np.asarray(derivatives))
+    single = matrix.ndim == 2
+    if single:
+        matrix, perts = matrix[None], perts[None]
+    values, vectors = _eigh_desc(matrix)
+    derivs = np.empty(perts.shape[:2] + values.shape[1:])
+    for b in range(values.shape[0]):
+        scale = max(1.0, float(np.max(np.abs(values[b]))) if values.shape[1] else 1.0)
+        tol = cluster_rtol * scale
+        for cluster in _clusters(values[b], tol):
+            if len(cluster) > 1:
+                _refine_cluster(vectors[b], cluster, perts[b], 0, tol)
+        derivs[b] = np.real(np.einsum("in,mij,jn->mn", vectors[b].conj(), perts[b], vectors[b]))
+    if single:
+        return values[0], vectors[0], derivs[0]
     return values, vectors, derivs

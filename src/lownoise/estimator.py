@@ -214,14 +214,23 @@ def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
     return mse.entries - jinv.inverse
 
 
-def cr_direction_margin(gap: np.ndarray, num_directions: int, seed: int) -> float:
-    """min over random unit directions u of u (V - J^-1) u."""
+def cr_directions(num_directions: int, num_params: int, seed: int) -> np.ndarray:
+    """num_directions random unit vectors of length num_params, one per row.
+
+    One block drawn from the Philox stream keyed by (seed, 0x6372); row i
+    holds the i-th of num_directions consecutive draws of num_params normals.
+    """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x6372]))
-    num_params = gap.shape[0]
-    worst = np.inf
-    for _ in range(num_directions):
-        u = rng.normal(size=num_params)
+    directions = rng.normal(size=(num_directions, num_params))
+    for u in directions:
         u /= np.linalg.norm(u)
+    return directions
+
+
+def cr_direction_margin(gap: np.ndarray, directions: np.ndarray) -> float:
+    """min over the unit rows u of directions of u (V - J^-1) u."""
+    worst = np.inf
+    for u in directions:
         worst = min(worst, float(u @ gap @ u))
     return worst
 

@@ -15,7 +15,8 @@ HERMITIAN_RTOL = 1e-12
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:

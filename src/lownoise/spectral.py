@@ -37,7 +37,7 @@ class OutputSpectrum:
     basis: np.ndarray  # unitary, columns are eigenvectors
     input_state: np.ndarray
     output: np.ndarray
-    derivatives: tuple[np.ndarray, ...]
+    derivatives: np.ndarray  # (D, N, N)
     tpcp_residual: float
 
     @property
@@ -155,18 +155,6 @@ def deviation_eigenvalues(dm: DeviationMatrix) -> np.ndarray:
     return eigensolve(dm.entries, vectors=False)[::-1].copy()
 
 
-@dataclass(frozen=True)
-class SpectralShifts:
-    """Shift values at one eps with order classification from a scale sweep."""
-
-    values: np.ndarray
-    labels: tuple[str, ...]  # "order-1" | "higher-or-zero"
-    fits: tuple[PowerFit | None, ...]
-
-    def order_one_indices(self) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab == "order-1"]
-
-
 def classify_shift_curves(scales, curve_rows, band=ORDER_ONE_BAND) -> tuple[tuple[str, ...], tuple[PowerFit | None, ...]]:
     """Label each shift curve order-1 or higher-or-zero by its log-log slope.
 
@@ -190,31 +178,6 @@ def classify_shift_curves(scales, curve_rows, band=ORDER_ONE_BAND) -> tuple[tupl
         else:
             labels.append("higher-or-zero")
     return tuple(labels), tuple(fits)
-
-
-def delta_shift_classification(
-    ch: LowNoiseChannel,
-    phi: np.ndarray,
-    direction: np.ndarray,
-    scales,
-    variant: str = "full",
-    frame: np.ndarray | None = None,
-) -> SpectralShifts:
-    """Deviation-matrix shifts at the largest scale, classified over the sweep."""
-    direction = np.asarray(direction, dtype=float)
-    rho_in = pure_state_density(phi)
-    rows = []
-    for s in scales:
-        eps = s * direction
-        if variant == "full":
-            dm = output_deviation_matrix(ch.apply(rho_in, eps), phi, frame)
-        elif variant == "leading":
-            dm = deviation_matrix(ch, phi, eps, frame)
-        else:
-            raise ConfigInvalid(f"unknown deviation-matrix variant {variant!r}")
-        rows.append(deviation_eigenvalues(dm))
-    labels, fits = classify_shift_curves(scales, rows)
-    return SpectralShifts(values=np.asarray(rows[-1]), labels=labels, fits=fits)
 
 
 @dataclass(frozen=True)
@@ -286,30 +249,11 @@ def output_spectrum_with_gradients(
 ) -> tuple[OutputSpectrum, np.ndarray]:
     """Output spectrum plus per-parameter eigenvalue derivatives at one point.
 
-    One ``ch.evaluate`` gives the output state, its exact derivatives and
-    the completeness residual; the spectrum carries them for downstream
-    consumers.  Eigenvalues are sorted descending.  The eigenvalue
-    derivatives are Hellmann-Feynman diagonals of the state derivative.
-    The returned spectrum's basis is the cluster-refined eigenbasis, so
-    degenerate eigenvectors pair correctly with their shift derivatives;
-    downstream estimator construction relies on this.  Eigenvector phases
-    are fixed so <phi|n> is real and non-negative whenever it is nonzero.
+    The one-point case of ``output_shift_curves``, with the same
+    conventions; returns (spectrum, derivs) with derivs of shape (D, N).
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    eps = np.asarray(eps, dtype=float)
-    ev = ch.evaluate(pure_state_density(phi), eps)
-    values, vectors, derivs = curves.eigencurve_derivatives(ev.output, ev.derivatives)
-    vectors = _fix_phases(vectors, phi)
-    spec = OutputSpectrum(
-        eps=eps,
-        probs=values,
-        basis=vectors,
-        input_state=phi,
-        output=ev.output,
-        derivatives=ev.derivatives,
-        tpcp_residual=ev.tpcp_residual,
-    )
-    return spec, derivs
+    spectra, _, grad_rows = output_shift_curves(ch, phi, eps, [1.0])
+    return spectra[0], grad_rows[0]
 
 
 def output_shift_curves(
@@ -318,19 +262,37 @@ def output_shift_curves(
     direction: np.ndarray,
     scales,
 ):
-    """Output-spectrum shift data across a scale sweep.
+    """Output-spectrum shift data at the noise points scales[t] * direction.
 
     Returns (spectra, shift_rows, grad_rows): per scale, the OutputSpectrum,
     the N-1 shifts, and the (D, N) eigenvalue-derivative array (index 0 is
     the near-unit eigenvalue).
+
+    One stacked ``ch.evaluate`` gives every point's output state, its exact
+    derivatives and the completeness residual, and each spectrum carries
+    them for downstream consumers; one stacked eigensolve diagonalises the
+    symmetrised outputs.  Eigenvalues are sorted descending.  The
+    eigenvalue derivatives are Hellmann-Feynman diagonals of the state
+    derivative.  Each spectrum's basis is the cluster-refined eigenbasis,
+    so degenerate eigenvectors pair correctly with their shift derivatives;
+    downstream estimator construction relies on this.  Eigenvector phases
+    are fixed so <phi|n> is real and non-negative whenever it is nonzero.
+    A point outside the channel's validity region fails the whole call.
     """
-    direction = np.asarray(direction, dtype=float)
-    spectra = []
-    shift_rows = []
-    grad_rows = []
-    for s in scales:
-        spec, derivs = output_spectrum_with_gradients(ch, phi, s * direction)
-        spectra.append(spec)
-        shift_rows.append(spec.shifts())
-        grad_rows.append(derivs)
-    return spectra, shift_rows, grad_rows
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    eps = np.asarray(scales, dtype=float)[:, None] * np.asarray(direction, dtype=float).reshape(-1)
+    ev = ch.evaluate(pure_state_density(phi), eps)
+    values, vectors, grads = curves.eigencurve_derivatives(ev.output, ev.derivatives)
+    spectra = [
+        OutputSpectrum(
+            eps=eps[t],
+            probs=values[t],
+            basis=_fix_phases(vectors[t], phi),
+            input_state=phi,
+            output=ev.output[t],
+            derivatives=ev.derivatives[t],
+            tpcp_residual=float(ev.tpcp_residual[t]),
+        )
+        for t in range(eps.shape[0])
+    ]
+    return spectra, [spec.shifts() for spec in spectra], list(grads)

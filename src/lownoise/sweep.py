@@ -27,11 +27,12 @@ def _matrix(m) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, mc_seed: int) -> dict:
+def _point_record(sc: Scenario, scale: float, spec, grads, labels, directions, shots: int, mc_seed: int) -> dict:
     """All per-point quantities; raises LowNoiseError subtypes on failure.
 
     Every quantity reads the output state and its derivatives from spec;
-    the channel is not evaluated again.
+    the channel is not evaluated again.  directions are the sweep's unit
+    vectors for the Cramer-Rao direction margin.
 
     With shots > 0 the record also carries ``mc``: the point's estimator
     sampled with seed mc_seed and tested against its analytic MSE.
@@ -64,7 +65,7 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, shots: int, m
     gap_quantum = est.cr_gap(mse, jq_inv)
     gap_divergent = mse.entries - jdiv_inv.inverse if jdiv_inv is not None else None
     cr_bound = CR_TOL * max(1.0, float(np.linalg.norm(mse.entries)))
-    cr_margin = est.cr_direction_margin(gap_quantum, CR_DIRECTIONS, seed=sc.sweep.seed)
+    cr_margin = est.cr_direction_margin(gap_quantum, directions)
 
     # deviation-matrix and covariance cross checks
     dm_full = spectral.output_deviation_matrix(spec.output, spec.input_state, sc.frame)
@@ -149,20 +150,26 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     """Evaluate the full pipeline over the scenario's scale grid.
 
     Any per-point library error is recorded in that point's record and
-    fails the report; points are never silently skipped.  Shifts are
-    classified over the scales whose spectrum succeeded; if that fails,
-    every point records the classification error.
+    fails the report; points are never silently skipped.  The spectra of
+    the whole grid come from one stacked evaluation; if that fails, the
+    grid is evaluated point by point so each failure is recorded at its
+    own point.  Shifts are classified over the scales whose spectrum
+    succeeded; if that fails, every point records the classification error.
     """
     scales = list(sc.sweep.scales)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 
     spectra: dict[int, tuple] = {}  # scale index -> (spectrum, eigenvalue gradients)
     errors: dict[int, str] = {}
-    for t, scale in enumerate(scales):
-        try:
-            spectra[t] = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
-        except LowNoiseError as exc:
-            errors[t] = _error(exc)
+    try:
+        specs, _, grad_rows = spectral.output_shift_curves(sc.channel, sc.input_state, direction, scales)
+        spectra = dict(enumerate(zip(specs, grad_rows)))
+    except LowNoiseError:
+        for t, scale in enumerate(scales):
+            try:
+                spectra[t] = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
+            except LowNoiseError as exc:
+                errors[t] = _error(exc)
     labels: tuple[str, ...] = ()
     if spectra:
         try:
@@ -172,6 +179,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         except LowNoiseError as exc:
             errors = {t: errors.get(t, _error(exc)) for t in range(len(scales))}
 
+    directions = est.cr_directions(CR_DIRECTIONS, sc.channel.num_params, sc.sweep.seed)
     points = []
     for t, scale in enumerate(scales):
         if t in errors:
@@ -179,7 +187,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             continue
         spec, grads = spectra[t]
         try:
-            rec = _point_record(sc, scale, spec, grads, labels, shots, sc.sweep.seed * 1009 + t)
+            rec = _point_record(sc, scale, spec, grads, labels, directions, shots, sc.sweep.seed * 1009 + t)
         except LowNoiseError as exc:
             rec = {"scale": float(scale), "error": _error(exc)}
         points.append(rec)

@@ -58,11 +58,10 @@ def check_ancilla_bell() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_ancilla_bell()
-    direction = np.asarray(sc.sweep.direction)
+    spectra, _, _ = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     jinv_gap = []
-    for s in sc.sweep.scales:
-        eps = s * direction
-        spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+    for s, spec in zip(sc.sweep.scales, spectra):
+        eps = spec.eps
         dm = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
         printed = sc.closed_forms["deviation_printed"](eps)
         if np.max(np.abs(dm.entries - printed)) > 1e-14:
@@ -92,11 +91,10 @@ def check_pauli() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_pauli2()
-    direction = np.asarray(sc.sweep.direction)
+    spectra, _, _ = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     jinvs = []
-    for s in sc.sweep.scales:
-        eps = s * direction
-        spec, _ = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+    for s, spec in zip(sc.sweep.scales, spectra):
+        eps = spec.eps
         jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
         closed = sc.closed_forms["fisher"](eps)
         tol = 1e-8 * np.maximum(1.0, np.abs(closed))
@@ -239,14 +237,12 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         rho_in = pure_state_density(phi)
         direction = np.full(num_params, 1.0 / num_params)
         d0 = [ch.derivative_at_zero(mu, rho_in) for mu in range(num_params)]
+        # one stacked channel evaluation for the whole grid: each spectrum
+        # carries its output state, derivatives and completeness residual
+        specs, shift_rows, grad_rows = spectral.output_shift_curves(ch, phi, direction, scales)
         first_order = []
-        specs = []
-        grad_rows = []
-        for s in scales:
-            eps = s * direction
-            # one channel evaluation per scale: the spectrum carries the
-            # output state, its derivatives and the completeness residual
-            spec, grads = spectral.output_spectrum_with_gradients(ch, phi, eps)
+        for s, spec in zip(scales, specs):
+            eps = spec.eps
             if spec.tpcp_residual > 1e-10:
                 failures.append(f"seed {seed}: trace-preservation residual at scale {s:g}")
             # probs diagonalize the symmetrized output state
@@ -256,12 +252,10 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
             for mu in range(num_params):
                 rem = rem - eps[mu] * d0[mu]
             first_order.append(np.linalg.norm(rem))
-            specs.append(spec)
-            grad_rows.append(grads)
         fit = power_order_fit(list(zip(scales, first_order)))
         if not 1.85 <= fit.slope <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {fit.slope:.3f}")
-        labels, _ = spectral.classify_shift_curves(scales, [sp.shifts() for sp in specs])
+        labels, _ = spectral.classify_shift_curves(scales, shift_rows)
         included = [i for i, lab in enumerate(labels) if lab == "order-1"]
         cvd = []
         for spec, grads in zip(specs, grad_rows):

@@ -211,6 +211,65 @@ class TestEvaluate:
             pauli.channel.evaluate(np.eye(3, dtype=complex) / 3, np.array([1e-3, 1e-3]))
 
 
+STACK_CASES = [
+    (
+        f"random-{n}-{'hamiltonian' if gens else 'plain'}",
+        lambda n=n, gens=gens: random_channel(n, 2, [1, 2], seed=20 + n, with_hamiltonian=gens),
+    )
+    for n in range(2, 9)
+    for gens in (False, True)
+] + [c for c in EVALUATE_CASES if c[0] in ("explicit", "ancilla")]
+
+
+class TestStackedEvaluate:
+    """A (B, D) stack of noise points against B single-point calls."""
+
+    @pytest.mark.parametrize("name,build", STACK_CASES, ids=[c[0] for c in STACK_CASES])
+    def test_rows_match_single_points(self, name, build):
+        ch = build()
+        rho = pure_state_density(random_input_state(ch.dim, 5))
+        direction = np.linspace(1.0, 2.0, ch.num_params) / ch.num_params
+        # the explicit channel is trace-preserving to second order only
+        top = 1e-4 if ch.builder == "explicit" else 1e-2
+        eps = np.vstack([np.zeros(ch.num_params), np.geomspace(top * 1e-3, top, 6)[:, None] * direction])
+        stacked = ch.evaluate(rho, eps)
+        assert stacked.output.shape == (len(eps), ch.dim, ch.dim)
+        assert stacked.derivatives.shape == (len(eps), ch.num_params, ch.dim, ch.dim)
+        assert stacked.tpcp_residual.shape == (len(eps),)
+        outputs = ch.apply(rho, eps)
+        residuals = ch.tpcp_residual(eps)
+        for b, row in enumerate(eps):
+            single = ch.evaluate(rho, row)
+            assert np.array_equal(stacked.output[b], single.output)
+            assert np.array_equal(stacked.derivatives[b], single.derivatives)
+            assert stacked.tpcp_residual[b] == single.tpcp_residual
+            assert np.array_equal(outputs[b], single.output)
+            assert residuals[b] == single.tpcp_residual
+
+    def test_wrong_column_count(self, pauli):
+        rho = pure_state_density(pauli.input_state)
+        with pytest.raises(DimensionMismatch, match="expected 2 noise parameters, got 3"):
+            pauli.channel.evaluate(rho, np.full((4, 3), 1e-3))
+        with pytest.raises(DimensionMismatch):
+            pauli.channel.evaluate(rho, np.full((2, 4, 2), 1e-3))
+
+    @pytest.mark.parametrize("bad,message", [(-1e-3, "non-negative"), (np.nan, "finite"), (np.inf, "finite")])
+    def test_bad_row_named(self, pauli, bad, message):
+        rho = pure_state_density(pauli.input_state)
+        eps = np.full((4, 2), 1e-3)
+        eps[2, 1] = bad
+        with pytest.raises(ConfigInvalid, match=rf"{message} \(row 2\)"):
+            pauli.channel.evaluate(rho, eps)
+        with pytest.raises(ConfigInvalid, match=rf"{message}$"):
+            pauli.channel.evaluate(rho, eps[2])
+
+    def test_row_outside_validity_named(self):
+        ch = sqrt_completion_channel([[LOWER]])
+        rho = pure_state_density(np.array([0.0, 1.0], dtype=complex))
+        with pytest.raises(TPCPViolation, match=r"\(row 1\)"):
+            ch.evaluate(rho, np.array([[1e-3], [1.5], [2.5]]))
+
+
 def test_nearly_normalized_vector_rejected():
     # within np.isclose's default rtol of 1, but the state's trace is 1 + 1e-5
     v = np.array([1.0 + 5e-6, 0.0], dtype=complex)

@@ -11,6 +11,7 @@ from lownoise.estimator import (
     build_povm,
     build_score_operators,
     cr_direction_margin,
+    cr_directions,
     cr_gap,
     outcome_probabilities,
     raise_index,
@@ -306,11 +307,19 @@ class TestCRGap:
         jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
         gap = cr_gap(mse, jq)
         assert np.max(np.abs(gap)) <= 1e-12
-        assert cr_direction_margin(gap, 100, seed=1) >= -1e-12
+        assert cr_direction_margin(gap, cr_directions(100, 2, seed=1)) >= -1e-12
+
+    def test_directions_match_single_draws(self):
+        directions = cr_directions(100, 3, seed=7)
+        rng = np.random.Generator(np.random.Philox(key=[7, 0x6372]))
+        for u in directions:
+            v = rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            assert np.array_equal(u, v)
 
     def test_direction_margin_detects_violation(self):
         gap = np.diag([1.0, -0.5])
-        assert cr_direction_margin(gap, 200, seed=2) < -0.3
+        assert cr_direction_margin(gap, cr_directions(200, 2, seed=2)) < -0.3
 
 
 class TestSampling:

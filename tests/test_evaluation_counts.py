@@ -1,12 +1,15 @@
-"""One Kraus evaluation per noise point.
+"""One stacked Kraus build per scale grid.
 
-The output state, its exact derivatives and the completeness residual at a
-point all come from one ``_identity_kraus`` call; every consumer downstream
-reads them from the spectrum.  Calls are counted by the phase they are made
-in: a channel's own construction check (``_validate``) and the pure-input
-dominance check are counted apart from the per-point evaluations.
+A sweep, a property-suite seed and a channel's construction check each
+build the identity-family Kraus operators once, for the whole stack of
+their noise points; every consumer downstream reads the output state, its
+exact derivatives and the completeness residual from the spectra.  Calls
+are recorded by the phase they are made in, with the number of noise
+points (rows of the eps stack) each one covers: a channel's own
+construction check (``_validate``) and the pure-input dominance check are
+recorded apart from the per-grid evaluations.
 """
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -18,23 +21,29 @@ from lownoise.sweep import run_sweep
 
 
 class KrausCounter:
-    """_identity_kraus calls, keyed by the phase they were made in."""
+    """_identity_kraus calls by phase: the eps-stack row count of each call."""
 
     def __init__(self):
-        self.counts: Counter = Counter()
+        self.rows: defaultdict = defaultdict(list)
+        self.entries: Counter = Counter()
         self.phase = "evaluations"
 
     def within(self, phase: str, fn):
-        """fn, with its _identity_kraus calls counted under phase."""
+        """fn, with its _identity_kraus calls recorded under phase."""
 
         def wrapped(*args, **kwargs):
             outer, self.phase = self.phase, phase
+            self.entries[phase] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.phase = outer
 
         return wrapped
+
+    def clear(self):
+        self.rows.clear()
+        self.entries.clear()
 
 
 @pytest.fixture
@@ -43,7 +52,7 @@ def kraus_calls(monkeypatch):
     kraus = LowNoiseChannel._identity_kraus
 
     def counting_kraus(self, eps, with_derivative=False):
-        counter.counts[counter.phase] += 1
+        counter.rows[counter.phase].append(eps.shape[0])
         return kraus(self, eps, with_derivative)
 
     monkeypatch.setattr(LowNoiseChannel, "_identity_kraus", counting_kraus)
@@ -55,10 +64,10 @@ def kraus_calls(monkeypatch):
 @pytest.mark.parametrize("shots", [0, 1000])
 def test_sweep_evaluates_the_channel_once_per_point(kraus_calls, name, shots):
     sc = build_scenario(name, seed=1)
-    kraus_calls.counts.clear()
+    kraus_calls.clear()
     report = run_sweep(sc, shots=shots)
     assert all(p["error"] is None for p in report.points)
-    assert kraus_calls.counts == {"evaluations": len(sc.sweep.scales)}
+    assert kraus_calls.rows == {"evaluations": [len(sc.sweep.scales)]}
 
 
 def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
@@ -73,14 +82,20 @@ def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
     num_seeds = 3
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    assert kraus_calls.counts["evaluations"] == num_seeds * len(DEFAULT_SCALES)
-    # the dominance check evaluates each input state once
-    assert input_states and kraus_calls.counts["dominance"] == sum(input_states)
+    assert kraus_calls.rows["evaluations"] == [len(DEFAULT_SCALES)] * num_seeds
+    # each channel's construction check probes its three scales in one call
+    assert kraus_calls.entries["validation"] >= num_seeds
+    assert kraus_calls.rows["validation"] == [3] * kraus_calls.entries["validation"]
+    # the dominance check evaluates each input state once, at one point
+    assert input_states and kraus_calls.rows["dominance"] == [1] * sum(input_states)
 
 
 def test_evaluate_makes_one_kraus_call(kraus_calls):
     sc = build_scenario("three-level")
     rho = np.outer(sc.input_state, sc.input_state.conj())
-    kraus_calls.counts.clear()
+    kraus_calls.clear()
     sc.channel.evaluate(rho, np.array([1e-3, 2e-3]))
-    assert kraus_calls.counts == {"evaluations": 1}
+    assert kraus_calls.rows == {"evaluations": [1]}
+    kraus_calls.clear()
+    sc.channel.evaluate(rho, np.outer([1.0, 2.0, 3.0, 4.0], [1e-3, 2e-3]))
+    assert kraus_calls.rows == {"evaluations": [4]}

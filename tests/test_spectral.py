@@ -14,7 +14,6 @@ from lownoise.scenarios import (
 from lownoise.spectral import (
     classify_shift_curves,
     complement_basis,
-    delta_shift_classification,
     deviation_eigenvalues,
     deviation_matrix,
     jump_covariance,
@@ -154,14 +153,12 @@ class TestDeviationMatrix:
 
 class TestShiftClassification:
     def test_bell_labels(self, bell):
-        shifts = delta_shift_classification(
-            bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES, "full", bell.frame
-        )
-        assert shifts.labels == ("order-1", "order-1", "higher-or-zero")
+        spectra, _, _ = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
+        rows = [deviation_eigenvalues(output_deviation_matrix(spec.output, bell.input_state, bell.frame)) for spec in spectra]
+        labels, _ = classify_shift_curves(SCALES, rows)
+        assert labels == ("order-1", "order-1", "higher-or-zero")
         eps = SCALES[-1] * np.asarray(bell.sweep.direction)
-        np.testing.assert_allclose(
-            np.sort(shifts.values), np.sort(bell.closed_forms["shifts"](eps)), atol=1e-14
-        )
+        np.testing.assert_allclose(np.sort(rows[-1]), np.sort(bell.closed_forms["shifts"](eps)), atol=1e-14)
 
     def test_zero_curves_all_higher(self):
         rows = np.zeros((8, 3))

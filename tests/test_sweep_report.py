@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lownoise.errors import IOFailure
+from lownoise import estimator, spectral
+from lownoise.errors import IOFailure, LowNoiseError
 from lownoise.report import (
     CSV_COLUMNS,
     emit_report,
@@ -13,7 +14,7 @@ from lownoise.report import (
     render_jsonl,
 )
 from lownoise.scenarios import scenario_ancilla_bell, scenario_pauli2, scenario_threelevel
-from lownoise.sweep import run_sweep
+from lownoise.sweep import CR_DIRECTIONS, _point_record, run_sweep
 
 FAST_SCALES = tuple(np.geomspace(1e-5, 1e-2, 5))
 
@@ -79,6 +80,34 @@ class TestRunSweep:
         assert not report.passed
         assert len(report.points) == len(FAST_SCALES)
         assert [p["error"] for p in report.points] == ["NoConvergence: Eigenvalues did not converge"] * len(FAST_SCALES)
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_points_outside_validity_recorded_alone(self, shots):
+        # the two largest scales leave the square-root completion's validity region
+        sc = scenario_threelevel(scales=FAST_SCALES + (3.0, 30.0))
+        report = run_sweep(sc, shots=shots)
+        assert not report.passed
+        # reference: the grid evaluated one point at a time
+        direction = np.asarray(sc.sweep.direction, dtype=float)
+        spectra, errors = {}, {}
+        for t, scale in enumerate(sc.sweep.scales):
+            try:
+                spectra[t] = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
+            except LowNoiseError as exc:
+                errors[t] = f"{type(exc).__name__}: {exc}"
+        assert sorted(errors) == [len(FAST_SCALES), len(FAST_SCALES) + 1]
+        labels, _ = spectral.classify_shift_curves(
+            [sc.sweep.scales[t] for t in spectra], [spec.shifts() for spec, _ in spectra.values()]
+        )
+        assert report.shift_labels == list(labels)
+        directions = estimator.cr_directions(CR_DIRECTIONS, sc.channel.num_params, sc.sweep.seed)
+        for t, (point, scale) in enumerate(zip(report.points, sc.sweep.scales)):
+            if t in errors:
+                assert point == {"scale": scale, "error": errors[t]}
+                continue
+            spec, grads = spectra[t]
+            want = _point_record(sc, scale, spec, grads, labels, directions, shots, sc.sweep.seed * 1009 + t)
+            assert json.dumps(point) == json.dumps(want)
 
     def test_monte_carlo_points(self):
         report = run_sweep(scenario_ancilla_bell(scales=FAST_SCALES), shots=2000)
