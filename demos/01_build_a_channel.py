@@ -24,6 +24,9 @@ np.set_printoptions(precision=6, suppress=True)
 # which makes the Kraus completeness sum exactly the identity.
 channel = sqrt_completion_channel([[SIGMA_X], [SIGMA_Z]])
 print("dimension:", channel.dim, " parameters:", channel.num_params)
+# The Kraus data are plain arrays: a (K, N, N) jump stack and the parameter
+# each jump belongs to; the completion needs nothing else.
+print("jump stack:", channel.jumps.shape, " parameter index:", channel.params)
 print("trace-preservation residual at eps=(0.01, 0.03):",
       channel.tpcp_residual([0.01, 0.03]))
 
@@ -49,7 +52,7 @@ print("Hamiltonian generator (should be zero):",
       np.linalg.norm(channel.hamiltonian_generator(0)))
 
 # Supplying Hermitian generators adds coherent rotation on top of the
-# dissipation, and the channel recovers them exactly from its Kraus data.
+# dissipation; the first-order Hamiltonian is then exactly the generator.
 g = np.array([[0.0, 1j], [-1j, 0.0]])
 rotated = sqrt_completion_channel([[SIGMA_X], [SIGMA_Z]], generators=[g, np.zeros((2, 2))])
 print("recovered generator error:",

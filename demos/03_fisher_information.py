@@ -14,7 +14,6 @@ from lownoise import (
     fisher_inverse,
     nondegeneracy_det,
     quantum_fisher,
-    sld_operators,
 )
 from lownoise.scenarios import scenario_ancilla_bell, scenario_pauli2
 from lownoise.spectral import output_spectrum_with_gradients
@@ -30,10 +29,6 @@ spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 # completeness residual.
 drho = spec.derivatives
 print("completeness residual:", spec.tpcp_residual)
-
-slds = sld_operators(spec.probs, spec.basis, drho)
-print("SLD vs closed form:",
-      max(np.max(np.abs(g - w)) for g, w in zip(slds.operators, sc.closed_forms["sld"](eps))))
 
 jq = quantum_fisher(spec.probs, spec.basis, drho)
 print("quantum Fisher:\n", jq.entries)

@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .channels import (
     ChannelEvaluation,
-    IdentityKrausTerm,
-    JumpKrausTerm,
     LowNoiseChannel,
     channel_from_config,
     channel_to_config,
-    explicit_channel,
     pure_state_density,
     sqrt_completion_channel,
 )
@@ -53,7 +50,6 @@ from .estimator import (
 )
 from .fisher import (
     FisherMatrix,
-    SLDSet,
     classical_fisher,
     divergent_fisher,
     fisher_inverse,
@@ -61,16 +57,8 @@ from .fisher import (
     nondegeneracy_det,
     pure_input_dominance,
     quantum_fisher,
-    sld_operators,
 )
-from .linalg import (
-    HermitianSpectrum,
-    PowerFit,
-    hermitian_eigendecompose,
-    matrix_residual_norm,
-    power_order_fit,
-    tensor_product,
-)
+from .linalg import PowerFit, power_order_fit
 from .report import Report, emit_report, parse_csv, parse_jsonl, render_csv, render_jsonl
 from .scenarios import (
     SCENARIO_BUILDERS,

@@ -2,25 +2,31 @@
 
 A channel here is a family of completely positive trace-preserving maps
 indexed by a vector of small non-negative noise strengths eps = (eps_1,
-..., eps_D).  Two Kraus families enter: identity-like terms that reduce
-to kappa * 1 at eps = 0, and jump (dissipator) terms whose contribution
-is weighted linearly by the corresponding eps component.
+..., eps_D).  Its Kraus data are plain arrays.  The jump operators form a
+(K, N, N) stack M with a (K,) parameter index: jump k enters with weight
+eps[params[k]].  The identity-like family reduces to kappa * 1 at eps = 0
+and comes in one of two kinds:
 
-A channel is plain data: explicit channels are affine in eps, and
-square-root-completion channels evaluate their single identity-family
-operator in closed form from the generators and dissipator sums.  Both
-have an exact eps-derivative; ``LowNoiseChannel.evaluate`` returns the
-output state, its derivatives and the completeness residual from one
-evaluation of the Kraus operators.  Evaluation takes one noise vector of
-shape (D,) or a stack of B of them, shape (B, D): a stack is evaluated in
-one pass, with one stacked eigensolve per Hermitian argument, and the
-results carry a leading B axis.  One noise vector is the one-row stack.
+- explicit affine data: (I,) weights kappa_i and an (I, D, N, N) linear
+  stack L, giving the operators kappa_i * 1 - sum_mu eps_mu L[i, mu];
+- otherwise the square-root completion, the single operator
+  exp(-i sum eps_mu G_mu) sqrt(1 - sum eps_mu S_mu), with S_mu the
+  dissipator sums of the jump stack and G_mu an optional (D, N, N) stack
+  of Hermitian generators (none means all zero).
+
+Both kinds have an exact eps-derivative; ``LowNoiseChannel.evaluate``
+returns the output state, its derivatives and the completeness residual
+from one evaluation of the Kraus operators.  Evaluation takes one noise
+vector of shape (D,) or a stack of B of them, shape (B, D): a stack is
+evaluated in one pass, with one stacked eigensolve per Hermitian argument,
+and the results carry a leading B axis.  One noise vector is the one-row
+stack.
 
 Channels are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,31 +56,25 @@ def pure_state_density(vec: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kraus terms
+# Kraus data
 
 
-@dataclass(frozen=True)
-class IdentityKrausTerm:
-    """Kraus operator of the affine form weight * 1 - sum_mu eps_mu linear[mu]."""
-
-    weight: complex
-    linear: tuple[np.ndarray, ...]
-
-    def evaluate(self, eps: np.ndarray) -> np.ndarray:
-        """The operator at each row of a (B, D) stack of noise points, shape (B, N, N)."""
-        dim = self.linear[0].shape[0]
-        out = self.weight * np.eye(dim, dtype=complex)
-        for mu, n_mu in enumerate(self.linear):
-            out = out - eps[:, mu, None, None] * n_mu
-        return out
+def _stack(arrays, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """arrays as one complex stack of shape (n,) + shape."""
+    try:
+        out = np.asarray(arrays, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch(f"{what} must share one shape") from exc
+    if out.size == 0:
+        out = out.reshape((0,) + shape)
+    if out.shape[1:] != shape:
+        raise DimensionMismatch(f"{what} have shape {out.shape[1:]}, expected {shape}")
+    return out
 
 
-@dataclass(frozen=True)
-class JumpKrausTerm:
-    """Kraus operator base, entering with weight eps[param]."""
-
-    param: int  # 0-based parameter index
-    base: np.ndarray
+def _summed(terms, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros plus each term in turn, in order: the reports' bits rest on this order."""
+    return reduce(np.add, terms, np.zeros(shape, dtype=complex))
 
 
 class ChannelEvaluation(NamedTuple):
@@ -126,84 +126,84 @@ def _validate_eps(eps, num_params: int) -> tuple[np.ndarray, bool]:
 class LowNoiseChannel:
     """A D-parameter dissipative low-noise channel on an N-dimensional system.
 
-    Use the module-level builders ``explicit_channel`` and
-    ``sqrt_completion_channel`` rather than the constructor.
-
-    For the ``"sqrt-completion"`` builder, ``identity_terms`` holds the
-    first-order data (weight 1, linear[mu] = S_mu / 2 + i G_mu) and the
-    identity-family Kraus operator itself is
-    exp(-i sum eps_mu G_mu) sqrt(1 - sum eps_mu S_mu), with G_mu the
-    ``generators`` (None means all zero) and S_mu the dissipator sums.
+    jumps is the (K, N, N) jump stack and params its (K,) 0-based
+    parameter index.  affine = (weights, linear), of shapes (I,) and
+    (I, D, N, N), makes the identity family explicit; without it the
+    identity family is the square-root completion, and generators is its
+    optional (D, N, N) stack of Hermitian G_mu.
+    ``sqrt_completion_channel`` builds a completion channel from
+    per-parameter lists of jump operators.
     """
 
     def __init__(
         self,
         dim: int,
         num_params: int,
-        identity_terms: Sequence[IdentityKrausTerm],
-        jump_terms: Sequence[JumpKrausTerm],
-        builder: str = "explicit",
-        generators: Sequence[np.ndarray] | None = None,
+        jumps,
+        params,
+        affine: tuple | None = None,
+        generators=None,
         validate: bool = True,
     ):
         self.dim = int(dim)
         self.num_params = int(num_params)
-        self.identity_terms = tuple(identity_terms)
-        self.jump_terms = tuple(jump_terms)
-        self.builder = builder
-        self.generators = None if generators is None else tuple(generators)
-        self._sums = tuple(self.dissipator_sum(mu) for mu in range(self.num_params))
-        self._hamiltonians: tuple[np.ndarray, ...] | None = None
+        self.jumps = _stack(jumps, (self.dim, self.dim), "jump operators")
+        self.params = np.asarray(params, dtype=int).reshape(-1)
+        if self.params.shape != self.jumps.shape[:1]:
+            raise DimensionMismatch("need one parameter index per jump operator")
+        if np.any((self.params < 0) | (self.params >= self.num_params)):
+            raise ConfigInvalid("jump parameter index out of range")
+        self.weights = self.linear = None
+        if affine is not None:
+            self.weights = np.asarray(affine[0], dtype=complex).reshape(-1)
+            self.linear = _stack(affine[1], (self.num_params, self.dim, self.dim), "linear coefficients")
+            if len(self.linear) != len(self.weights):
+                raise ConfigInvalid("each identity term needs one weight and one linear coefficient per parameter")
+        self.generators = None
+        if generators is not None:
+            if affine is not None:
+                raise ConfigInvalid("generators belong to the square-root completion, not to explicit data")
+            self.generators = _stack(generators, (self.dim, self.dim), "generators")
+            if len(self.generators) != self.num_params:
+                raise ConfigInvalid("need one Hermitian generator per parameter")
+        self._gram = dagger(self.jumps) @ self.jumps
+        # S_mu = sum of M_k^dag M_k over the jumps of parameter mu, summed in stack order
+        self._sums = np.zeros((self.num_params, self.dim, self.dim), dtype=complex)
+        for mu, gram in zip(self.params, self._gram):
+            self._sums[mu] += gram
         if validate:
             self._validate()
-
-    # -- structure helpers -------------------------------------------------
-
-    def jumps_for(self, mu: int) -> list[np.ndarray]:
-        return [t.base for t in self.jump_terms if t.param == mu]
-
-    def jump_counts(self) -> list[int]:
-        return [len(self.jumps_for(mu)) for mu in range(self.num_params)]
-
-    def total_jumps(self) -> int:
-        return len(self.jump_terms)
-
-    def dissipator_sum(self, mu: int) -> np.ndarray:
-        """sum_a M_a^dag M_a over the jump operators of parameter mu."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m in self.jumps_for(mu):
-            out = out + dagger(m) @ m
-        return out
 
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        # With affine identity terms the eps = 0 map is sum |kappa|^2 times the
-        # identity, so this weight check is the identity-limit check.
-        wsum = sum(abs(t.weight) ** 2 for t in self.identity_terms)
-        if abs(wsum - 1.0) > 1e-12:
-            raise InconsistentKrausData(f"identity-term weights give sum |kappa|^2 = {wsum!r}")
-        for t in self.identity_terms:
-            if len(t.linear) != self.num_params:
-                raise ConfigInvalid("each identity term needs one linear coefficient per parameter")
-        for t in self.jump_terms:
-            if not 0 <= t.param < self.num_params:
-                raise ConfigInvalid(f"jump term parameter index {t.param} out of range")
-            if frobenius(t.base) == 0.0:
-                raise ConfigInvalid("jump operators must be non-vanishing")
-        for mu in range(self.num_params):
-            ms = self.jumps_for(mu)
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    inner = abs(np.vdot(ms[i], ms[j]))
-                    if abs(inner - frobenius(ms[i]) * frobenius(ms[j])) < 1e-12:
-                        raise ConfigInvalid(
-                            f"jump operators {i} and {j} of parameter {mu + 1} are proportional"
-                        )
-        # first-order trace preservation, checked via the Hamiltonian split
-        self._hamiltonians = tuple(self._hamiltonian(mu) for mu in range(self.num_params))
-        nmax = max((np.linalg.norm(n, 2) for t in self.identity_terms for n in t.linear), default=0.0)
-        quad = 10.0 * (1.0 + nmax + len(self.identity_terms)) ** 2
+        if self.linear is not None:
+            # with affine identity terms the eps = 0 map is sum |kappa|^2 times the
+            # identity, so this weight check is the identity-limit check
+            wsum = float(np.sum(np.abs(self.weights) ** 2))
+            if abs(wsum - 1.0) > 1e-12:
+                raise InconsistentKrausData(f"identity-term weights give sum |kappa|^2 = {wsum!r}")
+            for mu in range(self.num_params):
+                self.hamiltonian_generator(mu)
+        norms = np.linalg.norm(self.jumps, axis=(1, 2))
+        if np.any(norms == 0.0):
+            raise ConfigInvalid("jump operators must be non-vanishing")
+        overlaps = np.abs(np.einsum("kij,lij->kl", self.jumps.conj(), self.jumps))
+        same_param = np.triu(self.params[:, None] == self.params[None, :], 1)
+        proportional = same_param & (np.abs(overlaps - np.outer(norms, norms)) < 1e-12)
+        if proportional.any():
+            k, l = np.argwhere(proportional)[0]
+            raise ConfigInvalid(
+                f"jump operators {k} and {l} of parameter {self.params[k] + 1} are proportional"
+            )
+        # First-order trace preservation at three scales.  The completion is
+        # trace-preserving to rounding; explicit data get a second-order
+        # allowance sized by the operator norms of their linear stack.
+        nmax, count = 0.0, 1
+        if self.linear is not None:
+            nmax = float(np.max(np.linalg.norm(self.linear, 2, axis=(-2, -1))))
+            count = len(self.weights)
+        quad = 10.0 * (1.0 + nmax + count) ** 2
         scales = (1e-6, 1e-4, 1e-2)
         residuals = self.tpcp_residual([[s / self.num_params] * self.num_params for s in scales])
         for s, residual in zip(scales, residuals):
@@ -215,19 +215,19 @@ class LowNoiseChannel:
     def _identity_kraus(self, eps: np.ndarray, with_derivative: bool = False):
         """Identity-family Kraus operators on a validated (B, D) stack eps.
 
-        Returns (ops, dops): ops[k] has shape (B, N, N) and
-        dops[k][..., mu, :, :] = d ops[k] / d eps_mu, shape (B, D, N, N), or
-        (D, N, N) for the affine explicit terms; dops is None unless asked
-        for.  The square-root completion makes one stacked eigensolve of
-        its B completion arguments and one of its B generator sums, and
-        differentiates sqrt and exp(-i .) by the Daleckii-Krein formula in
-        their eigenbases (Bhatia, Matrix Analysis, Thm V.3.3).
+        Returns (ops, dops): ops has shape (I, B, N, N) and
+        dops[i][..., mu, :, :] = d ops[i] / d eps_mu, shape (I, B, D, N, N),
+        or (I, D, N, N) for explicit affine data; dops is None unless asked
+        for.  The square-root completion (I = 1) makes one stacked
+        eigensolve of its B completion arguments and one of its B generator
+        sums, and differentiates sqrt and exp(-i .) by the Daleckii-Krein
+        formula in their eigenbases (Bhatia, Matrix Analysis, Thm V.3.3).
         """
-        if self.builder != "sqrt-completion":
-            ops = [t.evaluate(eps) for t in self.identity_terms]
-            if not with_derivative:
-                return ops, None
-            return ops, [-np.asarray(t.linear) for t in self.identity_terms]
+        if self.linear is not None:
+            ops = self.weights[:, None, None, None] * np.eye(self.dim, dtype=complex)
+            for mu in range(self.num_params):
+                ops = ops - eps[:, mu, None, None] * self.linear[:, None, mu]
+            return ops, -self.linear if with_derivative else None
         arg = np.eye(self.dim, dtype=complex)
         for mu in range(self.num_params):
             arg = arg - eps[:, mu, None, None] * self._sums[mu]
@@ -262,7 +262,7 @@ class LowNoiseChannel:
                     for g, d in zip(self.generators, dk0)
                 ]
             k0 = unitary @ k0
-        return [k0], None if dk0 is None else [np.stack(dk0, axis=1)]
+        return k0[None], None if dk0 is None else np.stack(dk0, axis=1)[None]
 
     def _check_state(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -283,11 +283,8 @@ class LowNoiseChannel:
             eps, single = _validate_eps(eps, self.num_params)
             kraus = self._identity_kraus(eps)[0]
         rho = self._check_state(rho)
-        out = np.zeros((eps.shape[0],) + rho.shape, dtype=complex)
-        for b in kraus:
-            out = out + b @ rho @ dagger(b)
-        for t in self.jump_terms:
-            out = out + eps[:, t.param, None, None] * (t.base @ rho @ dagger(t.base))
+        jumps = eps[:, self.params, None, None] * (self.jumps @ rho @ dagger(self.jumps))
+        out = _summed([*(kraus @ rho @ dagger(kraus)), *jumps.swapaxes(0, 1)], (eps.shape[0],) + rho.shape)
         drift = np.abs(np.trace(out, axis1=1, axis2=2) - np.trace(rho))
         off = drift > TRACE_TOL
         if off.any():
@@ -306,11 +303,8 @@ class LowNoiseChannel:
         if kraus is None:
             eps, single = _validate_eps(eps, self.num_params)
             kraus = self._identity_kraus(eps)[0]
-        acc = np.zeros((eps.shape[0], self.dim, self.dim), dtype=complex)
-        for b in kraus:
-            acc = acc + dagger(b) @ b
-        for t in self.jump_terms:
-            acc = acc + eps[:, t.param, None, None] * (dagger(t.base) @ t.base)
+        jumps = eps[:, self.params, None, None] * self._gram
+        acc = _summed([*(dagger(kraus) @ kraus), *jumps.swapaxes(0, 1)], (eps.shape[0], self.dim, self.dim))
         residuals = np.array([frobenius(r) for r in acc - np.eye(self.dim)])
         return float(residuals[0]) if single else residuals
 
@@ -326,15 +320,11 @@ class LowNoiseChannel:
         rho = self._check_state(rho)
         ops, dops = self._identity_kraus(eps, with_derivative=True)
         output = self.apply(rho, eps, kraus=ops)
-        derivatives = np.empty((eps.shape[0], self.num_params) + rho.shape, dtype=complex)
-        for mu in range(self.num_params):
-            acc = np.zeros_like(output)
-            for k, dk in zip(ops, dops):
-                d = dk[..., mu, :, :]
-                acc = acc + d @ rho @ dagger(k) + k @ rho @ dagger(d)
-            for m in self.jumps_for(mu):
-                acc = acc + m @ rho @ dagger(m)
-            derivatives[:, mu] = acc
+        derivatives = np.zeros((eps.shape[0], self.num_params) + rho.shape, dtype=complex)
+        for k, d in zip(ops, dops):
+            derivatives = derivatives + d @ rho @ dagger(k)[:, None] + k[:, None] @ rho @ dagger(d)
+        for mu, image in zip(self.params, self.jumps @ rho @ dagger(self.jumps)):
+            derivatives[:, mu] += image
         residuals = self.tpcp_residual(eps, kraus=ops)
         if single:
             return ChannelEvaluation(output[0], derivatives[0], float(residuals[0]))
@@ -342,14 +332,18 @@ class LowNoiseChannel:
 
     # -- derivatives at zero --------------------------------------------------
 
-    def _hamiltonian(self, mu: int) -> np.ndarray:
-        for t in self.identity_terms:
-            if len(t.linear) <= mu:
-                raise InconsistentKrausData("identity terms carry no linear coefficients")
-        x = np.zeros((self.dim, self.dim), dtype=complex)
-        for t in self.identity_terms:
-            x = x + np.conj(t.weight) * t.linear[mu]
-        x = x - 0.5 * self._sums[mu]
+    def hamiltonian_generator(self, mu: int) -> np.ndarray:
+        """Hermitian generator of the unitary part of the first-order motion.
+
+        For the square-root completion this is G_mu (zero without
+        generators).  For explicit data it is i (S_mu / 2 - sum_i
+        conj(kappa_i) L[i, mu]), which must be Hermitian.
+        """
+        if self.linear is None:
+            if self.generators is None:
+                return np.zeros((self.dim, self.dim), dtype=complex)
+            return self.generators[mu]
+        x = np.tensordot(np.conj(self.weights), self.linear[:, mu], axes=1) - 0.5 * self._sums[mu]
         h = -1j * x
         res = hermiticity_residual(h)
         if res > 1e-8:
@@ -357,12 +351,6 @@ class LowNoiseChannel:
                 f"effective Hamiltonian for parameter {mu + 1} has Hermiticity residual {res:g}"
             )
         return (h + dagger(h)) / 2
-
-    def hamiltonian_generator(self, mu: int) -> np.ndarray:
-        """Hermitian generator of the unitary part of the first-order motion."""
-        if self._hamiltonians is not None:
-            return self._hamiltonians[mu]
-        return self._hamiltonian(mu)
 
     def derivative_at_zero(self, mu: int, rho: np.ndarray) -> np.ndarray:
         """First derivative of the output state in eps_mu at eps = 0.
@@ -372,13 +360,10 @@ class LowNoiseChannel:
         Hermitian and traceless.
         """
         rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for m in self.jumps_for(mu):
-            md = dagger(m)
-            out = out + m @ rho @ md - 0.5 * (md @ m @ rho + rho @ md @ m)
+        ms = self.jumps[self.params == mu]
+        s = self._sums[mu]
         h = self.hamiltonian_generator(mu)
-        out = out - 1j * (h @ rho - rho @ h)
-        return out
+        return np.sum(ms @ rho @ dagger(ms), axis=0) - 0.5 * (s @ rho + rho @ s) - 1j * (h @ rho - rho @ h)
 
     def finite_difference_derivative(self, rho: np.ndarray, mu: int, eps0, h: float) -> np.ndarray:
         """Second-order finite difference of eps -> channel[rho] along parameter mu.
@@ -415,25 +400,23 @@ class LowNoiseChannel:
     def ancilla_extend(self) -> "LowNoiseChannel":
         """Extend to system + same-size ancilla, acting trivially on the ancilla."""
         eye = np.eye(self.dim, dtype=complex)
-
-        def lift(x: np.ndarray) -> np.ndarray:
-            return np.kron(x, eye)
-
         return LowNoiseChannel(
-            dim=self.dim**2,
-            num_params=self.num_params,
-            identity_terms=[
-                IdentityKrausTerm(weight=t.weight, linear=tuple(lift(n) for n in t.linear))
-                for t in self.identity_terms
-            ],
-            jump_terms=[JumpKrausTerm(param=t.param, base=lift(t.base)) for t in self.jump_terms],
-            builder=self.builder,
-            generators=None if self.generators is None else [lift(g) for g in self.generators],
+            self.dim**2,
+            self.num_params,
+            np.kron(self.jumps, eye),
+            self.params,
+            affine=None if self.linear is None else (self.weights, np.kron(self.linear, eye)),
+            generators=None if self.generators is None else np.kron(self.generators, eye),
         )
 
 
 # ---------------------------------------------------------------------------
 # builders
+
+
+def _jump_stack(per_param: Sequence[Sequence[np.ndarray]]) -> tuple[list, list[int]]:
+    """Per-parameter lists of jump operators as a jump list and its parameter index."""
+    return [m for ms in per_param for m in ms], [mu for mu, ms in enumerate(per_param) for _ in ms]
 
 
 def sqrt_completion_channel(
@@ -453,53 +436,10 @@ def sqrt_completion_channel(
     if num_params == 0 or any(len(ms) == 0 for ms in jump_operators):
         raise ConfigInvalid("need at least one jump operator per parameter")
     dim = np.asarray(jump_operators[0][0]).shape[0]
-    jumps = []
-    for mu, ms in enumerate(jump_operators):
-        for m in ms:
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (dim, dim):
-                raise DimensionMismatch("jump operators must share one square shape")
-            jumps.append(JumpKrausTerm(param=mu, base=m))
-    gens = None
+    jumps, params = _jump_stack(jump_operators)
     if generators is not None:
-        if len(generators) != num_params:
-            raise ConfigInvalid("need one Hermitian generator per parameter")
-        gens = [require_hermitian(np.asarray(g, dtype=complex), 1e-10) for g in generators]
-
-    linear = []
-    for mu in range(num_params):
-        n_mu = 0.5 * sum(dagger(t.base) @ t.base for t in jumps if t.param == mu)
-        if gens is not None:
-            n_mu = n_mu + 1j * gens[mu]
-        linear.append(n_mu)
-
-    return LowNoiseChannel(
-        dim=dim,
-        num_params=num_params,
-        identity_terms=[IdentityKrausTerm(weight=1.0 + 0j, linear=tuple(linear))],
-        jump_terms=jumps,
-        builder="sqrt-completion",
-        generators=gens,
-        validate=validate,
-    )
-
-
-def explicit_channel(
-    dim: int,
-    num_params: int,
-    identity_terms: Sequence[IdentityKrausTerm],
-    jump_terms: Sequence[JumpKrausTerm],
-    validate: bool = True,
-) -> LowNoiseChannel:
-    """Build a channel from explicitly supplied Kraus data."""
-    return LowNoiseChannel(
-        dim=dim,
-        num_params=num_params,
-        identity_terms=identity_terms,
-        jump_terms=jump_terms,
-        builder="explicit",
-        validate=validate,
-    )
+        generators = [require_hermitian(np.asarray(g, dtype=complex), 1e-10) for g in generators]
+    return LowNoiseChannel(dim, num_params, jumps, params, generators=generators, validate=validate)
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +456,25 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def channel_to_config(ch: LowNoiseChannel) -> dict:
-    """JSON-able description of a channel; both builders round-trip exactly."""
+    """JSON-able description of a channel; both kinds round-trip exactly."""
     cfg: dict = {
         "dim": ch.dim,
         "num_params": ch.num_params,
-        "builder": ch.builder,
+        "builder": "sqrt-completion" if ch.linear is None else "explicit",
         "jump_operators": [
-            {"param": t.param + 1, "matrix": matrix_to_json(t.base)} for t in ch.jump_terms
+            {"param": int(mu) + 1, "matrix": matrix_to_json(m)} for mu, m in zip(ch.params, ch.jumps)
         ],
     }
-    if ch.builder == "sqrt-completion":
+    if ch.linear is None:
         if ch.generators is not None:
             cfg["generators"] = [matrix_to_json(g) for g in ch.generators]
     else:
         cfg["identity_terms"] = [
             {
-                "weight": [float(t.weight.real), float(t.weight.imag)],
-                "linear": [matrix_to_json(n) for n in t.linear],
+                "weight": [float(w.real), float(w.imag)],
+                "linear": [matrix_to_json(n) for n in linear],
             }
-            for t in ch.identity_terms
+            for w, linear in zip(ch.weights, ch.linear)
         ]
     return cfg
 
@@ -560,12 +500,8 @@ def channel_from_config(cfg: dict) -> LowNoiseChannel:
         return sqrt_completion_channel(per_param, gens)
     if builder != "explicit":
         raise ConfigInvalid(f"unknown builder {builder!r}")
-    id_terms = []
-    for item in cfg.get("identity_terms", []):
-        w = complex(item["weight"][0], item["weight"][1])
-        linear = tuple(matrix_from_json(n) for n in item["linear"])
-        id_terms.append(IdentityKrausTerm(weight=w, linear=linear))
-    jump_terms = [
-        JumpKrausTerm(param=mu, base=m) for mu in range(num_params) for m in per_param[mu]
-    ]
-    return explicit_channel(dim, num_params, id_terms, jump_terms)
+    terms = cfg.get("identity_terms", [])
+    weights = [complex(item["weight"][0], item["weight"][1]) for item in terms]
+    linear = [[matrix_from_json(n) for n in item["linear"]] for item in terms]
+    jumps, params = _jump_stack(per_param)
+    return LowNoiseChannel(dim, num_params, jumps, params, affine=(weights, linear))

@@ -1,4 +1,4 @@
-"""Symmetric logarithmic derivatives and Fisher information matrices.
+"""Fisher information matrices of the channel output.
 
 Three Fisher matrices appear for the channel output: the quantum matrix
 built from the full state derivative, the classical matrix of the
@@ -23,40 +23,6 @@ def default_support_threshold(dim: int) -> float:
 
 
 @dataclass(frozen=True)
-class SLDSet:
-    """Symmetric logarithmic derivative operators, one per parameter."""
-
-    operators: tuple[np.ndarray, ...]
-    support_threshold: float
-    dropped_weight: float  # largest |<n|drho|m>| discarded by the support cutoff
-
-
-def sld_operators(probs: np.ndarray, basis: np.ndarray, drho, support_threshold: float | None = None) -> SLDSet:
-    """Solve d rho = (L rho + rho L)/2 for each parameter on the state's support.
-
-    Matrix elements between basis vectors n, m are 2 <n|drho|m> / (p_n + p_m);
-    elements with p_n + p_m at or below the support threshold are gauge and
-    set to zero.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if support_threshold is None:
-        support_threshold = default_support_threshold(probs.shape[0])
-    psum = probs[:, None] + probs[None, :]
-    mask = psum > support_threshold
-    weights = np.where(mask, 2.0 / np.where(mask, psum, 1.0), 0.0)
-    ops = []
-    dropped = 0.0
-    for d in drho:
-        dmat = dagger(basis) @ np.asarray(d, dtype=complex) @ basis
-        if np.any(~mask):
-            dropped = max(dropped, float(np.max(np.abs(dmat[~mask]))))
-        lmat = weights * dmat
-        lmat = (lmat + dagger(lmat)) / 2
-        ops.append(basis @ lmat @ dagger(basis))
-    return SLDSet(operators=tuple(ops), support_threshold=float(support_threshold), dropped_weight=dropped)
-
-
-@dataclass(frozen=True)
 class FisherMatrix:
     """D x D real symmetric Fisher matrix with optional inverse."""
 
@@ -70,8 +36,9 @@ def quantum_fisher(probs: np.ndarray, basis: np.ndarray, drho, support_threshold
     """Quantum Fisher matrix from the output spectrum and state derivatives.
 
     Entry (mu, nu) sums 2/(p_n + p_m) <n|d_mu rho|m><m|d_nu rho|n> over the
-    support; this equals Tr[rho (L_mu L_nu + L_nu L_mu)]/2 with the SLDs of
-    ``sld_operators``.
+    support, where p_n + p_m exceeds the support threshold; this equals
+    Tr[rho (L_mu L_nu + L_nu L_mu)]/2 with the symmetric logarithmic
+    derivatives L_mu solving d_mu rho = (L_mu rho + rho L_mu)/2 there.
     """
     probs = np.asarray(probs, dtype=float)
     if support_threshold is None:
@@ -155,21 +122,19 @@ def nondegeneracy_det(probs: np.ndarray, dprobs: np.ndarray, support_threshold: 
 def fisher_inverse(fm: FisherMatrix) -> FisherMatrix:
     """Populate the inverse via a Hermitian eigendecomposition.
 
-    Raises SingularFisher when |det| falls below 1e-14 ||J||_F^D, which
-    signals a degenerate parameterization or too many parameters for the
-    system dimension.
+    Raises SingularFisher when the smallest eigenvalue magnitude is at most
+    1e-12 times the largest, which signals a degenerate parameterization or
+    too many parameters for the system dimension.  The test does not
+    depend on the number of parameters.
     """
     entries = np.asarray(fm.entries, dtype=float)
-    num = entries.shape[0]
     w, v = eigensolve((entries + entries.T) / 2)
-    det = float(np.prod(w))
-    scale = float(np.linalg.norm(entries))
-    if abs(det) < 1e-14 * max(scale, 1e-300) ** num:
-        raise SingularFisher(f"Fisher matrix numerically singular (det={det:g})")
+    low, high = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
+    if low <= 1e-12 * high:
+        raise SingularFisher(f"Fisher matrix numerically singular (eigenvalue magnitudes {low:g} to {high:g})")
     inv = (v / w) @ v.T
     inv = (inv + inv.T) / 2
-    cond = float(np.max(np.abs(w)) / np.min(np.abs(w)))
-    return FisherMatrix(kind=fm.kind, entries=entries, inverse=inv, condition_number=cond)
+    return FisherMatrix(kind=fm.kind, entries=entries, inverse=inv, condition_number=high / low)
 
 
 def fisher_pseudo_inverse(fm: FisherMatrix, rcond: float = 1e-12) -> FisherMatrix:
@@ -206,16 +171,23 @@ def pure_input_dominance(
     if np.linalg.norm(recon - rho_mixed) > 1e-10:
         raise DimensionMismatch("decomposition does not reconstruct the mixed state")
     eps = np.asarray(eps, dtype=float)
+    u = np.asarray(u, dtype=float)
 
-    def quad(rho_in: np.ndarray) -> float:
-        ev = ch.evaluate(rho_in, eps)
-        w, v = eigensolve((ev.output + dagger(ev.output)) / 2)
-        w = w[::-1].copy()
-        v = v[:, ::-1].copy()
-        fm = quantum_fisher(w, v, ev.derivatives, support_threshold)
-        return float(np.asarray(u, float) @ fm.entries @ np.asarray(u, float))
+    def quad(output: np.ndarray, derivatives: np.ndarray) -> float:
+        w, v = eigensolve((output + dagger(output)) / 2)
+        fm = quantum_fisher(w[::-1].copy(), v[:, ::-1].copy(), derivatives, support_threshold)
+        return float(u @ fm.entries @ u)
 
-    mixed_val = quad(rho_mixed)
-    pure_vals = [quad(np.outer(np.asarray(v, complex), np.asarray(v, complex).conj())) for _, v in decomposition]
+    # the channel is linear in its input: the mixture's output and derivatives
+    # are the weighted sums of its components', so each component is evaluated once
+    evs = []
+    for _, v in decomposition:
+        v = np.asarray(v, complex)
+        evs.append(ch.evaluate(np.outer(v, v.conj()), eps))
+    pure_vals = [quad(ev.output, ev.derivatives) for ev in evs]
+    weights = [w for w, _ in decomposition]
+    mixed_val = quad(
+        sum(w * ev.output for w, ev in zip(weights, evs)), sum(w * ev.derivatives for w, ev in zip(weights, evs))
+    )
     scale = max(1.0, abs(mixed_val), max(abs(x) for x in pure_vals))
     return mixed_val <= max(pure_vals) + tol * scale

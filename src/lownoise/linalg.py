@@ -23,15 +23,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def matrix_residual_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.linalg.norm(a - b))
-
-
 def hermiticity_residual(m: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part of m."""
     m = np.asarray(m)
@@ -48,18 +39,6 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray
     return m
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
-
 def guarded(solver, *args, **kwargs):
     """solver(*args, **kwargs) for a numpy solver; its LinAlgError becomes NoConvergence."""
     try:
@@ -74,21 +53,6 @@ def eigensolve(m: np.ndarray, vectors: bool = True):
     Raises NoConvergence where numpy raises LinAlgError.
     """
     return guarded(np.linalg.eigh if vectors else np.linalg.eigvalsh, m)
-
-
-def hermitian_eigendecompose(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    Raises NonHermitian if the input fails the Hermiticity check and
-    NoConvergence if the eigensolver fails.
-    """
-    w, v = eigensolve(require_hermitian(m, rtol))
-    return HermitianSpectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with entry ((i,k),(j,l)) = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 @dataclass(frozen=True)

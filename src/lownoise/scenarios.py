@@ -21,6 +21,7 @@ from .channels import (
 )
 from .errors import ConfigInvalid
 from .linalg import dagger, eigensolve
+from .spectral import jump_covariance
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,10 +52,6 @@ class SweepConfig:
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
             raise ConfigInvalid("scales must be positive and strictly increasing")
 
-    def points(self) -> list[np.ndarray]:
-        d = np.asarray(self.direction, dtype=float)
-        return [s * d for s in self.scales]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -73,16 +70,6 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # three-level two-parameter scenario
-
-
-def _jump_covariance_elements(ms: list[np.ndarray], phi: np.ndarray) -> np.ndarray:
-    k = len(ms)
-    out = np.zeros((k, k), dtype=complex)
-    means = [np.vdot(phi, m @ phi) for m in ms]
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = np.vdot(ms[i] @ phi, ms[j] @ phi) - np.conj(means[i]) * means[j]
-    return out
 
 
 def scenario_threelevel(
@@ -114,7 +101,8 @@ def scenario_threelevel(
         else np.asarray(input_state, dtype=complex)
     )
     phi = phi / np.linalg.norm(phi)
-    dm = _jump_covariance_elements([np.asarray(m1, complex), np.asarray(m2, complex)], phi)
+    channel = sqrt_completion_channel([[m1], [m2]])
+    dm = jump_covariance(channel, phi, np.ones(2)).entries
     a, d = float(dm[0, 0].real), float(dm[1, 1].real)
     b2 = float((dm[0, 1] * dm[1, 0]).real)
     det = a * d - b2
@@ -143,7 +131,6 @@ def scenario_threelevel(
         j12 = -e1 * e2 * (b2 / det) * (e1 * a + e2 * d) / (e1 * a - e2 * d) ** 2
         return np.array([[j11, j12], [j12, j22]])
 
-    channel = sqrt_completion_channel([[m1], [m2]])
     return Scenario(
         name="three-level",
         channel=channel,

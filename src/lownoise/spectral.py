@@ -11,6 +11,7 @@ carries the same nonzero spectrum whenever K <= N-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -143,10 +144,9 @@ def deviation_matrix(
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
     frame = _complement_frame(phi, frame)
-    entries = np.zeros((frame.shape[1], frame.shape[1]), dtype=complex)
-    for t in ch.jump_terms:
-        u = dagger(frame) @ (t.base @ phi)
-        entries = entries + eps[t.param] * np.outer(u, u.conj())
+    u = (dagger(frame) @ (ch.jumps @ phi)[..., None])[..., 0]  # u[k] = frame^dag M_k phi
+    grams = eps[ch.params, None, None] * (u[:, :, None] * u[:, None, :].conj())
+    entries = reduce(np.add, grams, np.zeros((frame.shape[1], frame.shape[1]), dtype=complex))
     return DeviationMatrix(entries=(entries + dagger(entries)) / 2, variant="leading", frame=frame)
 
 
@@ -185,7 +185,7 @@ class JumpCovariance:
     """eps-weighted covariance matrix of the jump operators on the input state."""
 
     entries: np.ndarray  # K x K Hermitian PSD
-    index: tuple[tuple[int, int], ...]  # (param, within-param) per row
+    index: np.ndarray  # (K,) parameter of each row: the channel's parameter index
     eps: np.ndarray
 
 
@@ -196,23 +196,13 @@ def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> JumpCovariance
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
-    terms = ch.jump_terms
-    k = len(terms)
-    entries = np.zeros((k, k), dtype=complex)
-    means = [np.vdot(phi, t.base @ phi) for t in terms]
-    images = [t.base @ phi for t in terms]
-    for i in range(k):
-        for j in range(k):
-            cov = np.vdot(images[i], images[j]) - np.conj(means[i]) * means[j]
-            entries[i, j] = np.sqrt(eps[terms[i].param] * eps[terms[j].param]) * cov
-    entries = (entries + dagger(entries)) / 2
-    counters: dict[int, int] = {}
-    index = []
-    for t in terms:
-        a = counters.get(t.param, 0)
-        counters[t.param] = a + 1
-        index.append((t.param, a))
-    return JumpCovariance(entries=entries, index=tuple(index), eps=eps)
+    images = (ch.jumps @ phi)[..., None]  # (K, N, 1)
+    means = phi.conj() @ images  # (K, 1)
+    overlaps = (dagger(images)[:, None] @ images)[..., 0, 0]
+    cov = overlaps - means.conj() @ means.T  # conj(<M_i>) <M_j> as a rank-one matmul
+    weights = eps[ch.params]
+    entries = np.sqrt(np.outer(weights, weights)) * cov
+    return JumpCovariance(entries=(entries + dagger(entries)) / 2, index=ch.params, eps=eps)
 
 
 def reduced_shifts(lm: JumpCovariance, dim: int) -> np.ndarray:

@@ -73,7 +73,7 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, directions, s
     lead_vs_full = float(np.linalg.norm(dm_full.entries - dm_lead.entries))
     trace_power = None
     reduced_residual = None
-    if sc.channel.total_jumps() <= dim - 1:
+    if len(sc.channel.jumps) <= dim - 1:
         lm = spectral.jump_covariance(sc.channel, spec.input_state, eps)
         trace_power = spectral.trace_power_residual(dm_lead, lm, kmax=5)
         reduced = spectral.reduced_shifts(lm, dim)

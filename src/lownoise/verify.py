@@ -129,10 +129,9 @@ def _leading_inverse_fisher(ch, phi, eps: np.ndarray) -> np.ndarray:
     d_mu Lambda = Lambda o (d_i + d_j) with d_i = [p_i = mu] / (2 eps_mu).
     """
     lm = spectral.jump_covariance(ch, phi, eps)
-    params = np.array([p for p, _ in lm.index])
     derivatives = []
     for mu in range(ch.num_params):
-        d = (params == mu) / (2.0 * eps[mu])
+        d = (lm.index == mu) / (2.0 * eps[mu])
         derivatives.append(lm.entries * (d[:, None] + d[None, :]))
     values, _, derivs = curves.eigencurve_derivatives(lm.entries, derivatives)
     jdiv = fisher.divergent_fisher(values, derivs, list(range(values.shape[0])))

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from lownoise.channels import (
-    IdentityKrausTerm,
-    JumpKrausTerm,
     LowNoiseChannel,
     channel_from_config,
     channel_to_config,
@@ -17,7 +15,7 @@ from lownoise.errors import (
     StepTooLarge,
     TPCPViolation,
 )
-from lownoise.linalg import fit_or_floor
+from lownoise.linalg import dagger, fit_or_floor
 from lownoise.spectral import output_spectrum_with_gradients
 from lownoise.scenarios import (
     SIGMA_X,
@@ -88,12 +86,12 @@ class TestTPCPResidual:
 
     def test_rescaled_weight_detected(self):
         # weight 1.01 breaks sum |kappa|^2 = 1; residual at eps=0 is (1.01^2-1) sqrt(N)
-        term = IdentityKrausTerm(weight=1.01 + 0j, linear=(0.5 * np.eye(2, dtype=complex),))
-        ch = LowNoiseChannel(2, 1, [term], [JumpKrausTerm(0, SIGMA_X)], validate=False)
+        affine = ([1.01], [[0.5 * np.eye(2)]])
+        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=affine, validate=False)
         res = ch.tpcp_residual(np.zeros(1))
         assert abs(res - (1.01**2 - 1) * np.sqrt(2)) <= 1e-12
         with pytest.raises(InconsistentKrausData):
-            LowNoiseChannel(2, 1, [term], [JumpKrausTerm(0, SIGMA_X)])
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=affine)
 
 
 class TestDerivativeAtZero:
@@ -131,7 +129,7 @@ class TestDerivativeAtZero:
 def explicit_damping():
     """Amplitude damping with the affine identity term 1 - eps S/2 (TP to second order)."""
     s = LOWER.conj().T @ LOWER
-    return LowNoiseChannel(2, 1, [IdentityKrausTerm(1.0 + 0j, (0.5 * s,))], [JumpKrausTerm(0, LOWER)])
+    return LowNoiseChannel(2, 1, [LOWER], [0], affine=([1.0], [[0.5 * s]]))
 
 
 def assert_matches_central_difference(ch, rho, eps, tol=1e-7):
@@ -211,6 +209,36 @@ class TestEvaluate:
             pauli.channel.evaluate(np.eye(3, dtype=complex) / 3, np.array([1e-3, 1e-3]))
 
 
+class TestStackedJumpProducts:
+    """Each sum over the jump stack against the loop over jumps it replaced."""
+
+    @pytest.mark.parametrize("name,build", EVALUATE_CASES, ids=[c[0] for c in EVALUATE_CASES])
+    def test_sums_equal_the_loop_over_jumps(self, name, build):
+        ch = build()
+        rho = pure_state_density(random_input_state(ch.dim, 4))
+        eps = np.outer([1e-5, 1e-4], np.linspace(1.0, 2.0, ch.num_params))
+        ops, dops = ch._identity_kraus(eps, with_derivative=True)
+        out = np.zeros((2, ch.dim, ch.dim), dtype=complex)
+        completeness = out.copy()
+        for k in ops:
+            out = out + k @ rho @ dagger(k)
+            completeness = completeness + dagger(k) @ k
+        for m, mu in zip(ch.jumps, ch.params):
+            out = out + eps[:, mu, None, None] * (m @ rho @ dagger(m))
+            completeness = completeness + eps[:, mu, None, None] * (dagger(m) @ m)
+        ev = ch.evaluate(rho, eps)
+        assert np.array_equal(ev.output, out)
+        assert ev.tpcp_residual.tolist() == [np.linalg.norm(c - np.eye(ch.dim)) for c in completeness]
+        for mu in range(ch.num_params):
+            acc = np.zeros_like(out)
+            for k, dk in zip(ops, dops):
+                d = dk[..., mu, :, :]
+                acc = acc + d @ rho @ dagger(k) + k @ rho @ dagger(d)
+            for m in ch.jumps[ch.params == mu]:
+                acc = acc + m @ rho @ dagger(m)
+            assert np.array_equal(ev.derivatives[:, mu], acc)
+
+
 STACK_CASES = [
     (
         f"random-{n}-{'hamiltonian' if gens else 'plain'}",
@@ -230,7 +258,7 @@ class TestStackedEvaluate:
         rho = pure_state_density(random_input_state(ch.dim, 5))
         direction = np.linspace(1.0, 2.0, ch.num_params) / ch.num_params
         # the explicit channel is trace-preserving to second order only
-        top = 1e-4 if ch.builder == "explicit" else 1e-2
+        top = 1e-4 if ch.linear is not None else 1e-2
         eps = np.vstack([np.zeros(ch.num_params), np.geomspace(top * 1e-3, top, 6)[:, None] * direction])
         stacked = ch.evaluate(rho, eps)
         assert stacked.output.shape == (len(eps), ch.dim, ch.dim)
@@ -296,16 +324,14 @@ class TestHamiltonianGenerator:
             assert np.linalg.norm(ch.hamiltonian_generator(mu) - gs[mu]) <= 1e-10
 
     def test_inconsistent_linear_term_detected(self):
-        # perturb the linear coefficient without compensating the jump side
-        base = sqrt_completion_channel([[SIGMA_X]])
-        good = base.identity_terms[0]
-        bad = IdentityKrausTerm(
-            weight=good.weight,
-            linear=(good.linear[0] + 1e-3 * SIGMA_X,),
-        )
-        ch = LowNoiseChannel(2, 1, [bad], list(base.jump_terms), validate=False)
+        # with S = X^dag X = 1 the consistent linear coefficient is 1 / 2; perturb it
+        # without compensating the jump side
+        bad = ([1.0], [[0.5 * np.eye(2) + 1e-3 * SIGMA_X]])
+        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=bad, validate=False)
         with pytest.raises(InconsistentKrausData):
             ch.hamiltonian_generator(0)
+        with pytest.raises(InconsistentKrausData):
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=bad)
 
 
 class TestAncillaExtend:
@@ -358,8 +384,8 @@ class TestFiniteDifference:
         assert err_h / err_h2 >= 3.0
 
     def test_constant_map_gives_zero(self):
-        term = IdentityKrausTerm(weight=1.0 + 0j, linear=(np.zeros((2, 2), complex),))
-        ch = LowNoiseChannel(2, 1, [term], [], validate=False)  # oracle fixture only
+        affine = ([1.0], [[np.zeros((2, 2))]])
+        ch = LowNoiseChannel(2, 1, [], [], affine=affine, validate=False)  # oracle fixture only
         rho = pure_state_density(np.array([1.0, 0.0], dtype=complex))
         fd = ch.finite_difference_derivative(rho, 0, np.zeros(1), h=1e-4)
         np.testing.assert_allclose(fd, np.zeros((2, 2)), atol=1e-12)
@@ -411,6 +437,56 @@ def test_positivity_and_trace_over_grid(threelevel):
         assert np.min(np.linalg.eigvalsh((out + out.conj().T) / 2)) >= -1e-10
 
 
+class TestJumpStack:
+    """The Kraus data are a jump stack with a parameter index plus one identity kind."""
+
+    def test_builder_stacks_jumps_in_parameter_order(self):
+        ch = sqrt_completion_channel([[SIGMA_X], [SIGMA_Z, LOWER]])
+        assert ch.jumps.shape == (3, 2, 2)
+        assert np.array_equal(ch.jumps, np.stack([SIGMA_X, SIGMA_Z, LOWER]))
+        assert ch.params.tolist() == [0, 1, 1]
+        assert ch.weights is None and ch.linear is None and ch.generators is None
+
+    def test_completion_hamiltonian_is_its_generator(self):
+        g = np.array([[0.0, 1j], [-1j, 0.0]])
+        ch = sqrt_completion_channel([[SIGMA_X], [SIGMA_Z]], generators=[g, np.zeros((2, 2))])
+        assert np.array_equal(ch.hamiltonian_generator(0), g)
+        assert np.array_equal(ch.hamiltonian_generator(1), np.zeros((2, 2)))
+
+    def test_ancilla_extend_lifts_every_stack(self):
+        ch = random_channel(2, 2, [1, 2], seed=3, with_hamiltonian=True)
+        ext = ch.ancilla_extend()
+        assert np.array_equal(ext.params, ch.params)
+        for small, big in ((ch.jumps, ext.jumps), (ch.generators, ext.generators)):
+            assert np.array_equal(big, np.stack([np.kron(m, np.eye(2)) for m in small]))
+        explicit = explicit_damping().ancilla_extend()
+        assert explicit.weights.tolist() == [1.0]
+        assert np.array_equal(explicit.linear[0, 0], np.kron(0.5 * LOWER.conj().T @ LOWER, np.eye(2)))
+
+    @pytest.mark.parametrize(
+        "jumps,params,error",
+        [
+            ([SIGMA_X], [0, 0], DimensionMismatch),  # one index per jump
+            ([SIGMA_X], [1], ConfigInvalid),  # index out of range
+            ([np.eye(3)], [0], DimensionMismatch),  # wrong matrix shape
+            ([SIGMA_X, np.eye(3)], [0, 0], DimensionMismatch),  # ragged stack
+        ],
+    )
+    def test_constructor_checks_the_stack(self, jumps, params, error):
+        with pytest.raises(error):
+            LowNoiseChannel(2, 1, jumps, params)
+
+    def test_constructor_checks_identity_data(self):
+        with pytest.raises(ConfigInvalid):
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0, 0.0], [[0.5 * np.eye(2)]]))
+        with pytest.raises(DimensionMismatch):
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)] * 2]))
+        with pytest.raises(ConfigInvalid):
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], generators=[SIGMA_Z, SIGMA_Z])
+        with pytest.raises(ConfigInvalid):
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]), generators=[SIGMA_Z])
+
+
 class TestConfigRoundTrip:
     def test_sqrt_completion_exact(self):
         ch = random_channel(3, 2, [1, 1], seed=77, with_hamiltonian=True)
@@ -422,8 +498,7 @@ class TestConfigRoundTrip:
         np.testing.assert_allclose(ch.apply(rho, eps), ch2.apply(rho, eps), atol=1e-15)
 
     def test_explicit_round_trips_coefficients(self):
-        term = IdentityKrausTerm(weight=1.0 + 0j, linear=(0.5 * np.eye(2, dtype=complex),))
-        ch = LowNoiseChannel(2, 1, [term], [JumpKrausTerm(0, SIGMA_X)], validate=False)
+        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]), validate=False)
         cfg = channel_to_config(ch)
         ch2 = channel_from_config(cfg)
         assert channel_to_config(ch2) == cfg

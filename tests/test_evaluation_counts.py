@@ -75,7 +75,7 @@ def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
     dominance = kraus_calls.within("dominance", fisher.pure_input_dominance)
 
     def counted_dominance(ch, rho_mixed, decomposition, *args, **kwargs):
-        input_states.append(1 + len(decomposition))  # the mixture and its components
+        input_states.append(len(decomposition))  # the pure components; the mixture is their weighted sum
         return dominance(ch, rho_mixed, decomposition, *args, **kwargs)
 
     monkeypatch.setattr(fisher, "pure_input_dominance", counted_dominance)
@@ -86,7 +86,7 @@ def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
     # each channel's construction check probes its three scales in one call
     assert kraus_calls.entries["validation"] >= num_seeds
     assert kraus_calls.rows["validation"] == [3] * kraus_calls.entries["validation"]
-    # the dominance check evaluates each input state once, at one point
+    # the dominance check evaluates each pure component once, at one point
     assert input_states and kraus_calls.rows["dominance"] == [1] * sum(input_states)
 
 

@@ -1,17 +1,20 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from lownoise.channels import pure_state_density
 from lownoise.errors import EmptySum, NoConvergence, SingularFisher
 from lownoise.fisher import (
+    FisherMatrix,
     classical_fisher,
+    default_support_threshold,
     divergent_fisher,
     fisher_inverse,
     fisher_pseudo_inverse,
     nondegeneracy_det,
     pure_input_dominance,
     quantum_fisher,
-    sld_operators,
     sqrt_prob_gram,
 )
 from lownoise.linalg import dagger, fit_or_floor, power_order_fit
@@ -24,6 +27,41 @@ from lownoise.scenarios import (
 from lownoise.spectral import output_spectrum_with_gradients
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
+
+
+@dataclass(frozen=True)
+class SLDSet:
+    """Symmetric logarithmic derivative operators, one per parameter."""
+
+    operators: tuple[np.ndarray, ...]
+    support_threshold: float
+    dropped_weight: float  # largest |<n|drho|m>| discarded by the support cutoff
+
+
+def sld_operators(probs, basis, drho, support_threshold=None) -> SLDSet:
+    """Solve d rho = (L rho + rho L)/2 for each parameter on the state's support.
+
+    The reference that ``quantum_fisher`` is checked against.  Matrix
+    elements between basis vectors n, m are 2 <n|drho|m> / (p_n + p_m);
+    elements with p_n + p_m at or below the support threshold are gauge and
+    set to zero.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if support_threshold is None:
+        support_threshold = default_support_threshold(probs.shape[0])
+    psum = probs[:, None] + probs[None, :]
+    mask = psum > support_threshold
+    weights = np.where(mask, 2.0 / np.where(mask, psum, 1.0), 0.0)
+    ops = []
+    dropped = 0.0
+    for d in drho:
+        dmat = dagger(basis) @ np.asarray(d, dtype=complex) @ basis
+        if np.any(~mask):
+            dropped = max(dropped, float(np.max(np.abs(dmat[~mask]))))
+        lmat = weights * dmat
+        lmat = (lmat + dagger(lmat)) / 2
+        ops.append(basis @ lmat @ dagger(basis))
+    return SLDSet(operators=tuple(ops), support_threshold=float(support_threshold), dropped_weight=dropped)
 
 
 def sld_fisher_cross_check(probs, basis, slds):
@@ -277,8 +315,28 @@ class TestFisherInverse:
         fm = divergent_fisher(np.array([1e-3]), np.array([[1.0], [2.0]]), [0])
         with pytest.raises(SingularFisher):
             fisher_inverse(fm)
+        with pytest.raises(SingularFisher):
+            fisher_inverse(FisherMatrix(kind="quantum", entries=np.zeros((3, 3))))
         pinv = fisher_pseudo_inverse(fm)
         assert np.linalg.norm(pinv.inverse @ fm.entries @ pinv.inverse - pinv.inverse) <= 1e-10
+
+
+    @pytest.mark.parametrize("num", [2, 8])
+    def test_well_conditioned_accepted_at_any_dimension(self, num):
+        # condition number 2e5: far from singular, whatever the number of parameters
+        entries = np.diag(np.geomspace(1.0, 5e-6, num))
+        fm = fisher_inverse(FisherMatrix(kind="divergent", entries=entries))
+        np.testing.assert_allclose(fm.inverse, np.diag(1.0 / np.diag(entries)), rtol=1e-12)
+        assert fm.condition_number == pytest.approx(2e5)
+
+    def test_singularity_threshold_is_relative(self):
+        for ratio, singular in ((1e-11, False), (1e-12, True), (1e-13, True)):
+            fm = FisherMatrix(kind="divergent", entries=1e-20 * np.diag([1.0, ratio]))
+            if singular:
+                with pytest.raises(SingularFisher):
+                    fisher_inverse(fm)
+            else:
+                assert fisher_inverse(fm).condition_number == pytest.approx(1.0 / ratio)
 
 
 class TestPureInputDominance:
@@ -297,3 +355,17 @@ class TestPureInputDominance:
         ]
         for u in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
             assert pure_input_dominance(pauli.channel, rho, decomposition, u, np.array([3e-3, 2e-3]))
+
+    def test_mixture_is_the_weighted_sum_of_its_components(self):
+        # the premise that lets the check evaluate each pure component once
+        ch = random_channel(3, 2, [1, 2], seed=31, with_hamiltonian=True)
+        rng = np.random.default_rng(31)
+        vecs = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2)]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        weights = (0.3, 0.7)
+        rho = sum(w * pure_state_density(v) for w, v in zip(weights, vecs))
+        eps = np.array([2e-3, 1e-3])
+        direct = ch.evaluate(rho, eps)
+        parts = [ch.evaluate(pure_state_density(v), eps) for v in vecs]
+        assert np.max(np.abs(direct.output - sum(w * p.output for w, p in zip(weights, parts)))) <= 1e-15
+        assert np.max(np.abs(direct.derivatives - sum(w * p.derivatives for w, p in zip(weights, parts)))) <= 1e-14

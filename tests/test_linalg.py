@@ -1,20 +1,58 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lownoise.errors import DegenerateSamples, DimensionMismatch, NoConvergence, NonHermitian
 from lownoise.linalg import (
+    HERMITIAN_RTOL,
+    dagger,
     eigensolve,
     fit_or_floor,
-    hermitian_eigendecompose,
-    matrix_residual_norm,
     power_order_fit,
+    require_hermitian,
     richardson_zero_limit,
-    tensor_product,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+# Test-side helpers: descending eigendecomposition, Kronecker product and
+# residual norm, built on the library primitives they exercise.
+
+
+@dataclass(frozen=True)
+class HermitianSpectrum:
+    """Eigenvalues (descending) and orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        v = self.eigenvectors
+        return (v * self.eigenvalues) @ dagger(v)
+
+
+def hermitian_eigendecompose(m, rtol=HERMITIAN_RTOL) -> HermitianSpectrum:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending."""
+    w, v = eigensolve(require_hermitian(m, rtol))
+    return HermitianSpectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+
+
+def tensor_product(a, b) -> np.ndarray:
+    """Kronecker product with entry ((i,k),(j,l)) = a[i,j] * b[k,l]."""
+    return np.kron(np.asarray(a), np.asarray(b))
+
+
+def matrix_residual_norm(a, b) -> float:
+    """Frobenius norm of a - b."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+    return float(np.linalg.norm(a - b))
 
 
 def random_hermitian(dim, seed):

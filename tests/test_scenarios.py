@@ -4,6 +4,7 @@ import pytest
 from lownoise.channels import channel_to_config, pure_state_density
 from lownoise.errors import ConfigInvalid
 from lownoise.report import config_hash
+from lownoise.spectral import output_shift_curves
 from lownoise.sweep import run_sweep
 from lownoise.scenarios import (
     SweepConfig,
@@ -106,9 +107,12 @@ class TestSweepConfig:
             SweepConfig(direction=(1.2, -0.2))
 
     def test_points(self):
+        # a sweep's noise points are scale * direction
         sw = SweepConfig(direction=(0.25, 0.75), scales=(1e-3, 1e-2))
-        pts = sw.points()
-        np.testing.assert_allclose(pts[0], [2.5e-4, 7.5e-4])
+        sc = scenario_threelevel(direction=sw.direction, scales=sw.scales)
+        spectra, _, _ = output_shift_curves(sc.channel, sc.input_state, sw.direction, sw.scales)
+        np.testing.assert_allclose(spectra[0].eps, [2.5e-4, 7.5e-4])
+        np.testing.assert_allclose(spectra[1].eps, [2.5e-3, 7.5e-3])
 
 
 class TestScenarioConfig:

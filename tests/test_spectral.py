@@ -196,6 +196,32 @@ class TestJumpCovariance:
         assert np.min(d.real) >= -1e-15
 
 
+    def test_rows_follow_the_jump_stack(self):
+        # two jumps on parameter 2: rows carry the channel's parameter index,
+        # and entries match the per-pair covariance formula
+        ch = random_channel(4, 2, [1, 2], seed=8)
+        phi = random_input_state(4, 8)
+        eps = np.array([1e-3, 3e-3])
+        lm = jump_covariance(ch, phi, eps)
+        assert lm.index.tolist() == [0, 1, 1]
+        images = [m @ phi for m in ch.jumps]
+        means = [np.vdot(phi, x) for x in images]
+        for i, j in np.ndindex(3, 3):
+            cov = np.vdot(images[i], images[j]) - np.conj(means[i]) * means[j]
+            want = np.sqrt(eps[lm.index[i]] * eps[lm.index[j]]) * cov
+            assert abs(lm.entries[i, j] - want) <= 1e-18
+
+    def test_leading_deviation_is_the_weighted_image_gram(self):
+        ch = random_channel(4, 2, [2, 1], seed=9)
+        phi = random_input_state(4, 9)
+        eps = np.array([2e-3, 1e-3])
+        dm = deviation_matrix(ch, phi, eps)
+        want = sum(
+            eps[mu] * np.outer(dm.frame.conj().T @ m @ phi, (dm.frame.conj().T @ m @ phi).conj())
+            for m, mu in zip(ch.jumps, ch.params)
+        )
+        assert np.max(np.abs(dm.entries - want)) <= 1e-18
+
 class TestReducedShifts:
     def test_matches_leading_deviation(self, threelevel):
         eps = np.array([1e-3, 2e-3])
