@@ -30,23 +30,25 @@ np.set_printoptions(precision=6, suppress=True)
 sc = scenario_threelevel()
 eps = np.array([1e-3, 2e-3])
 
-spec, _ = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+spec = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 print("output eigenvalues:", spec.probs)
 print("shifts (the small ones):", spec.shifts())
+# the spectrum carries its eigenvalue gradients: gradients[mu, n] = d p_n / d eps_mu
+print("shift gradients:\n", spec.shift_gradients())
 
-# route 2: deviation matrix in a deterministic complement frame
-# (the full matrix compresses the output state the spectrum already holds;
-# the leading one is built from the jump operators alone)
+# route 2: deviation matrix in a deterministic complement frame, a plain
+# Hermitian array (the full matrix compresses the output state the spectrum
+# already holds; the leading one is built from the jump operators alone)
 dm_full = output_deviation_matrix(spec.output, sc.input_state)
 dm_lead = deviation_matrix(sc.channel, sc.input_state, eps)
 print("\ndeviation eigenvalues (full):   ", deviation_eigenvalues(dm_full))
 print("deviation eigenvalues (leading):", deviation_eigenvalues(dm_lead))
 print("full-vs-leading difference is second order:",
-      np.linalg.norm(dm_full.entries - dm_lead.entries))
+      np.linalg.norm(dm_full - dm_lead))
 
 # route 3: the K x K covariance reduction (here K = 2, N - 1 = 2)
 lm = jump_covariance(sc.channel, sc.input_state, eps)
-print("\ncovariance matrix:\n", lm.entries)
+print("\ncovariance matrix:\n", lm)
 print("reduced shifts:", reduced_shifts(lm, sc.channel.dim))
 print("closed-form shifts:", np.sort(sc.closed_forms["shifts"](eps))[::-1])
 print("trace-power identity residual (k <= 5):",
@@ -57,10 +59,9 @@ print("trace-power identity residual (k <= 5):",
 # linear shift look identical at one eps but have different slopes.
 scales = np.geomspace(1e-5, 1e-2, 8)
 bell = scenario_ancilla_bell()
-_, shift_rows, _ = output_shift_curves(
-    bell.channel, bell.input_state, np.asarray(bell.sweep.direction), scales
-)
-labels, fits = classify_shift_curves(scales, shift_rows)
+# one spectrum per scale, from one stacked channel evaluation
+spectra = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), scales)
+labels, fits = classify_shift_curves(scales, [spec.shifts() for spec in spectra])
 print("\nancilla-Bell shift labels:", labels)
 print("fitted orders:", [None if f is None else round(f.slope, 3) for f in fits])
 print("(the exactly-zero third shift never rises above the floor)")

@@ -15,6 +15,7 @@ from lownoise import (
     build_score_operators,
     divergent_fisher,
     emit_report,
+    fisher_inverse,
     parse_jsonl,
     raise_index,
     render_jsonl,
@@ -56,9 +57,9 @@ print("byte-deterministic:",
 # --- Monte Carlo: sample the estimator, compare to the analytic moments
 sc = scenario_ancilla_bell()
 eps = np.array([1e-3, 2e-3])
-spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
-povm = build_povm(raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0, 1]), jdiv))
+spec = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+jdiv_inv = fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1]))
+povm = build_povm(raise_index(build_score_operators(spec, [0, 1]), jdiv_inv))
 
 analytic = analytic_mse(povm, spec.output, eps)
 mc = sample_measurements(povm, spec.output, eps, shots=10**6, seed=2026)

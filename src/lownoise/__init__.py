@@ -74,8 +74,6 @@ from .scenarios import (
     scenario_to_config,
 )
 from .spectral import (
-    DeviationMatrix,
-    JumpCovariance,
     OutputSpectrum,
     classify_shift_curves,
     complement_basis,

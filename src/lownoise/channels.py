@@ -35,6 +35,7 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     InconsistentKrausData,
+    NonHermitian,
     StepTooLarge,
     TPCPViolation,
 )
@@ -452,7 +453,10 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in data], dtype=complex)
+    m = np.array([[complex(c[0], c[1]) for c in row] for row in data], dtype=complex)
+    if not np.isfinite(m).all():
+        raise ConfigInvalid("matrix entries must be finite")
+    return m
 
 
 def channel_to_config(ch: LowNoiseChannel) -> dict:
@@ -480,28 +484,35 @@ def channel_to_config(ch: LowNoiseChannel) -> dict:
 
 
 def channel_from_config(cfg: dict) -> LowNoiseChannel:
+    """Inverse of ``channel_to_config``; ConfigInvalid if the config describes no valid dim-level channel."""
     try:
         dim = int(cfg["dim"])
         num_params = int(cfg["num_params"])
         builder = cfg.get("builder", "explicit")
-        raw_jumps = cfg["jump_operators"]
-    except (KeyError, TypeError, ValueError) as exc:
+        per_param: list[list[np.ndarray]] = [[] for _ in range(num_params)]
+        for item in cfg["jump_operators"]:
+            mu = int(item["param"]) - 1
+            if not 0 <= mu < num_params:
+                raise ConfigInvalid(f"jump operator has parameter index {item['param']}")
+            per_param[mu].append(matrix_from_json(item["matrix"]))
+        gens = [matrix_from_json(g) for g in cfg.get("generators") or []] or None
+        terms = cfg.get("identity_terms", [])
+        weights = [complex(item["weight"][0], item["weight"][1]) for item in terms]
+        linear = [[matrix_from_json(n) for n in item["linear"]] for item in terms]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed channel config: {exc}") from exc
-    per_param: list[list[np.ndarray]] = [[] for _ in range(num_params)]
-    for item in raw_jumps:
-        mu = int(item["param"]) - 1
-        if not 0 <= mu < num_params:
-            raise ConfigInvalid(f"jump operator has parameter index {item['param']}")
-        per_param[mu].append(matrix_from_json(item["matrix"]))
-    if builder == "sqrt-completion":
-        gens = None
-        if cfg.get("generators"):
-            gens = [matrix_from_json(g) for g in cfg["generators"]]
-        return sqrt_completion_channel(per_param, gens)
-    if builder != "explicit":
+    if not np.isfinite(weights).all():
+        raise ConfigInvalid("identity-term weights must be finite")
+    if builder not in ("sqrt-completion", "explicit"):
         raise ConfigInvalid(f"unknown builder {builder!r}")
-    terms = cfg.get("identity_terms", [])
-    weights = [complex(item["weight"][0], item["weight"][1]) for item in terms]
-    linear = [[matrix_from_json(n) for n in item["linear"]] for item in terms]
-    jumps, params = _jump_stack(per_param)
-    return LowNoiseChannel(dim, num_params, jumps, params, affine=(weights, linear))
+    try:
+        if builder == "sqrt-completion":
+            channel = sqrt_completion_channel(per_param, gens)
+        else:
+            jumps, params = _jump_stack(per_param)
+            channel = LowNoiseChannel(dim, num_params, jumps, params, affine=(weights, linear), generators=gens)
+    except (DimensionMismatch, InconsistentKrausData, NonHermitian, TPCPViolation) as exc:
+        raise ConfigInvalid(f"channel config: {type(exc).__name__}: {exc}") from exc
+    if channel.dim != dim:
+        raise ConfigInvalid(f"channel config has dim {dim} but {channel.dim} x {channel.dim} operators")
+    return channel

@@ -57,17 +57,14 @@ def _refine_cluster(vectors: np.ndarray, idx: list[int], perts: list[np.ndarray]
             _refine_cluster(vectors, [idx[k] for k in sub], perts, depth + 1, tol)
 
 
-def eigencurve_derivatives(
-    matrix: np.ndarray,
-    derivatives,
-    cluster_rtol: float = CLUSTER_RTOL,
-):
+def eigencurve_derivatives(matrix: np.ndarray, derivatives):
     """Eigenvalues (descending), adapted eigenvectors, and per-parameter derivatives.
 
     derivatives[mu] is d matrix / d eps_mu.  Returns (values, vectors,
     derivs) with derivs[mu, n] = <n|d_mu matrix|n> of shape (D, N).  For a
     stack of B matrices (B, N, N) with derivatives (B, D, N, N) every
-    result carries a leading B axis.
+    result carries a leading B axis.  Eigenvalues within CLUSTER_RTOL times
+    max(1, largest magnitude) of each other form a degenerate cluster.
     """
     matrix = np.asarray(matrix)
     perts = _sym(np.asarray(derivatives))
@@ -78,7 +75,7 @@ def eigencurve_derivatives(
     derivs = np.empty(perts.shape[:2] + values.shape[1:])
     for b in range(values.shape[0]):
         scale = max(1.0, float(np.max(np.abs(values[b]))) if values.shape[1] else 1.0)
-        tol = cluster_rtol * scale
+        tol = CLUSTER_RTOL * scale
         for cluster in _clusters(values[b], tol):
             if len(cluster) > 1:
                 _refine_cluster(vectors[b], cluster, perts[b], 0, tol)

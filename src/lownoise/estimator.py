@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadProbabilities, DimensionMismatch, EmptySum
-from .fisher import FisherMatrix, fisher_inverse, fisher_pseudo_inverse
+from .fisher import FisherMatrix
 from .linalg import dagger
 from .spectral import OutputSpectrum
 
@@ -30,30 +30,24 @@ class ScoreOperators:
     covariant: tuple[np.ndarray, ...]
     contravariant: tuple[np.ndarray, ...] | None
     included: tuple[int, ...]  # shift indices (0-based into probs[1:])
-    reference_eps: np.ndarray
     estimates: np.ndarray | None  # per included shift, D-vector of eigenvalues
     basis: np.ndarray
-    pseudo: bool = False
 
 
-def build_score_operators(
-    spec: OutputSpectrum,
-    shift_values: np.ndarray,
-    shift_grads: np.ndarray,
-    included,
-) -> ScoreOperators:
+def build_score_operators(spec: OutputSpectrum, included) -> ScoreOperators:
     """Covariant score operators A_mu = sum_n (d_mu shift_n / shift_n) P_n.
 
+    The shifts, their gradients and the projectors P_n all come from spec.
     Only order-1 shifts enter; higher-or-zero shifts carry no first-order
     information and their projectors are left to the kernel outcome.
     """
     included = tuple(included)
     if not included:
         raise EmptySum("no first-order shift to build an estimator from")
-    shift_values = np.asarray(shift_values, dtype=float)
-    shift_grads = np.asarray(shift_grads, dtype=float)
+    shift_values = spec.shifts()
+    shift_grads = spec.shift_gradients()
     num_params = shift_grads.shape[0]
-    dim = spec.dim
+    dim = spec.basis.shape[0]
     ops = []
     for mu in range(num_params):
         acc = np.zeros((dim, dim), dtype=complex)
@@ -65,21 +59,22 @@ def build_score_operators(
         covariant=tuple(ops),
         contravariant=None,
         included=included,
-        reference_eps=np.asarray(spec.eps, dtype=float),
         estimates=None,
         basis=spec.basis,
     )
 
 
-def raise_index(partial: ScoreOperators, jdiv: FisherMatrix, pseudo: bool = False) -> ScoreOperators:
+def raise_index(partial: ScoreOperators, jdiv_inv: FisherMatrix) -> ScoreOperators:
     """Contravariant operators A^mu = sum_nu (Jdiv^-1)_{mu nu} A_nu.
 
-    With pseudo=True a Moore-Penrose inverse is used when the divergent
-    Fisher matrix is singular (negative-control path); the estimator is
-    then unbiased only inside the row space and the flag is recorded.
+    jdiv_inv is the divergent Fisher matrix as inverted by its caller:
+    ``fisher_inverse``, or ``fisher_pseudo_inverse`` when it is singular
+    (negative-control path), where the estimator is unbiased only inside
+    the row space.
     """
-    inv_holder = fisher_pseudo_inverse(jdiv) if pseudo else fisher_inverse(jdiv)
-    inv = inv_holder.inverse
+    if jdiv_inv.inverse is None:
+        raise DimensionMismatch("Fisher matrix must carry its inverse")
+    inv = jdiv_inv.inverse
     num_params = len(partial.covariant)
     contra = []
     for mu in range(num_params):
@@ -98,10 +93,8 @@ def raise_index(partial: ScoreOperators, jdiv: FisherMatrix, pseudo: bool = Fals
         covariant=partial.covariant,
         contravariant=tuple(contra),
         included=partial.included,
-        reference_eps=partial.reference_eps,
         estimates=np.asarray(estimates),
         basis=partial.basis,
-        pseudo=pseudo,
     )
 
 
@@ -111,8 +104,6 @@ class EstimatorPOVM:
 
     projectors: tuple[np.ndarray, ...]
     estimates: np.ndarray  # (num outcomes, D)
-    reference_eps: np.ndarray
-    pseudo: bool = False
 
     def completeness_residual(self) -> float:
         dim = self.projectors[0].shape[0]
@@ -153,12 +144,7 @@ def build_povm(score: ScoreOperators) -> EstimatorPOVM:
         groups.append((zero, kernel))
     projectors = tuple((p + dagger(p)) / 2 for _, p in groups)
     estimates = np.asarray([x for x, _ in groups])
-    return EstimatorPOVM(
-        projectors=projectors,
-        estimates=estimates,
-        reference_eps=score.reference_eps,
-        pseudo=score.pseudo,
-    )
+    return EstimatorPOVM(projectors=projectors, estimates=estimates)
 
 
 def outcome_probabilities(povm: EstimatorPOVM, rho: np.ndarray) -> np.ndarray:
@@ -181,11 +167,8 @@ class MSEMatrix:
     """Mean-square-error matrix about the true noise point."""
 
     entries: np.ndarray
-    source: str  # "analytic" | "monte-carlo"
-    sample_count: int | None = None
-    standard_error: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    mean_standard_error: np.ndarray | None = None
+    mean: np.ndarray
+    standard_error: np.ndarray | None = None  # Monte Carlo estimates only
 
 
 def analytic_mse(povm: EstimatorPOVM, rho: np.ndarray, eps_true) -> MSEMatrix:
@@ -202,7 +185,7 @@ def analytic_mse(povm: EstimatorPOVM, rho: np.ndarray, eps_true) -> MSEMatrix:
         d = x - eps_true
         entries += qn * np.outer(d, d)
         mean += qn * x
-    return MSEMatrix(entries=entries, source="analytic", mean=mean)
+    return MSEMatrix(entries=entries, mean=mean)
 
 
 def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
@@ -293,16 +276,4 @@ def sample_measurements(
             entries[mu, nu] = m1
             var = max(m2 - m1 * m1, 0.0)
             se[mu, nu] = np.sqrt(var / shots)
-    mean_se = np.zeros(num_params)
-    for mu in range(num_params):
-        m1 = float(xs[:, mu] @ weights)
-        m2 = float((xs[:, mu] * xs[:, mu]) @ weights)
-        mean_se[mu] = np.sqrt(max(m2 - m1 * m1, 0.0) / shots)
-    return MSEMatrix(
-        entries=entries,
-        source="monte-carlo",
-        sample_count=shots,
-        standard_error=se,
-        mean=mean,
-        mean_standard_error=mean_se,
-    )
+    return MSEMatrix(entries=entries, mean=mean, standard_error=se)

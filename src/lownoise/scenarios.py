@@ -21,7 +21,7 @@ from .channels import (
 )
 from .errors import ConfigInvalid
 from .linalg import dagger, eigensolve
-from .spectral import jump_covariance
+from .spectral import _complement_frame, jump_covariance
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,7 +102,7 @@ def scenario_threelevel(
     )
     phi = phi / np.linalg.norm(phi)
     channel = sqrt_completion_channel([[m1], [m2]])
-    dm = jump_covariance(channel, phi, np.ones(2)).entries
+    dm = jump_covariance(channel, phi, np.ones(2))
     a, d = float(dm[0, 0].real), float(dm[1, 1].real)
     b2 = float((dm[0, 1] * dm[1, 0]).real)
     det = a * d - b2
@@ -466,7 +466,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     A config named after a built-in gets the built-in, closed forms
     included, only when the built-in with the config's sweep describes the
     same scenario; otherwise the config's own channel, input state and
-    frame are used as given.
+    frame are used as given.  ConfigInvalid if malformed, if the input state
+    is not a finite nonzero channel.dim-vector, or the frame not its complement.
     """
     try:
         name = cfg["name"]
@@ -478,18 +479,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
             scales=tuple(float(s) for s in sw["scales"]),
             seed=int(sw.get("seed", 7)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        frame = matrix_from_json(cfg["frame"]) if cfg.get("frame") else None
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed scenario config: {exc}") from exc
-    frame = matrix_from_json(cfg["frame"]) if cfg.get("frame") else None
+    if phi.shape != (channel.dim,):
+        raise ConfigInvalid(f"input state has {phi.shape[0]} amplitudes, the channel acts on {channel.dim} levels")
     norm = np.linalg.norm(phi)
-    given = Scenario(
-        name=name,
-        channel=channel,
-        # a normalized state is kept bit for bit, so the config hash holds
-        input_state=phi if np.isclose(norm, 1.0, rtol=0.0, atol=1e-12) else phi / norm,
-        sweep=sweep,
-        frame=frame,
-    )
+    if not (np.isfinite(norm) and norm > 0):
+        raise ConfigInvalid("input state must be a finite nonzero vector")
+    # a normalized state is kept bit for bit, so the config hash holds
+    phi = phi if np.isclose(norm, 1.0, rtol=0.0, atol=1e-12) else phi / norm
+    if frame is not None:
+        _complement_frame(phi, frame)
+    given = Scenario(name=name, channel=channel, input_state=phi, sweep=sweep, frame=frame)
     if name in SCENARIO_BUILDERS:
         named = build_scenario(name, direction=sweep.direction, scales=sweep.scales, seed=sweep.seed)
         if scenario_to_config(named) == scenario_to_config(given):

@@ -7,6 +7,11 @@ from the deviation matrix (the output-minus-input operator compressed
 onto the orthogonal complement of the input), and from the K x K
 covariance matrix of the jump operators on the input state, which
 carries the same nonzero spectrum whenever K <= N-1.
+
+``output_shift_curves`` returns one ``OutputSpectrum`` per scale: a noise
+point's eigenvalues, eigenbasis, (D, N) eigenvalue ``gradients`` and
+channel evaluation, all that downstream layers read.  Deviation and
+covariance matrices are plain Hermitian arrays.
 """
 from __future__ import annotations
 
@@ -36,18 +41,18 @@ class OutputSpectrum:
     eps: np.ndarray
     probs: np.ndarray  # descending
     basis: np.ndarray  # unitary, columns are eigenvectors
-    input_state: np.ndarray
+    gradients: np.ndarray  # (D, N): gradients[mu, n] = d probs[n] / d eps_mu
     output: np.ndarray
     derivatives: np.ndarray  # (D, N, N)
     tpcp_residual: float
 
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[0]
-
     def shifts(self) -> np.ndarray:
         """Small eigenvalues p_1..p_{N-1}; they vanish at eps = 0."""
         return self.probs[1:]
+
+    def shift_gradients(self) -> np.ndarray:
+        """(D, N-1) derivatives of the shifts: the columns 1: of gradients."""
+        return self.gradients[:, 1:]
 
 
 def _fix_phases(basis: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -87,26 +92,17 @@ def complement_basis(phi: np.ndarray) -> np.ndarray:
     return np.column_stack(ortho[1:])
 
 
-@dataclass(frozen=True)
-class DeviationMatrix:
-    """Output-minus-input operator compressed to the complement of the input.
-
-    variant "full" holds the exact compression of the output state at a
-    noise point; variant "leading" holds the rank-structured first-order
-    part built from the jump operators alone (a Gram sum, positive
-    semidefinite).
-    """
-
-    entries: np.ndarray
-    variant: str
-    frame: np.ndarray
-
-
 def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
-    """frame checked against phi, or ``complement_basis(phi)`` when None."""
+    """frame checked against phi, or ``complement_basis(phi)`` when None.
+
+    A given frame must be N x (N-1) with orthonormal columns orthogonal to phi.
+    """
     if frame is None:
         return complement_basis(phi)
     frame = np.asarray(frame, dtype=complex)
+    n = phi.shape[0]
+    if frame.shape != (n, n - 1):
+        raise ConfigInvalid(f"frame has shape {frame.shape}, expected {(n, n - 1)} for a {n}-level input")
     gram = dagger(frame) @ frame
     if np.linalg.norm(gram - np.eye(frame.shape[1])) > 1e-10:
         raise ConfigInvalid("frame columns must be orthonormal")
@@ -115,11 +111,12 @@ def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
     return frame
 
 
-def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarray | None = None) -> DeviationMatrix:
+def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
     """Full deviation matrix: output - |phi><phi| compressed to a complement frame.
 
     output is the channel's output state at the noise point
     (``OutputSpectrum.output``); frame defaults to ``complement_basis(phi)``.
+    Returns the exact compression as an (N-1, N-1) Hermitian array.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     output = np.asarray(output, dtype=complex)
@@ -127,7 +124,7 @@ def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarr
         raise DimensionMismatch(f"output state has shape {output.shape}, input dimension {phi.shape[0]}")
     frame = _complement_frame(phi, frame)
     entries = dagger(frame) @ (output - pure_state_density(phi)) @ frame
-    return DeviationMatrix(entries=(entries + dagger(entries)) / 2, variant="full", frame=frame)
+    return (entries + dagger(entries)) / 2
 
 
 def deviation_matrix(
@@ -135,11 +132,12 @@ def deviation_matrix(
     phi: np.ndarray,
     eps,
     frame: np.ndarray | None = None,
-) -> DeviationMatrix:
+) -> np.ndarray:
     """Leading deviation matrix of channel[|phi><phi|] at eps in a complement frame.
 
-    Built from the jump operators alone; frame defaults to
-    ``complement_basis(phi)``.
+    The rank-structured first-order part built from the jump operators
+    alone: a Gram sum, Hermitian positive semidefinite, (N-1, N-1).  frame
+    defaults to ``complement_basis(phi)``.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
@@ -147,20 +145,21 @@ def deviation_matrix(
     u = (dagger(frame) @ (ch.jumps @ phi)[..., None])[..., 0]  # u[k] = frame^dag M_k phi
     grams = eps[ch.params, None, None] * (u[:, :, None] * u[:, None, :].conj())
     entries = reduce(np.add, grams, np.zeros((frame.shape[1], frame.shape[1]), dtype=complex))
-    return DeviationMatrix(entries=(entries + dagger(entries)) / 2, variant="leading", frame=frame)
+    return (entries + dagger(entries)) / 2
 
 
-def deviation_eigenvalues(dm: DeviationMatrix) -> np.ndarray:
-    """Eigenvalue shifts carried by the deviation matrix, descending."""
-    return eigensolve(dm.entries, vectors=False)[::-1].copy()
+def deviation_eigenvalues(dm: np.ndarray) -> np.ndarray:
+    """Eigenvalue shifts carried by a deviation matrix, descending."""
+    return eigensolve(dm, vectors=False)[::-1].copy()
 
 
-def classify_shift_curves(scales, curve_rows, band=ORDER_ONE_BAND) -> tuple[tuple[str, ...], tuple[PowerFit | None, ...]]:
+def classify_shift_curves(scales, curve_rows) -> tuple[tuple[str, ...], tuple[PowerFit | None, ...]]:
     """Label each shift curve order-1 or higher-or-zero by its log-log slope.
 
-    curve_rows[t][i] is the i-th largest shift at scale scales[t].  Curves
-    whose magnitude never rises above the numerical floor are
-    higher-or-zero regardless of slope (exactly degenerate directions).
+    curve_rows[t][i] is the i-th largest shift at scale scales[t].  A curve
+    is order-1 when its slope lies in ORDER_ONE_BAND.  Curves whose
+    magnitude never rises above the numerical floor are higher-or-zero
+    regardless of slope (exactly degenerate directions).
     """
     rows = np.asarray(curve_rows, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -173,26 +172,19 @@ def classify_shift_curves(scales, curve_rows, band=ORDER_ONE_BAND) -> tuple[tupl
         fits.append(fit)
         if fit is None:
             labels.append("higher-or-zero")
-        elif band[0] <= fit.slope <= band[1]:
+        elif ORDER_ONE_BAND[0] <= fit.slope <= ORDER_ONE_BAND[1]:
             labels.append("order-1")
         else:
             labels.append("higher-or-zero")
     return tuple(labels), tuple(fits)
 
 
-@dataclass(frozen=True)
-class JumpCovariance:
-    """eps-weighted covariance matrix of the jump operators on the input state."""
-
-    entries: np.ndarray  # K x K Hermitian PSD
-    index: np.ndarray  # (K,) parameter of each row: the channel's parameter index
-    eps: np.ndarray
-
-
-def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> JumpCovariance:
+def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> np.ndarray:
     """Entries sqrt(eps_mu) Cov(M_i, M_j) sqrt(eps_nu) over all jump operators.
 
-    Cov(A, B) = <phi|A^dag B|phi> - <phi|A^dag|phi><phi|B|phi>.
+    Cov(A, B) = <phi|A^dag B|phi> - <phi|A^dag|phi><phi|B|phi>.  Returns
+    the K x K Hermitian PSD matrix; row i belongs to parameter
+    ``ch.params[i]``.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     eps = np.asarray(eps, dtype=float)
@@ -202,48 +194,40 @@ def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> JumpCovariance
     cov = overlaps - means.conj() @ means.T  # conj(<M_i>) <M_j> as a rank-one matmul
     weights = eps[ch.params]
     entries = np.sqrt(np.outer(weights, weights)) * cov
-    return JumpCovariance(entries=(entries + dagger(entries)) / 2, index=ch.params, eps=eps)
+    return (entries + dagger(entries)) / 2
 
 
-def reduced_shifts(lm: JumpCovariance, dim: int) -> np.ndarray:
+def reduced_shifts(lm: np.ndarray, dim: int) -> np.ndarray:
     """Nonzero eigenvalue shifts recovered from the jump covariance matrix.
 
     Valid when the total number of jump operators K is at most dim - 1;
-    the K eigenvalues then equal the nonzero leading-variant deviation
+    the K eigenvalues then equal the nonzero leading deviation
     eigenvalues (pad with dim - 1 - K zeros to compare full spectra).
     """
-    k = lm.entries.shape[0]
+    k = lm.shape[0]
     if k > dim - 1:
         raise ReductionInvalid(f"reduction needs K <= N-1, got K={k}, N={dim}")
-    return eigensolve(lm.entries, vectors=False)[::-1].copy()
+    return eigensolve(lm, vectors=False)[::-1].copy()
 
 
-def trace_power_residual(dm_leading: DeviationMatrix, lm: JumpCovariance, kmax: int) -> float:
-    """max_k |Tr Delta^k - Tr Lambda^k| for k = 1..kmax (leading variant)."""
-    if dm_leading.variant != "leading":
-        raise ConfigInvalid("trace-power identity applies to the leading variant")
+def trace_power_residual(dm_leading: np.ndarray, lm: np.ndarray, kmax: int) -> float:
+    """max_k |Tr Delta^k - Tr Lambda^k| for k = 1..kmax, Delta the leading deviation matrix."""
     worst = 0.0
-    a = np.eye(dm_leading.entries.shape[0], dtype=complex)
-    b = np.eye(lm.entries.shape[0], dtype=complex)
+    a = np.eye(dm_leading.shape[0], dtype=complex)
+    b = np.eye(lm.shape[0], dtype=complex)
     for _ in range(kmax):
-        a = a @ dm_leading.entries
-        b = b @ lm.entries
+        a = a @ dm_leading
+        b = b @ lm
         worst = max(worst, abs(np.trace(a) - np.trace(b)))
     return float(worst)
 
 
-def output_spectrum_with_gradients(
-    ch: LowNoiseChannel,
-    phi: np.ndarray,
-    eps: np.ndarray,
-) -> tuple[OutputSpectrum, np.ndarray]:
-    """Output spectrum plus per-parameter eigenvalue derivatives at one point.
+def output_spectrum_with_gradients(ch: LowNoiseChannel, phi: np.ndarray, eps: np.ndarray) -> OutputSpectrum:
+    """Output spectrum, with its eigenvalue gradients, at one noise point.
 
-    The one-point case of ``output_shift_curves``, with the same
-    conventions; returns (spectrum, derivs) with derivs of shape (D, N).
+    The one-point case of ``output_shift_curves``, with the same conventions.
     """
-    spectra, _, grad_rows = output_shift_curves(ch, phi, eps, [1.0])
-    return spectra[0], grad_rows[0]
+    return output_shift_curves(ch, phi, eps, [1.0])[0]
 
 
 def output_shift_curves(
@@ -251,12 +235,12 @@ def output_shift_curves(
     phi: np.ndarray,
     direction: np.ndarray,
     scales,
-):
-    """Output-spectrum shift data at the noise points scales[t] * direction.
+) -> list[OutputSpectrum]:
+    """Output spectra at the noise points scales[t] * direction, one per scale.
 
-    Returns (spectra, shift_rows, grad_rows): per scale, the OutputSpectrum,
-    the N-1 shifts, and the (D, N) eigenvalue-derivative array (index 0 is
-    the near-unit eigenvalue).
+    Each spectrum carries its shifts (``shifts()``) and the (D, N)
+    eigenvalue-gradient array ``gradients`` (index 0 is the near-unit
+    eigenvalue; ``shift_gradients()`` is the rest).
 
     One stacked ``ch.evaluate`` gives every point's output state, its exact
     derivatives and the completeness residual, and each spectrum carries
@@ -273,16 +257,15 @@ def output_shift_curves(
     eps = np.asarray(scales, dtype=float)[:, None] * np.asarray(direction, dtype=float).reshape(-1)
     ev = ch.evaluate(pure_state_density(phi), eps)
     values, vectors, grads = curves.eigencurve_derivatives(ev.output, ev.derivatives)
-    spectra = [
+    return [
         OutputSpectrum(
             eps=eps[t],
             probs=values[t],
             basis=_fix_phases(vectors[t], phi),
-            input_state=phi,
+            gradients=grads[t],
             output=ev.output[t],
             derivatives=ev.derivatives[t],
             tpcp_residual=float(ev.tpcp_residual[t]),
         )
         for t in range(eps.shape[0])
     ]
-    return spectra, [spec.shifts() for spec in spectra], list(grads)

@@ -27,7 +27,7 @@ def _matrix(m) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _point_record(sc: Scenario, scale: float, spec, grads, labels, directions, shots: int, mc_seed: int) -> dict:
+def _point_record(sc: Scenario, scale: float, spec, labels, directions, shots: int, mc_seed: int) -> dict:
     """All per-point quantities; raises LowNoiseError subtypes on failure.
 
     Every quantity reads the output state and its derivatives from spec;
@@ -40,41 +40,41 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, directions, s
     eps = spec.eps
     dim = sc.channel.dim
     shifts = spec.shifts()
-    shift_grads = grads[:, 1:]
+    shift_grads = spec.shift_gradients()
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
 
     jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
     jq_inv = fisher.fisher_inverse(jq)
-    jc = fisher.classical_fisher(spec.probs, grads)
+    jc = fisher.classical_fisher(spec.probs, spec.gradients)
     jdiv = fisher.divergent_fisher(shifts, shift_grads, included)
-    nondeg = fisher.nondegeneracy_det(spec.probs, grads)
+    nondeg = fisher.nondegeneracy_det(spec.probs, spec.gradients)
 
+    # negative-control path: a singular divergent matrix takes the pseudo-inverse
     pseudo = False
     try:
         jdiv_inv = fisher.fisher_inverse(jdiv)
     except SingularFisher:
-        jdiv_inv = None
+        jdiv_inv = fisher.fisher_pseudo_inverse(jdiv)
         pseudo = True
 
-    score = est.build_score_operators(spec, shifts, shift_grads, included)
-    score = est.raise_index(score, jdiv, pseudo=pseudo)
+    score = est.raise_index(est.build_score_operators(spec, included), jdiv_inv)
     povm = est.build_povm(score)
     bias = est.unbiasedness_residual(povm, spec.output, eps)
     mse = est.analytic_mse(povm, spec.output, eps)
 
     gap_quantum = est.cr_gap(mse, jq_inv)
-    gap_divergent = mse.entries - jdiv_inv.inverse if jdiv_inv is not None else None
+    gap_divergent = None if pseudo else mse.entries - jdiv_inv.inverse
     cr_bound = CR_TOL * max(1.0, float(np.linalg.norm(mse.entries)))
     cr_margin = est.cr_direction_margin(gap_quantum, directions)
 
     # deviation-matrix and covariance cross checks
-    dm_full = spectral.output_deviation_matrix(spec.output, spec.input_state, sc.frame)
-    dm_lead = spectral.deviation_matrix(sc.channel, spec.input_state, eps, sc.frame)
-    lead_vs_full = float(np.linalg.norm(dm_full.entries - dm_lead.entries))
+    dm_full = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
+    dm_lead = spectral.deviation_matrix(sc.channel, sc.input_state, eps, sc.frame)
+    lead_vs_full = float(np.linalg.norm(dm_full - dm_lead))
     trace_power = None
     reduced_residual = None
     if len(sc.channel.jumps) <= dim - 1:
-        lm = spectral.jump_covariance(sc.channel, spec.input_state, eps)
+        lm = spectral.jump_covariance(sc.channel, sc.input_state, eps)
         trace_power = spectral.trace_power_residual(dm_lead, lm, kmax=5)
         reduced = spectral.reduced_shifts(lm, dim)
         padded = np.zeros(dim - 1)
@@ -93,7 +93,7 @@ def _point_record(sc: Scenario, scale: float, spec, grads, labels, directions, s
         "quantum_fisher_inverse": _matrix(jq_inv.inverse),
         "classical_fisher": _matrix(jc.entries),
         "divergent_fisher": _matrix(jdiv.entries),
-        "divergent_inverse": _matrix(jdiv_inv.inverse) if jdiv_inv is not None else None,
+        "divergent_inverse": None if pseudo else _matrix(jdiv_inv.inverse),
         "jinv_eigenvalues": [float(x) for x in jinv_eigs],
         "nondegeneracy_det": float(nondeg),
         "estimates": _matrix(povm.estimates),
@@ -159,11 +159,10 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     scales = list(sc.sweep.scales)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 
-    spectra: dict[int, tuple] = {}  # scale index -> (spectrum, eigenvalue gradients)
+    spectra: dict[int, spectral.OutputSpectrum] = {}  # scale index -> spectrum
     errors: dict[int, str] = {}
     try:
-        specs, _, grad_rows = spectral.output_shift_curves(sc.channel, sc.input_state, direction, scales)
-        spectra = dict(enumerate(zip(specs, grad_rows)))
+        spectra = dict(enumerate(spectral.output_shift_curves(sc.channel, sc.input_state, direction, scales)))
     except LowNoiseError:
         for t, scale in enumerate(scales):
             try:
@@ -174,7 +173,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     if spectra:
         try:
             labels, _ = spectral.classify_shift_curves(
-                [scales[t] for t in spectra], [spec.shifts() for spec, _ in spectra.values()]
+                [scales[t] for t in spectra], [spec.shifts() for spec in spectra.values()]
             )
         except LowNoiseError as exc:
             errors = {t: errors.get(t, _error(exc)) for t in range(len(scales))}
@@ -185,9 +184,8 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         if t in errors:
             points.append({"scale": float(scale), "error": errors[t]})
             continue
-        spec, grads = spectra[t]
         try:
-            rec = _point_record(sc, scale, spec, grads, labels, directions, shots, sc.sweep.seed * 1009 + t)
+            rec = _point_record(sc, scale, spectra[t], labels, directions, shots, sc.sweep.seed * 1009 + t)
         except LowNoiseError as exc:
             rec = {"scale": float(scale), "error": _error(exc)}
         points.append(rec)

@@ -58,13 +58,13 @@ def check_ancilla_bell() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_ancilla_bell()
-    spectra, _, _ = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     jinv_gap = []
     for s, spec in zip(sc.sweep.scales, spectra):
         eps = spec.eps
         dm = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
         printed = sc.closed_forms["deviation_printed"](eps)
-        if np.max(np.abs(dm.entries - printed)) > 1e-14:
+        if np.max(np.abs(dm - printed)) > 1e-14:
             failures.append(f"deviation matrix deviates from the reference at scale {s:g}")
         got = np.sort(spectral.deviation_eigenvalues(dm))
         want = np.sort(sc.closed_forms["shifts"](eps))
@@ -91,7 +91,7 @@ def check_pauli() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_pauli2()
-    spectra, _, _ = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     jinvs = []
     for s, spec in zip(sc.sweep.scales, spectra):
         eps = spec.eps
@@ -131,9 +131,9 @@ def _leading_inverse_fisher(ch, phi, eps: np.ndarray) -> np.ndarray:
     lm = spectral.jump_covariance(ch, phi, eps)
     derivatives = []
     for mu in range(ch.num_params):
-        d = (lm.index == mu) / (2.0 * eps[mu])
-        derivatives.append(lm.entries * (d[:, None] + d[None, :]))
-    values, _, derivs = curves.eigencurve_derivatives(lm.entries, derivatives)
+        d = (ch.params == mu) / (2.0 * eps[mu])
+        derivatives.append(lm * (d[:, None] + d[None, :]))
+    values, _, derivs = curves.eigencurve_derivatives(lm, derivatives)
     jdiv = fisher.divergent_fisher(values, derivs, list(range(values.shape[0])))
     return fisher.fisher_inverse(jdiv).inverse
 
@@ -237,8 +237,9 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         direction = np.full(num_params, 1.0 / num_params)
         d0 = [ch.derivative_at_zero(mu, rho_in) for mu in range(num_params)]
         # one stacked channel evaluation for the whole grid: each spectrum
-        # carries its output state, derivatives and completeness residual
-        specs, shift_rows, grad_rows = spectral.output_shift_curves(ch, phi, direction, scales)
+        # carries its output state, derivatives, completeness residual and
+        # eigenvalue gradients
+        specs = spectral.output_shift_curves(ch, phi, direction, scales)
         first_order = []
         for s, spec in zip(scales, specs):
             eps = spec.eps
@@ -254,12 +255,12 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         fit = power_order_fit(list(zip(scales, first_order)))
         if not 1.85 <= fit.slope <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {fit.slope:.3f}")
-        labels, _ = spectral.classify_shift_curves(scales, shift_rows)
+        labels, _ = spectral.classify_shift_curves(scales, [spec.shifts() for spec in specs])
         included = [i for i, lab in enumerate(labels) if lab == "order-1"]
         cvd = []
-        for spec, grads in zip(specs, grad_rows):
-            jc = fisher.classical_fisher(spec.probs, grads)
-            jdiv = fisher.divergent_fisher(spec.shifts(), grads[:, 1:], included)
+        for spec in specs:
+            jc = fisher.classical_fisher(spec.probs, spec.gradients)
+            jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
             cvd.append(np.linalg.norm(jc.entries - jdiv.entries))
         fit_cvd = fit_or_floor(scales, cvd, 1e-13)
         if fit_cvd is not None and fit_cvd.slope < -0.2:
@@ -269,11 +270,10 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         lm = spectral.jump_covariance(ch, phi, eps)
         if spectral.trace_power_residual(dm_lead, lm, kmax=5) > 1e-11:
             failures.append(f"seed {seed}: trace-power identity residual")
-        spec, grads = specs[-3], grad_rows[-3]
+        spec = specs[-3]
         try:
-            score = est.build_score_operators(spec, spec.shifts(), grads[:, 1:], included)
-            jdiv = fisher.divergent_fisher(spec.shifts(), grads[:, 1:], included)
-            score = est.raise_index(score, jdiv)
+            jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
+            score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
             povm = est.build_povm(score)
             if povm.completeness_residual() > 1e-10:
                 failures.append(f"seed {seed}: POVM completeness residual")
@@ -317,11 +317,11 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     failures: list[str] = []
     sc = scenario_ancilla_bell()
     eps = np.array([1e-3, 2e-3])
-    spec, grads = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+    spec = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
     shifts = spec.shifts()
     included = [i for i in range(shifts.shape[0]) if shifts[i] > 1e-6]
-    jdiv = fisher.divergent_fisher(shifts, grads[:, 1:], included)
-    score = est.raise_index(est.build_score_operators(spec, shifts, grads[:, 1:], included), jdiv)
+    jdiv = fisher.divergent_fisher(shifts, spec.shift_gradients(), included)
+    score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
     povm = est.build_povm(score)
     analytic = est.analytic_mse(povm, spec.output, eps)
     mc = est.sample_measurements(povm, spec.output, eps, shots, seed)

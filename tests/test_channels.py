@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -168,14 +170,14 @@ class TestDerivative:
 
     def test_eigenvalue_gradients_match_central_difference(self, threelevel):
         eps = np.array([2e-3, 3e-3])
-        spec, grads = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+        spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
         rho = pure_state_density(threelevel.input_state)
         h = 1e-6
         for mu in range(2):
             step = h * np.eye(2)[mu]
             up = np.linalg.eigvalsh(threelevel.channel.apply(rho, eps + step))[::-1]
             down = np.linalg.eigvalsh(threelevel.channel.apply(rho, eps - step))[::-1]
-            assert np.max(np.abs(grads[mu] - (up - down) / (2 * h))) <= 1e-7
+            assert np.max(np.abs(spec.gradients[mu] - (up - down) / (2 * h))) <= 1e-7
 
 
 EVALUATE_CASES = [
@@ -509,6 +511,56 @@ class TestConfigRoundTrip:
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):
             channel_from_config({"dim": 2})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"dim": 2, "num_params": 1, "jump_operators": [{}]},
+            {"dim": 2, "num_params": 1, "jump_operators": [{"param": 1}]},
+            {"dim": 2, "num_params": 1, "jump_operators": [{"param": 1, "matrix": [[1]]}]},
+            {"dim": 2, "num_params": 1, "jump_operators": [], "identity_terms": [{}]},
+            {"dim": 2, "num_params": 1, "jump_operators": [], "identity_terms": [{"weight": [1.0, 0.0]}]},
+        ],
+        ids=["empty-item", "no-matrix", "bad-matrix", "empty-term", "no-linear"],
+    )
+    def test_malformed_item(self, cfg):
+        with pytest.raises(ConfigInvalid, match="malformed channel config"):
+            channel_from_config(cfg)
+
+    def test_explicit_config_with_generators_rejected(self):
+        # generators belong to the square-root completion; an explicit config does not drop them silently
+        cfg = channel_to_config(random_channel(2, 1, [1], seed=3, with_hamiltonian=True))
+        cfg.update(builder="explicit", identity_terms=[{"weight": [1.0, 0.0], "linear": [[[[0.0, 0.0]] * 2] * 2]}])
+        with pytest.raises(ConfigInvalid, match="generators"):
+            channel_from_config(cfg)
+
+    @pytest.mark.parametrize("builder", ["sqrt-completion", "explicit"])
+    def test_dim_is_honoured(self, builder):
+        ch = random_channel(3, 2, [1, 1], seed=77)
+        cfg = channel_to_config(ch)
+        cfg.update(dim=2, builder=builder, identity_terms=[])
+        with pytest.raises(ConfigInvalid, match=r"dim 2|expected \(2, 2\)"):
+            channel_from_config(cfg)
+
+    def test_invalid_channel_data_is_a_config_error(self):
+        # the constructor's typed errors, raised from a config, are configuration errors
+        cfg = channel_to_config(random_channel(2, 1, [1], seed=3))
+        with pytest.raises(ConfigInvalid, match="NonHermitian"):
+            channel_from_config(dict(cfg, generators=[[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]))
+        zero = [[0.0, 0.0]] * 2
+        terms = [{"weight": [1.0, 0.0], "linear": [[zero] * 2] * 2}]  # two parameters' coefficients for one
+        with pytest.raises(ConfigInvalid, match="DimensionMismatch"):
+            channel_from_config(dict(cfg, builder="explicit", identity_terms=terms))
+
+    def test_non_finite_entries_rejected(self):
+        cfg = channel_to_config(LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]), validate=False))
+        bad_matrix = json.loads(json.dumps(cfg))
+        bad_matrix["jump_operators"][0]["matrix"][0][1] = [float("inf"), 0.0]
+        bad_weight = json.loads(json.dumps(cfg))
+        bad_weight["identity_terms"][0]["weight"] = [float("nan"), 0.0]
+        for bad in (bad_matrix, bad_weight):
+            with pytest.raises(ConfigInvalid, match="finite"):
+                channel_from_config(bad)
 
     def test_proportional_jumps_rejected(self):
         with pytest.raises(ConfigInvalid):

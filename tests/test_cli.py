@@ -5,7 +5,7 @@ import pytest
 
 from lownoise.cli import main
 from lownoise.report import parse_jsonl
-from lownoise.scenarios import scenario_threelevel, scenario_to_config
+from lownoise.scenarios import scenario_ancilla_bell, scenario_threelevel, scenario_to_config
 
 FAST = ["--scales", "1e-5:1e-2:5"]
 
@@ -77,6 +77,44 @@ def test_random_suite_smoke():
 )
 def test_run_non_finite_input(args):
     assert main(["run", *args]) == 2
+
+
+def _frame_of_basis_vectors(cfg):
+    cfg["frame"] = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "scenario, mutate",
+    [
+        (scenario_threelevel, lambda cfg: cfg.update(frame=[[1]])),
+        (scenario_threelevel, lambda cfg: cfg.update(frame=[[[1.0, 0.0]]])),
+        (scenario_threelevel, lambda cfg: cfg.update(input_state=cfg["input_state"][:2])),
+        (scenario_threelevel, lambda cfg: cfg.update(input_state=[[0.0, 0.0]] * 3)),
+        (scenario_ancilla_bell, _frame_of_basis_vectors),
+        (scenario_threelevel, lambda cfg: cfg["channel"].update(dim=2)),
+        (scenario_threelevel, lambda cfg: cfg["channel"].update(jump_operators=[{}])),
+        (scenario_threelevel, lambda cfg: cfg["channel"].update(generators=[[[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]] * 3] * 2)),
+        (scenario_threelevel, lambda cfg: cfg["channel"]["jump_operators"][0]["matrix"][1].__setitem__(0, [np.nan, 0.0])),
+    ],
+    ids=[
+        "frame-not-a-matrix",
+        "frame-wrong-shape",
+        "input-wrong-length",
+        "input-zero",
+        "frame-not-a-complement",
+        "channel-dim-mismatch",
+        "jump-item-empty",
+        "generators-not-hermitian",
+        "jump-not-finite",
+    ],
+)
+def test_run_config_error_exits_2(tmp_path, capsys, scenario, mutate):
+    cfg = scenario_to_config(scenario(scales=tuple(np.geomspace(1e-5, 1e-2, 5))))
+    mutate(cfg)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_failed_points_are_recorded(tmp_path):

@@ -1,5 +1,6 @@
-"""Each narrative demo runs to completion against the library in src/."""
+"""Each narrative demo, and the README's Quick start, runs to completion against the library in src/."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,24 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files a demo writes inside the test's own directory
+def run_script(args, tmp_path):
+    # TMPDIR keeps the files a script writes inside the test's own directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    run_script([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = run_script(["-c", code], tmp_path)
+    assert proc.stdout.strip()

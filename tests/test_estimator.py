@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,19 +83,19 @@ def reference_sample(povm, ch, phi, eps_true, shots, seed):
 
 def estimator_pipeline(sc, s, included=None):
     eps = s * np.asarray(sc.sweep.direction)
-    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
+    spec = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
     shifts = spec.shifts()
     if included is None:
         included = [i for i in range(shifts.shape[0]) if shifts[i] > 1e-3 * s]
-    score = build_score_operators(spec, shifts, grads[:, 1:], included)
-    jdiv = divergent_fisher(shifts, grads[:, 1:], included)
-    score = raise_index(score, jdiv)
-    return eps, spec, grads, jdiv, score
+    score = build_score_operators(spec, included)
+    jdiv = divergent_fisher(shifts, spec.shift_gradients(), included)
+    score = raise_index(score, fisher_inverse(jdiv))
+    return eps, spec, jdiv, score
 
 
 class TestScoreOperators:
     def test_bell_covariant_form(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         # shift eigenvectors: index 0 is the eps_2 shift, index 1 the eps_1 shift
         v2 = spec.basis[:, 1]
         v1 = spec.basis[:, 2]
@@ -103,7 +105,7 @@ class TestScoreOperators:
         assert np.max(np.abs(score.covariant[1] - a2)) <= 1e-6 / eps[1]
 
     def test_bell_contravariant_bounded_projectors(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         v2 = spec.basis[:, 1]
         v1 = spec.basis[:, 2]
         assert np.max(np.abs(score.contravariant[0] - np.outer(v1, v1.conj()))) <= 1e-6
@@ -113,13 +115,13 @@ class TestScoreOperators:
         ch = sqrt_completion_channel([[LOWER]])
         phi = np.array([0.0, 1.0], dtype=complex)
         eps = np.array([2e-3])
-        spec, grads = output_spectrum_with_gradients(ch, phi, eps)
-        score = build_score_operators(spec, spec.shifts(), grads[:, 1:], [0])
+        spec = output_spectrum_with_gradients(ch, phi, eps)
+        score = build_score_operators(spec, [0])
         v = spec.basis[:, 1]
         want = (1 / eps[0]) * np.outer(v, v.conj())
         assert np.max(np.abs(score.covariant[0] - want)) <= 1e-6 / eps[0]
-        jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0])
-        score = raise_index(score, jdiv)
+        jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])
+        score = raise_index(score, fisher_inverse(jdiv))
         # contravariant operator stays bounded as the noise vanishes
         assert np.linalg.norm(score.contravariant[0], 2) <= 1.1
 
@@ -128,14 +130,14 @@ class TestScoreOperators:
             estimator_pipeline(bell, 3e-3, included=[])
 
     def test_covariant_operators_commute(self, threelevel):
-        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         a, b = score.covariant
         assert np.linalg.norm(a @ b - b @ a) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
         c, d = score.contravariant
         assert np.linalg.norm(c @ d - d @ c) <= 1e-10
 
     def test_contravariant_is_inverse_weighted_sum(self, threelevel):
-        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         inv = fisher_inverse(jdiv).inverse
         for mu in range(2):
             acc = inv[mu, 0] * score.covariant[0] + inv[mu, 1] * score.covariant[1]
@@ -144,7 +146,7 @@ class TestScoreOperators:
 
 class TestBuildPOVM:
     def test_bell_projectors_match_reference_frame(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-4)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-4)
         povm = build_povm(score)
         refs = bell.closed_forms["projectors_zero"]()
         # informative outcomes: the eps_1 and eps_2 shift projectors
@@ -164,10 +166,10 @@ class TestBuildPOVM:
         ch = sqrt_completion_channel([[LOWER]])
         phi = np.array([0.0, 1.0], dtype=complex)
         eps = np.array([1e-3])
-        spec, grads = output_spectrum_with_gradients(ch, phi, eps)
+        spec = output_spectrum_with_gradients(ch, phi, eps)
         score = raise_index(
-            build_score_operators(spec, spec.shifts(), grads[:, 1:], [0]),
-            divergent_fisher(spec.shifts(), grads[:, 1:], [0]),
+            build_score_operators(spec, [0]),
+            fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])),
         )
         povm = build_povm(score)
         assert len(povm.projectors) == 2
@@ -175,7 +177,7 @@ class TestBuildPOVM:
         assert len(zero_rows) == 1
 
     def test_completeness_and_orthogonality(self, threelevel):
-        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
         assert povm.completeness_residual() <= 1e-10
         for i, p in enumerate(povm.projectors):
@@ -185,14 +187,13 @@ class TestBuildPOVM:
                 assert np.linalg.norm(p @ q) <= 1e-10
 
     def test_rescaled_shifts_leave_estimator_invariant(self, threelevel):
-        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
         c = 3.7
-        shifts = spec.shifts() * c
-        jdiv_scaled = divergent_fisher(shifts, grads[:, 1:], [0, 1])
-        score_scaled = raise_index(
-            build_score_operators(spec, shifts, grads[:, 1:], [0, 1]), jdiv_scaled
-        )
+        # the shifts scaled by c, their gradients left as they are
+        scaled = replace(spec, probs=np.concatenate([spec.probs[:1], spec.probs[1:] * c]))
+        jdiv_scaled = divergent_fisher(scaled.shifts(), scaled.shift_gradients(), [0, 1])
+        score_scaled = raise_index(build_score_operators(scaled, [0, 1]), fisher_inverse(jdiv_scaled))
         povm_scaled = build_povm(score_scaled)
         assert len(povm.projectors) == len(povm_scaled.projectors)
         for p, q in zip(povm.projectors, povm_scaled.projectors):
@@ -202,7 +203,7 @@ class TestBuildPOVM:
 
 class TestUnbiasedness:
     def test_bell_expectation_exact(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         res = unbiasedness_residual(povm, spec.output, eps)
         assert np.max(res) <= 1e-5  # exact appart from differencing noise
@@ -210,14 +211,14 @@ class TestUnbiasedness:
     def test_threelevel_second_order(self, threelevel):
         vals = []
         for s in SCALES:
-            eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, s)
+            eps, spec, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
             vals.append(np.max(unbiasedness_residual(povm, spec.output, eps)))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.8 <= fit.slope <= 2.2
 
     def test_kernel_outcome_contributes_nothing(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         q = outcome_probabilities(povm, spec.output)
         mean_with = povm.estimates.T @ q
@@ -228,20 +229,20 @@ class TestUnbiasedness:
 
 class TestAnalyticMSE:
     def test_bell_matches_exact_inverse(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         mse = analytic_mse(povm, spec.output, eps)
         closed = bell.closed_forms["jinv"](eps)
         assert np.max(np.abs(mse.entries - closed)) <= 1e-9
 
     def test_state_of_another_dimension_rejected(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         with pytest.raises(DimensionMismatch):
             analytic_mse(povm, np.eye(2, dtype=complex) / 2, eps)
 
     def test_second_moment_identity(self, threelevel):
-        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
         mse = analytic_mse(povm, spec.output, eps)
         second = score_second_moment(povm, threelevel.channel, threelevel.input_state, eps)
@@ -252,7 +253,7 @@ class TestAnalyticMSE:
     def test_mse_vs_second_moment_second_order(self, bell):
         vals = []
         for s in SCALES:
-            eps, spec, grads, jdiv, score = estimator_pipeline(bell, s)
+            eps, spec, jdiv, score = estimator_pipeline(bell, s)
             povm = build_povm(score)
             mse = analytic_mse(povm, spec.output, eps)
             second = score_second_moment(povm, bell.channel, bell.input_state, eps)
@@ -268,9 +269,9 @@ class TestAnalyticMSE:
         gaps = []
         for s in SCALES:
             eps = np.array([s])
-            spec, grads = output_spectrum_with_gradients(ch, phi, eps)
-            jdiv = divergent_fisher(spec.shifts(), grads[:, 1:], [0])
-            score = raise_index(build_score_operators(spec, spec.shifts(), grads[:, 1:], [0]), jdiv)
+            spec = output_spectrum_with_gradients(ch, phi, eps)
+            jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])
+            score = raise_index(build_score_operators(spec, [0]), fisher_inverse(jdiv))
             povm = build_povm(score)
             mse = analytic_mse(povm, spec.output, eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
@@ -285,12 +286,11 @@ class TestAnalyticMSE:
         q_unitary, _ = np.linalg.qr(g)
         gaps = []
         for s in SCALES:
-            eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, s)
+            eps, spec, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
             bad = EstimatorPOVM(
                 projectors=tuple(q_unitary @ p @ q_unitary.conj().T for p in povm.projectors),
                 estimates=povm.estimates,
-                reference_eps=povm.reference_eps,
             )
             mse = analytic_mse(bad, spec.output, eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
@@ -301,7 +301,7 @@ class TestAnalyticMSE:
 
 class TestCRGap:
     def test_exact_attainment_zero_gap(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         mse = analytic_mse(povm, spec.output, eps)
         jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
@@ -324,14 +324,14 @@ class TestCRGap:
 
 class TestSampling:
     def test_single_shot_rank_one(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         mc = sample_measurements(povm, spec.output, eps, shots=1, seed=5)
         w = np.linalg.eigvalsh(mc.entries)
         assert np.sum(np.abs(w) > 1e-15) <= 1  # outer product of one outcome deviation
 
     def test_seed_determinism(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         a = sample_measurements(povm, spec.output, eps, shots=4321, seed=7)
         b = sample_measurements(povm, spec.output, eps, shots=4321, seed=7)
@@ -339,26 +339,25 @@ class TestSampling:
         np.testing.assert_array_equal(a.mean, b.mean)
 
     def test_monte_carlo_agrees_with_analytic(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         analytic = analytic_mse(povm, spec.output, eps)
         mc = sample_measurements(povm, spec.output, eps, shots=10**6, seed=2026)
         assert np.all(np.abs(mc.entries - analytic.entries) <= 4 * mc.standard_error + 1e-300)
 
     def test_bad_probabilities(self, bell):
-        eps, spec, grads, jdiv, score = estimator_pipeline(bell, 3e-3)
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         broken = EstimatorPOVM(
             projectors=povm.projectors[:-1],  # drops weight: probabilities no longer sum to 1
             estimates=povm.estimates[:-1],
-            reference_eps=povm.reference_eps,
         )
         with pytest.raises(BadProbabilities):
             sample_measurements(broken, spec.output, eps, shots=10, seed=1)
 
     @pytest.mark.parametrize("shots", [1, SHOT_BLOCK, SHOT_BLOCK + 1, 3 * SHOT_BLOCK + 5])
     def test_stream_matches_fresh_generator_per_block(self, threelevel, shots):
-        eps, spec, grads, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
         mc = sample_measurements(povm, spec.output, eps, shots=shots, seed=41)
         entries, mean, se = reference_sample(povm, threelevel.channel, threelevel.input_state, eps, shots, 41)

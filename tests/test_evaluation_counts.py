@@ -1,4 +1,4 @@
-"""One stacked Kraus build per scale grid.
+"""One stacked Kraus build per scale grid, one inversion per Fisher matrix.
 
 A sweep, a property-suite seed and a channel's construction check each
 build the identity-family Kraus operators once, for the whole stack of
@@ -8,13 +8,17 @@ are recorded by the phase they are made in, with the number of noise
 points (rows of the eps stack) each one covers: a channel's own
 construction check (``_validate``) and the pure-input dominance check are
 recorded apart from the per-grid evaluations.
+
+A sweep point inverts its quantum and its divergent Fisher matrix once
+each, and the estimator raises its index with the divergent inverse the
+point already made.
 """
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from lownoise import fisher, verify
+from lownoise import estimator, fisher, spectral, sweep, verify
 from lownoise.channels import LowNoiseChannel
 from lownoise.scenarios import DEFAULT_SCALES, build_scenario
 from lownoise.sweep import run_sweep
@@ -99,3 +103,45 @@ def test_evaluate_makes_one_kraus_call(kraus_calls):
     kraus_calls.clear()
     sc.channel.evaluate(rho, np.outer([1.0, 2.0, 3.0, 4.0], [1e-3, 2e-3]))
     assert kraus_calls.rows == {"evaluations": [4]}
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Calls of fisher_inverse and fisher_pseudo_inverse, by name, from every module that holds them."""
+    calls = defaultdict(list)
+    for name in ("fisher_inverse", "fisher_pseudo_inverse"):
+        original = getattr(fisher, name)
+
+        def counting(fm, _name=name, _original=original):
+            calls[_name].append(fm)
+            return _original(fm)
+
+        for module in (fisher, estimator, sweep, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sweep_inverts_each_fisher_matrix_once(inversions):
+    sc = build_scenario("three-level", seed=1)
+    report = run_sweep(sc)
+    assert not any(p["pseudo"] or p["error"] for p in report.points)
+    # the quantum and the divergent matrix of each point
+    assert len(inversions["fisher_inverse"]) == 2 * len(sc.sweep.scales)
+    assert not inversions["fisher_pseudo_inverse"]
+
+
+def test_pseudo_inverse_path_raises_with_the_points_inverse(inversions):
+    sc = build_scenario("pauli2", seed=1)
+    report = run_sweep(sc)
+    assert all(p["pseudo"] and p["error"] is None for p in report.points)
+    # the quantum matrix, and the divergent one that proves singular
+    assert len(inversions["fisher_inverse"]) == 2 * len(sc.sweep.scales)
+    assert len(inversions["fisher_pseudo_inverse"]) == len(sc.sweep.scales)
+    spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    included = [i for i, lab in enumerate(report.shift_labels) if lab == "order-1"]
+    for point, spec in zip(report.points, spectra):
+        jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
+        score = estimator.build_score_operators(spec, included)
+        povm = estimator.build_povm(estimator.raise_index(score, fisher.fisher_pseudo_inverse(jdiv)))
+        assert point["estimates"] == [[float(x) for x in row] for row in povm.estimates]

@@ -8,7 +8,7 @@ from lownoise.errors import EmptySum, NoConvergence, SingularFisher
 from lownoise.fisher import (
     FisherMatrix,
     classical_fisher,
-    default_support_threshold,
+    support_threshold,
     divergent_fisher,
     fisher_inverse,
     fisher_pseudo_inverse,
@@ -38,7 +38,7 @@ class SLDSet:
     dropped_weight: float  # largest |<n|drho|m>| discarded by the support cutoff
 
 
-def sld_operators(probs, basis, drho, support_threshold=None) -> SLDSet:
+def sld_operators(probs, basis, drho) -> SLDSet:
     """Solve d rho = (L rho + rho L)/2 for each parameter on the state's support.
 
     The reference that ``quantum_fisher`` is checked against.  Matrix
@@ -47,10 +47,9 @@ def sld_operators(probs, basis, drho, support_threshold=None) -> SLDSet:
     set to zero.
     """
     probs = np.asarray(probs, dtype=float)
-    if support_threshold is None:
-        support_threshold = default_support_threshold(probs.shape[0])
+    threshold = support_threshold(probs.shape[0])
     psum = probs[:, None] + probs[None, :]
-    mask = psum > support_threshold
+    mask = psum > threshold
     weights = np.where(mask, 2.0 / np.where(mask, psum, 1.0), 0.0)
     ops = []
     dropped = 0.0
@@ -61,7 +60,7 @@ def sld_operators(probs, basis, drho, support_threshold=None) -> SLDSet:
         lmat = weights * dmat
         lmat = (lmat + dagger(lmat)) / 2
         ops.append(basis @ lmat @ dagger(basis))
-    return SLDSet(operators=tuple(ops), support_threshold=float(support_threshold), dropped_weight=dropped)
+    return SLDSet(operators=tuple(ops), support_threshold=float(threshold), dropped_weight=dropped)
 
 
 def sld_fisher_cross_check(probs, basis, slds):
@@ -94,29 +93,28 @@ def threelevel():
 
 def pipeline_quantities(sc, s):
     eps = s * np.asarray(sc.sweep.direction)
-    spec, grads = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-    return eps, spec, grads, spec.derivatives
+    return eps, output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 
 
 class TestSLD:
     def test_sld_equation_residual_on_support(self, pauli):
-        eps, spec, grads, drho = pipeline_quantities(pauli, 1e-3)
-        slds = sld_operators(spec.probs, spec.basis, drho)
+        eps, spec = pipeline_quantities(pauli, 1e-3)
+        slds = sld_operators(spec.probs, spec.basis, spec.derivatives)
         rho = (spec.basis * spec.probs) @ spec.basis.conj().T
-        for l, d in zip(slds.operators, drho):
+        for l, d in zip(slds.operators, spec.derivatives):
             res = d - 0.5 * (l @ rho + rho @ l)
             assert np.linalg.norm(res) <= 1e-8
             assert np.linalg.norm(l - l.conj().T) <= 1e-10
 
     def test_pauli_closed_form(self, pauli):
-        eps, spec, grads, drho = pipeline_quantities(pauli, 1e-3)
-        slds = sld_operators(spec.probs, spec.basis, drho)
+        eps, spec = pipeline_quantities(pauli, 1e-3)
+        slds = sld_operators(spec.probs, spec.basis, spec.derivatives)
         closed = pauli.closed_forms["sld"](eps)
         for got, want in zip(slds.operators, closed):
             assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_zero_derivative_zero_sld(self, pauli):
-        eps, spec, grads, drho = pipeline_quantities(pauli, 1e-3)
+        eps, spec = pipeline_quantities(pauli, 1e-3)
         slds = sld_operators(spec.probs, spec.basis, [np.zeros((2, 2), complex)])
         np.testing.assert_allclose(slds.operators[0], np.zeros((2, 2)), atol=1e-15)
 
@@ -137,36 +135,36 @@ class TestSLD:
 class TestQuantumFisher:
     def test_pauli_closed_form_every_scale(self, pauli):
         for s in SCALES:
-            eps, spec, grads, drho = pipeline_quantities(pauli, s)
-            jq = quantum_fisher(spec.probs, spec.basis, drho)
+            eps, spec = pipeline_quantities(pauli, s)
+            jq = quantum_fisher(spec.probs, spec.basis, spec.derivatives)
             closed = pauli.closed_forms["fisher"](eps)
             tol = 1e-8 * np.maximum(1.0, np.abs(closed))
             assert np.all(np.abs(jq.entries - closed) <= tol)
 
     def test_two_form_equality(self, pauli, threelevel):
         for sc in (pauli, threelevel):
-            eps, spec, grads, drho = pipeline_quantities(sc, 2e-3)
-            jq = quantum_fisher(spec.probs, spec.basis, drho)
-            slds = sld_operators(spec.probs, spec.basis, drho)
+            eps, spec = pipeline_quantities(sc, 2e-3)
+            jq = quantum_fisher(spec.probs, spec.basis, spec.derivatives)
+            slds = sld_operators(spec.probs, spec.basis, spec.derivatives)
             alt = sld_fisher_cross_check(spec.probs, spec.basis, slds)
             assert np.max(np.abs(jq.entries - alt)) <= 1e-8 * max(1.0, np.max(np.abs(alt)))
 
     def test_bell_diagonal_scaling(self, bell):
-        eps, spec, grads, drho = pipeline_quantities(bell, 3e-3)
-        jq = quantum_fisher(spec.probs, spec.basis, drho)
+        eps, spec = pipeline_quantities(bell, 3e-3)
+        jq = quantum_fisher(spec.probs, spec.basis, spec.derivatives)
         assert abs(jq.entries[0, 0] * eps[0] - 1) <= 10 * eps.sum()
         assert abs(jq.entries[1, 1] * eps[1] - 1) <= 10 * eps.sum()
         closed = bell.closed_forms["fisher"](eps)
         assert np.max(np.abs(jq.entries - closed)) <= 1e-6 * np.max(np.abs(closed))
 
     def test_zero_derivatives(self, pauli):
-        eps, spec, grads, drho = pipeline_quantities(pauli, 1e-3)
+        eps, spec = pipeline_quantities(pauli, 1e-3)
         jq = quantum_fisher(spec.probs, spec.basis, [np.zeros((2, 2), complex)] * 2)
         np.testing.assert_allclose(jq.entries, np.zeros((2, 2)), atol=1e-15)
 
     def test_symmetric_psd(self, threelevel):
-        eps, spec, grads, drho = pipeline_quantities(threelevel, 1e-3)
-        jq = quantum_fisher(spec.probs, spec.basis, drho)
+        eps, spec = pipeline_quantities(threelevel, 1e-3)
+        jq = quantum_fisher(spec.probs, spec.basis, spec.derivatives)
         assert np.max(np.abs(jq.entries - jq.entries.T)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(jq.entries)) >= -1e-10
 
@@ -188,9 +186,9 @@ class TestClassicalFisher:
         # sum_n dp dp^T / p_n = 4 sum_n d(sqrt p) d(sqrt p)^T on the same support
         for sc in (pauli, threelevel, bell):
             for s in SCALES[::3]:
-                eps, spec, grads, drho = pipeline_quantities(sc, s)
-                jc = classical_fisher(spec.probs, grads)
-                alt = 4.0 * sqrt_prob_gram(spec.probs, grads)
+                eps, spec = pipeline_quantities(sc, s)
+                jc = classical_fisher(spec.probs, spec.gradients)
+                alt = 4.0 * sqrt_prob_gram(spec.probs, spec.gradients)
                 assert np.max(np.abs(jc.entries - alt)) <= 1e-9 * max(1.0, float(np.max(np.abs(jc.entries))))
 
     def test_divergent_is_leading_part(self, threelevel):
@@ -198,9 +196,9 @@ class TestClassicalFisher:
         diffs = []
         j11 = []
         for s in SCALES:
-            eps, spec, grads, drho = pipeline_quantities(threelevel, s)
-            jc = classical_fisher(spec.probs, grads)
-            jd = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
+            eps, spec = pipeline_quantities(threelevel, s)
+            jc = classical_fisher(spec.probs, spec.gradients)
+            jd = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1])
             diffs.append(np.linalg.norm(jc.entries - jd.entries))
             j11.append(jd.entries[0, 0])
         fit = fit_or_floor(SCALES, diffs, 1e-13)
@@ -210,8 +208,8 @@ class TestClassicalFisher:
 
 class TestDivergentFisher:
     def test_bell_exact_diagonal(self, bell):
-        eps, spec, grads, drho = pipeline_quantities(bell, 3e-3)
-        jd = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
+        eps, spec = pipeline_quantities(bell, 3e-3)
+        jd = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1])
         want = np.diag([1 / eps[0], 1 / eps[1]])
         assert np.max(np.abs(jd.entries - want)) <= 1e-9 * np.max(want)
 
@@ -226,9 +224,9 @@ class TestDivergentFisher:
     def test_quantum_minus_divergent_bounded_for_commuting_structure(self, bell):
         diffs = []
         for s in SCALES:
-            eps, spec, grads, drho = pipeline_quantities(bell, s)
-            jq = quantum_fisher(spec.probs, spec.basis, drho)
-            jd = divergent_fisher(spec.shifts(), grads[:, 1:], [0, 1])
+            eps, spec = pipeline_quantities(bell, s)
+            jq = quantum_fisher(spec.probs, spec.basis, spec.derivatives)
+            jd = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1])
             diffs.append(np.linalg.norm(jq.entries - jd.entries))
         fit = power_order_fit(list(zip(SCALES, diffs)))
         assert fit.slope >= -0.2
@@ -246,8 +244,8 @@ class TestNondegeneracy:
     def test_bell_gate_order(self, bell):
         dets = []
         for s in SCALES:
-            eps, spec, grads, drho = pipeline_quantities(bell, s)
-            dets.append(abs(nondegeneracy_det(spec.probs, grads)))
+            eps, spec = pipeline_quantities(bell, s)
+            dets.append(abs(nondegeneracy_det(spec.probs, spec.gradients)))
         fit = power_order_fit(list(zip(SCALES, dets)))
         assert abs(fit.slope + 2) <= 0.3  # order -D for D = 2
         assert min(dets) > 0
@@ -263,9 +261,9 @@ class TestNondegeneracy:
         ch = random_channel(2, 3, [1, 1, 1], seed=31)
         phi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         eps = np.full(3, 1e-3)
-        spec, grads = output_spectrum_with_gradients(ch, phi, eps)
-        gram = sqrt_prob_gram(spec.probs, grads)
-        det = nondegeneracy_det(spec.probs, grads)
+        spec = output_spectrum_with_gradients(ch, phi, eps)
+        gram = sqrt_prob_gram(spec.probs, spec.gradients)
+        det = nondegeneracy_det(spec.probs, spec.gradients)
         assert abs(det) <= 1e-12 * max(1.0, np.linalg.norm(gram)) ** 3
 
 
@@ -280,8 +278,8 @@ class TestFisherInverse:
             fisher_pseudo_inverse(fm)
 
     def test_bell_inverse_closed_form(self, bell):
-        eps, spec, grads, drho = pipeline_quantities(bell, 3e-3)
-        jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+        eps, spec = pipeline_quantities(bell, 3e-3)
+        jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
         closed = bell.closed_forms["jinv"](eps)
         assert np.max(np.abs(jq.inverse - closed)) <= 1e-10
         assert np.linalg.norm(jq.entries @ jq.inverse - np.eye(2)) <= 1e-8 * jq.condition_number
@@ -289,8 +287,8 @@ class TestFisherInverse:
     def test_jinv_vs_diag_second_order(self, bell):
         vals = []
         for s in SCALES:
-            eps, spec, grads, drho = pipeline_quantities(bell, s)
-            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+            eps, spec = pipeline_quantities(bell, s)
+            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             vals.append(np.linalg.norm(jq.inverse - np.diag(eps)))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.8 <= fit.slope <= 2.2
@@ -298,16 +296,16 @@ class TestFisherInverse:
     def test_pauli_inverse_eigenvalue_orders(self, pauli):
         eigs = []
         for s in SCALES:
-            eps, spec, grads, drho = pipeline_quantities(pauli, s)
-            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+            eps, spec = pipeline_quantities(pauli, s)
+            jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             eigs.append(np.sort(np.linalg.eigvalsh(jq.inverse))[::-1])
         eigs = np.array(eigs)
         assert abs(power_order_fit(list(zip(SCALES, eigs[:, 0]))).slope) <= 0.15
         assert abs(power_order_fit(list(zip(SCALES, eigs[:, 1]))).slope - 1) <= 0.15
 
     def test_pauli_closed_inverse_matches(self, pauli):
-        eps, spec, grads, drho = pipeline_quantities(pauli, 1e-3)
-        jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, drho))
+        eps, spec = pipeline_quantities(pauli, 1e-3)
+        jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
         closed = pauli.closed_forms["jinv"](eps)
         assert np.max(np.abs(jq.inverse - closed)) <= 1e-8
 
@@ -316,7 +314,7 @@ class TestFisherInverse:
         with pytest.raises(SingularFisher):
             fisher_inverse(fm)
         with pytest.raises(SingularFisher):
-            fisher_inverse(FisherMatrix(kind="quantum", entries=np.zeros((3, 3))))
+            fisher_inverse(FisherMatrix(entries=np.zeros((3, 3))))
         pinv = fisher_pseudo_inverse(fm)
         assert np.linalg.norm(pinv.inverse @ fm.entries @ pinv.inverse - pinv.inverse) <= 1e-10
 
@@ -325,13 +323,13 @@ class TestFisherInverse:
     def test_well_conditioned_accepted_at_any_dimension(self, num):
         # condition number 2e5: far from singular, whatever the number of parameters
         entries = np.diag(np.geomspace(1.0, 5e-6, num))
-        fm = fisher_inverse(FisherMatrix(kind="divergent", entries=entries))
+        fm = fisher_inverse(FisherMatrix(entries=entries))
         np.testing.assert_allclose(fm.inverse, np.diag(1.0 / np.diag(entries)), rtol=1e-12)
         assert fm.condition_number == pytest.approx(2e5)
 
     def test_singularity_threshold_is_relative(self):
         for ratio, singular in ((1e-11, False), (1e-12, True), (1e-13, True)):
-            fm = FisherMatrix(kind="divergent", entries=1e-20 * np.diag([1.0, ratio]))
+            fm = FisherMatrix(entries=1e-20 * np.diag([1.0, ratio]))
             if singular:
                 with pytest.raises(SingularFisher):
                     fisher_inverse(fm)

@@ -110,7 +110,7 @@ class TestSweepConfig:
         # a sweep's noise points are scale * direction
         sw = SweepConfig(direction=(0.25, 0.75), scales=(1e-3, 1e-2))
         sc = scenario_threelevel(direction=sw.direction, scales=sw.scales)
-        spectra, _, _ = output_shift_curves(sc.channel, sc.input_state, sw.direction, sw.scales)
+        spectra = output_shift_curves(sc.channel, sc.input_state, sw.direction, sw.scales)
         np.testing.assert_allclose(spectra[0].eps, [2.5e-4, 7.5e-4])
         np.testing.assert_allclose(spectra[1].eps, [2.5e-3, 7.5e-3])
 

@@ -39,19 +39,19 @@ def threelevel():
 
 class TestDiagonalizeOutput:
     def test_zero_noise_is_input_projector(self, threelevel):
-        spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, np.zeros(2))
+        spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, np.zeros(2))
         np.testing.assert_allclose(spec.probs, [1, 0, 0], atol=1e-14)
         assert abs(np.vdot(spec.basis[:, 0], threelevel.input_state)) >= 1 - 1e-10
 
     def test_bell_probs_exact(self, bell):
         eps = np.array([1e-3, 2e-3])
-        spec, _ = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
+        spec = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
         np.testing.assert_allclose(spec.probs, [1 - 3e-3, 2e-3, 1e-3, 0.0], atol=1e-14)
 
     def test_threelevel_probs_match_closed_shifts(self, threelevel):
         for s in (1e-4, 1e-3):
             eps = s * np.asarray(threelevel.sweep.direction)
-            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+            spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             dp = threelevel.closed_forms["shifts"](eps)
             want = np.array([1 - dp.sum(), dp[0], dp[1]])
             assert np.max(np.abs(spec.probs - want)) <= 10 * s * s
@@ -59,14 +59,14 @@ class TestDiagonalizeOutput:
     def test_probability_invariants(self, threelevel):
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
-            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+            spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             assert abs(spec.probs.sum() - 1) <= 1e-12
             assert spec.probs.min() >= -1e-12
             assert 1 - spec.probs[0] <= 4.0 * np.sum(eps)
 
     def test_phase_convention(self, threelevel):
         eps = np.array([1e-3, 1e-3])
-        spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+        spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
         overlap = np.vdot(threelevel.input_state, spec.basis[:, 0])
         assert abs(overlap.imag) <= 1e-12 and overlap.real > 0
 
@@ -105,17 +105,17 @@ class TestComplementBasis:
 
 class TestDeviationMatrix:
     def test_zero_at_zero_noise(self, threelevel):
-        spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, np.zeros(2))
+        spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, np.zeros(2))
         dm = output_deviation_matrix(spec.output, threelevel.input_state)
-        np.testing.assert_allclose(dm.entries, np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(dm, np.zeros((2, 2)), atol=1e-14)
 
     def test_bell_printed_frame(self, bell):
         for s in SCALES:
             eps = s * np.asarray(bell.sweep.direction)
-            spec, _ = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
+            spec = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
             dm = output_deviation_matrix(spec.output, bell.input_state, bell.frame)
             np.testing.assert_allclose(
-                dm.entries, bell.closed_forms["deviation_printed"](eps), atol=1e-14
+                dm, bell.closed_forms["deviation_printed"](eps), atol=1e-14
             )
 
     def test_output_of_another_dimension_rejected(self, threelevel):
@@ -125,17 +125,17 @@ class TestDeviationMatrix:
     def test_leading_is_psd_and_hermitian(self, threelevel):
         eps = np.array([1e-3, 2e-3])
         dm = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
-        assert np.linalg.norm(dm.entries - dm.entries.conj().T) <= 1e-12
-        assert np.min(np.linalg.eigvalsh(dm.entries)) >= -1e-12
+        assert np.linalg.norm(dm - dm.conj().T) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(dm)) >= -1e-12
 
     def test_full_vs_leading_second_order(self, threelevel):
         vals = []
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
-            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+            spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             full = output_deviation_matrix(spec.output, threelevel.input_state)
             lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
-            vals.append(np.linalg.norm(full.entries - lead.entries))
+            vals.append(np.linalg.norm(full - lead))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.85 <= fit.slope <= 2.15
 
@@ -144,7 +144,7 @@ class TestDeviationMatrix:
         for s in SCALES:
             eps = s * np.asarray(threelevel.sweep.direction)
             lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
-            spec, _ = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
+            spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             diff = np.sort(deviation_eigenvalues(lead)) - np.sort(spec.shifts())
             vals.append(np.max(np.abs(diff)))
         fit = power_order_fit(list(zip(SCALES, vals)))
@@ -153,7 +153,7 @@ class TestDeviationMatrix:
 
 class TestShiftClassification:
     def test_bell_labels(self, bell):
-        spectra, _, _ = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
+        spectra = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
         rows = [deviation_eigenvalues(output_deviation_matrix(spec.output, bell.input_state, bell.frame)) for spec in spectra]
         labels, _ = classify_shift_curves(SCALES, rows)
         assert labels == ("order-1", "order-1", "higher-or-zero")
@@ -178,20 +178,20 @@ class TestJumpCovariance:
         ch = sqrt_completion_channel([[np.eye(2, dtype=complex)]])
         phi = np.array([1.0, 0.0], dtype=complex)
         lm = jump_covariance(ch, phi, np.array([1e-3]))
-        np.testing.assert_allclose(lm.entries, np.zeros((1, 1)), atol=1e-15)
+        np.testing.assert_allclose(lm, np.zeros((1, 1)), atol=1e-15)
 
     def test_threelevel_matches_covariance_elements(self, threelevel):
         eps = np.array([1e-3, 2e-3])
         lm = jump_covariance(threelevel.channel, threelevel.input_state, eps)
         dm = threelevel.closed_forms["covariance_elements"]()
         want = np.sqrt(np.outer(eps, eps)) * dm
-        np.testing.assert_allclose(lm.entries, want, atol=1e-15)
+        np.testing.assert_allclose(lm, want, atol=1e-15)
 
     def test_diagonal_real_nonnegative(self):
         ch = random_channel(4, 2, [2, 1], seed=5)
         phi = random_input_state(4, 5)
         lm = jump_covariance(ch, phi, np.array([1e-3, 3e-3]))
-        d = np.diag(lm.entries)
+        d = np.diag(lm)
         assert np.max(np.abs(d.imag)) <= 1e-15
         assert np.min(d.real) >= -1e-15
 
@@ -203,24 +203,25 @@ class TestJumpCovariance:
         phi = random_input_state(4, 8)
         eps = np.array([1e-3, 3e-3])
         lm = jump_covariance(ch, phi, eps)
-        assert lm.index.tolist() == [0, 1, 1]
+        assert ch.params.tolist() == [0, 1, 1]
         images = [m @ phi for m in ch.jumps]
         means = [np.vdot(phi, x) for x in images]
         for i, j in np.ndindex(3, 3):
             cov = np.vdot(images[i], images[j]) - np.conj(means[i]) * means[j]
-            want = np.sqrt(eps[lm.index[i]] * eps[lm.index[j]]) * cov
-            assert abs(lm.entries[i, j] - want) <= 1e-18
+            want = np.sqrt(eps[ch.params[i]] * eps[ch.params[j]]) * cov
+            assert abs(lm[i, j] - want) <= 1e-18
 
     def test_leading_deviation_is_the_weighted_image_gram(self):
         ch = random_channel(4, 2, [2, 1], seed=9)
         phi = random_input_state(4, 9)
         eps = np.array([2e-3, 1e-3])
         dm = deviation_matrix(ch, phi, eps)
+        frame = complement_basis(phi)
         want = sum(
-            eps[mu] * np.outer(dm.frame.conj().T @ m @ phi, (dm.frame.conj().T @ m @ phi).conj())
+            eps[mu] * np.outer(frame.conj().T @ m @ phi, (frame.conj().T @ m @ phi).conj())
             for m, mu in zip(ch.jumps, ch.params)
         )
-        assert np.max(np.abs(dm.entries - want)) <= 1e-18
+        assert np.max(np.abs(dm - want)) <= 1e-18
 
 class TestReducedShifts:
     def test_matches_leading_deviation(self, threelevel):
@@ -285,12 +286,13 @@ class TestTracePowerIdentity:
 
 
 def test_output_shift_curves_consistency(threelevel):
-    spectra, shift_rows, grad_rows = output_shift_curves(
+    spectra = output_shift_curves(
         threelevel.channel, threelevel.input_state, np.asarray(threelevel.sweep.direction), SCALES
     )
     assert len(spectra) == len(SCALES)
-    for spec, shifts, grads in zip(spectra, shift_rows, grad_rows):
-        assert shifts.shape == (2,)
-        assert grads.shape == (2, 3)
+    for spec in spectra:
+        assert spec.shifts().shape == (2,)
+        assert spec.gradients.shape == (2, 3)
+        assert np.array_equal(spec.shift_gradients(), spec.gradients[:, 1:])
         # eigenvalue gradients sum to the derivative of the total trace: zero
-        assert np.max(np.abs(grads.sum(axis=1))) <= 1e-12
+        assert np.max(np.abs(spec.gradients.sum(axis=1))) <= 1e-12

@@ -97,7 +97,7 @@ class TestRunSweep:
                 errors[t] = f"{type(exc).__name__}: {exc}"
         assert sorted(errors) == [len(FAST_SCALES), len(FAST_SCALES) + 1]
         labels, _ = spectral.classify_shift_curves(
-            [sc.sweep.scales[t] for t in spectra], [spec.shifts() for spec, _ in spectra.values()]
+            [sc.sweep.scales[t] for t in spectra], [spec.shifts() for spec in spectra.values()]
         )
         assert report.shift_labels == list(labels)
         directions = estimator.cr_directions(CR_DIRECTIONS, sc.channel.num_params, sc.sweep.seed)
@@ -105,8 +105,7 @@ class TestRunSweep:
             if t in errors:
                 assert point == {"scale": scale, "error": errors[t]}
                 continue
-            spec, grads = spectra[t]
-            want = _point_record(sc, scale, spec, grads, labels, directions, shots, sc.sweep.seed * 1009 + t)
+            want = _point_record(sc, scale, spectra[t], labels, directions, shots, sc.sweep.seed * 1009 + t)
             assert json.dumps(point) == json.dumps(want)
 
     def test_monte_carlo_points(self):
