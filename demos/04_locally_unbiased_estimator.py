@@ -1,8 +1,10 @@
 """Constructing the locally unbiased estimator and checking attainment.
 
-The recipe: weight each first-order output eigenvector by the logarithmic
-derivative of its shift (covariant score operators), raise the index with
-the inverse divergent Fisher matrix, and measure in the shared eigenbasis.
+The recipe: the covariant score operators are diagonal in the output
+eigenbasis, with the logarithmic derivative of each first-order shift as
+their eigenvalue on its eigenvector.  Raising the index with the inverse
+divergent Fisher matrix maps each such row of log-gradients to an estimate
+vector, and the estimator measures in that eigenbasis.
 The resulting projective estimator is unbiased to second order and its
 error matrix matches the inverse divergent Fisher matrix to second order;
 for the ancilla-Bell scenario the match is exact.
@@ -30,10 +32,13 @@ bell = scenario_ancilla_bell()
 eps = np.array([1e-3, 2e-3])
 spec = output_spectrum_with_gradients(bell.channel, bell.input_state, eps)
 
-# the score operators read the shifts, their gradients and eigenvectors from
-# the spectrum; raising the index takes the inverse divergent Fisher matrix
+# the score operators are held as their eigenvalues on the spectrum's basis:
+# one row of log-gradients d_mu shift_n / shift_n per included shift, and,
+# once raised with the inverse divergent Fisher matrix, one estimate vector
 jdiv_inv = fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1]))
 score = raise_index(build_score_operators(spec, [0, 1]), jdiv_inv)
+print("log-gradients (rows: shifts eps_2, eps_1):\n", score.log_gradients)
+print("estimates = log-gradients mapped through the inverse:\n", score.estimates)
 povm = build_povm(score)
 
 print("outcomes and their estimate vectors:")

@@ -1,15 +1,15 @@
 """Locally unbiased estimator: commuting score operators, POVM, and errors.
 
-The covariant score operators weight each first-order output eigenvector
-by the logarithmic derivative of its eigenvalue shift; raising the index
-with the inverse divergent Fisher matrix gives bounded operators whose
-joint spectral decomposition defines a projective estimator.  Its
-mean-square-error matrix matches the inverse divergent Fisher matrix to
-second order in the noise strengths.
+The score operators are diagonal in the output eigenbasis and are held as
+their eigenvalues there: d_mu shift_n / shift_n on first-order eigenvector
+n (covariant), mapped through the inverse divergent Fisher matrix to a
+bounded estimate vector (contravariant).  Measuring in that basis is a
+projective estimator whose mean-square-error matrix matches the inverse
+divergent Fisher matrix to second order in the noise strengths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,77 +25,44 @@ SHOT_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ScoreOperators:
-    """Commuting Hermitian score operators built at a reference noise point."""
+    """Commuting score operators at a noise point, as eigenvalues on its output eigenbasis.
 
-    covariant: tuple[np.ndarray, ...]
-    contravariant: tuple[np.ndarray, ...] | None
+    Row k belongs to eigenvector basis[:, included[k] + 1]; the operators vanish on the others.
+    """
+
     included: tuple[int, ...]  # shift indices (0-based into probs[1:])
-    estimates: np.ndarray | None  # per included shift, D-vector of eigenvalues
     basis: np.ndarray
+    log_gradients: np.ndarray  # (len(included), D): covariant eigenvalues d_mu shift_n / shift_n
+    estimates: np.ndarray | None  # (len(included), D): contravariant eigenvalues, set by raise_index
 
 
 def build_score_operators(spec: OutputSpectrum, included) -> ScoreOperators:
     """Covariant score operators A_mu = sum_n (d_mu shift_n / shift_n) P_n.
 
-    The shifts, their gradients and the projectors P_n all come from spec.
+    The shifts, their gradients and the eigenvectors all come from spec.
     Only order-1 shifts enter; higher-or-zero shifts carry no first-order
-    information and their projectors are left to the kernel outcome.
+    information and their eigenvectors are left to the kernel outcome.
     """
     included = tuple(included)
     if not included:
         raise EmptySum("no first-order shift to build an estimator from")
-    shift_values = spec.shifts()
-    shift_grads = spec.shift_gradients()
-    num_params = shift_grads.shape[0]
-    dim = spec.basis.shape[0]
-    ops = []
-    for mu in range(num_params):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for n in included:
-            vec = spec.basis[:, n + 1]
-            acc = acc + (shift_grads[mu, n] / shift_values[n]) * np.outer(vec, vec.conj())
-        ops.append(acc)
-    return ScoreOperators(
-        covariant=tuple(ops),
-        contravariant=None,
-        included=included,
-        estimates=None,
-        basis=spec.basis,
-    )
+    log_gradients = spec.shift_gradients()[:, included].T / spec.shifts()[included, None]
+    return ScoreOperators(included=included, basis=spec.basis, log_gradients=log_gradients, estimates=None)
 
 
 def raise_index(partial: ScoreOperators, jdiv_inv: FisherMatrix) -> ScoreOperators:
     """Contravariant operators A^mu = sum_nu (Jdiv^-1)_{mu nu} A_nu.
 
-    jdiv_inv is the divergent Fisher matrix as inverted by its caller:
-    ``fisher_inverse``, or ``fisher_pseudo_inverse`` when it is singular
-    (negative-control path), where the estimator is unbiased only inside
-    the row space.
+    They share the covariant eigenbasis, so the estimate vector of shift n
+    is Jdiv^-1 applied to its log-gradient row.  jdiv_inv is the divergent
+    Fisher matrix as inverted by its caller: ``fisher_inverse``, or
+    ``fisher_pseudo_inverse`` when it is singular (negative-control path),
+    where the estimator is unbiased only inside the row space.
     """
-    if jdiv_inv.inverse is None:
-        raise DimensionMismatch("Fisher matrix must carry its inverse")
     inv = jdiv_inv.inverse
-    num_params = len(partial.covariant)
-    contra = []
-    for mu in range(num_params):
-        acc = np.zeros_like(partial.covariant[0])
-        for nu in range(num_params):
-            acc = acc + inv[mu, nu] * partial.covariant[nu]
-        contra.append(acc)
-    # shared eigenbasis: the estimate vector of shift n is inv @ gradlog_n,
-    # recovered from the covariant construction
-    estimates = []
-    for n in partial.included:
-        vec = partial.basis[:, n + 1]
-        glog = np.array([float(np.real(np.vdot(vec, a @ vec))) for a in partial.covariant])
-        estimates.append(inv @ glog)
-    return ScoreOperators(
-        covariant=partial.covariant,
-        contravariant=tuple(contra),
-        included=partial.included,
-        estimates=np.asarray(estimates),
-        basis=partial.basis,
-    )
+    if inv is None or inv.shape != (partial.log_gradients.shape[1],) * 2:
+        raise DimensionMismatch("Fisher matrix must carry its inverse, one row and column per parameter")
+    return replace(partial, estimates=partial.log_gradients @ inv.T)
 
 
 @dataclass(frozen=True)
@@ -117,25 +84,21 @@ def build_povm(score: ScoreOperators) -> EstimatorPOVM:
     operators (the near-unit eigenvector and any excluded shifts) forms
     the completion outcome with estimate zero.
     """
-    if score.contravariant is None or score.estimates is None:
+    if score.estimates is None:
         raise EmptySum("raise_index must run before building the estimator")
     dim = score.basis.shape[0]
-    num_params = len(score.contravariant)
     groups: list[tuple[np.ndarray, np.ndarray]] = []  # (estimate, projector)
-    for pos, n in enumerate(score.included):
+    for x, n in zip(score.estimates, score.included):
         vec = score.basis[:, n + 1]
         proj = np.outer(vec, vec.conj())
-        x = score.estimates[pos]
-        merged = False
         for gi, (gx, gp) in enumerate(groups):
             if np.max(np.abs(gx - x)) <= MERGE_RTOL * max(1.0, float(np.max(np.abs(gx)))):
                 groups[gi] = (gx, gp + proj)
-                merged = True
                 break
-        if not merged:
+        else:
             groups.append((x, proj))
     kernel = np.eye(dim, dtype=complex) - sum(p for _, p in groups)
-    zero = np.zeros(num_params)
+    zero = np.zeros(score.estimates.shape[1])
     zero_group = [gi for gi, (gx, _) in enumerate(groups) if np.max(np.abs(gx)) <= MERGE_RTOL]
     if zero_group:
         gi = zero_group[0]

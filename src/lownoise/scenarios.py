@@ -67,6 +67,11 @@ class Scenario:
     reference_jinv: Callable[[np.ndarray], np.ndarray] | None = None
     frame: np.ndarray | None = None
 
+    def __post_init__(self):
+        num = len(self.sweep.direction)
+        if num != self.channel.num_params:
+            raise ConfigInvalid(f"sweep direction has {num} components for {self.channel.num_params} noise parameters")
+
 
 # ---------------------------------------------------------------------------
 # three-level two-parameter scenario
@@ -76,7 +81,7 @@ def scenario_threelevel(
     m1: np.ndarray | None = None,
     m2: np.ndarray | None = None,
     input_state: np.ndarray | None = None,
-    direction: tuple[float, float] | None = None,
+    direction: tuple[float, float] = (0.5, 0.5),
     scales=DEFAULT_SCALES,
     seed: int = 7,
 ) -> Scenario:
@@ -108,15 +113,6 @@ def scenario_threelevel(
     det = a * d - b2
     if abs(det) < 1e-12:
         raise ConfigInvalid("jump covariance matrix is singular; closed forms undefined")
-    if direction is None:
-        direction = (0.5, 0.5)
-    n1, n2 = float(direction[0]), float(direction[1])
-    split = n1 * a - n2 * d
-    if abs(split) < 1e-9 * (n1 * a + n2 * d):
-        raise ConfigInvalid(
-            "sweep direction makes the shift-splitting term vanish; "
-            "the inverse-Fisher closed forms are singular there - pick another direction"
-        )
 
     def shifts_closed(eps: np.ndarray) -> np.ndarray:
         t = eps[0] * a + eps[1] * d
@@ -131,7 +127,7 @@ def scenario_threelevel(
         j12 = -e1 * e2 * (b2 / det) * (e1 * a + e2 * d) / (e1 * a - e2 * d) ** 2
         return np.array([[j11, j12], [j12, j22]])
 
-    return Scenario(
+    sc = Scenario(
         name="three-level",
         channel=channel,
         input_state=phi,
@@ -147,6 +143,13 @@ def scenario_threelevel(
         },
         attainment_expected=True,
     )
+    n1, n2 = direction
+    if abs(n1 * a - n2 * d) < 1e-9 * (n1 * a + n2 * d):
+        raise ConfigInvalid(
+            "sweep direction makes the shift-splitting term vanish; "
+            "the inverse-Fisher closed forms are singular there - pick another direction"
+        )
+    return sc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import estimator as est
 from . import fisher, spectral
-from .errors import LowNoiseError, SingularFisher
+from .errors import ConfigInvalid, LowNoiseError, SingularFisher
 from .linalg import eigensolve, fit_or_floor, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
@@ -155,7 +155,10 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     grid is evaluated point by point so each failure is recorded at its
     own point.  Shifts are classified over the scales whose spectrum
     succeeded; if that fails, every point records the classification error.
+    ConfigInvalid if shots, the Monte Carlo shots per point, is negative.
     """
+    if shots < 0:
+        raise ConfigInvalid(f"shots must be >= 0, got {shots}")
     scales = list(sc.sweep.scales)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import curves, estimator as est, fisher, spectral
 from .channels import pure_state_density
-from .errors import SingularFisher
+from .errors import ConfigInvalid, SingularFisher
 from .linalg import eigensolve, fit_or_floor, power_order_fit, richardson_zero_limit
 from .scenarios import (
     DEFAULT_SCALES,
@@ -226,6 +226,8 @@ def _seed_params(seed: int) -> tuple[int, int]:
 
 
 def check_property_suite(num_seeds: int = 100) -> CheckResult:
+    if num_seeds < 1:
+        raise ConfigInvalid(f"the property suite needs at least one seed, got {num_seeds}")
     start = time.perf_counter()
     failures: list[str] = []
     scales = np.asarray(DEFAULT_SCALES)
@@ -258,10 +260,11 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         labels, _ = spectral.classify_shift_curves(scales, [spec.shifts() for spec in specs])
         included = [i for i, lab in enumerate(labels) if lab == "order-1"]
         cvd = []
+        jdivs = []
         for spec in specs:
             jc = fisher.classical_fisher(spec.probs, spec.gradients)
-            jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
-            cvd.append(np.linalg.norm(jc.entries - jdiv.entries))
+            jdivs.append(fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included))
+            cvd.append(np.linalg.norm(jc.entries - jdivs[-1].entries))
         fit_cvd = fit_or_floor(scales, cvd, 1e-13)
         if fit_cvd is not None and fit_cvd.slope < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope:.3f} diverges")
@@ -270,11 +273,9 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         lm = spectral.jump_covariance(ch, phi, eps)
         if spectral.trace_power_residual(dm_lead, lm, kmax=5) > 1e-11:
             failures.append(f"seed {seed}: trace-power identity residual")
-        spec = specs[-3]
         try:
-            jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
-            score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
-            povm = est.build_povm(score)
+            score = est.build_score_operators(specs[-3], included)
+            povm = est.build_povm(est.raise_index(score, fisher.fisher_inverse(jdivs[-3])))
             if povm.completeness_residual() > 1e-10:
                 failures.append(f"seed {seed}: POVM completeness residual")
             for i, p in enumerate(povm.projectors):
@@ -316,11 +317,11 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_ancilla_bell()
+    report = run_sweep(sc, shots=1000)
+    included = [i for i, lab in enumerate(report.shift_labels) if lab == "order-1"]
     eps = np.array([1e-3, 2e-3])
     spec = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-    shifts = spec.shifts()
-    included = [i for i in range(shifts.shape[0]) if shifts[i] > 1e-6]
-    jdiv = fisher.divergent_fisher(shifts, spec.shift_gradients(), included)
+    jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
     score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
     povm = est.build_povm(score)
     analytic = est.analytic_mse(povm, spec.output, eps)
@@ -331,7 +332,7 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     mc2 = est.sample_measurements(povm, spec.output, eps, shots, seed)
     if not (np.array_equal(mc.entries, mc2.entries) and np.array_equal(mc.mean, mc2.mean)):
         failures.append("rerun with the same seed changed the result")
-    rep_a = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)
+    rep_a = render_jsonl(report, with_meta=False)
     rep_b = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)
     if rep_a != rep_b:
         failures.append("reports are not byte-identical across reruns")
@@ -350,6 +351,9 @@ ALL_CHECKS = [
 
 
 def run_all(num_seeds: int = 100, shots: int = 10**6) -> list[CheckResult]:
+    """Every check in order; ConfigInvalid before any runs if a count is below 1."""
+    if num_seeds < 1 or shots < 1:
+        raise ConfigInvalid(f"verify needs at least one seed and one shot, got {num_seeds} seeds and {shots} shots")
     results = []
     for fn in ALL_CHECKS:
         if fn is check_property_suite:

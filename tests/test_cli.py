@@ -95,6 +95,7 @@ def _frame_of_basis_vectors(cfg):
         (scenario_threelevel, lambda cfg: cfg["channel"].update(jump_operators=[{}])),
         (scenario_threelevel, lambda cfg: cfg["channel"].update(generators=[[[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]] * 3] * 2)),
         (scenario_threelevel, lambda cfg: cfg["channel"]["jump_operators"][0]["matrix"][1].__setitem__(0, [np.nan, 0.0])),
+        (scenario_threelevel, lambda cfg: cfg["sweep"].update(direction=[0.2, 0.3, 0.5])),
     ],
     ids=[
         "frame-not-a-matrix",
@@ -106,6 +107,7 @@ def _frame_of_basis_vectors(cfg):
         "jump-item-empty",
         "generators-not-hermitian",
         "jump-not-finite",
+        "direction-wrong-length",
     ],
 )
 def test_run_config_error_exits_2(tmp_path, capsys, scenario, mutate):
@@ -114,6 +116,30 @@ def test_run_config_error_exits_2(tmp_path, capsys, scenario, mutate):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["three-level", "--direction", "0.2,0.3,0.5"], ["pauli2", "--direction", "1"], ["three-level", "--direction", "1"]],
+)
+def test_run_direction_of_wrong_length_exits_2(args, capsys):
+    # one component per noise parameter, checked before any point runs
+    assert main(["run", *args]) == 2
+    assert "noise parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "ancilla-bell", *FAST, "--shots", "-5"],
+        ["verify", "--shots", "0"],
+        ["verify", "--seeds", "-2"],
+        ["random-suite", "--seeds", "-1"],
+    ],
+)
+def test_count_below_its_minimum_exits_2(args, capsys):
+    assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

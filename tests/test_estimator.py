@@ -5,7 +5,7 @@ import pytest
 
 from lownoise import sweep
 from lownoise.channels import pure_state_density, sqrt_completion_channel
-from lownoise.errors import BadProbabilities, DimensionMismatch, EmptySum
+from lownoise.errors import BadProbabilities, DimensionMismatch, EmptySum, SingularFisher
 from lownoise.estimator import (
     SHOT_BLOCK,
     EstimatorPOVM,
@@ -20,10 +20,23 @@ from lownoise.estimator import (
     sample_measurements,
     unbiasedness_residual,
 )
-from lownoise.fisher import divergent_fisher, fisher_inverse, quantum_fisher
+from lownoise.fisher import (
+    FisherMatrix,
+    divergent_fisher,
+    fisher_inverse,
+    fisher_pseudo_inverse,
+    quantum_fisher,
+)
 from lownoise.linalg import power_order_fit
-from lownoise.scenarios import build_scenario, scenario_ancilla_bell, scenario_threelevel
-from lownoise.spectral import output_spectrum_with_gradients
+from lownoise.scenarios import (
+    DEFAULT_SCALES,
+    build_scenario,
+    random_channel,
+    random_input_state,
+    scenario_ancilla_bell,
+    scenario_threelevel,
+)
+from lownoise.spectral import classify_shift_curves, output_shift_curves, output_spectrum_with_gradients
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -93,23 +106,54 @@ def estimator_pipeline(sc, s, included=None):
     return eps, spec, jdiv, score
 
 
+def dense_estimates(spec, included, inv):
+    """Reference: the estimates read back from dense N x N score operators.
+
+    Builds the D covariant operators sum_n (d_mu shift_n / shift_n) |v_n><v_n|
+    and reads each included shift's log-gradient as Re<v_n|A_mu v_n>; its
+    estimate is inv applied to that vector.
+    """
+    dim = spec.basis.shape[0]
+    shifts = spec.shifts()
+    grads = spec.shift_gradients()
+    covariant = []
+    for mu in range(grads.shape[0]):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for n in included:
+            vec = spec.basis[:, n + 1]
+            acc = acc + (grads[mu, n] / shifts[n]) * np.outer(vec, vec.conj())
+        covariant.append(acc)
+    rows = []
+    for n in included:
+        vec = spec.basis[:, n + 1]
+        rows.append(inv @ np.array([float(np.real(np.vdot(vec, a @ vec))) for a in covariant]))
+    return np.asarray(rows)
+
+
+def moment_operators(povm):
+    """sum_j x_j^mu P_j per parameter: the contravariant score operators the POVM measures."""
+    return [sum(x[mu] * p for x, p in zip(povm.estimates, povm.projectors)) for mu in range(povm.estimates.shape[1])]
+
+
 class TestScoreOperators:
     def test_bell_covariant_form(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
-        # shift eigenvectors: index 0 is the eps_2 shift, index 1 the eps_1 shift
-        v2 = spec.basis[:, 1]
-        v1 = spec.basis[:, 2]
-        a1 = (1 / eps[0]) * np.outer(v1, v1.conj())
-        a2 = (1 / eps[1]) * np.outer(v2, v2.conj())
-        assert np.max(np.abs(score.covariant[0] - a1)) <= 1e-6 / eps[0]
-        assert np.max(np.abs(score.covariant[1] - a2)) <= 1e-6 / eps[1]
+        # shift index 0 is the eps_2 shift, index 1 the eps_1 shift:
+        # A_1 = P_1 / eps_1 and A_2 = P_2 / eps_2 on the spectrum's eigenvectors
+        assert score.included == (0, 1)
+        assert score.basis is spec.basis
+        want = np.array([[0.0, 1 / eps[1]], [1 / eps[0], 0.0]])
+        assert np.all(np.abs(score.log_gradients - want) <= 1e-6 / eps)
 
     def test_bell_contravariant_bounded_projectors(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
+        # A^1 and A^2 are the eps_1 and eps_2 shift projectors
+        assert np.max(np.abs(score.estimates - np.array([[0.0, 1.0], [1.0, 0.0]]))) <= 1e-6
         v2 = spec.basis[:, 1]
         v1 = spec.basis[:, 2]
-        assert np.max(np.abs(score.contravariant[0] - np.outer(v1, v1.conj()))) <= 1e-6
-        assert np.max(np.abs(score.contravariant[1] - np.outer(v2, v2.conj()))) <= 1e-6
+        a1, a2 = moment_operators(build_povm(score))
+        assert np.max(np.abs(a1 - np.outer(v1, v1.conj()))) <= 1e-6
+        assert np.max(np.abs(a2 - np.outer(v2, v2.conj()))) <= 1e-6
 
     def test_single_parameter_amplitude_damping(self):
         ch = sqrt_completion_channel([[LOWER]])
@@ -117,13 +161,11 @@ class TestScoreOperators:
         eps = np.array([2e-3])
         spec = output_spectrum_with_gradients(ch, phi, eps)
         score = build_score_operators(spec, [0])
-        v = spec.basis[:, 1]
-        want = (1 / eps[0]) * np.outer(v, v.conj())
-        assert np.max(np.abs(score.covariant[0] - want)) <= 1e-6 / eps[0]
+        assert abs(score.log_gradients[0, 0] - 1 / eps[0]) <= 1e-6 / eps[0]
         jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])
         score = raise_index(score, fisher_inverse(jdiv))
         # contravariant operator stays bounded as the noise vanishes
-        assert np.linalg.norm(score.contravariant[0], 2) <= 1.1
+        assert np.max(np.abs(score.estimates)) <= 1.1
 
     def test_all_excluded_raises(self, bell):
         with pytest.raises(EmptySum):
@@ -131,17 +173,55 @@ class TestScoreOperators:
 
     def test_covariant_operators_commute(self, threelevel):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
-        a, b = score.covariant
+        vecs = spec.basis[:, [n + 1 for n in score.included]]
+        a, b = [(vecs * score.log_gradients[:, mu]) @ vecs.conj().T for mu in range(2)]
         assert np.linalg.norm(a @ b - b @ a) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
-        c, d = score.contravariant
+        c, d = moment_operators(build_povm(score))
         assert np.linalg.norm(c @ d - d @ c) <= 1e-10
 
     def test_contravariant_is_inverse_weighted_sum(self, threelevel):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         inv = fisher_inverse(jdiv).inverse
         for mu in range(2):
-            acc = inv[mu, 0] * score.covariant[0] + inv[mu, 1] * score.covariant[1]
-            assert np.max(np.abs(score.contravariant[mu] - acc)) <= 1e-10
+            acc = inv[mu, 0] * score.log_gradients[:, 0] + inv[mu, 1] * score.log_gradients[:, 1]
+            assert np.max(np.abs(score.estimates[:, mu] - acc)) <= 1e-10
+
+    def test_inverse_of_another_size_rejected(self, threelevel):
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        with pytest.raises(DimensionMismatch):
+            raise_index(score, FisherMatrix(entries=np.eye(3), inverse=np.eye(3)))
+
+
+def _estimates_and_dense_reference(ch, phi, direction):
+    """Each grid point's estimates and their dense reference, the sweep's way."""
+    specs = output_shift_curves(ch, phi, direction, DEFAULT_SCALES)
+    labels, _ = classify_shift_curves(DEFAULT_SCALES, [spec.shifts() for spec in specs])
+    included = [i for i, lab in enumerate(labels) if lab == "order-1"]
+    for spec in specs:
+        jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
+        try:
+            jdiv_inv = fisher_inverse(jdiv)
+        except SingularFisher:
+            jdiv_inv = fisher_pseudo_inverse(jdiv)
+        score = raise_index(build_score_operators(spec, included), jdiv_inv)
+        yield score.estimates, dense_estimates(spec, included, jdiv_inv.inverse)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_estimates_match_dense_reference_on_random_channels(dim):
+    for seed in range(3):
+        num_params = 1 + seed % (dim - 1) if dim > 2 else 1
+        ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
+        phi = random_input_state(dim, seed)
+        for got, ref in _estimates_and_dense_reference(ch, phi, np.full(num_params, 1 / num_params)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_estimates_match_dense_reference_on_builtins(name):
+    sc = build_scenario(name)
+    for got, ref in _estimates_and_dense_reference(sc.channel, sc.input_state, sc.sweep.direction):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBuildPOVM:

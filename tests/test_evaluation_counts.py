@@ -145,3 +145,19 @@ def test_pseudo_inverse_path_raises_with_the_points_inverse(inversions):
         score = estimator.build_score_operators(spec, included)
         povm = estimator.build_povm(estimator.raise_index(score, fisher.fisher_pseudo_inverse(jdiv)))
         assert point["estimates"] == [[float(x) for x in row] for row in povm.estimates]
+
+
+def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
+    """One divergent Fisher matrix per scale; the estimator check reuses its point's."""
+    calls = []
+    original = fisher.divergent_fisher
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fisher, "divergent_fisher", counting)
+    num_seeds = 3
+    result = verify.check_property_suite(num_seeds=num_seeds)
+    assert result.passed, result.detail
+    assert len(calls) == len(DEFAULT_SCALES) * num_seeds
