@@ -18,6 +18,7 @@ from lownoise import (
     cr_gap,
     divergent_fisher,
     fisher_inverse,
+    outcome_probabilities,
     quantum_fisher,
     raise_index,
     unbiasedness_residual,
@@ -46,11 +47,14 @@ for x, p in zip(povm.estimates, povm.projectors):
     print("  estimate", x, " projector rank", int(round(np.trace(p).real)))
 print("completeness residual:", povm.completeness_residual())
 
-# The estimator's statistics need only the output state at the true point;
-# the spectrum carries it (and its derivatives) from its channel.evaluate().
-print("\nunbiasedness residual:", unbiasedness_residual(povm, spec.output, eps))
+# The estimator's statistics need only its outcome probabilities
+# q_n = Tr[P_n rho] at the true point; the spectrum carries the output
+# state rho (and its derivatives) from its channel.evaluate().
+q = outcome_probabilities(povm, spec.output)
+print("\noutcome probabilities:", q)
+print("unbiasedness residual:", unbiasedness_residual(povm, q, eps))
 
-mse = analytic_mse(povm, spec.output, eps)
+mse = analytic_mse(povm, q, eps)
 jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
 print("error matrix:\n", mse.entries)
 print("gap to the quantum bound (exact attainment here):\n", cr_gap(mse, jq))
@@ -65,7 +69,8 @@ for s in scales:
     spec = output_spectrum_with_gradients(sc.channel, sc.input_state, e)
     jdiv_inv = fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1]))
     score = raise_index(build_score_operators(spec, [0, 1]), jdiv_inv)
-    v = analytic_mse(build_povm(score), spec.output, e)
+    povm = build_povm(score)
+    v = analytic_mse(povm, outcome_probabilities(povm, spec.output), e)
     gaps.append(np.linalg.norm(v.entries - jdiv_inv.inverse))
 fit = power_order_fit(list(zip(scales, gaps)))
 print(f"\nthree-level ||V - inverse divergent Fisher|| order: {fit.slope:.3f} (want 2)")

@@ -3,9 +3,10 @@
 run_sweep drives every quantity across a geometric noise grid, fits
 asymptotic orders, and grades them against the scenario's expectations.
 Reports are deterministic given (scenario, seed); Monte Carlo sampling is
-counter-based and reproducible for any partition of its blocks.
+one multinomial draw from a counter-based generator keyed by its seed.
 """
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from lownoise import (
     divergent_fisher,
     emit_report,
     fisher_inverse,
+    outcome_probabilities,
     parse_jsonl,
     raise_index,
     render_jsonl,
@@ -47,7 +49,7 @@ print(f"bad-direction gap order {bad['slope']:.2e}: the O(1) error floor never d
 with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False, mode="w") as fh:
     path = fh.name
 emit_report(report, "jsonl", path)
-records = parse_jsonl(open(path).read())
+records = parse_jsonl(Path(path).read_text())
 print("\nreport records:", len(records), "; round-trip exact:",
       records[1:] == report.records())
 print("byte-deterministic:",
@@ -61,8 +63,9 @@ spec = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 jdiv_inv = fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1]))
 povm = build_povm(raise_index(build_score_operators(spec, [0, 1]), jdiv_inv))
 
-analytic = analytic_mse(povm, spec.output, eps)
-mc = sample_measurements(povm, spec.output, eps, shots=10**6, seed=2026)
+q = outcome_probabilities(povm, spec.output)
+analytic = analytic_mse(povm, q, eps)
+mc = sample_measurements(povm, q, eps, shots=10**6, seed=2026)
 print("\nanalytic error matrix:\n", analytic.entries)
 print("empirical (10^6 shots):\n", mc.entries)
 print("all entries within 4 standard errors:",

@@ -44,6 +44,7 @@ from .estimator import (
     cr_direction_margin,
     cr_directions,
     cr_gap,
+    outcome_probabilities,
     raise_index,
     sample_measurements,
     unbiasedness_residual,

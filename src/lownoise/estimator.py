@@ -13,14 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadProbabilities, DimensionMismatch, EmptySum
+from .errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum
 from .fisher import FisherMatrix
 from .linalg import dagger
 from .spectral import OutputSpectrum
 
 MERGE_RTOL = 1e-10
-# Shots per Monte Carlo block; the block grid defines the random stream.
-SHOT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,16 +109,25 @@ def build_povm(score: ScoreOperators) -> EstimatorPOVM:
 
 
 def outcome_probabilities(povm: EstimatorPOVM, rho: np.ndarray) -> np.ndarray:
+    """q_n = Tr[P_n rho], one per outcome; the statistics below all read q."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != povm.projectors[0].shape:
         raise DimensionMismatch(f"state has shape {rho.shape}, estimator acts on {povm.projectors[0].shape}")
     return np.array([float(np.real(np.trace(p @ rho))) for p in povm.projectors])
 
 
-def unbiasedness_residual(povm: EstimatorPOVM, rho: np.ndarray, eps_true) -> np.ndarray:
-    """|E[x_mu] - eps_mu| per parameter; rho is the channel output at eps_true."""
+def _outcomes(povm: EstimatorPOVM, q) -> np.ndarray:
+    """q as a float array; DimensionMismatch unless it has one entry per outcome."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (povm.estimates.shape[0],):
+        raise DimensionMismatch(f"{q.shape} outcome probabilities for {povm.estimates.shape[0]} outcomes")
+    return q
+
+
+def unbiasedness_residual(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> np.ndarray:
+    """|E[x_mu] - eps_mu| per parameter; q are the outcome probabilities at eps_true."""
     eps_true = np.asarray(eps_true, dtype=float)
-    q = outcome_probabilities(povm, rho)
+    q = _outcomes(povm, q)
     mean = povm.estimates.T @ q
     return np.abs(mean - eps_true)
 
@@ -134,13 +141,13 @@ class MSEMatrix:
     standard_error: np.ndarray | None = None  # Monte Carlo estimates only
 
 
-def analytic_mse(povm: EstimatorPOVM, rho: np.ndarray, eps_true) -> MSEMatrix:
+def analytic_mse(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> MSEMatrix:
     """Exact second moment sum_n q_n (x_n - eps)(x_n - eps)^T.
 
-    rho is the channel output at eps_true; q_n = Tr[P_n rho].
+    q are the outcome probabilities Tr[P_n rho] of the channel output rho at eps_true.
     """
     eps_true = np.asarray(eps_true, dtype=float)
-    q = outcome_probabilities(povm, rho)
+    q = _outcomes(povm, q)
     num_params = eps_true.shape[0]
     entries = np.zeros((num_params, num_params))
     mean = np.zeros(num_params)
@@ -183,27 +190,25 @@ def cr_direction_margin(gap: np.ndarray, directions: np.ndarray) -> float:
 
 def sample_measurements(
     povm: EstimatorPOVM,
-    rho: np.ndarray,
+    q: np.ndarray,
     eps_true,
     shots: int,
     seed: int,
 ) -> MSEMatrix:
     """Monte Carlo estimate of the mean and mean-square-error matrix.
 
-    rho is the channel output at eps_true; outcomes are drawn from
-    q_n = Tr[P_n rho].
+    q are the outcome probabilities Tr[P_n rho] of the channel output rho
+    at eps_true; BadProbabilities if one is negative or they do not sum to 1.
 
-    The shots fall on a fixed grid of SHOT_BLOCK-shot blocks, the last one
-    possibly partial.  Block b draws its multinomial counts from a
-    counter-based Philox stream keyed by (seed, b): one generator is built
-    per call and re-keyed to counter 0 before each block, which is the
-    state a fresh ``Philox(key=[seed, b])`` starts in.  The same seed thus
-    gives the same counts on any platform.
+    All shots are one multinomial draw from a fresh counter-based
+    ``Philox(key=[seed, 0])`` generator, so the same seed gives the same
+    counts on any platform, and its cost does not grow with shots.
+    ConfigInvalid if shots is below 1.
     """
     if shots < 1:
-        raise BadProbabilities("shots must be >= 1")
+        raise ConfigInvalid(f"shots must be >= 1, got {shots}")
     eps_true = np.asarray(eps_true, dtype=float)
-    q = outcome_probabilities(povm, rho)
+    q = _outcomes(povm, q)
     if np.any(q < -1e-8):
         raise BadProbabilities(f"negative outcome probability {np.min(q):g}")
     total = float(np.sum(q))
@@ -211,18 +216,7 @@ def sample_measurements(
         raise BadProbabilities(f"outcome probabilities sum to {total!r}")
     q = np.clip(q, 0.0, None)
     q = q / np.sum(q)
-
-    bitgen = np.random.Philox(key=[seed, 0])
-    rng = np.random.Generator(bitgen)
-    # a fresh generator's state (counter 0, empty buffer); only the key's
-    # block word changes from block to block
-    state = bitgen.state
-    key = state["state"]["key"]
-    counts = np.zeros(len(q), dtype=np.int64)
-    for b, start in enumerate(range(0, shots, SHOT_BLOCK)):
-        key[1] = b
-        bitgen.state = state
-        counts += rng.multinomial(min(SHOT_BLOCK, shots - start), q)
+    counts = np.random.Generator(np.random.Philox(key=[seed, 0])).multinomial(shots, q)
 
     num_params = eps_true.shape[0]
     xs = povm.estimates

@@ -59,8 +59,9 @@ def _point_record(sc: Scenario, scale: float, spec, labels, directions, shots: i
 
     score = est.raise_index(est.build_score_operators(spec, included), jdiv_inv)
     povm = est.build_povm(score)
-    bias = est.unbiasedness_residual(povm, spec.output, eps)
-    mse = est.analytic_mse(povm, spec.output, eps)
+    q = est.outcome_probabilities(povm, spec.output)
+    bias = est.unbiasedness_residual(povm, q, eps)
+    mse = est.analytic_mse(povm, q, eps)
 
     gap_quantum = est.cr_gap(mse, jq_inv)
     gap_divergent = None if pseudo else mse.entries - jdiv_inv.inverse
@@ -112,7 +113,7 @@ def _point_record(sc: Scenario, scale: float, spec, labels, directions, shots: i
         "error": None,
     }
     if shots > 0:
-        mc = est.sample_measurements(povm, spec.output, eps, shots, mc_seed)
+        mc = est.sample_measurements(povm, q, eps, shots, mc_seed)
         dev = np.abs(mc.entries - mse.entries)
         rec["mc"] = {
             "shots": shots,

@@ -314,6 +314,8 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
 
 
 def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
+    if shots < 1:
+        raise ConfigInvalid(f"the Monte Carlo check needs at least one shot, got {shots}")
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_ancilla_bell()
@@ -324,12 +326,13 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
     score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
     povm = est.build_povm(score)
-    analytic = est.analytic_mse(povm, spec.output, eps)
-    mc = est.sample_measurements(povm, spec.output, eps, shots, seed)
+    q = est.outcome_probabilities(povm, spec.output)
+    analytic = est.analytic_mse(povm, q, eps)
+    mc = est.sample_measurements(povm, q, eps, shots, seed)
     dev = np.abs(mc.entries - analytic.entries)
     if not np.all(dev <= 4.0 * mc.standard_error + 1e-300):
         failures.append("empirical MSE outside 4 standard errors of the analytic value")
-    mc2 = est.sample_measurements(povm, spec.output, eps, shots, seed)
+    mc2 = est.sample_measurements(povm, q, eps, shots, seed)
     if not (np.array_equal(mc.entries, mc2.entries) and np.array_equal(mc.mean, mc2.mean)):
         failures.append("rerun with the same seed changed the result")
     rep_a = render_jsonl(report, with_meta=False)

@@ -1,4 +1,8 @@
-"""Each narrative demo, and the README's Quick start, runs to completion against the library in src/."""
+"""Each narrative demo, and the README's Quick start, runs to completion against the library in src/.
+
+Scripts run with ResourceWarning as an error; a warning raised during
+garbage collection is only printed, so stderr is checked for it as well.
+"""
 import os
 import re
 import subprocess
@@ -15,9 +19,15 @@ def run_script(args, tmp_path):
     # TMPDIR keeps the files a script writes inside the test's own directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::ResourceWarning", *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
     return proc
 
 

@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lownoise import sweep
+from lownoise import sweep, verify
 from lownoise.channels import pure_state_density, sqrt_completion_channel
-from lownoise.errors import BadProbabilities, DimensionMismatch, EmptySum, SingularFisher
+from lownoise.errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum, SingularFisher
 from lownoise.estimator import (
-    SHOT_BLOCK,
     EstimatorPOVM,
     analytic_mse,
     build_povm,
@@ -40,6 +39,9 @@ from lownoise.spectral import classify_shift_curves, output_shift_curves, output
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
+# shots per block of the 65,536-shot grid that keyed the sampler's stream before
+# its single draw; the sampler's key is the grid's first block
+BLOCK = 1 << 16
 
 
 @pytest.fixture(scope="module")
@@ -63,21 +65,30 @@ def score_second_moment(povm, ch, phi, eps_true):
     return out
 
 
-def reference_sample(povm, ch, phi, eps_true, shots, seed):
-    """Monte Carlo with a fresh Generator(Philox(key=[seed, b])) for every block b.
+def one_draw_counts(q, shots, seed):
+    """Counts of one multinomial draw from a fresh Generator(Philox(key=[seed, 0]))."""
+    return np.random.Generator(np.random.Philox(key=[seed, 0])).multinomial(shots, q)
+
+
+def block_grid_counts(q, shots, seed):
+    """Counts summed over BLOCK-shot blocks, block b drawn from a fresh Generator(Philox(key=[seed, b]))."""
+    counts = np.zeros(len(q), dtype=np.int64)
+    for b, start in enumerate(range(0, shots, BLOCK)):
+        counts += np.random.Generator(np.random.Philox(key=[seed, b])).multinomial(min(BLOCK, shots - start), q)
+    return counts
+
+
+def reference_sample(povm, ch, phi, eps_true, shots, seed, draw=one_draw_counts):
+    """Monte Carlo with counts from draw(q, shots, seed), by default one fresh keyed draw.
 
     Returns (entries, mean, standard_error) computed as sample_measurements
-    documents them, from counts drawn independently of its re-keyed generator.
+    documents them, from counts drawn independently of its generator.
     """
     eps_true = np.asarray(eps_true, dtype=float)
     q = outcome_probabilities(povm, ch.apply(pure_state_density(phi), eps_true))
     q = np.clip(q, 0.0, None)
     q = q / np.sum(q)
-    num_blocks = (shots + SHOT_BLOCK - 1) // SHOT_BLOCK
-    counts = np.zeros(len(q), dtype=np.int64)
-    for b in range(num_blocks):
-        n = shots - SHOT_BLOCK * b if b == num_blocks - 1 else SHOT_BLOCK
-        counts += np.random.Generator(np.random.Philox(key=[seed, b])).multinomial(n, q)
+    counts = draw(q, shots, seed)
     xs = povm.estimates
     dev = xs - eps_true
     weights = counts / shots
@@ -285,7 +296,7 @@ class TestUnbiasedness:
     def test_bell_expectation_exact(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        res = unbiasedness_residual(povm, spec.output, eps)
+        res = unbiasedness_residual(povm, outcome_probabilities(povm, spec.output), eps)
         assert np.max(res) <= 1e-5  # exact appart from differencing noise
 
     def test_threelevel_second_order(self, threelevel):
@@ -293,7 +304,7 @@ class TestUnbiasedness:
         for s in SCALES:
             eps, spec, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
-            vals.append(np.max(unbiasedness_residual(povm, spec.output, eps)))
+            vals.append(np.max(unbiasedness_residual(povm, outcome_probabilities(povm, spec.output), eps)))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.8 <= fit.slope <= 2.2
 
@@ -311,7 +322,7 @@ class TestAnalyticMSE:
     def test_bell_matches_exact_inverse(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, spec.output, eps)
+        mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
         closed = bell.closed_forms["jinv"](eps)
         assert np.max(np.abs(mse.entries - closed)) <= 1e-9
 
@@ -319,12 +330,28 @@ class TestAnalyticMSE:
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         with pytest.raises(DimensionMismatch):
-            analytic_mse(povm, np.eye(2, dtype=complex) / 2, eps)
+            outcome_probabilities(povm, np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize(
+        "statistic",
+        [
+            unbiasedness_residual,
+            analytic_mse,
+            lambda povm, q, eps: sample_measurements(povm, q, eps, shots=10, seed=1),
+        ],
+        ids=["unbiasedness_residual", "analytic_mse", "sample_measurements"],
+    )
+    def test_probabilities_of_another_length_rejected(self, bell, statistic):
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
+        povm = build_povm(score)
+        q = outcome_probabilities(povm, spec.output)
+        with pytest.raises(DimensionMismatch):
+            statistic(povm, q[:-1], eps)
 
     def test_second_moment_identity(self, threelevel):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, spec.output, eps)
+        mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
         second = score_second_moment(povm, threelevel.channel, threelevel.input_state, eps)
         # V = S - eps mean^T - mean eps^T + eps eps^T exactly
         recon = second - np.outer(eps, mse.mean) - np.outer(mse.mean, eps) + np.outer(eps, eps)
@@ -335,7 +362,7 @@ class TestAnalyticMSE:
         for s in SCALES:
             eps, spec, jdiv, score = estimator_pipeline(bell, s)
             povm = build_povm(score)
-            mse = analytic_mse(povm, spec.output, eps)
+            mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
             second = score_second_moment(povm, bell.channel, bell.input_state, eps)
             vals.append(np.linalg.norm(mse.entries - second))
         fit = power_order_fit(list(zip(SCALES, vals)))
@@ -353,7 +380,7 @@ class TestAnalyticMSE:
             jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])
             score = raise_index(build_score_operators(spec, [0]), fisher_inverse(jdiv))
             povm = build_povm(score)
-            mse = analytic_mse(povm, spec.output, eps)
+            mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(abs(mse.entries[0, 0] - jq.inverse[0, 0]))
         fit = power_order_fit(list(zip(SCALES, gaps)))
@@ -372,7 +399,7 @@ class TestAnalyticMSE:
                 projectors=tuple(q_unitary @ p @ q_unitary.conj().T for p in povm.projectors),
                 estimates=povm.estimates,
             )
-            mse = analytic_mse(bad, spec.output, eps)
+            mse = analytic_mse(bad, outcome_probabilities(bad, spec.output), eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(np.linalg.norm(mse.entries - jq.inverse))
         fit = power_order_fit(list(zip(SCALES, gaps)))
@@ -383,7 +410,7 @@ class TestCRGap:
     def test_exact_attainment_zero_gap(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, spec.output, eps)
+        mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
         jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
         gap = cr_gap(mse, jq)
         assert np.max(np.abs(gap)) <= 1e-12
@@ -406,23 +433,25 @@ class TestSampling:
     def test_single_shot_rank_one(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, spec.output, eps, shots=1, seed=5)
+        mc = sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=1, seed=5)
         w = np.linalg.eigvalsh(mc.entries)
         assert np.sum(np.abs(w) > 1e-15) <= 1  # outer product of one outcome deviation
 
     def test_seed_determinism(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        a = sample_measurements(povm, spec.output, eps, shots=4321, seed=7)
-        b = sample_measurements(povm, spec.output, eps, shots=4321, seed=7)
+        q = outcome_probabilities(povm, spec.output)
+        a = sample_measurements(povm, q, eps, shots=4321, seed=7)
+        b = sample_measurements(povm, q, eps, shots=4321, seed=7)
         np.testing.assert_array_equal(a.entries, b.entries)
         np.testing.assert_array_equal(a.mean, b.mean)
 
     def test_monte_carlo_agrees_with_analytic(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        analytic = analytic_mse(povm, spec.output, eps)
-        mc = sample_measurements(povm, spec.output, eps, shots=10**6, seed=2026)
+        q = outcome_probabilities(povm, spec.output)
+        analytic = analytic_mse(povm, q, eps)
+        mc = sample_measurements(povm, q, eps, shots=10**6, seed=2026)
         assert np.all(np.abs(mc.entries - analytic.entries) <= 4 * mc.standard_error + 1e-300)
 
     def test_bad_probabilities(self, bell):
@@ -433,17 +462,49 @@ class TestSampling:
             estimates=povm.estimates[:-1],
         )
         with pytest.raises(BadProbabilities):
-            sample_measurements(broken, spec.output, eps, shots=10, seed=1)
+            sample_measurements(broken, outcome_probabilities(broken, spec.output), eps, shots=10, seed=1)
 
-    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK, SHOT_BLOCK + 1, 3 * SHOT_BLOCK + 5])
-    def test_stream_matches_fresh_generator_per_block(self, threelevel, shots):
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_shot_count_below_one_is_a_config_error(self, bell, shots):
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
+        povm = build_povm(score)
+        with pytest.raises(ConfigInvalid):
+            sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=shots, seed=1)
+
+    def test_verify_check_rejects_shot_count_below_one(self):
+        with pytest.raises(ConfigInvalid):
+            verify.check_monte_carlo(shots=0)
+
+    @pytest.mark.parametrize("shots", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_stream_matches_one_fresh_draw(self, threelevel, shots):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, spec.output, eps, shots=shots, seed=41)
+        mc = sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=shots, seed=41)
         entries, mean, se = reference_sample(povm, threelevel.channel, threelevel.input_state, eps, shots, 41)
         assert np.array_equal(mc.entries, entries)
         assert np.array_equal(mc.mean, mean)
         assert np.array_equal(mc.standard_error, se)
+
+    @pytest.mark.parametrize("shots", [1, 1000, BLOCK])
+    def test_draws_within_one_block_match_the_block_grid(self, threelevel, shots):
+        """Up to BLOCK shots the draw is the block grid's first block: a fresh Philox(key=[seed, 0])."""
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        povm = build_povm(score)
+        mc = sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=shots, seed=41)
+        ch, phi = threelevel.channel, threelevel.input_state
+        entries, mean, se = reference_sample(povm, ch, phi, eps, shots, 41, draw=block_grid_counts)
+        assert np.array_equal(mc.entries, entries)
+        assert np.array_equal(mc.mean, mean)
+        assert np.array_equal(mc.standard_error, se)
+
+    def test_trillion_shots_agree_with_analytic(self, threelevel):
+        """One draw covers 10**12 shots; the block grid would have taken 15.3 million draws."""
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        povm = build_povm(score)
+        q = outcome_probabilities(povm, spec.output)
+        analytic = analytic_mse(povm, q, eps)
+        mc = sample_measurements(povm, q, eps, shots=10**12, seed=2026)
+        assert np.all(np.abs(mc.entries - analytic.entries) <= 4 * mc.standard_error + 1e-300)
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
@@ -456,14 +517,14 @@ def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
         built.append(build_povm(score))
         return built[-1]
 
-    def spy_mse(povm, rho, eps_true):
-        mses.append(analytic_mse(povm, rho, eps_true))
+    def spy_mse(povm, q, eps_true):
+        mses.append(analytic_mse(povm, q, eps_true))
         return mses[-1]
 
     monkeypatch.setattr(sweep.est, "build_povm", spy_povm)
     monkeypatch.setattr(sweep.est, "analytic_mse", spy_mse)
     sc = build_scenario(name, scales=tuple(np.geomspace(1e-5, 1e-2, 4)), seed=3)
-    shots = 2 * SHOT_BLOCK + 3
+    shots = 2 * BLOCK + 3
     report = sweep.run_sweep(sc, shots=shots)
     assert len(built) == len(mses) == len(report.points)
     for t, (p, povm, mse) in enumerate(zip(report.points, built, mses)):

@@ -11,7 +11,8 @@ recorded apart from the per-grid evaluations.
 
 A sweep point inverts its quantum and its divergent Fisher matrix once
 each, and the estimator raises its index with the divergent inverse the
-point already made.
+point already made.  It computes its outcome probabilities once, for the
+unbiasedness residual, the analytic MSE and the Monte Carlo draw alike.
 """
 from collections import Counter, defaultdict
 
@@ -161,3 +162,19 @@ def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
     assert len(calls) == len(DEFAULT_SCALES) * num_seeds
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_sweep_computes_outcome_probabilities_once_per_point(monkeypatch, name, shots):
+    calls = []
+    original = estimator.outcome_probabilities
+
+    def counting(povm, rho):
+        calls.append(rho)
+        return original(povm, rho)
+
+    monkeypatch.setattr(estimator, "outcome_probabilities", counting)
+    report = run_sweep(build_scenario(name, seed=1), shots=shots)
+    assert all(p["error"] is None and ("mc" in p) == (shots > 0) for p in report.points)
+    assert len(calls) == len(report.points)
