@@ -42,15 +42,17 @@ print("log-gradients (rows: shifts eps_2, eps_1):\n", score.log_gradients)
 print("estimates = log-gradients mapped through the inverse:\n", score.estimates)
 povm = build_povm(score)
 
-print("outcomes and their estimate vectors:")
-for x, p in zip(povm.estimates, povm.projectors):
-    print("  estimate", x, " projector rank", int(round(np.trace(p).real)))
-print("completeness residual:", povm.completeness_residual())
+# each outcome is a group of the spectrum's basis columns: one per distinct
+# estimate, plus the kernel (column 0, the near-unit eigenvector) with estimate 0
+print("outcomes: basis columns and estimate vector")
+for cols, x in zip(povm.groups, povm.estimates):
+    print("  columns", cols, " estimate", x)
+print("basis orthonormality (completeness) residual:", povm.completeness_residual())
 
 # The estimator's statistics need only its outcome probabilities
-# q_n = Tr[P_n rho] at the true point; the spectrum carries the output
-# state rho (and its derivatives) from its channel.evaluate().
-q = outcome_probabilities(povm, spec.output)
+# q_n = Tr[P_n rho] at the true point.  rho is diagonal in the spectrum's
+# basis, so q_n is the sum of the eigenvalues spec.probs in group n.
+q = outcome_probabilities(povm, spec.probs)
 print("\noutcome probabilities:", q)
 print("unbiasedness residual:", unbiasedness_residual(povm, q, eps))
 
@@ -70,7 +72,7 @@ for s in scales:
     jdiv_inv = fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1]))
     score = raise_index(build_score_operators(spec, [0, 1]), jdiv_inv)
     povm = build_povm(score)
-    v = analytic_mse(povm, outcome_probabilities(povm, spec.output), e)
+    v = analytic_mse(povm, outcome_probabilities(povm, spec.probs), e)
     gaps.append(np.linalg.norm(v.entries - jdiv_inv.inverse))
 fit = power_order_fit(list(zip(scales, gaps)))
 print(f"\nthree-level ||V - inverse divergent Fisher|| order: {fit.slope:.3f} (want 2)")

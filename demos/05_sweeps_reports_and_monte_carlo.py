@@ -63,7 +63,7 @@ spec = output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
 jdiv_inv = fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0, 1]))
 povm = build_povm(raise_index(build_score_operators(spec, [0, 1]), jdiv_inv))
 
-q = outcome_probabilities(povm, spec.output)
+q = outcome_probabilities(povm, spec.probs)
 analytic = analytic_mse(povm, q, eps)
 mc = sample_measurements(povm, q, eps, shots=10**6, seed=2026)
 print("\nanalytic error matrix:\n", analytic.entries)

@@ -6,6 +6,11 @@ n (covariant), mapped through the inverse divergent Fisher matrix to a
 bounded estimate vector (contravariant).  Measuring in that basis is a
 projective estimator whose mean-square-error matrix matches the inverse
 divergent Fisher matrix to second order in the noise strengths.
+
+Each outcome is a group of the eigenbasis's columns, so its probability
+is the sum of the output eigenvalues in the group; no N x N projector is
+formed.  The Cramer-Rao margin is the smallest eigenvalue of the gap
+V - J^-1, the worst case over all directions.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 
 from .errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum
 from .fisher import FisherMatrix
-from .linalg import dagger
+from .linalg import dagger, eigensolve
 from .spectral import OutputSpectrum
 
 MERGE_RTOL = 1e-10
@@ -65,55 +70,65 @@ def raise_index(partial: ScoreOperators, jdiv_inv: FisherMatrix) -> ScoreOperato
 
 @dataclass(frozen=True)
 class EstimatorPOVM:
-    """Projective estimator: orthogonal projectors with estimate vectors."""
+    """Projective estimator in an orthonormal basis.
 
-    projectors: tuple[np.ndarray, ...]
+    Outcome n projects onto the basis columns groups[n] and reports
+    estimates[n]; the groups partition the columns.
+    """
+
+    groups: tuple[tuple[int, ...], ...]
+    basis: np.ndarray
     estimates: np.ndarray  # (num outcomes, D)
 
     def completeness_residual(self) -> float:
-        dim = self.projectors[0].shape[0]
-        return float(np.linalg.norm(sum(self.projectors) - np.eye(dim)))
+        """||basis^H basis - I||: equal to ||sum_n P_n - I|| when the groups partition the columns."""
+        return float(np.linalg.norm(dagger(self.basis) @ self.basis - np.eye(self.basis.shape[1])))
 
 
 def build_povm(score: ScoreOperators) -> EstimatorPOVM:
     """Joint spectral decomposition of the contravariant score operators.
 
-    One projector per distinct estimate vector; the kernel of all score
-    operators (the near-unit eigenvector and any excluded shifts) forms
-    the completion outcome with estimate zero.
+    One outcome per distinct estimate vector, grouping the eigenvectors of
+    the included shifts that share it; the kernel of all score operators
+    (the near-unit eigenvector and any excluded shifts) forms the
+    completion outcome with estimate zero.
     """
     if score.estimates is None:
         raise EmptySum("raise_index must run before building the estimator")
-    dim = score.basis.shape[0]
-    groups: list[tuple[np.ndarray, np.ndarray]] = []  # (estimate, projector)
+    groups: list[tuple[np.ndarray, list[int]]] = []  # (estimate, basis columns)
     for x, n in zip(score.estimates, score.included):
-        vec = score.basis[:, n + 1]
-        proj = np.outer(vec, vec.conj())
-        for gi, (gx, gp) in enumerate(groups):
+        for gx, cols in groups:
             if np.max(np.abs(gx - x)) <= MERGE_RTOL * max(1.0, float(np.max(np.abs(gx)))):
-                groups[gi] = (gx, gp + proj)
+                cols.append(n + 1)
                 break
         else:
-            groups.append((x, proj))
-    kernel = np.eye(dim, dtype=complex) - sum(p for _, p in groups)
+            groups.append((x, [n + 1]))
+    kernel = [0] + [n + 1 for n in range(score.basis.shape[1] - 1) if n not in score.included]
     zero = np.zeros(score.estimates.shape[1])
-    zero_group = [gi for gi, (gx, _) in enumerate(groups) if np.max(np.abs(gx)) <= MERGE_RTOL]
-    if zero_group:
-        gi = zero_group[0]
-        groups[gi] = (zero, groups[gi][1] + kernel)
+    for gi, (gx, cols) in enumerate(groups):
+        if np.max(np.abs(gx)) <= MERGE_RTOL:
+            groups[gi] = (zero, cols + kernel)
+            break
     else:
         groups.append((zero, kernel))
-    projectors = tuple((p + dagger(p)) / 2 for _, p in groups)
-    estimates = np.asarray([x for x, _ in groups])
-    return EstimatorPOVM(projectors=projectors, estimates=estimates)
+    return EstimatorPOVM(
+        groups=tuple(tuple(sorted(cols)) for _, cols in groups),
+        basis=score.basis,
+        estimates=np.asarray([x for x, _ in groups]),
+    )
 
 
-def outcome_probabilities(povm: EstimatorPOVM, rho: np.ndarray) -> np.ndarray:
-    """q_n = Tr[P_n rho], one per outcome; the statistics below all read q."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != povm.projectors[0].shape:
-        raise DimensionMismatch(f"state has shape {rho.shape}, estimator acts on {povm.projectors[0].shape}")
-    return np.array([float(np.real(np.trace(p @ rho))) for p in povm.projectors])
+def outcome_probabilities(povm: EstimatorPOVM, probs) -> np.ndarray:
+    """q_n = Tr[P_n rho] for a state rho diagonal in povm.basis with eigenvalues probs.
+
+    Each q_n is the sum of the eigenvalues in outcome n's group; the
+    statistics below all read q.  DimensionMismatch unless probs has one
+    eigenvalue per basis column.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (povm.basis.shape[1],):
+        raise DimensionMismatch(f"{probs.shape} eigenvalues for a basis of {povm.basis.shape[1]} columns")
+    return np.array([np.sum(probs[list(cols)]) for cols in povm.groups])
 
 
 def _outcomes(povm: EstimatorPOVM, q) -> np.ndarray:
@@ -148,14 +163,8 @@ def analytic_mse(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> MSEMatrix:
     """
     eps_true = np.asarray(eps_true, dtype=float)
     q = _outcomes(povm, q)
-    num_params = eps_true.shape[0]
-    entries = np.zeros((num_params, num_params))
-    mean = np.zeros(num_params)
-    for qn, x in zip(q, povm.estimates):
-        d = x - eps_true
-        entries += qn * np.outer(d, d)
-        mean += qn * x
-    return MSEMatrix(entries=entries, mean=mean)
+    dev = povm.estimates - eps_true
+    return MSEMatrix(entries=(dev.T * q) @ dev, mean=povm.estimates.T @ q)
 
 
 def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
@@ -167,25 +176,13 @@ def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
     return mse.entries - jinv.inverse
 
 
-def cr_directions(num_directions: int, num_params: int, seed: int) -> np.ndarray:
-    """num_directions random unit vectors of length num_params, one per row.
+def cr_direction_margin(gap: np.ndarray) -> float:
+    """min over unit vectors u of u (V - J^-1) u: the smallest eigenvalue of the gap's symmetric part.
 
-    One block drawn from the Philox stream keyed by (seed, 0x6372); row i
-    holds the i-th of num_directions consecutive draws of num_params normals.
+    NoConvergence if the eigensolver does not converge.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0x6372]))
-    directions = rng.normal(size=(num_directions, num_params))
-    for u in directions:
-        u /= np.linalg.norm(u)
-    return directions
-
-
-def cr_direction_margin(gap: np.ndarray, directions: np.ndarray) -> float:
-    """min over the unit rows u of directions of u (V - J^-1) u."""
-    worst = np.inf
-    for u in directions:
-        worst = min(worst, float(u @ gap @ u))
-    return worst
+    gap = np.asarray(gap, dtype=float)
+    return float(eigensolve((gap + gap.T) / 2, vectors=False)[0])
 
 
 def sample_measurements(
@@ -203,10 +200,12 @@ def sample_measurements(
     All shots are one multinomial draw from a fresh counter-based
     ``Philox(key=[seed, 0])`` generator, so the same seed gives the same
     counts on any platform, and its cost does not grow with shots.
-    ConfigInvalid if shots is below 1.
+    ConfigInvalid if shots is below 1 or seed lies outside [0, 2**64).
     """
     if shots < 1:
         raise ConfigInvalid(f"shots must be >= 1, got {shots}")
+    if not 0 <= seed < 2**64:
+        raise ConfigInvalid(f"Monte Carlo seed must lie in [0, 2**64), got {seed}")
     eps_true = np.asarray(eps_true, dtype=float)
     q = _outcomes(povm, q)
     if np.any(q < -1e-8):
@@ -218,19 +217,10 @@ def sample_measurements(
     q = q / np.sum(q)
     counts = np.random.Generator(np.random.Philox(key=[seed, 0])).multinomial(shots, q)
 
-    num_params = eps_true.shape[0]
-    xs = povm.estimates
-    dev = xs - eps_true
     weights = counts / shots
-    mean = xs.T @ weights
-    entries = np.zeros((num_params, num_params))
-    se = np.zeros((num_params, num_params))
-    for mu in range(num_params):
-        for nu in range(num_params):
-            w = dev[:, mu] * dev[:, nu]
-            m1 = float(w @ weights)
-            m2 = float((w * w) @ weights)
-            entries[mu, nu] = m1
-            var = max(m2 - m1 * m1, 0.0)
-            se[mu, nu] = np.sqrt(var / shots)
-    return MSEMatrix(entries=entries, mean=mean, standard_error=se)
+    dev = povm.estimates - eps_true
+    sq = dev * dev
+    entries = (dev.T * weights) @ dev  # first moment of each (x - eps)_mu (x - eps)_nu
+    second = (sq.T * weights) @ sq  # and of its square
+    se = np.sqrt(np.maximum(second - entries * entries, 0.0) / shots)
+    return MSEMatrix(entries=entries, mean=povm.estimates.T @ weights, standard_error=se)

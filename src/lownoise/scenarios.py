@@ -32,7 +32,11 @@ DEFAULT_SCALES = tuple(np.geomspace(1e-5, 1e-2, 8))
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Scale sweep along a fixed positive direction: eps = scale * direction."""
+    """Scale sweep along a fixed positive direction: eps = scale * direction.
+
+    seed keys the Monte Carlo draw of each grid point (``monte_carlo_seed``);
+    ConfigInvalid unless it is an int whose keys all lie in [0, 2**64).
+    """
 
     direction: tuple[float, ...]
     scales: tuple[float, ...] = DEFAULT_SCALES
@@ -51,6 +55,14 @@ class SweepConfig:
             raise ConfigInvalid("sweep needs at least one scale")
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
             raise ConfigInvalid("scales must be positive and strictly increasing")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigInvalid(f"sweep seed must be an integer, got {self.seed!r}")
+        if self.seed < 0 or self.monte_carlo_seed(s.size - 1) >= 2**64:
+            raise ConfigInvalid(f"sweep seed {self.seed} gives Monte Carlo keys outside [0, 2**64)")
+
+    def monte_carlo_seed(self, t: int) -> int:
+        """Monte Carlo key of grid point t."""
+        return self.seed * 1009 + t
 
 
 @dataclass(frozen=True)
@@ -480,7 +492,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         sweep = SweepConfig(
             direction=tuple(float(x) for x in sw["direction"]),
             scales=tuple(float(s) for s in sw["scales"]),
-            seed=int(sw.get("seed", 7)),
+            seed=sw.get("seed", 7),
         )
         frame = matrix_from_json(cfg["frame"]) if cfg.get("frame") else None
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -276,14 +276,12 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         try:
             score = est.build_score_operators(specs[-3], included)
             povm = est.build_povm(est.raise_index(score, fisher.fisher_inverse(jdivs[-3])))
+            # orthonormal columns, each in exactly one group: the outcomes'
+            # projectors are then idempotent, orthogonal and complete
             if povm.completeness_residual() > 1e-10:
-                failures.append(f"seed {seed}: POVM completeness residual")
-            for i, p in enumerate(povm.projectors):
-                if np.linalg.norm(p @ p - p) > 1e-10:
-                    failures.append(f"seed {seed}: POVM projector not idempotent")
-                for q in povm.projectors[i + 1 :]:
-                    if np.linalg.norm(p @ q) > 1e-10:
-                        failures.append(f"seed {seed}: POVM projectors not orthogonal")
+                failures.append(f"seed {seed}: POVM basis not orthonormal")
+            if sorted(c for cols in povm.groups for c in cols) != list(range(dim)):
+                failures.append(f"seed {seed}: POVM outcomes do not partition the basis")
         except SingularFisher:
             failures.append(f"seed {seed}: divergent Fisher unexpectedly singular")
         if len(failures) > 20:
@@ -326,7 +324,7 @@ def check_monte_carlo(shots: int = 10**6, seed: int = 2026) -> CheckResult:
     jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
     score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
     povm = est.build_povm(score)
-    q = est.outcome_probabilities(povm, spec.output)
+    q = est.outcome_probabilities(povm, spec.probs)
     analytic = est.analytic_mse(povm, q, eps)
     mc = est.sample_measurements(povm, q, eps, shots, seed)
     dev = np.abs(mc.entries - analytic.entries)

@@ -143,6 +143,13 @@ def test_count_below_its_minimum_exits_2(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_run_seed_outside_the_key_range_exits_2(seed, capsys):
+    # Monte Carlo keys seed * 1009 + t must lie in [0, 2**64); -1 would wrap to 2**64 - 1
+    assert main(["run", "three-level", *FAST, "--shots", "10", "--seed", seed]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_run_failed_points_are_recorded(tmp_path):
     # the three-level completion leaves its positivity region above scale 1
     out = tmp_path / "t.jsonl"

@@ -7,12 +7,10 @@ from lownoise import sweep, verify
 from lownoise.channels import pure_state_density, sqrt_completion_channel
 from lownoise.errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum, SingularFisher
 from lownoise.estimator import (
-    EstimatorPOVM,
     analytic_mse,
     build_povm,
     build_score_operators,
     cr_direction_margin,
-    cr_directions,
     cr_gap,
     outcome_probabilities,
     raise_index,
@@ -54,10 +52,20 @@ def threelevel():
     return scenario_threelevel()
 
 
+def dense_projectors(povm):
+    """Reference: each outcome's N x N projector, the sum of |v_c><v_c| over its group's basis columns."""
+    return [povm.basis[:, list(cols)] @ povm.basis[:, list(cols)].conj().T for cols in povm.groups]
+
+
+def dense_probabilities(povm, rho):
+    """Reference: Tr[P_n rho] for each outcome's dense projector P_n."""
+    return np.array([float(np.real(np.trace(p @ rho))) for p in dense_projectors(povm)])
+
+
 def score_second_moment(povm, ch, phi, eps_true):
-    """Tr[rho {A^mu, A^nu}]/2 evaluated through the estimator's outcomes."""
+    """Tr[rho {A^mu, A^nu}]/2 evaluated through the estimator's dense projectors."""
     rho = ch.apply(pure_state_density(phi), np.asarray(eps_true, dtype=float))
-    q = outcome_probabilities(povm, rho)
+    q = dense_probabilities(povm, rho)
     num_params = povm.estimates.shape[1]
     out = np.zeros((num_params, num_params))
     for qn, x in zip(q, povm.estimates):
@@ -78,31 +86,41 @@ def block_grid_counts(q, shots, seed):
     return counts
 
 
-def reference_sample(povm, ch, phi, eps_true, shots, seed, draw=one_draw_counts):
+def reference_sample(povm, q, eps_true, shots, seed, draw=one_draw_counts):
     """Monte Carlo with counts from draw(q, shots, seed), by default one fresh keyed draw.
 
     Returns (entries, mean, standard_error) computed as sample_measurements
-    documents them, from counts drawn independently of its generator.
+    documents them, from counts drawn independently of its generator: the
+    first and second moments of (x - eps)_mu (x - eps)_nu over the outcomes.
     """
     eps_true = np.asarray(eps_true, dtype=float)
-    q = outcome_probabilities(povm, ch.apply(pure_state_density(phi), eps_true))
     q = np.clip(q, 0.0, None)
     q = q / np.sum(q)
     counts = draw(q, shots, seed)
     xs = povm.estimates
     dev = xs - eps_true
     weights = counts / shots
-    num_params = eps_true.shape[0]
-    entries = np.zeros((num_params, num_params))
-    se = np.zeros((num_params, num_params))
-    for mu in range(num_params):
-        for nu in range(num_params):
-            w = dev[:, mu] * dev[:, nu]
-            m1 = float(w @ weights)
-            m2 = float((w * w) @ weights)
-            entries[mu, nu] = m1
-            se[mu, nu] = np.sqrt(max(m2 - m1 * m1, 0.0) / shots)
+    entries = (dev.T * weights) @ dev
+    second = ((dev * dev).T * weights) @ (dev * dev)
+    se = np.sqrt(np.maximum(second - entries * entries, 0.0) / shots)
     return entries, xs.T @ weights, se
+
+
+def loop_moments(estimates, weights, eps_true):
+    """Reference: sum_n w_n (x_n - eps)(x_n - eps)^T by a loop over outcomes, and its summation error bound.
+
+    The bound, 2 n eps sum_n |w_n (x_n - eps)(x_n - eps)^T| with eps the
+    float64 machine epsilon, covers the rounding of the products and of the
+    n-term sums taken in any order.
+    """
+    num_params = estimates.shape[1]
+    first = np.zeros((num_params, num_params))
+    magnitude = np.zeros((num_params, num_params))
+    for w, x in zip(weights, estimates):
+        d = x - eps_true
+        first += w * np.outer(d, d)
+        magnitude += np.abs(w * np.outer(d, d))
+    return first, 2 * len(weights) * np.finfo(float).eps * magnitude
 
 
 def estimator_pipeline(sc, s, included=None):
@@ -143,7 +161,8 @@ def dense_estimates(spec, included, inv):
 
 def moment_operators(povm):
     """sum_j x_j^mu P_j per parameter: the contravariant score operators the POVM measures."""
-    return [sum(x[mu] * p for x, p in zip(povm.estimates, povm.projectors)) for mu in range(povm.estimates.shape[1])]
+    projectors = dense_projectors(povm)
+    return [sum(x[mu] * p for x, p in zip(povm.estimates, projectors)) for mu in range(povm.estimates.shape[1])]
 
 
 class TestScoreOperators:
@@ -203,8 +222,8 @@ class TestScoreOperators:
             raise_index(score, FisherMatrix(entries=np.eye(3), inverse=np.eye(3)))
 
 
-def _estimates_and_dense_reference(ch, phi, direction):
-    """Each grid point's estimates and their dense reference, the sweep's way."""
+def _grid_scores(ch, phi, direction):
+    """(spec, included, divergent inverse, raised score) at each grid point, the sweep's way."""
     specs = output_shift_curves(ch, phi, direction, DEFAULT_SCALES)
     labels, _ = classify_shift_curves(DEFAULT_SCALES, [spec.shifts() for spec in specs])
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
@@ -214,18 +233,59 @@ def _estimates_and_dense_reference(ch, phi, direction):
             jdiv_inv = fisher_inverse(jdiv)
         except SingularFisher:
             jdiv_inv = fisher_pseudo_inverse(jdiv)
-        score = raise_index(build_score_operators(spec, included), jdiv_inv)
+        yield spec, included, jdiv_inv, raise_index(build_score_operators(spec, included), jdiv_inv)
+
+
+def _estimates_and_dense_reference(ch, phi, direction):
+    """Each grid point's estimates and their dense reference."""
+    for spec, included, jdiv_inv, score in _grid_scores(ch, phi, direction):
         yield score.estimates, dense_estimates(spec, included, jdiv_inv.inverse)
+
+
+def _random_cases(dim):
+    """(channel, input state, direction) for 3 seeds at dimension dim."""
+    for seed in range(3):
+        num_params = 1 + seed % (dim - 1) if dim > 2 else 1
+        ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
+        yield ch, random_input_state(dim, seed), np.full(num_params, 1 / num_params)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_estimates_match_dense_reference_on_random_channels(dim):
-    for seed in range(3):
-        num_params = 1 + seed % (dim - 1) if dim > 2 else 1
-        ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
-        phi = random_input_state(dim, seed)
-        for got, ref in _estimates_and_dense_reference(ch, phi, np.full(num_params, 1 / num_params)):
+    for ch, phi, direction in _random_cases(dim):
+        for got, ref in _estimates_and_dense_reference(ch, phi, direction):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_grouped_probabilities_match_dense_projectors_on_random_channels(dim):
+    """q as grouped eigenvalue sums is Tr[P rho]; the assembled projectors form a projective measurement."""
+    for ch, phi, direction in _random_cases(dim):
+        for spec, included, jdiv_inv, score in _grid_scores(ch, phi, direction):
+            povm = build_povm(score)
+            q = outcome_probabilities(povm, spec.probs)
+            ref = dense_probabilities(povm, spec.output)
+            assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+            projectors = dense_projectors(povm)
+            assert np.linalg.norm(sum(projectors) - np.eye(dim)) <= 1e-10
+            for i, p in enumerate(projectors):
+                assert np.linalg.norm(p @ p - p) <= 1e-10
+                for other in projectors[i + 1 :]:
+                    assert np.linalg.norm(p @ other) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_moments_match_the_outcome_loop_on_random_channels(dim):
+    """analytic_mse and sample_measurements sum over outcomes in array products; the loop is the reference."""
+    for ch, phi, direction in _random_cases(dim):
+        for spec, included, jdiv_inv, score in _grid_scores(ch, phi, direction):
+            povm = build_povm(score)
+            q = outcome_probabilities(povm, spec.probs)
+            ref, bound = loop_moments(povm.estimates, q, spec.eps)
+            assert np.all(np.abs(analytic_mse(povm, q, spec.eps).entries - ref) <= bound)
+            counts = one_draw_counts(np.clip(q, 0.0, None) / np.sum(np.clip(q, 0.0, None)), 1000, 5)
+            ref, bound = loop_moments(povm.estimates, counts / 1000, spec.eps)
+            assert np.all(np.abs(sample_measurements(povm, q, spec.eps, 1000, 5).entries - ref) <= bound)
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
@@ -239,18 +299,18 @@ class TestBuildPOVM:
     def test_bell_projectors_match_reference_frame(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-4)
         povm = build_povm(score)
+        projectors = dense_projectors(povm)
         refs = bell.closed_forms["projectors_zero"]()
         # informative outcomes: the eps_1 and eps_2 shift projectors
         v23p = refs[2]
         f1 = refs[1]
-        got = {tuple(np.round(x, 6)): p for x, p in zip(povm.estimates, povm.projectors)}
-        informative = [p for x, p in zip(povm.estimates, povm.projectors) if np.max(np.abs(x)) > 1e-6]
-        assert len(informative) == 2 and len(povm.projectors) == 3
+        informative = [p for x, p in zip(povm.estimates, projectors) if np.max(np.abs(x)) > 1e-6]
+        assert len(informative) == 2 and len(projectors) == 3
         dists = sorted(
             min(np.max(np.abs(p - f1)), np.max(np.abs(p - v23p))) for p in informative
         )
         assert dists[-1] <= 1e-9
-        kernel = [p for x, p in zip(povm.estimates, povm.projectors) if np.max(np.abs(x)) <= 1e-6]
+        kernel = [p for x, p in zip(povm.estimates, projectors) if np.max(np.abs(x)) <= 1e-6]
         np.testing.assert_allclose(kernel[0], refs[0] + refs[3], atol=1e-9)
 
     def test_two_level_single_parameter(self):
@@ -263,18 +323,20 @@ class TestBuildPOVM:
             fisher_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])),
         )
         povm = build_povm(score)
-        assert len(povm.projectors) == 2
+        assert len(dense_projectors(povm)) == 2
         zero_rows = [x for x in povm.estimates if abs(x[0]) <= 1e-12]
         assert len(zero_rows) == 1
 
     def test_completeness_and_orthogonality(self, threelevel):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
+        projectors = dense_projectors(povm)
         assert povm.completeness_residual() <= 1e-10
-        for i, p in enumerate(povm.projectors):
+        assert np.linalg.norm(sum(projectors) - np.eye(3)) <= 1e-10
+        for i, p in enumerate(projectors):
             assert np.linalg.norm(p @ p - p) <= 1e-10
             assert np.linalg.norm(p - p.conj().T) <= 1e-10
-            for q in povm.projectors[i + 1 :]:
+            for q in projectors[i + 1 :]:
                 assert np.linalg.norm(p @ q) <= 1e-10
 
     def test_rescaled_shifts_leave_estimator_invariant(self, threelevel):
@@ -286,8 +348,8 @@ class TestBuildPOVM:
         jdiv_scaled = divergent_fisher(scaled.shifts(), scaled.shift_gradients(), [0, 1])
         score_scaled = raise_index(build_score_operators(scaled, [0, 1]), fisher_inverse(jdiv_scaled))
         povm_scaled = build_povm(score_scaled)
-        assert len(povm.projectors) == len(povm_scaled.projectors)
-        for p, q in zip(povm.projectors, povm_scaled.projectors):
+        assert len(dense_projectors(povm)) == len(dense_projectors(povm_scaled))
+        for p, q in zip(dense_projectors(povm), dense_projectors(povm_scaled)):
             assert np.max(np.abs(p - q)) <= 1e-10
         assert np.max(np.abs(povm.estimates - povm_scaled.estimates)) <= 1e-10
 
@@ -296,7 +358,7 @@ class TestUnbiasedness:
     def test_bell_expectation_exact(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        res = unbiasedness_residual(povm, outcome_probabilities(povm, spec.output), eps)
+        res = unbiasedness_residual(povm, outcome_probabilities(povm, spec.probs), eps)
         assert np.max(res) <= 1e-5  # exact appart from differencing noise
 
     def test_threelevel_second_order(self, threelevel):
@@ -304,14 +366,14 @@ class TestUnbiasedness:
         for s in SCALES:
             eps, spec, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
-            vals.append(np.max(unbiasedness_residual(povm, outcome_probabilities(povm, spec.output), eps)))
+            vals.append(np.max(unbiasedness_residual(povm, outcome_probabilities(povm, spec.probs), eps)))
         fit = power_order_fit(list(zip(SCALES, vals)))
         assert 1.8 <= fit.slope <= 2.2
 
     def test_kernel_outcome_contributes_nothing(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        q = outcome_probabilities(povm, spec.output)
+        q = outcome_probabilities(povm, spec.probs)
         mean_with = povm.estimates.T @ q
         keep = [i for i in range(len(q)) if np.max(np.abs(povm.estimates[i])) > 0]
         mean_without = sum(q[i] * povm.estimates[i] for i in keep)
@@ -322,15 +384,16 @@ class TestAnalyticMSE:
     def test_bell_matches_exact_inverse(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
+        mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
         closed = bell.closed_forms["jinv"](eps)
         assert np.max(np.abs(mse.entries - closed)) <= 1e-9
 
     def test_state_of_another_dimension_rejected(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        with pytest.raises(DimensionMismatch):
-            outcome_probabilities(povm, np.eye(2, dtype=complex) / 2)
+        for probs in (np.full(2, 0.5), np.eye(4) / 4):
+            with pytest.raises(DimensionMismatch):
+                outcome_probabilities(povm, probs)
 
     @pytest.mark.parametrize(
         "statistic",
@@ -344,14 +407,14 @@ class TestAnalyticMSE:
     def test_probabilities_of_another_length_rejected(self, bell, statistic):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        q = outcome_probabilities(povm, spec.output)
+        q = outcome_probabilities(povm, spec.probs)
         with pytest.raises(DimensionMismatch):
             statistic(povm, q[:-1], eps)
 
     def test_second_moment_identity(self, threelevel):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
+        mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
         second = score_second_moment(povm, threelevel.channel, threelevel.input_state, eps)
         # V = S - eps mean^T - mean eps^T + eps eps^T exactly
         recon = second - np.outer(eps, mse.mean) - np.outer(mse.mean, eps) + np.outer(eps, eps)
@@ -362,7 +425,7 @@ class TestAnalyticMSE:
         for s in SCALES:
             eps, spec, jdiv, score = estimator_pipeline(bell, s)
             povm = build_povm(score)
-            mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
+            mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
             second = score_second_moment(povm, bell.channel, bell.input_state, eps)
             vals.append(np.linalg.norm(mse.entries - second))
         fit = power_order_fit(list(zip(SCALES, vals)))
@@ -380,7 +443,7 @@ class TestAnalyticMSE:
             jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), [0])
             score = raise_index(build_score_operators(spec, [0]), fisher_inverse(jdiv))
             povm = build_povm(score)
-            mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
+            mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(abs(mse.entries[0, 0] - jq.inverse[0, 0]))
         fit = power_order_fit(list(zip(SCALES, gaps)))
@@ -395,11 +458,9 @@ class TestAnalyticMSE:
         for s in SCALES:
             eps, spec, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
-            bad = EstimatorPOVM(
-                projectors=tuple(q_unitary @ p @ q_unitary.conj().T for p in povm.projectors),
-                estimates=povm.estimates,
-            )
-            mse = analytic_mse(bad, outcome_probabilities(bad, spec.output), eps)
+            # its projectors are Q P Q^H; the output is no longer diagonal in its basis
+            bad = replace(povm, basis=q_unitary @ povm.basis)
+            mse = analytic_mse(bad, dense_probabilities(bad, spec.output), eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(np.linalg.norm(mse.entries - jq.inverse))
         fit = power_order_fit(list(zip(SCALES, gaps)))
@@ -410,37 +471,41 @@ class TestCRGap:
     def test_exact_attainment_zero_gap(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mse = analytic_mse(povm, outcome_probabilities(povm, spec.output), eps)
+        mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
         jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
         gap = cr_gap(mse, jq)
         assert np.max(np.abs(gap)) <= 1e-12
-        assert cr_direction_margin(gap, cr_directions(100, 2, seed=1)) >= -1e-12
-
-    def test_directions_match_single_draws(self):
-        directions = cr_directions(100, 3, seed=7)
-        rng = np.random.Generator(np.random.Philox(key=[7, 0x6372]))
-        for u in directions:
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            assert np.array_equal(u, v)
+        assert cr_direction_margin(gap) >= -1e-12
 
     def test_direction_margin_detects_violation(self):
         gap = np.diag([1.0, -0.5])
-        assert cr_direction_margin(gap, cr_directions(200, 2, seed=2)) < -0.3
+        assert cr_direction_margin(gap) < -0.3
+
+    @pytest.mark.parametrize("num_params", [1, 2, 3, 5])
+    def test_margin_is_the_worst_direction(self, num_params):
+        """The smallest eigenvalue of the symmetric part bounds u gap u from below for every unit u."""
+        rng = np.random.Generator(np.random.Philox(key=[num_params, 0x4D52]))
+        gap = rng.normal(size=(num_params, num_params))
+        margin = cr_direction_margin(gap)
+        assert margin == np.linalg.eigvalsh((gap + gap.T) / 2)[0]
+        directions = rng.normal(size=(1000, num_params))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        values = np.einsum("ij,jk,ik->i", directions, gap, directions)
+        assert np.all(margin <= values + 1e-12 * np.linalg.norm(gap))
 
 
 class TestSampling:
     def test_single_shot_rank_one(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=1, seed=5)
+        mc = sample_measurements(povm, outcome_probabilities(povm, spec.probs), eps, shots=1, seed=5)
         w = np.linalg.eigvalsh(mc.entries)
         assert np.sum(np.abs(w) > 1e-15) <= 1  # outer product of one outcome deviation
 
     def test_seed_determinism(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        q = outcome_probabilities(povm, spec.output)
+        q = outcome_probabilities(povm, spec.probs)
         a = sample_measurements(povm, q, eps, shots=4321, seed=7)
         b = sample_measurements(povm, q, eps, shots=4321, seed=7)
         np.testing.assert_array_equal(a.entries, b.entries)
@@ -449,7 +514,7 @@ class TestSampling:
     def test_monte_carlo_agrees_with_analytic(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        q = outcome_probabilities(povm, spec.output)
+        q = outcome_probabilities(povm, spec.probs)
         analytic = analytic_mse(povm, q, eps)
         mc = sample_measurements(povm, q, eps, shots=10**6, seed=2026)
         assert np.all(np.abs(mc.entries - analytic.entries) <= 4 * mc.standard_error + 1e-300)
@@ -457,19 +522,24 @@ class TestSampling:
     def test_bad_probabilities(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
-        broken = EstimatorPOVM(
-            projectors=povm.projectors[:-1],  # drops weight: probabilities no longer sum to 1
-            estimates=povm.estimates[:-1],
-        )
+        # drops an outcome's weight: probabilities no longer sum to 1
+        broken = replace(povm, groups=povm.groups[:-1], estimates=povm.estimates[:-1])
         with pytest.raises(BadProbabilities):
-            sample_measurements(broken, outcome_probabilities(broken, spec.output), eps, shots=10, seed=1)
+            sample_measurements(broken, outcome_probabilities(broken, spec.probs), eps, shots=10, seed=1)
 
     @pytest.mark.parametrize("shots", [0, -3])
     def test_shot_count_below_one_is_a_config_error(self, bell, shots):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
         povm = build_povm(score)
         with pytest.raises(ConfigInvalid):
-            sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=shots, seed=1)
+            sample_measurements(povm, outcome_probabilities(povm, spec.probs), eps, shots=shots, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range_is_a_config_error(self, bell, seed):
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
+        povm = build_povm(score)
+        with pytest.raises(ConfigInvalid):
+            sample_measurements(povm, outcome_probabilities(povm, spec.probs), eps, shots=10, seed=seed)
 
     def test_verify_check_rejects_shot_count_below_one(self):
         with pytest.raises(ConfigInvalid):
@@ -479,8 +549,9 @@ class TestSampling:
     def test_stream_matches_one_fresh_draw(self, threelevel, shots):
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=shots, seed=41)
-        entries, mean, se = reference_sample(povm, threelevel.channel, threelevel.input_state, eps, shots, 41)
+        q = outcome_probabilities(povm, spec.probs)
+        mc = sample_measurements(povm, q, eps, shots=shots, seed=41)
+        entries, mean, se = reference_sample(povm, q, eps, shots, 41)
         assert np.array_equal(mc.entries, entries)
         assert np.array_equal(mc.mean, mean)
         assert np.array_equal(mc.standard_error, se)
@@ -490,9 +561,9 @@ class TestSampling:
         """Up to BLOCK shots the draw is the block grid's first block: a fresh Philox(key=[seed, 0])."""
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        mc = sample_measurements(povm, outcome_probabilities(povm, spec.output), eps, shots=shots, seed=41)
-        ch, phi = threelevel.channel, threelevel.input_state
-        entries, mean, se = reference_sample(povm, ch, phi, eps, shots, 41, draw=block_grid_counts)
+        q = outcome_probabilities(povm, spec.probs)
+        mc = sample_measurements(povm, q, eps, shots=shots, seed=41)
+        entries, mean, se = reference_sample(povm, q, eps, shots, 41, draw=block_grid_counts)
         assert np.array_equal(mc.entries, entries)
         assert np.array_equal(mc.mean, mean)
         assert np.array_equal(mc.standard_error, se)
@@ -501,7 +572,7 @@ class TestSampling:
         """One draw covers 10**12 shots; the block grid would have taken 15.3 million draws."""
         eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
         povm = build_povm(score)
-        q = outcome_probabilities(povm, spec.output)
+        q = outcome_probabilities(povm, spec.probs)
         analytic = analytic_mse(povm, q, eps)
         mc = sample_measurements(povm, q, eps, shots=10**12, seed=2026)
         assert np.all(np.abs(mc.entries - analytic.entries) <= 4 * mc.standard_error + 1e-300)
@@ -512,12 +583,14 @@ def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
     """Each point's mc record samples the POVM and tests against the MSE of its own analysis."""
     built = []
     mses = []
+    probabilities = []
 
     def spy_povm(score):
         built.append(build_povm(score))
         return built[-1]
 
     def spy_mse(povm, q, eps_true):
+        probabilities.append(q)
         mses.append(analytic_mse(povm, q, eps_true))
         return mses[-1]
 
@@ -527,9 +600,12 @@ def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
     shots = 2 * BLOCK + 3
     report = sweep.run_sweep(sc, shots=shots)
     assert len(built) == len(mses) == len(report.points)
-    for t, (p, povm, mse) in enumerate(zip(report.points, built, mses)):
+    for t, (p, povm, mse, q) in enumerate(zip(report.points, built, mses, probabilities)):
+        # q are the output's outcome probabilities, read back through the dense projectors
+        rho = sc.channel.apply(pure_state_density(sc.input_state), np.asarray(p["eps"]))
+        assert np.max(np.abs(q - dense_probabilities(povm, rho))) <= 1e-12
         seed = 3 * 1009 + t
-        entries, mean, se = reference_sample(povm, sc.channel, sc.input_state, p["eps"], shots, seed)
+        entries, mean, se = reference_sample(povm, q, p["eps"], shots, seed)
         assert p["mc"] == {
             "shots": shots,
             "seed": seed,

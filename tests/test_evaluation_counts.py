@@ -178,3 +178,21 @@ def test_sweep_computes_outcome_probabilities_once_per_point(monkeypatch, name, 
     report = run_sweep(build_scenario(name, seed=1), shots=shots)
     assert all(p["error"] is None and ("mc" in p) == (shots > 0) for p in report.points)
     assert len(calls) == len(report.points)
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_sweep_without_shots_makes_no_generator(monkeypatch, name):
+    """Only the Monte Carlo draw is random: the Cramer-Rao margin is an eigenvalue, not a sampled minimum."""
+    sc = build_scenario(name, seed=1)
+    keys = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        keys.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    run_sweep(sc, shots=0)
+    assert keys == []
+    run_sweep(sc, shots=10)
+    assert keys == [[sc.sweep.monte_carlo_seed(t), 0] for t in range(len(sc.sweep.scales))]

@@ -106,6 +106,14 @@ class TestSweepConfig:
         with pytest.raises(ConfigInvalid):
             SweepConfig(direction=(1.2, -0.2))
 
+    def test_seed_keys_span_the_philox_range(self):
+        # grid point t draws its Monte Carlo shots with key seed * 1009 + t < 2**64
+        largest = (2**64 - 2) // 1009
+        assert SweepConfig(direction=(1.0,), scales=(1e-3, 1e-2), seed=largest).monte_carlo_seed(1) < 2**64
+        for seed in (-1, largest + 1, 2**64):
+            with pytest.raises(ConfigInvalid, match="seed"):
+                SweepConfig(direction=(1.0,), scales=(1e-3, 1e-2), seed=seed)
+
     def test_points(self):
         # a sweep's noise points are scale * direction
         sw = SweepConfig(direction=(0.25, 0.75), scales=(1e-3, 1e-2))
@@ -155,3 +163,10 @@ class TestScenarioConfig:
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):
             scenario_from_config({"name": "x"})
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        cfg = scenario_to_config(scenario_threelevel())
+        cfg["sweep"]["seed"] = seed
+        with pytest.raises(ConfigInvalid, match="seed"):
+            scenario_from_config(cfg)

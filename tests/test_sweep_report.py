@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lownoise import estimator, spectral
+from lownoise import spectral
 from lownoise.errors import IOFailure, LowNoiseError
 from lownoise.report import (
     CSV_COLUMNS,
@@ -14,7 +14,7 @@ from lownoise.report import (
     render_jsonl,
 )
 from lownoise.scenarios import scenario_ancilla_bell, scenario_pauli2, scenario_threelevel
-from lownoise.sweep import CR_DIRECTIONS, _point_record, run_sweep
+from lownoise.sweep import _point_record, run_sweep
 
 FAST_SCALES = tuple(np.geomspace(1e-5, 1e-2, 5))
 
@@ -100,12 +100,11 @@ class TestRunSweep:
             [sc.sweep.scales[t] for t in spectra], [spec.shifts() for spec in spectra.values()]
         )
         assert report.shift_labels == list(labels)
-        directions = estimator.cr_directions(CR_DIRECTIONS, sc.channel.num_params, sc.sweep.seed)
         for t, (point, scale) in enumerate(zip(report.points, sc.sweep.scales)):
             if t in errors:
                 assert point == {"scale": scale, "error": errors[t]}
                 continue
-            want = _point_record(sc, scale, spectra[t], labels, directions, shots, sc.sweep.seed * 1009 + t)
+            want = _point_record(sc, scale, spectra[t], labels, shots, sc.sweep.seed * 1009 + t)
             assert json.dumps(point) == json.dumps(want)
 
     def test_monte_carlo_points(self):
