@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum
-from .fisher import FisherMatrix
+from .fisher import FisherMatrix, included_shifts
 from .linalg import dagger, eigensolve
 from .spectral import OutputSpectrum
 
@@ -45,8 +45,9 @@ def build_score_operators(spec: OutputSpectrum, included) -> ScoreOperators:
     The shifts, their gradients and the eigenvectors all come from spec.
     Only order-1 shifts enter; higher-or-zero shifts carry no first-order
     information and their eigenvectors are left to the kernel outcome.
+    DimensionMismatch for an included index out of range or repeated.
     """
-    included = tuple(included)
+    included = included_shifts(included, spec.shifts().shape[0])
     if not included:
         raise EmptySum("no first-order shift to build an estimator from")
     log_gradients = spec.shift_gradients()[:, included].T / spec.shifts()[included, None]

@@ -4,7 +4,8 @@ Three Fisher matrices appear for the channel output: the quantum matrix
 built from the full state derivative, the classical matrix of the
 eigenvalue distribution alone, and the divergent part assembled from the
 first-order eigenvalue shifts, whose inverse is the quantity the
-estimator construction targets.
+estimator construction targets.  The builders broadcast over leading
+axes, so one point or a (B, ...) stack of points takes the same code.
 """
 from __future__ import annotations
 
@@ -27,11 +28,31 @@ def support_threshold(dim: int) -> float:
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """D x D real symmetric Fisher matrix with optional inverse."""
+    """Real symmetric Fisher matrix, D x D or a (B, D, D) stack, with optional inverse."""
 
     entries: np.ndarray
     inverse: np.ndarray | None = None
     condition_number: float = float("nan")
+
+
+def _gram(grads: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_n w_n g_n g_n^T over the columns g_n of (..., D, M) grads; a zero weight drops a column."""
+    return (grads * weights[..., None, :]) @ grads.swapaxes(-1, -2)
+
+
+def _classical(probs, dprobs) -> np.ndarray:
+    """sum_n dp_n dp_n^T / p_n over the eigenvalues above ``support_threshold``."""
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > support_threshold(probs.shape[-1])
+    return _gram(np.asarray(dprobs, dtype=float), np.where(keep, 1.0 / np.where(keep, probs, 1.0), 0.0))
+
+
+def included_shifts(included, num_shifts: int) -> tuple[int, ...]:
+    """included as a tuple; DimensionMismatch unless its indices are distinct and in [0, num_shifts)."""
+    included = tuple(included)
+    if any(not 0 <= n < num_shifts for n in included) or len(set(included)) < len(included):
+        raise DimensionMismatch(f"included shifts {list(included)} must be distinct indices below {num_shifts}")
+    return included
 
 
 def quantum_fisher(probs: np.ndarray, basis: np.ndarray, drho) -> FisherMatrix:
@@ -43,18 +64,13 @@ def quantum_fisher(probs: np.ndarray, basis: np.ndarray, drho) -> FisherMatrix:
     derivatives L_mu solving d_mu rho = (L_mu rho + rho L_mu)/2 there.
     """
     probs = np.asarray(probs, dtype=float)
-    psum = probs[:, None] + probs[None, :]
-    mask = psum > support_threshold(probs.shape[0])
+    basis = np.asarray(basis, dtype=complex)[..., None, :, :]
+    psum = probs[..., :, None] + probs[..., None, :]
+    mask = psum > support_threshold(probs.shape[-1])
     weights = np.where(mask, 2.0 / np.where(mask, psum, 1.0), 0.0)
-    dmats = [dagger(basis) @ np.asarray(d, dtype=complex) @ basis for d in drho]
-    num = len(dmats)
-    entries = np.zeros((num, num))
-    for mu in range(num):
-        for nu in range(mu, num):
-            val = float(np.real(np.sum(weights * dmats[mu] * dmats[nu].T)))
-            entries[mu, nu] = val
-            entries[nu, mu] = val
-    return FisherMatrix(entries=entries)
+    dmats = dagger(basis) @ np.asarray(drho, dtype=complex) @ basis
+    entries = np.einsum("...mij,...ij,...nji->...mn", dmats, weights, dmats).real
+    return FisherMatrix(entries=(entries + entries.swapaxes(-1, -2)) / 2)
 
 
 def classical_fisher(probs: np.ndarray, dprobs: np.ndarray) -> FisherMatrix:
@@ -62,74 +78,57 @@ def classical_fisher(probs: np.ndarray, dprobs: np.ndarray) -> FisherMatrix:
 
     Sums dp_mu dp_nu / p_n over the eigenvalues above ``support_threshold``.
     """
-    probs = np.asarray(probs, dtype=float)
-    dprobs = np.asarray(dprobs, dtype=float)
-    keep = probs > support_threshold(probs.shape[0])
-    num = dprobs.shape[0]
-    entries = np.zeros((num, num))
-    for n in np.nonzero(keep)[0]:
-        g = dprobs[:, n]
-        entries += np.outer(g, g) / probs[n]
-    return FisherMatrix(entries=entries)
+    return FisherMatrix(entries=_classical(probs, dprobs))
 
 
 def divergent_fisher(shift_values: np.ndarray, shift_grads: np.ndarray, included) -> FisherMatrix:
     """Divergent Fisher part: sum over first-order shifts of grad grad^T / shift.
 
     shift_values: the N-1 small output eigenvalues; shift_grads: (D, N-1)
-    per-parameter derivatives; included: indices of order-1 shifts (others
-    carry no first-order information and are excluded).
+    per-parameter derivatives; included: indices of order-1 shifts, the
+    same for every point of a stack (others carry no first-order
+    information and are excluded).
     """
     shift_values = np.asarray(shift_values, dtype=float)
-    shift_grads = np.asarray(shift_grads, dtype=float)
-    included = list(included)
+    included = list(included_shifts(included, shift_values.shape[-1]))
     if not included:
         raise EmptySum("no first-order eigenvalue shift; channel not dissipative along this input")
-    num = shift_grads.shape[0]
-    entries = np.zeros((num, num))
-    for n in included:
-        g = shift_grads[:, n]
-        entries += np.outer(g, g) / shift_values[n]
-    return FisherMatrix(entries=entries)
+    grads = np.asarray(shift_grads, dtype=float)[..., included]
+    return FisherMatrix(entries=_gram(grads, 1.0 / shift_values[..., included]))
 
 
-def sqrt_prob_gram(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Gram matrix sum_n d(sqrt p_n)_mu d(sqrt p_n)_nu over the support."""
-    probs = np.asarray(probs, dtype=float)
-    dprobs = np.asarray(dprobs, dtype=float)
-    num = dprobs.shape[0]
-    gram = np.zeros((num, num))
-    for n in np.nonzero(probs > support_threshold(probs.shape[0]))[0]:
-        gs = dprobs[:, n] / (2.0 * np.sqrt(probs[n]))
-        gram += np.outer(gs, gs)
-    return gram
-
-
-def nondegeneracy_det(probs: np.ndarray, dprobs: np.ndarray) -> float:
-    """Determinant of the sqrt-probability Gram matrix.
+def nondegeneracy_det(probs: np.ndarray, dprobs: np.ndarray) -> float | np.ndarray:
+    """Determinant of the sqrt-probability Gram matrix sum_n d(sqrt p_n) d(sqrt p_n)^T = J_c / 4.
 
     A vanishing determinant signals a degenerate parameterization of the
     output eigenvalue distribution (always the case for D > N-1).
     """
-    return float(guarded(np.linalg.det, sqrt_prob_gram(probs, dprobs)))
+    return guarded(np.linalg.det, _classical(probs, dprobs) / 4.0)
+
+
+def _kept_inverse(fm: FisherMatrix) -> tuple[FisherMatrix, np.ndarray, np.ndarray]:
+    """One eigensolve: fm inverted over eigenvalues above PINV_RCOND x the largest, the magnitudes, the kept mask."""
+    entries = np.asarray(fm.entries, dtype=float)
+    w, v = eigensolve((entries + entries.T) / 2)
+    mag = np.abs(w)
+    keep = mag > PINV_RCOND * np.max(mag)
+    inv = (v / np.where(keep, w, np.inf)) @ v.T
+    cond = float(np.max(mag[keep]) / np.min(mag[keep])) if np.any(keep) else float("inf")
+    return FisherMatrix(entries=entries, inverse=(inv + inv.T) / 2, condition_number=cond), mag, keep
 
 
 def fisher_inverse(fm: FisherMatrix) -> FisherMatrix:
     """Populate the inverse via a Hermitian eigendecomposition.
 
     Raises SingularFisher when the smallest eigenvalue magnitude is at most
-    1e-12 times the largest, which signals a degenerate parameterization or
-    too many parameters for the system dimension.  The test does not
-    depend on the number of parameters.
+    PINV_RCOND times the largest, which signals a degenerate
+    parameterization or too many parameters for the system dimension.  The
+    test does not depend on the number of parameters.
     """
-    entries = np.asarray(fm.entries, dtype=float)
-    w, v = eigensolve((entries + entries.T) / 2)
-    low, high = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
-    if low <= 1e-12 * high:
-        raise SingularFisher(f"Fisher matrix numerically singular (eigenvalue magnitudes {low:g} to {high:g})")
-    inv = (v / w) @ v.T
-    inv = (inv + inv.T) / 2
-    return FisherMatrix(entries=entries, inverse=inv, condition_number=high / low)
+    inverted, mag, keep = _kept_inverse(fm)
+    if not np.all(keep):
+        raise SingularFisher(f"Fisher matrix numerically singular (eigenvalue magnitudes {min(mag):g} to {max(mag):g})")
+    return inverted
 
 
 def fisher_pseudo_inverse(fm: FisherMatrix) -> FisherMatrix:
@@ -137,14 +136,10 @@ def fisher_pseudo_inverse(fm: FisherMatrix) -> FisherMatrix:
 
     Used by the negative-control path when the divergent part is singular;
     the resulting estimator is only unbiased inside the row space.
-    Eigenvalues below PINV_RCOND times the largest count as zero.
+    Eigenvalues at most PINV_RCOND times the largest magnitude count as
+    zero; the zero matrix has the zero inverse and condition number inf.
     """
-    entries = np.asarray(fm.entries, dtype=float)
-    inv = guarded(np.linalg.pinv, (entries + entries.T) / 2, rcond=PINV_RCOND, hermitian=True)
-    w = np.abs(eigensolve(entries, vectors=False))
-    w = w[w > PINV_RCOND * np.max(w)] if np.max(w) > 0 else w
-    cond = float(np.max(w) / np.min(w)) if w.size else float("inf")
-    return FisherMatrix(entries=entries, inverse=inv, condition_number=cond)
+    return _kept_inverse(fm)[0]
 
 
 def pure_input_dominance(
@@ -167,22 +162,15 @@ def pure_input_dominance(
         raise DimensionMismatch("decomposition does not reconstruct the mixed state")
     eps = np.asarray(eps, dtype=float)
     u = np.asarray(u, dtype=float)
-
-    def quad(output: np.ndarray, derivatives: np.ndarray) -> float:
-        w, v = eigensolve((output + dagger(output)) / 2)
-        fm = quantum_fisher(w[::-1].copy(), v[:, ::-1].copy(), derivatives)
-        return float(u @ fm.entries @ u)
-
     # the channel is linear in its input: the mixture's output and derivatives
-    # are the weighted sums of its components', so each component is evaluated once
-    evs = []
-    for _, v in decomposition:
-        v = np.asarray(v, complex)
-        evs.append(ch.evaluate(np.outer(v, v.conj()), eps))
-    pure_vals = [quad(ev.output, ev.derivatives) for ev in evs]
-    weights = [w for w, _ in decomposition]
-    mixed_val = quad(
-        sum(w * ev.output for w, ev in zip(weights, evs)), sum(w * ev.derivatives for w, ev in zip(weights, evs))
-    )
-    scale = max(1.0, abs(mixed_val), max(abs(x) for x in pure_vals))
-    return mixed_val <= max(pure_vals) + DOMINANCE_TOL * scale
+    # are the weighted sums of its components', so each component is evaluated
+    # once; the mixture is the last row of one stack through quantum_fisher
+    weights = np.array([w for w, _ in decomposition])
+    evs = [ch.evaluate(np.outer(np.asarray(v, complex), np.asarray(v, complex).conj()), eps) for _, v in decomposition]
+    outputs = np.array([ev.output for ev in evs])
+    derivs = np.array([ev.derivatives for ev in evs])
+    outputs = np.concatenate([outputs, np.tensordot(weights, outputs, 1)[None]])
+    derivs = np.concatenate([derivs, np.tensordot(weights, derivs, 1)[None]])
+    vals = quantum_fisher(*eigensolve((outputs + dagger(outputs)) / 2), derivs).entries @ u @ u
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    return bool(vals[-1] <= np.max(vals[:-1]) + DOMINANCE_TOL * scale)

@@ -20,6 +20,9 @@ from .scenarios import Scenario, scenario_to_config
 CR_TOL = 1e-9
 FIT_FLOOR = 1e-13
 ATTAINMENT_BAND = (1.8, 2.2)
+# Floor on |det G| / prod_mu G_mumu (<= 1 by Hadamard): above D <= N-1, det G is
+# rounding noise of about u * prod_mu G_mumu, with a true determinant's order -D
+NONDEGENERACY_FLOOR = 1e-10
 
 
 def _matrix(m) -> list:
@@ -141,6 +144,12 @@ def _error(exc: LowNoiseError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _hadamard_ratio(point: dict) -> float:
+    """|det G| / prod_mu G_mumu, G = J_c / 4 the point's sqrt-probability Gram; 0 on a zero diagonal."""
+    diag = np.prod(np.diag(point["classical_fisher"]) / 4.0)
+    return abs(point["nondegeneracy_det"]) / diag if diag > 0 else 0.0
+
+
 def _norm_series(points, key) -> list[float]:
     return [float(np.linalg.norm(p[key])) for p in points]
 
@@ -260,11 +269,11 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
                 "detail": f"min eigenvalue + tolerance = {worst:g}",
             }
         )
-        dim = sc.channel.dim
         num_params = sc.channel.num_params
         nd = fit_by_name.get("nondegeneracy_det")
+        ratio, at = min((_hadamard_ratio(p), p["scale"]) for p in good)
         gate = (
-            all(abs(p["nondegeneracy_det"]) > 0 for p in good)
+            ratio > NONDEGENERACY_FLOOR
             and nd is not None
             and not nd["at_floor"]
             and abs(nd["slope"] + num_params) <= 0.3
@@ -274,7 +283,8 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
                 "name": "nondegeneracy_gate",
                 "passed": bool(gate),
                 "expected_failure": not sc.attainment_expected,
-                "detail": f"det order {None if nd is None else nd['slope']}, expected -D = {-num_params}",
+                "detail": f"det order {None if nd is None else nd['slope']}, expected -D = {-num_params}; "
+                f"min |det G|/prod diag G = {ratio:g} at scale {at:g}, floor {NONDEGENERACY_FLOOR:g}",
             }
         )
         ub = fit_by_name.get("unbiasedness")

@@ -257,15 +257,13 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         fit = power_order_fit(list(zip(scales, first_order)))
         if not 1.85 <= fit.slope <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {fit.slope:.3f}")
-        labels, _ = spectral.classify_shift_curves(scales, [spec.shifts() for spec in specs])
+        shifts = np.array([spec.shifts() for spec in specs])
+        labels, _ = spectral.classify_shift_curves(scales, shifts)
         included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-        cvd = []
-        jdivs = []
-        for spec in specs:
-            jc = fisher.classical_fisher(spec.probs, spec.gradients)
-            jdivs.append(fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included))
-            cvd.append(np.linalg.norm(jc.entries - jdivs[-1].entries))
-        fit_cvd = fit_or_floor(scales, cvd, 1e-13)
+        probs, grads = np.array([spec.probs for spec in specs]), np.array([spec.gradients for spec in specs])
+        jc = fisher.classical_fisher(probs, grads).entries
+        jdiv = fisher.divergent_fisher(shifts, np.array([spec.shift_gradients() for spec in specs]), included).entries
+        fit_cvd = fit_or_floor(scales, np.linalg.norm(jc - jdiv, axis=(1, 2)), 1e-13)
         if fit_cvd is not None and fit_cvd.slope < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope:.3f} diverges")
         eps = 1e-3 * direction
@@ -275,7 +273,7 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
             failures.append(f"seed {seed}: trace-power identity residual")
         try:
             score = est.build_score_operators(specs[-3], included)
-            povm = est.build_povm(est.raise_index(score, fisher.fisher_inverse(jdivs[-3])))
+            povm = est.build_povm(est.raise_index(score, fisher.fisher_inverse(fisher.FisherMatrix(entries=jdiv[-3]))))
             # orthonormal columns, each in exactly one group: the outcomes'
             # projectors are then idempotent, orthogonal and complete
             if povm.completeness_residual() > 1e-10:

@@ -149,19 +149,25 @@ def test_pseudo_inverse_path_raises_with_the_points_inverse(inversions):
 
 
 def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
-    """One divergent Fisher matrix per scale; the estimator check reuses its point's."""
-    calls = []
-    original = fisher.divergent_fisher
+    """One classical and one divergent matrix per scale, each from one stacked call per seed.
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    The estimator check reuses its point's divergent matrix.
+    """
+    stacks = defaultdict(list)
+    for name in ("classical_fisher", "divergent_fisher"):
+        original = getattr(fisher, name)
 
-    monkeypatch.setattr(fisher, "divergent_fisher", counting)
+        def counting(*args, _name=name, _original=original):
+            fm = _original(*args)
+            stacks[_name].append(fm.entries.shape[:-2])
+            return fm
+
+        monkeypatch.setattr(fisher, name, counting)
     num_seeds = 3
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    assert len(calls) == len(DEFAULT_SCALES) * num_seeds
+    per_seed = [(len(DEFAULT_SCALES),)] * num_seeds
+    assert stacks == {"classical_fisher": per_seed, "divergent_fisher": per_seed}
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])

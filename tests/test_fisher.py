@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lownoise.channels import pure_state_density
-from lownoise.errors import EmptySum, NoConvergence, SingularFisher
+from lownoise.errors import DimensionMismatch, EmptySum, NoConvergence, SingularFisher
+from lownoise.estimator import build_score_operators
 from lownoise.fisher import (
     FisherMatrix,
     classical_fisher,
@@ -15,16 +16,16 @@ from lownoise.fisher import (
     nondegeneracy_det,
     pure_input_dominance,
     quantum_fisher,
-    sqrt_prob_gram,
 )
 from lownoise.linalg import dagger, fit_or_floor, power_order_fit
 from lownoise.scenarios import (
     random_channel,
+    random_input_state,
     scenario_ancilla_bell,
     scenario_pauli2,
     scenario_threelevel,
 )
-from lownoise.spectral import output_spectrum_with_gradients
+from lownoise.spectral import classify_shift_curves, output_shift_curves, output_spectrum_with_gradients
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
 
@@ -74,6 +75,50 @@ def sld_fisher_cross_check(probs, basis, slds):
             anti = ops[mu] @ ops[nu] + ops[nu] @ ops[mu]
             out[mu, nu] = float(np.real(np.trace(rho @ anti))) / 2
     return out
+
+
+def loop_quantum_fisher(probs, basis, drho):
+    """The per-entry mu, nu loop that ``quantum_fisher`` replaced."""
+    psum = probs[:, None] + probs[None, :]
+    mask = psum > support_threshold(probs.shape[0])
+    weights = np.where(mask, 2.0 / np.where(mask, psum, 1.0), 0.0)
+    dmats = [dagger(basis) @ d @ basis for d in drho]
+    out = np.zeros((len(dmats), len(dmats)))
+    for mu in range(len(dmats)):
+        for nu in range(len(dmats)):
+            out[mu, nu] = float(np.real(np.sum(weights * dmats[mu] * dmats[nu].T)))
+    return out
+
+
+def loop_gram_sum(values, grads, columns):
+    """sum over columns n of grads[:, n] grads[:, n]^T / values[n], one outer product at a time."""
+    out = np.zeros((grads.shape[0], grads.shape[0]))
+    for n in columns:
+        out += np.outer(grads[:, n], grads[:, n]) / values[n]
+    return out
+
+
+def loop_classical_fisher(probs, dprobs):
+    return loop_gram_sum(probs, dprobs, np.nonzero(probs > support_threshold(probs.shape[0]))[0])
+
+
+def sqrt_prob_gram(probs, dprobs):
+    """Gram matrix sum_n d(sqrt p_n)_mu d(sqrt p_n)_nu over the support."""
+    gram = np.zeros((dprobs.shape[0], dprobs.shape[0]))
+    for n in np.nonzero(probs > support_threshold(probs.shape[0]))[0]:
+        gs = dprobs[:, n] / (2.0 * np.sqrt(probs[n]))
+        gram += np.outer(gs, gs)
+    return gram
+
+
+def random_grid(dim, seed):
+    """Spectra of a random channel over SCALES, D = N-1 with generators on odd dim, and its order-1 shifts."""
+    num = max(1, dim - 1)
+    ch = random_channel(dim, num, [1] * num, seed, with_hamiltonian=bool(dim % 2))
+    specs = output_shift_curves(ch, random_input_state(dim, seed), np.full(num, 1.0 / num), SCALES)
+    labels, _ = classify_shift_curves(SCALES, [spec.shifts() for spec in specs])
+    included = [i for i, lab in enumerate(labels) if lab == "order-1"]
+    return specs, included
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +266,15 @@ class TestDivergentFisher:
         with pytest.raises(EmptySum):
             divergent_fisher(np.array([1e-3]), np.array([[1.0]]), [])
 
+    @pytest.mark.parametrize("included", [[0, 2], [-1], [1, 1]])
+    def test_included_out_of_range_or_repeated_rejected(self, threelevel, included):
+        # two shifts: an index of 2 is past the end, -1 would wrap to the last, a repeat would count twice
+        eps, spec = pipeline_quantities(threelevel, 1e-3)
+        with pytest.raises(DimensionMismatch):
+            divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
+        with pytest.raises(DimensionMismatch):
+            build_score_operators(spec, included)
+
     def test_quantum_minus_divergent_bounded_for_commuting_structure(self, bell):
         diffs = []
         for s in SCALES:
@@ -255,7 +309,7 @@ class TestNondegeneracy:
         g = np.array([1.0, -0.5, -0.5])
         dprobs = np.vstack([g, g])  # identical rows
         gram = sqrt_prob_gram(probs, dprobs)
-        assert abs(np.linalg.det(gram)) <= 1e-12 * max(1.0, np.linalg.norm(gram)) ** 2
+        assert abs(nondegeneracy_det(probs, dprobs)) <= 1e-12 * max(1.0, np.linalg.norm(gram)) ** 2
 
     def test_too_many_parameters_on_qubit(self):
         ch = random_channel(2, 3, [1, 1, 1], seed=31)
@@ -270,9 +324,9 @@ class TestNondegeneracy:
 class TestFisherInverse:
     def test_pseudo_inverse_solver_failure_is_no_convergence(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "pinv", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         fm = divergent_fisher(np.array([1e-3]), np.array([[1.0], [2.0]]), [0])
         with pytest.raises(NoConvergence):
             fisher_pseudo_inverse(fm)
@@ -317,7 +371,13 @@ class TestFisherInverse:
             fisher_inverse(FisherMatrix(entries=np.zeros((3, 3))))
         pinv = fisher_pseudo_inverse(fm)
         assert np.linalg.norm(pinv.inverse @ fm.entries @ pinv.inverse - pinv.inverse) <= 1e-10
+        np.testing.assert_allclose(pinv.inverse, np.linalg.pinv(fm.entries, rcond=1e-12, hermitian=True), atol=1e-15)
+        assert pinv.condition_number == 1.0
 
+    def test_pseudo_inverse_of_zero_matrix(self):
+        pinv = fisher_pseudo_inverse(FisherMatrix(entries=np.zeros((2, 2))))
+        assert np.array_equal(pinv.inverse, np.zeros((2, 2)))
+        assert pinv.condition_number == float("inf")
 
     @pytest.mark.parametrize("num", [2, 8])
     def test_well_conditioned_accepted_at_any_dimension(self, num):
@@ -367,3 +427,48 @@ class TestPureInputDominance:
         parts = [ch.evaluate(pure_state_density(v), eps) for v in vecs]
         assert np.max(np.abs(direct.output - sum(w * p.output for w, p in zip(weights, parts)))) <= 1e-15
         assert np.max(np.abs(direct.derivatives - sum(w * p.derivatives for w, p in zip(weights, parts)))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+class TestArrayBuilders:
+    """The builders' array code against the loops it replaced, and on a stacked grid."""
+
+    def test_match_loop_references(self, dim):
+        specs, included = random_grid(dim, seed=dim)
+        for spec in specs:
+            pairs = [
+                (quantum_fisher(spec.probs, spec.basis, spec.derivatives).entries,
+                 loop_quantum_fisher(spec.probs, spec.basis, spec.derivatives)),
+                (classical_fisher(spec.probs, spec.gradients).entries,
+                 loop_classical_fisher(spec.probs, spec.gradients)),
+                (divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries,
+                 loop_gram_sum(spec.shifts(), spec.shift_gradients(), included)),
+            ]
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            gram = sqrt_prob_gram(spec.probs, spec.gradients)
+            det = nondegeneracy_det(spec.probs, spec.gradients)
+            # a determinant's scale is the product of the diagonal (Hadamard)
+            assert abs(det - np.linalg.det(gram)) <= 1e-12 * np.prod(np.diag(gram))
+
+    def test_stacked_rows_equal_one_point_calls(self, dim):
+        specs, included = random_grid(dim, seed=dim)
+        probs = np.array([spec.probs for spec in specs])
+        grads = np.array([spec.gradients for spec in specs])
+        stacked = [
+            quantum_fisher(probs, [spec.basis for spec in specs], [spec.derivatives for spec in specs]).entries,
+            classical_fisher(probs, grads).entries,
+            divergent_fisher(
+                np.array([spec.shifts() for spec in specs]), np.array([spec.shift_gradients() for spec in specs]), included
+            ).entries,
+            nondegeneracy_det(probs, grads),
+        ]
+        for t, spec in enumerate(specs):
+            single = [
+                quantum_fisher(spec.probs, spec.basis, spec.derivatives).entries,
+                classical_fisher(spec.probs, spec.gradients).entries,
+                divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries,
+                nondegeneracy_det(spec.probs, spec.gradients),
+            ]
+            for rows, one in zip(stacked, single):
+                assert np.array_equal(rows[t], one)

@@ -13,8 +13,16 @@ from lownoise.report import (
     render_csv,
     render_jsonl,
 )
-from lownoise.scenarios import scenario_ancilla_bell, scenario_pauli2, scenario_threelevel
-from lownoise.sweep import _point_record, run_sweep
+from lownoise.scenarios import (
+    Scenario,
+    SweepConfig,
+    random_channel,
+    random_input_state,
+    scenario_ancilla_bell,
+    scenario_pauli2,
+    scenario_threelevel,
+)
+from lownoise.sweep import NONDEGENERACY_FLOOR, _point_record, run_sweep
 
 FAST_SCALES = tuple(np.geomspace(1e-5, 1e-2, 5))
 
@@ -56,6 +64,28 @@ class TestRunSweep:
         gate = by_name["nondegeneracy_gate"]
         assert not gate["passed"] and gate["expected_failure"]
         assert all(p["pseudo"] for p in pauli_report.points if p.get("error") is None)
+
+    @pytest.mark.parametrize("dim, seed", [(3, 1), (4, 0)])
+    def test_gate_fails_above_the_bound(self, dim, seed):
+        # D = N: det G is rounding noise that scales as s^-D like a true
+        # determinant, so the order test alone passes; the floor fails it
+        ch = random_channel(dim, dim, [1] * dim, seed, with_hamiltonian=bool(seed % 2))
+        sweep = SweepConfig(direction=(1.0 / dim,) * dim)
+        report = run_sweep(Scenario("above-bound", ch, random_input_state(dim, seed), sweep))
+        fit = {f["name"]: f for f in report.fits}["nondegeneracy_det"]
+        assert abs(fit["slope"] + dim) <= 0.3
+        gate = {c["name"]: c for c in report.checks}["nondegeneracy_gate"]
+        assert not gate["passed"]
+        assert f"floor {NONDEGENERACY_FLOOR:g}" in gate["detail"]
+
+    def test_gate_detail_names_the_worst_point(self, bell_report):
+        gate = {c["name"]: c for c in bell_report.checks}["nondegeneracy_gate"]
+        ratios = [
+            abs(p["nondegeneracy_det"]) / np.prod(np.diag(p["classical_fisher"]) / 4) for p in bell_report.points
+        ]
+        worst = int(np.argmin(ratios))
+        assert f"= {ratios[worst]:g} at scale {bell_report.points[worst]['scale']:g}," in gate["detail"]
+        assert NONDEGENERACY_FLOOR < ratios[worst] <= 1.0
 
     def test_pauli_bad_direction_gap_persists(self, pauli_report):
         fits = {f["name"]: f for f in pauli_report.fits}
