@@ -10,7 +10,8 @@ divergent Fisher matrix to second order in the noise strengths.
 Each outcome is a group of the eigenbasis's columns, so its probability
 is the sum of the output eigenvalues in the group; no N x N projector is
 formed.  The Cramer-Rao margin is the smallest eigenvalue of the gap
-V - J^-1, the worst case over all directions.
+V - J^-1, the worst case over all directions.  All but ``build_povm`` and
+``sample_measurements`` also take a stack of points on a leading axis.
 """
 from __future__ import annotations
 
@@ -47,10 +48,10 @@ def build_score_operators(spec: OutputSpectrum, included) -> ScoreOperators:
     information and their eigenvectors are left to the kernel outcome.
     DimensionMismatch for an included index out of range or repeated.
     """
-    included = included_shifts(included, spec.shifts().shape[0])
+    included = included_shifts(included, spec.shifts().shape[-1])
     if not included:
         raise EmptySum("no first-order shift to build an estimator from")
-    log_gradients = spec.shift_gradients()[:, included].T / spec.shifts()[included, None]
+    log_gradients = spec.shift_gradients()[..., included].swapaxes(-1, -2) / spec.shifts()[..., included, None]
     return ScoreOperators(included=included, basis=spec.basis, log_gradients=log_gradients, estimates=None)
 
 
@@ -64,9 +65,10 @@ def raise_index(partial: ScoreOperators, jdiv_inv: FisherMatrix) -> ScoreOperato
     where the estimator is unbiased only inside the row space.
     """
     inv = jdiv_inv.inverse
-    if inv is None or inv.shape != (partial.log_gradients.shape[1],) * 2:
+    lg = partial.log_gradients
+    if inv is None or inv.shape != lg.shape[:-2] + (lg.shape[-1],) * 2:
         raise DimensionMismatch("Fisher matrix must carry its inverse, one row and column per parameter")
-    return replace(partial, estimates=partial.log_gradients @ inv.T)
+    return replace(partial, estimates=lg @ inv.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class EstimatorPOVM:
     """Projective estimator in an orthonormal basis.
 
     Outcome n projects onto the basis columns groups[n] and reports
-    estimates[n]; the groups partition the columns.
+    estimates[n]; the groups partition the columns.  Points that share
+    the groups stack along a leading axis of basis and estimates.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -127,25 +130,24 @@ def outcome_probabilities(povm: EstimatorPOVM, probs) -> np.ndarray:
     eigenvalue per basis column.
     """
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (povm.basis.shape[1],):
-        raise DimensionMismatch(f"{probs.shape} eigenvalues for a basis of {povm.basis.shape[1]} columns")
-    return np.array([np.sum(probs[list(cols)]) for cols in povm.groups])
+    if probs.shape != povm.basis.shape[:-1]:
+        raise DimensionMismatch(f"{probs.shape} eigenvalues for a basis of shape {povm.basis.shape}")
+    return np.stack([np.sum(probs[..., list(cols)], axis=-1) for cols in povm.groups], axis=-1)
 
 
 def _outcomes(povm: EstimatorPOVM, q) -> np.ndarray:
     """q as a float array; DimensionMismatch unless it has one entry per outcome."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (povm.estimates.shape[0],):
-        raise DimensionMismatch(f"{q.shape} outcome probabilities for {povm.estimates.shape[0]} outcomes")
+    if q.shape != povm.estimates.shape[:-1]:
+        raise DimensionMismatch(f"{q.shape} outcome probabilities for {povm.estimates.shape[-2]} outcomes")
     return q
+
 
 
 def unbiasedness_residual(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> np.ndarray:
     """|E[x_mu] - eps_mu| per parameter; q are the outcome probabilities at eps_true."""
     eps_true = np.asarray(eps_true, dtype=float)
-    q = _outcomes(povm, q)
-    mean = povm.estimates.T @ q
-    return np.abs(mean - eps_true)
+    return np.abs((povm.estimates.swapaxes(-1, -2) @ _outcomes(povm, q)[..., None])[..., 0] - eps_true)
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,9 @@ def analytic_mse(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> MSEMatrix:
     """
     eps_true = np.asarray(eps_true, dtype=float)
     q = _outcomes(povm, q)
-    dev = povm.estimates - eps_true
-    return MSEMatrix(entries=(dev.T * q) @ dev, mean=povm.estimates.T @ q)
+    dev = povm.estimates - eps_true[..., None, :]
+    mean = (povm.estimates.swapaxes(-1, -2) @ q[..., None])[..., 0]
+    return MSEMatrix(entries=(dev.swapaxes(-1, -2) * q[..., None, :]) @ dev, mean=mean)
 
 
 def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
@@ -177,13 +180,13 @@ def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
     return mse.entries - jinv.inverse
 
 
-def cr_direction_margin(gap: np.ndarray) -> float:
+def cr_direction_margin(gap: np.ndarray) -> float | np.ndarray:
     """min over unit vectors u of u (V - J^-1) u: the smallest eigenvalue of the gap's symmetric part.
 
-    NoConvergence if the eigensolver does not converge.
+    One per matrix of a stack.  NoConvergence if the eigensolver does not converge.
     """
     gap = np.asarray(gap, dtype=float)
-    return float(eigensolve((gap + gap.T) / 2, vectors=False)[0])
+    return eigensolve((gap + gap.swapaxes(-1, -2)) / 2, vectors=False)[..., 0]
 
 
 def sample_measurements(

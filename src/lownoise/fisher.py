@@ -40,11 +40,20 @@ def _gram(grads: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (grads * weights[..., None, :]) @ grads.swapaxes(-1, -2)
 
 
+def _per_param(values: np.ndarray, grads, name: str) -> np.ndarray:
+    """grads as a float (..., D, M) array over values' (..., M); DimensionMismatch otherwise."""
+    grads = np.asarray(grads, dtype=float)
+    if grads.ndim != values.ndim + 1 or grads.shape[:-2] + grads.shape[-1:] != values.shape:
+        raise DimensionMismatch(f"{name} of shape {grads.shape} do not fit values of shape {values.shape}")
+    return grads
+
+
 def _classical(probs, dprobs) -> np.ndarray:
     """sum_n dp_n dp_n^T / p_n over the eigenvalues above ``support_threshold``."""
     probs = np.asarray(probs, dtype=float)
     keep = probs > support_threshold(probs.shape[-1])
-    return _gram(np.asarray(dprobs, dtype=float), np.where(keep, 1.0 / np.where(keep, probs, 1.0), 0.0))
+    weights = np.where(keep, 1.0 / np.where(keep, probs, 1.0), 0.0)
+    return _gram(_per_param(probs, dprobs, "probability gradients"), weights)
 
 
 def included_shifts(included, num_shifts: int) -> tuple[int, ...]:
@@ -62,13 +71,18 @@ def quantum_fisher(probs: np.ndarray, basis: np.ndarray, drho) -> FisherMatrix:
     support, where p_n + p_m exceeds ``support_threshold``; this equals
     Tr[rho (L_mu L_nu + L_nu L_mu)]/2 with the symmetric logarithmic
     derivatives L_mu solving d_mu rho = (L_mu rho + rho L_mu)/2 there.
+    DimensionMismatch unless basis is (..., N, N) and drho (..., D, N, N).
     """
     probs = np.asarray(probs, dtype=float)
-    basis = np.asarray(basis, dtype=complex)[..., None, :, :]
+    basis = np.asarray(basis, dtype=complex)
+    drho = np.asarray(drho, dtype=complex)
+    if basis.shape != probs.shape + probs.shape[-1:] or drho.shape[:-3] + drho.shape[-2:] != basis.shape:
+        raise DimensionMismatch(f"basis {basis.shape} and derivatives {drho.shape} do not fit probs {probs.shape}")
+    basis = basis[..., None, :, :]
     psum = probs[..., :, None] + probs[..., None, :]
     mask = psum > support_threshold(probs.shape[-1])
     weights = np.where(mask, 2.0 / np.where(mask, psum, 1.0), 0.0)
-    dmats = dagger(basis) @ np.asarray(drho, dtype=complex) @ basis
+    dmats = dagger(basis) @ drho @ basis
     entries = np.einsum("...mij,...ij,...nji->...mn", dmats, weights, dmats).real
     return FisherMatrix(entries=(entries + entries.swapaxes(-1, -2)) / 2)
 
@@ -90,10 +104,11 @@ def divergent_fisher(shift_values: np.ndarray, shift_grads: np.ndarray, included
     information and are excluded).
     """
     shift_values = np.asarray(shift_values, dtype=float)
+    grads = _per_param(shift_values, shift_grads, "shift gradients")
     included = list(included_shifts(included, shift_values.shape[-1]))
     if not included:
         raise EmptySum("no first-order eigenvalue shift; channel not dissipative along this input")
-    grads = np.asarray(shift_grads, dtype=float)[..., included]
+    grads = grads[..., included]
     return FisherMatrix(entries=_gram(grads, 1.0 / shift_values[..., included]))
 
 
@@ -107,27 +122,30 @@ def nondegeneracy_det(probs: np.ndarray, dprobs: np.ndarray) -> float | np.ndarr
 
 
 def _kept_inverse(fm: FisherMatrix) -> tuple[FisherMatrix, np.ndarray, np.ndarray]:
-    """One eigensolve: fm inverted over eigenvalues above PINV_RCOND x the largest, the magnitudes, the kept mask."""
+    """One eigensolve per matrix: fm inverted over eigenvalues above PINV_RCOND x the largest, |w|, the kept mask."""
     entries = np.asarray(fm.entries, dtype=float)
-    w, v = eigensolve((entries + entries.T) / 2)
+    w, v = eigensolve((entries + entries.swapaxes(-1, -2)) / 2)
     mag = np.abs(w)
-    keep = mag > PINV_RCOND * np.max(mag)
-    inv = (v / np.where(keep, w, np.inf)) @ v.T
-    cond = float(np.max(mag[keep]) / np.min(mag[keep])) if np.any(keep) else float("inf")
-    return FisherMatrix(entries=entries, inverse=(inv + inv.T) / 2, condition_number=cond), mag, keep
+    top = np.max(mag, axis=-1, keepdims=True)
+    keep = mag > PINV_RCOND * top
+    inv = (v / np.where(keep, w, np.inf)[..., None, :]) @ v.swapaxes(-1, -2)
+    cond = np.where(np.any(keep, axis=-1), top[..., 0] / np.min(np.where(keep, mag, np.inf), axis=-1), np.inf)[()]
+    return FisherMatrix(entries, (inv + inv.swapaxes(-1, -2)) / 2, cond), mag, keep
 
 
 def fisher_inverse(fm: FisherMatrix) -> FisherMatrix:
-    """Populate the inverse via a Hermitian eigendecomposition.
+    """Populate the inverse via a Hermitian eigendecomposition, of one matrix or of each in a stack.
 
     Raises SingularFisher when the smallest eigenvalue magnitude is at most
     PINV_RCOND times the largest, which signals a degenerate
     parameterization or too many parameters for the system dimension.  The
-    test does not depend on the number of parameters.
+    test does not depend on the number of parameters.  The message names the first singular matrix.
     """
     inverted, mag, keep = _kept_inverse(fm)
-    if not np.all(keep):
-        raise SingularFisher(f"Fisher matrix numerically singular (eigenvalue magnitudes {min(mag):g} to {max(mag):g})")
+    singular = ~np.all(keep, axis=-1)
+    if np.any(singular):
+        bad = mag[singular][0]  # a 0-d mask takes the one matrix as a row
+        raise SingularFisher(f"Fisher matrix numerically singular (eigenvalue magnitudes {min(bad):g} to {max(bad):g})")
     return inverted
 
 

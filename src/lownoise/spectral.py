@@ -11,11 +11,12 @@ carries the same nonzero spectrum whenever K <= N-1.
 ``output_shift_curves`` returns one ``OutputSpectrum`` per scale: a noise
 point's eigenvalues, eigenbasis, (D, N) eigenvalue ``gradients`` and
 channel evaluation, all that downstream layers read.  Deviation and
-covariance matrices are plain Hermitian arrays.
+covariance matrices are plain Hermitian arrays; like ``stack_spectra``,
+they take one noise point or a (B, ...) stack of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -44,15 +45,20 @@ class OutputSpectrum:
     gradients: np.ndarray  # (D, N): gradients[mu, n] = d probs[n] / d eps_mu
     output: np.ndarray
     derivatives: np.ndarray  # (D, N, N)
-    tpcp_residual: float
+    tpcp_residual: float | np.ndarray
 
     def shifts(self) -> np.ndarray:
         """Small eigenvalues p_1..p_{N-1}; they vanish at eps = 0."""
-        return self.probs[1:]
+        return self.probs[..., 1:]
 
     def shift_gradients(self) -> np.ndarray:
         """(D, N-1) derivatives of the shifts: the columns 1: of gradients."""
-        return self.gradients[:, 1:]
+        return self.gradients[..., 1:]
+
+
+def stack_spectra(spectra) -> OutputSpectrum:
+    """The spectra of B noise points as one OutputSpectrum whose fields carry a leading (B,) axis."""
+    return OutputSpectrum(*(np.array([getattr(s, f.name) for s in spectra]) for f in fields(OutputSpectrum)))
 
 
 def _fix_phases(basis: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -120,7 +126,7 @@ def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarr
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     output = np.asarray(output, dtype=complex)
-    if output.shape != (phi.shape[0], phi.shape[0]):
+    if output.shape[-2:] != (phi.shape[0], phi.shape[0]):
         raise DimensionMismatch(f"output state has shape {output.shape}, input dimension {phi.shape[0]}")
     frame = _complement_frame(phi, frame)
     entries = dagger(frame) @ (output - pure_state_density(phi)) @ frame
@@ -143,14 +149,14 @@ def deviation_matrix(
     eps = np.asarray(eps, dtype=float)
     frame = _complement_frame(phi, frame)
     u = (dagger(frame) @ (ch.jumps @ phi)[..., None])[..., 0]  # u[k] = frame^dag M_k phi
-    grams = eps[ch.params, None, None] * (u[:, :, None] * u[:, None, :].conj())
-    entries = reduce(np.add, grams, np.zeros((frame.shape[1], frame.shape[1]), dtype=complex))
+    grams = eps[..., ch.params, None, None] * (u[:, :, None] * u[:, None, :].conj())
+    entries = reduce(np.add, np.moveaxis(grams, -3, 0), np.zeros(grams.shape[-2:], dtype=complex))
     return (entries + dagger(entries)) / 2
 
 
 def deviation_eigenvalues(dm: np.ndarray) -> np.ndarray:
     """Eigenvalue shifts carried by a deviation matrix, descending."""
-    return eigensolve(dm, vectors=False)[::-1].copy()
+    return eigensolve(dm, vectors=False)[..., ::-1].copy()
 
 
 def classify_shift_curves(scales, curve_rows) -> tuple[tuple[str, ...], tuple[PowerFit | None, ...]]:
@@ -192,8 +198,8 @@ def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> np.ndarray:
     means = phi.conj() @ images  # (K, 1)
     overlaps = (dagger(images)[:, None] @ images)[..., 0, 0]
     cov = overlaps - means.conj() @ means.T  # conj(<M_i>) <M_j> as a rank-one matmul
-    weights = eps[ch.params]
-    entries = np.sqrt(np.outer(weights, weights)) * cov
+    weights = eps[..., ch.params]
+    entries = np.sqrt(weights[..., :, None] * weights[..., None, :]) * cov
     return (entries + dagger(entries)) / 2
 
 
@@ -204,22 +210,23 @@ def reduced_shifts(lm: np.ndarray, dim: int) -> np.ndarray:
     the K eigenvalues then equal the nonzero leading deviation
     eigenvalues (pad with dim - 1 - K zeros to compare full spectra).
     """
-    k = lm.shape[0]
+    k = lm.shape[-1]
     if k > dim - 1:
         raise ReductionInvalid(f"reduction needs K <= N-1, got K={k}, N={dim}")
-    return eigensolve(lm, vectors=False)[::-1].copy()
+    return eigensolve(lm, vectors=False)[..., ::-1].copy()
 
 
-def trace_power_residual(dm_leading: np.ndarray, lm: np.ndarray, kmax: int) -> float:
+def trace_power_residual(dm_leading: np.ndarray, lm: np.ndarray, kmax: int) -> float | np.ndarray:
     """max_k |Tr Delta^k - Tr Lambda^k| for k = 1..kmax, Delta the leading deviation matrix."""
     worst = 0.0
-    a = np.eye(dm_leading.shape[0], dtype=complex)
-    b = np.eye(lm.shape[0], dtype=complex)
+    a = np.eye(dm_leading.shape[-1], dtype=complex)
+    b = np.eye(lm.shape[-1], dtype=complex)
     for _ in range(kmax):
         a = a @ dm_leading
         b = b @ lm
-        worst = max(worst, abs(np.trace(a) - np.trace(b)))
-    return float(worst)
+        gap = np.trace(a, axis1=-2, axis2=-1) - np.trace(b, axis1=-2, axis2=-1)
+        worst = np.maximum(worst, np.hypot(gap.real, gap.imag))  # as a complex scalar's abs rounds
+    return worst if np.ndim(worst) else float(worst)
 
 
 def output_spectrum_with_gradients(ch: LowNoiseChannel, phi: np.ndarray, eps: np.ndarray) -> OutputSpectrum:

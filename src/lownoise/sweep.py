@@ -3,17 +3,21 @@
 For each scale s the runner evaluates the output spectrum, eigenvalue
 shifts and gradients, the three Fisher matrices and their inverses, the
 deviation/covariance cross-checks, the estimator with its error matrix,
-and the Cramer-Rao margin.  Sweep-level slope fits then grade
-each quantity against the scenario's expected asymptotic orders.
+and the Cramer-Rao margin.  Each quantity is computed once for the whole
+grid, on a (B, ...) stack of its points; only the estimator's grouping
+and the Monte Carlo draw run point by point.  Sweep-level slope fits then
+grade each quantity against the scenario's expected asymptotic orders.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from . import estimator as est
 from . import fisher, spectral
-from .errors import ConfigInvalid, LowNoiseError, SingularFisher
-from .linalg import eigensolve, fit_or_floor, richardson_zero_limit
+from .errors import ConfigInvalid, LowNoiseError
+from .linalg import eigensolve, fit_or_floor, guarded, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
 
@@ -25,123 +29,115 @@ ATTAINMENT_BAND = (1.8, 2.2)
 NONDEGENERACY_FLOOR = 1e-10
 
 
-def _matrix(m) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+def _norms(stack) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, one np.linalg.norm call each, as a one-point call rounds it."""
+    return np.array([np.linalg.norm(m) for m in stack])
 
 
-def _point_record(sc: Scenario, scale: float, spec, labels, shots: int, mc_seed: int) -> dict:
-    """All per-point quantities; raises LowNoiseError subtypes on failure.
+def _records(sc: Scenario, rows: list[int], spectra: dict, labels, shots: int) -> list[dict]:
+    """The records of grid points rows, from one stacked pass over their spectra.
 
-    Every quantity reads the output state and its derivatives from spec;
-    the channel is not evaluated again.
-
-    With shots > 0 the record also carries ``mc``: the point's estimator
-    sampled with seed mc_seed and tested against its analytic MSE.
+    Every quantity reads the output states and their derivatives from the
+    spectra; the channel is not evaluated again.  Only ``build_povm`` and
+    the Monte Carlo draw (with shots > 0, the record's ``mc``) run point by
+    point.  Raises the first LowNoiseError of any row.
     """
-    eps = spec.eps
-    dim = sc.channel.dim
-    shifts = spec.shifts()
-    shift_grads = spec.shift_gradients()
+    spec = spectral.stack_spectra([spectra[t] for t in rows])
+    eps, dim = spec.eps, sc.channel.dim
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
 
-    jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
-    jq_inv = fisher.fisher_inverse(jq)
+    jq = fisher.fisher_inverse(fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives))
     jc = fisher.classical_fisher(spec.probs, spec.gradients)
-    jdiv = fisher.divergent_fisher(shifts, shift_grads, included)
-    nondeg = fisher.nondegeneracy_det(spec.probs, spec.gradients)
-
-    # negative-control path: a singular divergent matrix takes the pseudo-inverse
-    pseudo = False
-    try:
-        jdiv_inv = fisher.fisher_inverse(jdiv)
-    except SingularFisher:
-        jdiv_inv = fisher.fisher_pseudo_inverse(jdiv)
-        pseudo = True
+    jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
+    nondeg = guarded(np.linalg.det, jc.entries / 4.0)  # nondegeneracy_det, read from the classical stack
+    # negative-control path: a row whose divergent matrix is singular takes its pseudo-inverse
+    jdiv_inv, _, kept = fisher._kept_inverse(jdiv)
 
     score = est.raise_index(est.build_score_operators(spec, included), jdiv_inv)
-    povm = est.build_povm(score)
-    q = est.outcome_probabilities(povm, spec.probs)
-    bias = est.unbiasedness_residual(povm, q, eps)
-    mse = est.analytic_mse(povm, q, eps)
-
-    gap_quantum = est.cr_gap(mse, jq_inv)
-    gap_divergent = None if pseudo else mse.entries - jdiv_inv.inverse
-    cr_bound = CR_TOL * max(1.0, float(np.linalg.norm(mse.entries)))
+    povms = [est.build_povm(replace(score, basis=v, log_gradients=g, estimates=x))
+             for v, g, x in zip(spec.basis, score.log_gradients, score.estimates)]
+    q, bias, mse = {}, np.empty(eps.shape), np.empty(jq.entries.shape)
+    for groups in dict.fromkeys(p.groups for p in povms):  # the points of one grouping form one stacked POVM
+        idx = [b for b, p in enumerate(povms) if p.groups == groups]
+        stack = est.EstimatorPOVM(groups, spec.basis[idx], np.array([povms[b].estimates for b in idx]))
+        q_stack = est.outcome_probabilities(stack, spec.probs[idx])
+        q.update(zip(idx, q_stack))
+        bias[idx] = est.unbiasedness_residual(stack, q_stack, eps[idx])
+        mse[idx] = est.analytic_mse(stack, q_stack, eps[idx]).entries
+    gap_quantum = mse - jq.inverse
     cr_margin = est.cr_direction_margin(gap_quantum)
 
-    # deviation-matrix and covariance cross checks
-    dm_full = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
-    dm_lead = spectral.deviation_matrix(sc.channel, sc.input_state, eps, sc.frame)
-    lead_vs_full = float(np.linalg.norm(dm_full - dm_lead))
-    trace_power = None
-    reduced_residual = None
+    # deviation-matrix and covariance cross checks, in one complement frame
+    frame = spectral.complement_basis(sc.input_state) if sc.frame is None else sc.frame
+    dm_full = spectral.output_deviation_matrix(spec.output, sc.input_state, frame)
+    dm_lead = spectral.deviation_matrix(sc.channel, sc.input_state, eps, frame)
+    trace_power = reduced_residual = [None] * len(rows)
     if len(sc.channel.jumps) <= dim - 1:
         lm = spectral.jump_covariance(sc.channel, sc.input_state, eps)
-        trace_power = spectral.trace_power_residual(dm_lead, lm, kmax=5)
-        reduced = spectral.reduced_shifts(lm, dim)
-        padded = np.zeros(dim - 1)
-        padded[: reduced.shape[0]] = reduced
+        trace_power = spectral.trace_power_residual(dm_lead, lm, kmax=5).tolist()
+        padded = np.zeros(spec.shifts().shape)
+        padded[:, : lm.shape[-1]] = spectral.reduced_shifts(lm, dim)
         lead_vals = spectral.deviation_eigenvalues(dm_lead)
-        reduced_residual = float(np.max(np.abs(np.sort(padded) - np.sort(lead_vals))))
+        reduced_residual = np.max(np.abs(np.sort(padded) - np.sort(lead_vals)), axis=-1).tolist()
 
-    jinv_eigs = eigensolve(jq_inv.inverse, vectors=False)[::-1]
-    rec = {
-        "scale": float(scale),
-        "eps": [float(x) for x in eps],
-        "probs": [float(p) for p in spec.probs],
-        "shifts": [float(x) for x in shifts],
-        "shift_gradients": _matrix(shift_grads),
-        "quantum_fisher": _matrix(jq.entries),
-        "quantum_fisher_inverse": _matrix(jq_inv.inverse),
-        "classical_fisher": _matrix(jc.entries),
-        "divergent_fisher": _matrix(jdiv.entries),
-        "divergent_inverse": None if pseudo else _matrix(jdiv_inv.inverse),
-        "jinv_eigenvalues": [float(x) for x in jinv_eigs],
-        "nondegeneracy_det": float(nondeg),
-        "estimates": _matrix(povm.estimates),
-        "unbiasedness_residual": [float(x) for x in bias],
-        "mse": _matrix(mse.entries),
-        "gap_vs_quantum": _matrix(gap_quantum),
-        "gap_vs_divergent": _matrix(gap_divergent) if gap_divergent is not None else None,
-        "cr_margin": float(cr_margin),
-        "cr_bound": float(cr_bound),
-        "povm_completeness": float(povm.completeness_residual()),
-        "lead_vs_full_deviation": lead_vs_full,
-        "trace_power_residual": trace_power,
-        "reduced_shift_residual": reduced_residual,
-        "classical_vs_divergent": float(np.linalg.norm(jc.entries - jdiv.entries)),
-        "pseudo": bool(pseudo),
-        "error": None,
-    }
-    if shots > 0:
-        mc = est.sample_measurements(povm, q, eps, shots, mc_seed)
-        dev = np.abs(mc.entries - mse.entries)
-        rec["mc"] = {
-            "shots": shots,
-            "seed": mc_seed,
-            "mean": [float(x) for x in mc.mean],
-            "mse": _matrix(mc.entries),
-            "standard_error": _matrix(mc.standard_error),
-            "within_4se_of_analytic": bool(np.all(dev <= 4.0 * mc.standard_error + 1e-300)),
-        }
-    return rec
+    columns = dict(
+        eps=eps, probs=spec.probs, shifts=spec.shifts(), shift_gradients=spec.shift_gradients(),
+        quantum_fisher=jq.entries, quantum_fisher_inverse=jq.inverse, classical_fisher=jc.entries,
+        divergent_fisher=jdiv.entries, divergent_inverse=jdiv_inv.inverse, nondegeneracy_det=nondeg,
+        jinv_eigenvalues=eigensolve(jq.inverse, vectors=False)[:, ::-1],
+        unbiasedness_residual=bias, mse=mse, gap_vs_quantum=gap_quantum, gap_vs_divergent=mse - jdiv_inv.inverse,
+        cr_margin=cr_margin, cr_bound=CR_TOL * np.maximum(1.0, _norms(mse)),
+        lead_vs_full_deviation=_norms(dm_full - dm_lead),
+        classical_vs_divergent=_norms(jc.entries - jdiv.entries),
+        pseudo=~np.all(kept, axis=-1),
+    )
+    columns = {key: value.tolist() for key, value in columns.items()}
+    records = []
+    for b, t in enumerate(rows):
+        rec = {key: value[b] for key, value in columns.items()}
+        rec.update(scale=float(sc.sweep.scales[t]), estimates=povms[b].estimates.tolist(), error=None)
+        rec.update(trace_power_residual=trace_power[b], reduced_shift_residual=reduced_residual[b])
+        rec.update(povm_completeness=povms[b].completeness_residual())
+        if rec["pseudo"]:
+            rec["divergent_inverse"] = rec["gap_vs_divergent"] = None
+        if shots > 0:
+            seed = sc.sweep.monte_carlo_seed(t)
+            mc = est.sample_measurements(povms[b], q[b], eps[b], shots, seed)
+            se = mc.standard_error
+            rec["mc"] = dict(
+                shots=shots, seed=seed, mean=mc.mean.tolist(), mse=mc.entries.tolist(), standard_error=se.tolist(),
+                within_4se_of_analytic=bool(np.all(np.abs(mc.entries - mse[b]) <= 4.0 * se + 1e-300)),
+            )
+        records.append(rec)
+    return records
 
 
 def _fit(scales, values, name: str) -> dict:
     fit = fit_or_floor(scales, values, FIT_FLOOR)
     if fit is None:
         return {"name": name, "slope": None, "intercept": None, "residual": None, "at_floor": True}
-    return {
-        "name": name,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "at_floor": False,
-    }
+    return {"name": name, "slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual, "at_floor": False}
 
 
 def _error(exc: LowNoiseError) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _by_row(stacked, rows: list[int]) -> tuple[dict, dict]:
+    """{row: result} from stacked(rows), one result per row, and {row: error}.
+
+    If stacked(rows) raises a LowNoiseError, stacked([row]) runs for each row, so each failure is its own row's.
+    """
+    try:
+        return (dict(zip(rows, stacked(rows))) if rows else {}), {}
+    except LowNoiseError:
+        results, errors = {}, {}
+        for t in rows:
+            try:
+                results[t] = stacked([t])[0]
+            except LowNoiseError as exc:
+                errors[t] = _error(exc)
+        return results, errors
 
 
 def _hadamard_ratio(point: dict) -> float:
@@ -159,10 +155,11 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
 
     Any per-point library error is recorded in that point's record and
     fails the report; points are never silently skipped.  The spectra of
-    the whole grid come from one stacked evaluation; if that fails, the
-    grid is evaluated point by point so each failure is recorded at its
-    own point.  Shifts are classified over the scales whose spectrum
-    succeeded; if that fails, every point records the classification error.
+    the whole grid come from one stacked evaluation, and the records of
+    its points from one stacked pass; if either fails, it runs again point
+    by point so each failure is recorded at its own point.  Shifts are
+    classified over the scales whose spectrum succeeded; if that fails,
+    every point records the classification error.
     ConfigInvalid if shots, the Monte Carlo shots per point, is negative.
     """
     if shots < 0:
@@ -170,16 +167,10 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     scales = list(sc.sweep.scales)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 
-    spectra: dict[int, spectral.OutputSpectrum] = {}  # scale index -> spectrum
-    errors: dict[int, str] = {}
-    try:
-        spectra = dict(enumerate(spectral.output_shift_curves(sc.channel, sc.input_state, direction, scales)))
-    except LowNoiseError:
-        for t, scale in enumerate(scales):
-            try:
-                spectra[t] = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
-            except LowNoiseError as exc:
-                errors[t] = _error(exc)
+    spectra, errors = _by_row(
+        lambda rows: spectral.output_shift_curves(sc.channel, sc.input_state, direction, [scales[t] for t in rows]),
+        list(range(len(scales))),
+    )
     labels: tuple[str, ...] = ()
     if spectra:
         try:
@@ -188,17 +179,11 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             )
         except LowNoiseError as exc:
             errors = {t: errors.get(t, _error(exc)) for t in range(len(scales))}
-
-    points = []
-    for t, scale in enumerate(scales):
-        if t in errors:
-            points.append({"scale": float(scale), "error": errors[t]})
-            continue
-        try:
-            rec = _point_record(sc, scale, spectra[t], labels, shots, sc.sweep.monte_carlo_seed(t))
-        except LowNoiseError as exc:
-            rec = {"scale": float(scale), "error": _error(exc)}
-        points.append(rec)
+    records, failed = _by_row(
+        lambda rows: _records(sc, rows, spectra, labels, shots), [t for t in range(len(scales)) if t not in errors]
+    )
+    errors.update(failed)
+    points = [records.get(t) or {"scale": float(scales[t]), "error": errors[t]} for t in range(len(scales))]
 
     good = [p for p in points if p["error"] is None]
     had_error = len(good) < len(points)
@@ -216,28 +201,15 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         fits.append(_fit(gs, _norm_series(good, "classical_vs_divergent"), "classical_vs_divergent"))
         fits.append(_fit(gs, [p["lead_vs_full_deviation"] for p in good], "lead_vs_full_deviation"))
         if sc.reference_jinv is not None:
-            vals = [
-                float(
-                    np.linalg.norm(
-                        np.asarray(p["quantum_fisher_inverse"]) - sc.reference_jinv(np.asarray(p["eps"]))
-                    )
-                )
-                for p in good
-            ]
+            refs = [sc.reference_jinv(np.asarray(p["eps"])) for p in good]
+            vals = [float(np.linalg.norm(np.asarray(p["quantum_fisher_inverse"]) - r)) for p, r in zip(good, refs)]
             fits.append(_fit(gs, vals, "quantum_jinv_vs_reference"))
         if "bad_direction_gap" in sc.expected_orders and len(good) >= 2:
-            jinv0 = richardson_zero_limit(
-                good[0]["scale"],
-                np.asarray(good[0]["quantum_fisher_inverse"]),
-                good[1]["scale"],
-                np.asarray(good[1]["quantum_fisher_inverse"]),
-            )
-            w, v = eigensolve(jinv0)
-            u0 = v[:, -1]
-            vals = [
-                abs(float(u0 @ (np.asarray(p["mse"]) - np.asarray(p["quantum_fisher_inverse"])) @ u0))
-                for p in good
-            ]
+            (s1, jinv1), (s2, jinv2) = [(p["scale"], np.asarray(p["quantum_fisher_inverse"])) for p in good[:2]]
+            jinv0 = richardson_zero_limit(s1, jinv1, s2, jinv2)
+            u0 = eigensolve(jinv0)[1][:, -1]
+            gaps = [np.asarray(p["mse"]) - np.asarray(p["quantum_fisher_inverse"]) for p in good]
+            vals = [abs(float(u0 @ gap @ u0)) for gap in gaps]
             fits.append(_fit(gs, vals, "bad_direction_gap"))
 
     fit_by_name = {f["name"]: f for f in fits}

@@ -58,24 +58,22 @@ def check_ancilla_bell() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_ancilla_bell()
-    spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    spec = spectral.stack_spectra(
+        spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    )
+    dms = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
+    shifts = np.sort(spectral.deviation_eigenvalues(dms))
+    jq = fisher.fisher_inverse(fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives))
     jinv_gap = []
-    for s, spec in zip(sc.sweep.scales, spectra):
-        eps = spec.eps
-        dm = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
-        printed = sc.closed_forms["deviation_printed"](eps)
-        if np.max(np.abs(dm - printed)) > 1e-14:
+    for s, eps, dm, got, entries, jinv in zip(sc.sweep.scales, spec.eps, dms, shifts, jq.entries, jq.inverse):
+        if np.max(np.abs(dm - sc.closed_forms["deviation_printed"](eps))) > 1e-14:
             failures.append(f"deviation matrix deviates from the reference at scale {s:g}")
-        got = np.sort(spectral.deviation_eigenvalues(dm))
-        want = np.sort(sc.closed_forms["shifts"](eps))
-        if np.max(np.abs(got - want)) > 1e-14:
+        if np.max(np.abs(got - np.sort(sc.closed_forms["shifts"](eps)))) > 1e-14:
             failures.append(f"shifts deviate from (eps2, eps1, 0) at scale {s:g}")
-        jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
-        l1 = abs(jq.entries[0, 0] * eps[0] - 1.0)
-        l2 = abs(jq.entries[1, 1] * eps[1] - 1.0)
+        l1 = abs(entries[0, 0] * eps[0] - 1.0)
+        l2 = abs(entries[1, 1] * eps[1] - 1.0)
         if l1 > 10 * np.sum(eps) or l2 > 10 * np.sum(eps):
             failures.append(f"diagonal Fisher entries off at scale {s:g}")
-        jinv = fisher.fisher_inverse(jq).inverse
         jinv_gap.append(float(np.linalg.norm(jinv - np.diag(eps))))
     fit = power_order_fit(list(zip(sc.sweep.scales, jinv_gap)))
     if not 1.8 <= fit.slope <= 2.2:
@@ -91,18 +89,18 @@ def check_pauli() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_pauli2()
-    spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
-    jinvs = []
-    for s, spec in zip(sc.sweep.scales, spectra):
-        eps = spec.eps
-        jq = fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives)
+    spec = spectral.stack_spectra(
+        spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    )
+    jq = fisher.fisher_inverse(fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives))
+    for s, eps, entries in zip(sc.sweep.scales, spec.eps, jq.entries):
         closed = sc.closed_forms["fisher"](eps)
         tol = 1e-8 * np.maximum(1.0, np.abs(closed))
-        if np.any(np.abs(jq.entries - closed) > tol):
-            worst = float(np.max(np.abs(jq.entries - closed) / np.maximum(1.0, np.abs(closed))))
+        if np.any(np.abs(entries - closed) > tol):
+            worst = float(np.max(np.abs(entries - closed) / np.maximum(1.0, np.abs(closed))))
             failures.append(f"Fisher matrix off the Bloch form by {worst:.2e} (scaled) at scale {s:g}")
-        jinvs.append(fisher.fisher_inverse(jq).inverse)
-    eigs = np.array([np.sort(eigensolve(j, vectors=False))[::-1] for j in jinvs])
+    jinvs = jq.inverse
+    eigs = eigensolve(jinvs, vectors=False)[:, ::-1]
     big = power_order_fit(list(zip(sc.sweep.scales, eigs[:, 0])))
     small = power_order_fit(list(zip(sc.sweep.scales, eigs[:, 1])))
     if not -0.15 <= big.slope <= 0.15:
@@ -257,12 +255,11 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         fit = power_order_fit(list(zip(scales, first_order)))
         if not 1.85 <= fit.slope <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {fit.slope:.3f}")
-        shifts = np.array([spec.shifts() for spec in specs])
-        labels, _ = spectral.classify_shift_curves(scales, shifts)
+        stack = spectral.stack_spectra(specs)
+        labels, _ = spectral.classify_shift_curves(scales, stack.shifts())
         included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-        probs, grads = np.array([spec.probs for spec in specs]), np.array([spec.gradients for spec in specs])
-        jc = fisher.classical_fisher(probs, grads).entries
-        jdiv = fisher.divergent_fisher(shifts, np.array([spec.shift_gradients() for spec in specs]), included).entries
+        jc = fisher.classical_fisher(stack.probs, stack.gradients).entries
+        jdiv = fisher.divergent_fisher(stack.shifts(), stack.shift_gradients(), included).entries
         fit_cvd = fit_or_floor(scales, np.linalg.norm(jc - jdiv, axis=(1, 2)), 1e-13)
         if fit_cvd is not None and fit_cvd.slope < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope:.3f} diverges")

@@ -7,6 +7,8 @@ from lownoise import sweep, verify
 from lownoise.channels import pure_state_density, sqrt_completion_channel
 from lownoise.errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum, SingularFisher
 from lownoise.estimator import (
+    EstimatorPOVM,
+    MSEMatrix,
     analytic_mse,
     build_povm,
     build_score_operators,
@@ -33,7 +35,7 @@ from lownoise.scenarios import (
     scenario_ancilla_bell,
     scenario_threelevel,
 )
-from lownoise.spectral import classify_shift_curves, output_shift_curves, output_spectrum_with_gradients
+from lownoise.spectral import classify_shift_curves, output_shift_curves, output_spectrum_with_gradients, stack_spectra
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -579,28 +581,62 @@ class TestSampling:
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_stacked_rows_equal_one_point_calls(name):
+    """A grid's estimator through the stacked calls equals each point's one-point pipeline bit for bit."""
+    sc = build_scenario(name, seed=3)
+    specs = output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    labels, _ = classify_shift_curves(sc.sweep.scales, [spec.shifts() for spec in specs])
+    included = [i for i, lab in enumerate(labels) if lab == "order-1"]
+    stack = stack_spectra(specs)
+    jdiv = divergent_fisher(stack.shifts(), stack.shift_gradients(), included)
+    score = raise_index(build_score_operators(stack, included), fisher_pseudo_inverse(jdiv))
+    povms = [build_povm(replace(score, basis=v, log_gradients=g, estimates=x))
+             for v, g, x in zip(stack.basis, score.log_gradients, score.estimates)]
+    assert len({povm.groups for povm in povms}) == 1
+    povm = EstimatorPOVM(povms[0].groups, stack.basis, np.array([p.estimates for p in povms]))
+    q = outcome_probabilities(povm, stack.probs)
+    bias, mse = unbiasedness_residual(povm, q, stack.eps), analytic_mse(povm, q, stack.eps)
+    margins = cr_direction_margin(mse.entries)
+    for t, spec in enumerate(specs):
+        one_div = divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
+        one = build_povm(raise_index(build_score_operators(spec, included), fisher_pseudo_inverse(one_div)))
+        assert np.array_equal(povms[t].estimates, one.estimates) and povms[t].groups == one.groups
+        one_q = outcome_probabilities(one, spec.probs)
+        one_mse = analytic_mse(one, one_q, spec.eps)
+        assert np.array_equal(q[t], one_q)
+        assert np.array_equal(bias[t], unbiasedness_residual(one, one_q, spec.eps))
+        assert np.array_equal(mse.entries[t], one_mse.entries) and np.array_equal(mse.mean[t], one_mse.mean)
+        assert margins[t] == cr_direction_margin(one_mse.entries)
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
 def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
-    """Each point's mc record samples the POVM and tests against the MSE of its own analysis."""
+    """Each point's mc record samples the POVM and tests against the MSE of its own analysis.
+
+    The analytic MSE is one stacked call over the points that share a
+    grouping; its rows are matched to the points by their noise point.
+    """
     built = []
-    mses = []
-    probabilities = []
+    analysed = {}  # eps row -> (q, MSE) of that point
 
     def spy_povm(score):
         built.append(build_povm(score))
         return built[-1]
 
     def spy_mse(povm, q, eps_true):
-        probabilities.append(q)
-        mses.append(analytic_mse(povm, q, eps_true))
-        return mses[-1]
+        mse = analytic_mse(povm, q, eps_true)
+        for row, eps in enumerate(eps_true):
+            analysed[tuple(eps)] = (q[row], MSEMatrix(entries=mse.entries[row], mean=mse.mean[row]))
+        return mse
 
     monkeypatch.setattr(sweep.est, "build_povm", spy_povm)
     monkeypatch.setattr(sweep.est, "analytic_mse", spy_mse)
     sc = build_scenario(name, scales=tuple(np.geomspace(1e-5, 1e-2, 4)), seed=3)
     shots = 2 * BLOCK + 3
     report = sweep.run_sweep(sc, shots=shots)
-    assert len(built) == len(mses) == len(report.points)
-    for t, (p, povm, mse, q) in enumerate(zip(report.points, built, mses, probabilities)):
+    assert len(built) == len(analysed) == len(report.points)
+    for t, (p, povm) in enumerate(zip(report.points, built)):
+        q, mse = analysed[tuple(p["eps"])]
         # q are the output's outcome probabilities, read back through the dense projectors
         rho = sc.channel.apply(pure_state_density(sc.input_state), np.asarray(p["eps"]))
         assert np.max(np.abs(q - dense_probabilities(povm, rho))) <= 1e-12

@@ -9,10 +9,14 @@ points (rows of the eps stack) each one covers: a channel's own
 construction check (``_validate``) and the pure-input dominance check are
 recorded apart from the per-grid evaluations.
 
-A sweep point inverts its quantum and its divergent Fisher matrix once
-each, and the estimator raises its index with the divergent inverse the
-point already made.  It computes its outcome probabilities once, for the
-unbiasedness residual, the analytic MSE and the Monte Carlo draw alike.
+A sweep inverts the quantum and the divergent Fisher matrices of its grid
+with one stacked eigensolve each, and the estimator raises its index with
+the divergent inverse the grid already made; a singular divergent row
+takes its pseudo-inverse from that same eigensolve.  The sweep computes
+each point's outcome probabilities once, in one stacked call per grouping
+of the eigenbasis, for the unbiasedness residual, the analytic MSE and the
+Monte Carlo draw alike.  Its eigensolves do not grow with the number of
+scales.
 """
 from collections import Counter, defaultdict
 
@@ -21,6 +25,7 @@ import pytest
 
 from lownoise import estimator, fisher, spectral, sweep, verify
 from lownoise.channels import LowNoiseChannel
+from lownoise.errors import SingularFisher
 from lownoise.scenarios import DEFAULT_SCALES, build_scenario
 from lownoise.sweep import run_sweep
 
@@ -108,13 +113,17 @@ def test_evaluate_makes_one_kraus_call(kraus_calls):
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """Calls of fisher_inverse and fisher_pseudo_inverse, by name, from every module that holds them."""
+    """Entries inverted by fisher_inverse, fisher_pseudo_inverse and the eigensolve they share, by name.
+
+    Each is wrapped in every module that holds it; ``_kept_inverse`` is
+    also what fisher_inverse and fisher_pseudo_inverse call.
+    """
     calls = defaultdict(list)
-    for name in ("fisher_inverse", "fisher_pseudo_inverse"):
+    for name in ("fisher_inverse", "fisher_pseudo_inverse", "_kept_inverse"):
         original = getattr(fisher, name)
 
         def counting(fm, _name=name, _original=original):
-            calls[_name].append(fm)
+            calls[_name].append(np.asarray(fm.entries))
             return _original(fm)
 
         for module in (fisher, estimator, sweep, verify):
@@ -127,18 +136,32 @@ def test_sweep_inverts_each_fisher_matrix_once(inversions):
     sc = build_scenario("three-level", seed=1)
     report = run_sweep(sc)
     assert not any(p["pseudo"] or p["error"] for p in report.points)
-    # the quantum and the divergent matrix of each point
-    assert len(inversions["fisher_inverse"]) == 2 * len(sc.sweep.scales)
+    # one stacked eigensolve for the grid's quantum matrices, one for its divergent ones
+    quantum, divergent = inversions["_kept_inverse"]
+    assert [m.tolist() for m in quantum] == [p["quantum_fisher"] for p in report.points]
+    assert [m.tolist() for m in divergent] == [p["divergent_fisher"] for p in report.points]
+    assert len(inversions["fisher_inverse"]) == 1 and inversions["fisher_inverse"][0] is quantum
     assert not inversions["fisher_pseudo_inverse"]
 
 
-def test_pseudo_inverse_path_raises_with_the_points_inverse(inversions):
+def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypatch):
+    raised = []
+    inverse = sweep.fisher.fisher_inverse
+
+    def recording(fm):
+        try:
+            return inverse(fm)
+        except SingularFisher as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(sweep.fisher, "fisher_inverse", recording)
     sc = build_scenario("pauli2", seed=1)
     report = run_sweep(sc)
     assert all(p["pseudo"] and p["error"] is None for p in report.points)
-    # the quantum matrix, and the divergent one that proves singular
-    assert len(inversions["fisher_inverse"]) == 2 * len(sc.sweep.scales)
-    assert len(inversions["fisher_pseudo_inverse"]) == len(sc.sweep.scales)
+    # the quantum stack, and the divergent one whose kept mask marks every row singular
+    assert [len(m) for m in inversions["_kept_inverse"]] == [len(sc.sweep.scales)] * 2
+    assert not raised and not inversions["fisher_pseudo_inverse"]
     spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     included = [i for i, lab in enumerate(report.shift_labels) if lab == "order-1"]
     for point, spec in zip(report.points, spectra):
@@ -173,17 +196,47 @@ def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
 @pytest.mark.parametrize("shots", [0, 1000])
 def test_sweep_computes_outcome_probabilities_once_per_point(monkeypatch, name, shots):
-    calls = []
+    stacks, drawn = [], []
     original = estimator.outcome_probabilities
+    sample = estimator.sample_measurements
 
-    def counting(povm, rho):
-        calls.append(rho)
-        return original(povm, rho)
+    def counting(povm, probs):
+        stacks.append(original(povm, probs))
+        return stacks[-1]
+
+    def drawing(povm, q, *args):
+        drawn.append(q)
+        return sample(povm, q, *args)
 
     monkeypatch.setattr(estimator, "outcome_probabilities", counting)
+    monkeypatch.setattr(estimator, "sample_measurements", drawing)
     report = run_sweep(build_scenario(name, seed=1), shots=shots)
     assert all(p["error"] is None and ("mc" in p) == (shots > 0) for p in report.points)
-    assert len(calls) == len(report.points)
+    # the grid's points share one grouping: one stacked call, one row per point
+    assert len(stacks) == 1 and stacks[0].shape[0] == len(report.points)
+    # and the Monte Carlo draw reads those rows, not a second computation
+    assert len(drawn) == (len(report.points) if shots else 0)
+    assert all(np.shares_memory(q, stacks[0]) for q in drawn)
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_sweep_eigensolves_do_not_grow_with_the_grid(monkeypatch, name):
+    counts = Counter()
+    for solver in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, solver)
+
+        def counting(m, *args, _solver=solver, _original=original, **kwargs):
+            counts[_solver] += 1
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counting)
+    made = []
+    for num in (8, 16):
+        counts.clear()
+        report = run_sweep(build_scenario(name, scales=tuple(np.geomspace(1e-5, 1e-2, num)), seed=1))
+        assert all(p["error"] is None for p in report.points)
+        made.append(dict(counts))
+    assert made[0] == made[1]
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])

@@ -322,6 +322,27 @@ class TestNondegeneracy:
 
 
 class TestFisherInverse:
+    def test_stacked_rows_equal_one_point_calls(self):
+        rng = np.random.default_rng(5)
+        factors = rng.normal(size=(5, 3, 3))
+        stack = factors @ factors.swapaxes(-1, -2)
+        stack[3] = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])  # rank one
+        pinv = fisher_pseudo_inverse(FisherMatrix(entries=stack))
+        for t in range(len(stack)):
+            one = fisher_pseudo_inverse(FisherMatrix(entries=stack[t]))
+            assert np.array_equal(pinv.inverse[t], one.inverse)
+            assert pinv.condition_number[t] == one.condition_number
+        regular = np.delete(stack, 3, axis=0)
+        inv = fisher_inverse(FisherMatrix(entries=regular))
+        for t in range(len(regular)):
+            assert np.array_equal(inv.inverse[t], fisher_inverse(FisherMatrix(entries=regular[t])).inverse)
+        # a singular row fails the stack with that row's own message
+        with pytest.raises(SingularFisher) as one:
+            fisher_inverse(FisherMatrix(entries=stack[3]))
+        with pytest.raises(SingularFisher) as stacked:
+            fisher_inverse(FisherMatrix(entries=stack))
+        assert str(stacked.value) == str(one.value)
+
     def test_pseudo_inverse_solver_failure_is_no_convergence(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -427,6 +448,33 @@ class TestPureInputDominance:
         parts = [ch.evaluate(pure_state_density(v), eps) for v in vecs]
         assert np.max(np.abs(direct.output - sum(w * p.output for w, p in zip(weights, parts)))) <= 1e-15
         assert np.max(np.abs(direct.derivatives - sum(w * p.derivatives for w, p in zip(weights, parts)))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # three probabilities against four gradient columns
+        lambda: classical_fisher(np.array([0.5, 0.3, 0.2]), np.ones((2, 4))),
+        lambda: nondegeneracy_det(np.array([0.5, 0.3, 0.2]), np.ones((2, 4))),
+        # two shifts against three gradient columns
+        lambda: divergent_fisher(np.array([1e-3, 2e-3]), np.ones((2, 3)), [0, 1]),
+        # 3 x 3 derivatives on a two-level basis
+        lambda: quantum_fisher(np.array([0.9, 0.1]), np.eye(2), np.ones((2, 3, 3))),
+        # stacks of four points against five, or against one point
+        lambda: classical_fisher(np.full((4, 3), 1 / 3), np.ones((5, 2, 3))),
+        lambda: classical_fisher(np.full((4, 3), 1 / 3), np.ones((2, 3))),
+        lambda: divergent_fisher(np.full((4, 2), 1e-3), np.ones((5, 2, 2)), [0]),
+        lambda: quantum_fisher(np.full((4, 2), 0.5), np.ones((5, 2, 2)), np.ones((4, 2, 2, 2))),
+        lambda: quantum_fisher(np.full((4, 2), 0.5), np.ones((4, 2, 2)), np.ones((2, 2, 2))),
+    ],
+    ids=[
+        "classical", "nondegeneracy", "divergent", "quantum",
+        "classical-stacks", "classical-one-gradient", "divergent-stacks", "quantum-basis", "quantum-derivatives",
+    ],
+)
+def test_mismatched_shapes_rejected(build):
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

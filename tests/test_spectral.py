@@ -21,6 +21,7 @@ from lownoise.spectral import (
     output_shift_curves,
     output_spectrum_with_gradients,
     reduced_shifts,
+    stack_spectra,
     trace_power_residual,
 )
 
@@ -296,3 +297,38 @@ def test_output_shift_curves_consistency(threelevel):
         assert np.array_equal(spec.shift_gradients(), spec.gradients[:, 1:])
         # eigenvalue gradients sum to the derivative of the total trace: zero
         assert np.max(np.abs(spec.gradients.sum(axis=1))) <= 1e-12
+
+
+def scalar_trace_power_residual(dm, lm, kmax):
+    """Reference: the residual with complex scalar traces and Python's abs, one power at a time."""
+    worst, a, b = 0.0, np.eye(len(dm)), np.eye(len(lm))
+    for _ in range(kmax):
+        a, b = a @ dm, b @ lm
+        worst = max(worst, abs(np.trace(a) - np.trace(b)))
+    return worst
+
+
+@pytest.mark.parametrize("dim, num, seed", [(3, 2, 3), (5, 3, 1), (6, 4, 0)])
+def test_stacked_cross_checks_equal_one_point_calls(dim, num, seed):
+    """Each row of a call over a (B, D) eps stack equals the one-point call bit for bit."""
+    ch = random_channel(dim, num, [1] * num, seed, with_hamiltonian=bool(seed % 2))
+    phi = random_input_state(dim, seed)
+    direction = np.full(num, 1.0 / num)
+    specs = output_shift_curves(ch, phi, direction, SCALES)
+    stack = stack_spectra(specs)
+    frame = complement_basis(phi)
+    full = output_deviation_matrix(stack.output, phi, frame)
+    lead = deviation_matrix(ch, phi, stack.eps, frame)
+    lm = jump_covariance(ch, phi, stack.eps)
+    residuals = trace_power_residual(lead, lm, kmax=5)
+    reduced, lead_vals = reduced_shifts(lm, dim), deviation_eigenvalues(lead)
+    for t, spec in enumerate(specs):
+        assert np.array_equal(stack.shifts()[t], spec.shifts())
+        assert np.array_equal(stack.shift_gradients()[t], spec.shift_gradients())
+        assert np.array_equal(full[t], output_deviation_matrix(spec.output, phi, frame))
+        one_lead, one_lm = deviation_matrix(ch, phi, spec.eps), jump_covariance(ch, phi, spec.eps)
+        assert np.array_equal(lead[t], one_lead) and np.array_equal(lm[t], one_lm)
+        assert residuals[t] == trace_power_residual(one_lead, one_lm, kmax=5)
+        assert residuals[t] == scalar_trace_power_residual(one_lead, one_lm, kmax=5)
+        assert np.array_equal(reduced[t], reduced_shifts(one_lm, dim))
+        assert np.array_equal(lead_vals[t], deviation_eigenvalues(one_lead))

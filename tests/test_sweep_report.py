@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lownoise import spectral
-from lownoise.errors import IOFailure, LowNoiseError
+from lownoise import fisher, spectral
+from lownoise.errors import IOFailure, LowNoiseError, SingularFisher
 from lownoise.report import (
     CSV_COLUMNS,
     emit_report,
@@ -22,7 +22,7 @@ from lownoise.scenarios import (
     scenario_pauli2,
     scenario_threelevel,
 )
-from lownoise.sweep import NONDEGENERACY_FLOOR, _point_record, run_sweep
+from lownoise.sweep import NONDEGENERACY_FLOOR, run_sweep
 
 FAST_SCALES = tuple(np.geomspace(1e-5, 1e-2, 5))
 
@@ -117,25 +117,72 @@ class TestRunSweep:
         sc = scenario_threelevel(scales=FAST_SCALES + (3.0, 30.0))
         report = run_sweep(sc, shots=shots)
         assert not report.passed
-        # reference: the grid evaluated one point at a time
+        # reference for the failed points: the grid evaluated one point at a time
         direction = np.asarray(sc.sweep.direction, dtype=float)
-        spectra, errors = {}, {}
+        errors = {}
         for t, scale in enumerate(sc.sweep.scales):
             try:
-                spectra[t] = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
+                spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, scale * direction)
             except LowNoiseError as exc:
                 errors[t] = f"{type(exc).__name__}: {exc}"
         assert sorted(errors) == [len(FAST_SCALES), len(FAST_SCALES) + 1]
-        labels, _ = spectral.classify_shift_curves(
-            [sc.sweep.scales[t] for t in spectra], [spec.shifts() for spec in spectra.values()]
-        )
-        assert report.shift_labels == list(labels)
+        # reference for the others: a sweep over the valid scales alone
+        valid = run_sweep(scenario_threelevel(scales=FAST_SCALES), shots=shots)
+        assert report.shift_labels == valid.shift_labels
         for t, (point, scale) in enumerate(zip(report.points, sc.sweep.scales)):
             if t in errors:
                 assert point == {"scale": scale, "error": errors[t]}
-                continue
-            want = _point_record(sc, scale, spectra[t], labels, shots, sc.sweep.seed * 1009 + t)
-            assert json.dumps(point) == json.dumps(want)
+            else:
+                assert json.dumps(point, sort_keys=True) == json.dumps(valid.points[t], sort_keys=True)
+
+    @pytest.mark.parametrize("bad", [None, 2])
+    def test_failed_stacked_solve_falls_back_point_by_point(self, monkeypatch, bad):
+        # eigh fails on every real stack of several matrices (the grid's Fisher inverses),
+        # and on any stack holding point bad's quantum Fisher matrix
+        sc = scenario_threelevel(scales=FAST_SCALES)
+        want = run_sweep(sc, shots=1000)
+        target = None if bad is None else np.asarray(want.points[bad]["quantum_fisher"])
+        eigh = np.linalg.eigh
+
+        def failing(m, *args, **kwargs):
+            m = np.asarray(m)
+            if m.dtype == float and m.ndim == 3 and (len(m) > 1 or np.array_equal(m[0], target)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        report = run_sweep(sc, shots=1000)
+        assert report.passed == (bad is None)
+        for t, (point, good) in enumerate(zip(report.points, want.points)):
+            if t == bad:
+                assert point == {"scale": good["scale"], "error": "NoConvergence: Eigenvalues did not converge"}
+            else:
+                assert json.dumps(point, sort_keys=True) == json.dumps(good, sort_keys=True)
+
+    def test_singular_quantum_fisher_recorded_at_its_point(self, monkeypatch):
+        sc = scenario_threelevel(scales=FAST_SCALES)
+        want = run_sweep(sc)
+        bad = 3
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        quantum = fisher.quantum_fisher
+
+        def singular_at_bad(probs, basis, drho):
+            fm = quantum(probs, basis, drho)
+            rows = np.all(np.atleast_2d(probs) == np.asarray(want.points[bad]["probs"]), axis=-1)
+            entries = fm.entries.copy()
+            entries[rows.reshape(entries.shape[:-2])] = singular
+            return fisher.FisherMatrix(entries=entries)
+
+        monkeypatch.setattr(fisher, "quantum_fisher", singular_at_bad)
+        report = run_sweep(sc)
+        with pytest.raises(SingularFisher) as exc:
+            fisher.fisher_inverse(fisher.FisherMatrix(entries=singular))
+        assert not report.passed
+        for t, (point, good) in enumerate(zip(report.points, want.points)):
+            if t == bad:
+                assert point == {"scale": good["scale"], "error": f"SingularFisher: {exc.value}"}
+            else:
+                assert json.dumps(point, sort_keys=True) == json.dumps(good, sort_keys=True)
 
     def test_monte_carlo_points(self):
         report = run_sweep(scenario_ancilla_bell(scales=FAST_SCALES), shots=2000)
