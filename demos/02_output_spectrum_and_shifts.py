@@ -59,9 +59,10 @@ print("trace-power identity residual (k <= 5):",
 # linear shift look identical at one eps but have different slopes.
 scales = np.geomspace(1e-5, 1e-2, 8)
 bell = scenario_ancilla_bell()
-# one spectrum per scale, from one stacked channel evaluation
-spectra = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), scales)
-labels, fits = classify_shift_curves(scales, [spec.shifts() for spec in spectra])
+# one spectrum for the whole grid, from one stacked channel evaluation:
+# spectrum.shifts() has one row per scale
+spectrum = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), scales)
+labels, fits = classify_shift_curves(scales, spectrum.shifts())
 print("\nancilla-Bell shift labels:", labels)
 print("fitted orders:", [None if f is None else round(f.slope, 3) for f in fits])
 print("(the exactly-zero third shift never rises above the floor)")

@@ -13,7 +13,8 @@ theory whenever the restricted derivatives commute, and a documented
 deterministic choice otherwise.
 
 A stack of matrices is diagonalised by one stacked eigensolve; clusters
-are then refined matrix by matrix.
+are then refined matrix by matrix, and one stacked contraction takes
+every matrix's Hellmann-Feynman diagonals.
 """
 from __future__ import annotations
 
@@ -72,14 +73,14 @@ def eigencurve_derivatives(matrix: np.ndarray, derivatives):
     if single:
         matrix, perts = matrix[None], perts[None]
     values, vectors = _eigh_desc(matrix)
-    derivs = np.empty(perts.shape[:2] + values.shape[1:])
     for b in range(values.shape[0]):
         scale = max(1.0, float(np.max(np.abs(values[b]))) if values.shape[1] else 1.0)
         tol = CLUSTER_RTOL * scale
         for cluster in _clusters(values[b], tol):
             if len(cluster) > 1:
                 _refine_cluster(vectors[b], cluster, perts[b], 0, tol)
-        derivs[b] = np.real(np.einsum("in,mij,jn->mn", vectors[b].conj(), perts[b], vectors[b]))
+    # contiguous: a Gram sum over a strided real view rounds differently
+    derivs = np.ascontiguousarray(np.einsum("bin,bmij,bjn->bmn", vectors.conj(), perts, vectors).real)
     if single:
         return values[0], vectors[0], derivs[0]
     return values, vectors, derivs

@@ -71,13 +71,16 @@ class PowerFit:
 def power_order_fit(samples) -> PowerFit:
     """Fit value ~ C * scale**k on >= 4 positive samples; returns k as slope.
 
-    samples: iterable of (scale, value) pairs, scales distinct and positive.
+    samples: iterable of (scale, value) pairs, scales distinct and positive;
+    DegenerateSamples otherwise, or for a non-finite scale or value.
     """
     pts = [(float(s), float(q)) for s, q in samples]
     if len(pts) < 4:
         raise DegenerateSamples(f"need at least 4 samples, got {len(pts)}")
     scales = np.array([p[0] for p in pts])
     values = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(scales)) and np.all(np.isfinite(values))):
+        raise DegenerateSamples("scales and values must be finite")
     if np.any(scales <= 0) or len(np.unique(scales)) != len(scales):
         raise DegenerateSamples("scales must be distinct and positive")
     if np.any(values <= 0):

@@ -8,11 +8,12 @@ onto the orthogonal complement of the input), and from the K x K
 covariance matrix of the jump operators on the input state, which
 carries the same nonzero spectrum whenever K <= N-1.
 
-``output_shift_curves`` returns one ``OutputSpectrum`` per scale: a noise
-point's eigenvalues, eigenbasis, (D, N) eigenvalue ``gradients`` and
-channel evaluation, all that downstream layers read.  Deviation and
-covariance matrices are plain Hermitian arrays; like ``stack_spectra``,
-they take one noise point or a (B, ...) stack of them.
+``output_shift_curves`` returns one ``OutputSpectrum`` for a whole scale
+grid: every point's eigenvalues, eigenbasis, (D, N) eigenvalue
+``gradients`` and channel evaluation, all that downstream layers read,
+each field with a leading (B,) axis.  ``spectrum[t]`` is point t alone.
+Deviation and covariance matrices are plain Hermitian arrays; they take
+one noise point or a (B, ...) stack of them.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import LowNoiseChannel, pure_state_density
-from .errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
+from .channels import LowNoiseChannel, _validate_eps, pure_state_density
+from .errors import ConfigInvalid, DegenerateSamples, DimensionMismatch, ReductionInvalid
 from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
 
@@ -32,11 +33,12 @@ SHIFT_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class OutputSpectrum:
-    """Diagonalized channel output for a pure input state.
+    """Diagonalized channel output for a pure input state, at one noise point or a grid of B.
 
     ``output``, ``derivatives`` and ``tpcp_residual`` are the channel
     evaluation the spectrum was taken from: the output state, its exact
-    eps-derivatives and the Kraus completeness residual.
+    eps-derivatives and the Kraus completeness residual.  On a grid every
+    field carries a leading (B,) axis; the shapes below are one point's.
     """
 
     eps: np.ndarray
@@ -55,25 +57,28 @@ class OutputSpectrum:
         """(D, N-1) derivatives of the shifts: the columns 1: of gradients."""
         return self.gradients[..., 1:]
 
+    def __getitem__(self, rows) -> OutputSpectrum:
+        """Point t of a grid's spectrum for an index t, or the points rows as a grid for a list."""
+        return OutputSpectrum(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-def stack_spectra(spectra) -> OutputSpectrum:
-    """The spectra of B noise points as one OutputSpectrum whose fields carry a leading (B,) axis."""
-    return OutputSpectrum(*(np.array([getattr(s, f.name) for s in spectra]) for f in fields(OutputSpectrum)))
 
+def _fix_phases(bases: np.ndarray, phi: np.ndarray) -> None:
+    """Fix, in place, the phase of every column of a (B, N, N) stack of eigenbases.
 
-def _fix_phases(basis: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        overlap = np.vdot(phi, col)
-        if abs(overlap) > 1e-8:
-            out[:, k] = col * (overlap.conjugate() / abs(overlap))
-        else:
-            j = int(np.argmax(np.abs(col)))
-            pivot = col[j]
-            if abs(pivot) > 0:
-                out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    <phi|n> becomes real and positive where it exceeds 1e-8, else the
+    column's largest entry does.
+    """
+    for basis in bases:
+        for k in range(basis.shape[1]):
+            col = basis[:, k]
+            overlap = np.vdot(phi, col)
+            if abs(overlap) > 1e-8:
+                basis[:, k] = col * (overlap.conjugate() / abs(overlap))
+            else:
+                j = int(np.argmax(np.abs(col)))
+                pivot = col[j]
+                if abs(pivot) > 0:
+                    basis[:, k] = col * (pivot.conjugate() / abs(pivot))
 
 
 def complement_basis(phi: np.ndarray) -> np.ndarray:
@@ -143,9 +148,11 @@ def deviation_matrix(
 
     The rank-structured first-order part built from the jump operators
     alone: a Gram sum, Hermitian positive semidefinite, (N-1, N-1).  frame
-    defaults to ``complement_basis(phi)``.
+    defaults to ``complement_basis(phi)``.  eps is checked as ``evaluate``
+    checks it.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
+    _validate_eps(eps, ch.num_params)
     eps = np.asarray(eps, dtype=float)
     frame = _complement_frame(phi, frame)
     u = (dagger(frame) @ (ch.jumps @ phi)[..., None])[..., 0]  # u[k] = frame^dag M_k phi
@@ -166,9 +173,18 @@ def classify_shift_curves(scales, curve_rows) -> tuple[tuple[str, ...], tuple[Po
     is order-1 when its slope lies in ORDER_ONE_BAND.  Curves whose
     magnitude never rises above the numerical floor are higher-or-zero
     regardless of slope (exactly degenerate directions).
+    DegenerateSamples for an empty grid; DimensionMismatch unless
+    curve_rows is a (len(scales), n) array.
     """
-    rows = np.asarray(curve_rows, dtype=float)
     scales = np.asarray(scales, dtype=float)
+    if scales.size == 0:
+        raise DegenerateSamples("no scales to classify the shift curves over")
+    try:
+        rows = np.asarray(curve_rows, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise DimensionMismatch(f"shift curves do not form an array: {exc}") from exc
+    if rows.ndim != 2 or rows.shape[0] != scales.shape[0]:
+        raise DimensionMismatch(f"shift curves have shape {rows.shape}, expected ({scales.shape[0]}, n)")
     labels = []
     fits = []
     floor = SHIFT_FLOOR * max(1.0, float(np.max(np.abs(rows))) if rows.size else 1.0)
@@ -190,9 +206,10 @@ def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> np.ndarray:
 
     Cov(A, B) = <phi|A^dag B|phi> - <phi|A^dag|phi><phi|B|phi>.  Returns
     the K x K Hermitian PSD matrix; row i belongs to parameter
-    ``ch.params[i]``.
+    ``ch.params[i]``.  eps is checked as ``evaluate`` checks it.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
+    _validate_eps(eps, ch.num_params)
     eps = np.asarray(eps, dtype=float)
     images = (ch.jumps @ phi)[..., None]  # (K, N, 1)
     means = phi.conj() @ images  # (K, 1)
@@ -232,7 +249,7 @@ def trace_power_residual(dm_leading: np.ndarray, lm: np.ndarray, kmax: int) -> f
 def output_spectrum_with_gradients(ch: LowNoiseChannel, phi: np.ndarray, eps: np.ndarray) -> OutputSpectrum:
     """Output spectrum, with its eigenvalue gradients, at one noise point.
 
-    The one-point case of ``output_shift_curves``, with the same conventions.
+    Row 0 of ``output_shift_curves`` on a one-point grid, with the same conventions.
     """
     return output_shift_curves(ch, phi, eps, [1.0])[0]
 
@@ -242,19 +259,20 @@ def output_shift_curves(
     phi: np.ndarray,
     direction: np.ndarray,
     scales,
-) -> list[OutputSpectrum]:
-    """Output spectra at the noise points scales[t] * direction, one per scale.
+) -> OutputSpectrum:
+    """Output spectrum of the grid of noise points scales[t] * direction, row t at scale t.
 
-    Each spectrum carries its shifts (``shifts()``) and the (D, N)
-    eigenvalue-gradient array ``gradients`` (index 0 is the near-unit
-    eigenvalue; ``shift_gradients()`` is the rest).
+    Every field carries a leading (B,) axis: the shifts (``shifts()``) and
+    the (B, D, N) eigenvalue-gradient array ``gradients`` (index 0 of the
+    last axis is the near-unit eigenvalue; ``shift_gradients()`` is the
+    rest).
 
     One stacked ``ch.evaluate`` gives every point's output state, its exact
-    derivatives and the completeness residual, and each spectrum carries
+    derivatives and the completeness residual, and the spectrum carries
     them for downstream consumers; one stacked eigensolve diagonalises the
     symmetrised outputs.  Eigenvalues are sorted descending.  The
     eigenvalue derivatives are Hellmann-Feynman diagonals of the state
-    derivative.  Each spectrum's basis is the cluster-refined eigenbasis,
+    derivative.  Each point's basis is the cluster-refined eigenbasis,
     so degenerate eigenvectors pair correctly with their shift derivatives;
     downstream estimator construction relies on this.  Eigenvector phases
     are fixed so <phi|n> is real and non-negative whenever it is nonzero.
@@ -264,15 +282,5 @@ def output_shift_curves(
     eps = np.asarray(scales, dtype=float)[:, None] * np.asarray(direction, dtype=float).reshape(-1)
     ev = ch.evaluate(pure_state_density(phi), eps)
     values, vectors, grads = curves.eigencurve_derivatives(ev.output, ev.derivatives)
-    return [
-        OutputSpectrum(
-            eps=eps[t],
-            probs=values[t],
-            basis=_fix_phases(vectors[t], phi),
-            gradients=grads[t],
-            output=ev.output[t],
-            derivatives=ev.derivatives[t],
-            tpcp_residual=float(ev.tpcp_residual[t]),
-        )
-        for t in range(eps.shape[0])
-    ]
+    _fix_phases(vectors, phi)
+    return OutputSpectrum(eps, values, vectors, grads, ev.output, ev.derivatives, ev.tpcp_residual)

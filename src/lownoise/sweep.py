@@ -4,9 +4,11 @@ For each scale s the runner evaluates the output spectrum, eigenvalue
 shifts and gradients, the three Fisher matrices and their inverses, the
 deviation/covariance cross-checks, the estimator with its error matrix,
 and the Cramer-Rao margin.  Each quantity is computed once for the whole
-grid, on a (B, ...) stack of its points; only the estimator's grouping
-and the Monte Carlo draw run point by point.  Sweep-level slope fits then
-grade each quantity against the scenario's expected asymptotic orders.
+grid, on a (B, ...) stack of its points that starts from the grid's one
+stacked spectrum; only the estimator's grouping and the Monte Carlo draw
+run point by point.  Sweep-level slope fits then grade each quantity
+against the scenario's expected asymptotic orders, reading each series
+as one array over the grid.
 """
 from __future__ import annotations
 
@@ -34,15 +36,17 @@ def _norms(stack) -> np.ndarray:
     return np.array([np.linalg.norm(m) for m in stack])
 
 
-def _records(sc: Scenario, rows: list[int], spectra: dict, labels, shots: int) -> list[dict]:
-    """The records of grid points rows, from one stacked pass over their spectra.
+def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, labels, shots: int) -> dict:
+    """The records of grid points rows as columns, from one stacked pass over their spectrum spec.
 
-    Every quantity reads the output states and their derivatives from the
-    spectra; the channel is not evaluated again.  Only ``build_povm`` and
-    the Monte Carlo draw (with shots > 0, the record's ``mc``) run point by
-    point.  Raises the first LowNoiseError of any row.
+    Returns {record key: column}, each column an array with a leading
+    (B,) axis, or a list of B values where the points may differ in shape
+    (``estimates``, the cross-check residuals, ``mc``).  Every quantity
+    reads the output states and their derivatives from spec; the channel
+    is not evaluated again.  Only ``build_povm`` and the Monte Carlo draw
+    (with shots > 0, the record's ``mc``) run point by point.  Raises the
+    first LowNoiseError of any row.
     """
-    spec = spectral.stack_spectra([spectra[t] for t in rows])
     eps, dim = spec.eps, sc.channel.dim
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
 
@@ -81,7 +85,8 @@ def _records(sc: Scenario, rows: list[int], spectra: dict, labels, shots: int) -
         reduced_residual = np.max(np.abs(np.sort(padded) - np.sort(lead_vals)), axis=-1).tolist()
 
     columns = dict(
-        eps=eps, probs=spec.probs, shifts=spec.shifts(), shift_gradients=spec.shift_gradients(),
+        scale=np.asarray(sc.sweep.scales, dtype=float)[rows], eps=eps, probs=spec.probs,
+        shifts=spec.shifts(), shift_gradients=spec.shift_gradients(),
         quantum_fisher=jq.entries, quantum_fisher_inverse=jq.inverse, classical_fisher=jc.entries,
         divergent_fisher=jdiv.entries, divergent_inverse=jdiv_inv.inverse, nondegeneracy_det=nondeg,
         jinv_eigenvalues=eigensolve(jq.inverse, vectors=False)[:, ::-1],
@@ -90,25 +95,29 @@ def _records(sc: Scenario, rows: list[int], spectra: dict, labels, shots: int) -
         lead_vs_full_deviation=_norms(dm_full - dm_lead),
         classical_vs_divergent=_norms(jc.entries - jdiv.entries),
         pseudo=~np.all(kept, axis=-1),
+        estimates=[p.estimates.tolist() for p in povms], povm_completeness=[p.completeness_residual() for p in povms],
+        trace_power_residual=trace_power, reduced_shift_residual=reduced_residual,
     )
-    columns = {key: value.tolist() for key, value in columns.items()}
-    records = []
-    for b, t in enumerate(rows):
-        rec = {key: value[b] for key, value in columns.items()}
-        rec.update(scale=float(sc.sweep.scales[t]), estimates=povms[b].estimates.tolist(), error=None)
-        rec.update(trace_power_residual=trace_power[b], reduced_shift_residual=reduced_residual[b])
-        rec.update(povm_completeness=povms[b].completeness_residual())
-        if rec["pseudo"]:
-            rec["divergent_inverse"] = rec["gap_vs_divergent"] = None
-        if shots > 0:
+    if shots > 0:
+        columns["mc"] = []
+        for b, t in enumerate(rows):
             seed = sc.sweep.monte_carlo_seed(t)
             mc = est.sample_measurements(povms[b], q[b], eps[b], shots, seed)
             se = mc.standard_error
-            rec["mc"] = dict(
+            columns["mc"].append(dict(
                 shots=shots, seed=seed, mean=mc.mean.tolist(), mse=mc.entries.tolist(), standard_error=se.tolist(),
                 within_4se_of_analytic=bool(np.all(np.abs(mc.entries - mse[b]) <= 4.0 * se + 1e-300)),
-            )
-        records.append(rec)
+            ))
+    return columns
+
+
+def _points(columns: dict) -> list[dict]:
+    """One record per row of the columns: plain Python values, the divergent inverse None on a pseudo row."""
+    lists = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in columns.items()}
+    records = [dict(zip(lists, row), error=None) for row in zip(*lists.values())]
+    for rec in records:
+        if rec["pseudo"]:
+            rec["divergent_inverse"] = rec["gap_vs_divergent"] = None
     return records
 
 
@@ -119,35 +128,44 @@ def _fit(scales, values, name: str) -> dict:
     return {"name": name, "slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual, "at_floor": False}
 
 
+def _within(fit: dict | None, band) -> bool:
+    """Whether a fit's order lies in band, or its series sits at the floor."""
+    return fit is not None and (fit["at_floor"] or band[0] <= fit["slope"] <= band[1])
+
+
+def _check(name: str, passed, expected_failure: bool, detail: str) -> dict:
+    return {"name": name, "passed": bool(passed), "expected_failure": expected_failure, "detail": detail}
+
+
 def _error(exc: LowNoiseError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _by_row(stacked, rows: list[int]) -> tuple[dict, dict]:
-    """{row: result} from stacked(rows), one result per row, and {row: error}.
+def _join(parts: list):
+    """One-row stacks joined along their leading axis: an OutputSpectrum field by field, columns key by key."""
+    if isinstance(parts[0], spectral.OutputSpectrum):
+        return spectral.OutputSpectrum(**_join([vars(p) for p in parts]))
+    columns = {key: [p[key] for p in parts] for key in parts[0]}
+    return {key: np.concatenate(c) if isinstance(c[0], np.ndarray) else sum(c, []) for key, c in columns.items()}
 
-    If stacked(rows) raises a LowNoiseError, stacked([row]) runs for each row, so each failure is its own row's.
+
+def _by_row(stacked, rows: list[int]) -> tuple[list[int], object, dict]:
+    """(the rows that succeeded, stacked over them, {row: error}).
+
+    If stacked(rows) raises a LowNoiseError, stacked([row]) runs for each
+    row, so each failure is its own row's, and the one-row results of the
+    others are joined.  The result is None when no row succeeds.
     """
     try:
-        return (dict(zip(rows, stacked(rows))) if rows else {}), {}
+        return rows, (stacked(rows) if rows else None), {}
     except LowNoiseError:
         results, errors = {}, {}
         for t in rows:
             try:
-                results[t] = stacked([t])[0]
+                results[t] = stacked([t])
             except LowNoiseError as exc:
                 errors[t] = _error(exc)
-        return results, errors
-
-
-def _hadamard_ratio(point: dict) -> float:
-    """|det G| / prod_mu G_mumu, G = J_c / 4 the point's sqrt-probability Gram; 0 on a zero diagonal."""
-    diag = np.prod(np.diag(point["classical_fisher"]) / 4.0)
-    return abs(point["nondegeneracy_det"]) / diag if diag > 0 else 0.0
-
-
-def _norm_series(points, key) -> list[float]:
-    return [float(np.linalg.norm(p[key])) for p in points]
+        return list(results), (_join(list(results.values())) if results else None), errors
 
 
 def run_sweep(sc: Scenario, shots: int = 0) -> Report:
@@ -164,121 +182,82 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     """
     if shots < 0:
         raise ConfigInvalid(f"shots must be >= 0, got {shots}")
-    scales = list(sc.sweep.scales)
+    scales = np.asarray(sc.sweep.scales, dtype=float)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 
-    spectra, errors = _by_row(
-        lambda rows: spectral.output_shift_curves(sc.channel, sc.input_state, direction, [scales[t] for t in rows]),
+    spec_rows, spec, errors = _by_row(
+        lambda rows: spectral.output_shift_curves(sc.channel, sc.input_state, direction, scales[rows]),
         list(range(len(scales))),
     )
     labels: tuple[str, ...] = ()
-    if spectra:
+    if spec_rows:
         try:
-            labels, _ = spectral.classify_shift_curves(
-                [scales[t] for t in spectra], [spec.shifts() for spec in spectra.values()]
-            )
+            labels, _ = spectral.classify_shift_curves(scales[spec_rows], spec.shifts())
         except LowNoiseError as exc:
             errors = {t: errors.get(t, _error(exc)) for t in range(len(scales))}
-    records, failed = _by_row(
-        lambda rows: _records(sc, rows, spectra, labels, shots), [t for t in range(len(scales)) if t not in errors]
+    rows, cols, failed = _by_row(  # the whole spectrum on the first try, one-row spectra on the fallback
+        lambda r: _records(sc, r, spec if r == spec_rows else spec[[spec_rows.index(t) for t in r]], labels, shots),
+        [t for t in spec_rows if t not in errors],
     )
     errors.update(failed)
+    records = dict(zip(rows, _points(cols))) if rows else {}
     points = [records.get(t) or {"scale": float(scales[t]), "error": errors[t]} for t in range(len(scales))]
 
-    good = [p for p in points if p["error"] is None]
-    had_error = len(good) < len(points)
-    fits = []
-    checks = []
-    if good:
-        gs = [p["scale"] for p in good]
-        fits.append(_fit(gs, [max(p["unbiasedness_residual"]) for p in good], "unbiasedness"))
-        fits.append(_fit(gs, _norm_series(good, "gap_vs_quantum"), "mse_vs_quantum_inverse"))
-        if all(p["gap_vs_divergent"] is not None for p in good):
-            fits.append(_fit(gs, _norm_series(good, "gap_vs_divergent"), "mse_vs_divergent_inverse"))
-        fits.append(_fit(gs, [abs(p["nondegeneracy_det"]) for p in good], "nondegeneracy_det"))
-        fits.append(_fit(gs, [p["jinv_eigenvalues"][0] for p in good], "jinv_large_eigenvalue"))
-        fits.append(_fit(gs, [p["jinv_eigenvalues"][-1] for p in good], "jinv_small_eigenvalue"))
-        fits.append(_fit(gs, _norm_series(good, "classical_vs_divergent"), "classical_vs_divergent"))
-        fits.append(_fit(gs, [p["lead_vs_full_deviation"] for p in good], "lead_vs_full_deviation"))
+    fits, checks = [], []
+    if rows:
+        gs, jinv, pseudo = cols["scale"], cols["quantum_fisher_inverse"], bool(np.any(cols["pseudo"]))
+        series = {
+            "unbiasedness": np.max(cols["unbiasedness_residual"], axis=-1),
+            "mse_vs_quantum_inverse": _norms(cols["gap_vs_quantum"]),
+            "mse_vs_divergent_inverse": None if pseudo else _norms(cols["gap_vs_divergent"]),
+            "nondegeneracy_det": np.abs(cols["nondegeneracy_det"]),
+            "jinv_large_eigenvalue": cols["jinv_eigenvalues"][:, 0],
+            "jinv_small_eigenvalue": cols["jinv_eigenvalues"][:, -1],
+            "classical_vs_divergent": cols["classical_vs_divergent"],
+            "lead_vs_full_deviation": cols["lead_vs_full_deviation"],
+        }
         if sc.reference_jinv is not None:
-            refs = [sc.reference_jinv(np.asarray(p["eps"])) for p in good]
-            vals = [float(np.linalg.norm(np.asarray(p["quantum_fisher_inverse"]) - r)) for p, r in zip(good, refs)]
-            fits.append(_fit(gs, vals, "quantum_jinv_vs_reference"))
-        if "bad_direction_gap" in sc.expected_orders and len(good) >= 2:
-            (s1, jinv1), (s2, jinv2) = [(p["scale"], np.asarray(p["quantum_fisher_inverse"])) for p in good[:2]]
-            jinv0 = richardson_zero_limit(s1, jinv1, s2, jinv2)
-            u0 = eigensolve(jinv0)[1][:, -1]
-            gaps = [np.asarray(p["mse"]) - np.asarray(p["quantum_fisher_inverse"]) for p in good]
-            vals = [abs(float(u0 @ gap @ u0)) for gap in gaps]
-            fits.append(_fit(gs, vals, "bad_direction_gap"))
+            series["quantum_jinv_vs_reference"] = _norms(jinv - [sc.reference_jinv(eps) for eps in cols["eps"]])
+        if "bad_direction_gap" in sc.expected_orders and len(rows) >= 2:
+            u0 = eigensolve(richardson_zero_limit(gs[0], jinv[0], gs[1], jinv[1]))[1][:, -1]
+            series["bad_direction_gap"] = [abs(float(u0 @ gap @ u0)) for gap in cols["gap_vs_quantum"]]
+        fits = [_fit(gs, values, name) for name, values in series.items() if values is not None]
 
     fit_by_name = {f["name"]: f for f in fits}
     for name, band in sc.expected_orders.items():
         f = fit_by_name.get(name)
-        if f is None:
-            checks.append({"name": name, "passed": False, "expected_failure": False, "detail": "missing fit"})
-            continue
-        ok = f["at_floor"] or (band[0] <= f["slope"] <= band[1])
-        checks.append(
-            {
-                "name": name,
-                "passed": bool(ok),
-                "expected_failure": False,
-                "detail": f"slope={f['slope']}, band=({band[0]}, {band[1]})",
-            }
-        )
+        detail = "missing fit" if f is None else f"slope={f['slope']}, band=({band[0]}, {band[1]})"
+        checks.append(_check(name, _within(f, band), False, detail))
 
-    if good:
-        worst = min(p["cr_margin"] + p["cr_bound"] for p in good)
-        any_pseudo = any(p["pseudo"] for p in good)
-        checks.append(
-            {
-                "name": "cr_direction",
-                "passed": bool(worst >= 0.0),
-                # the bound presupposes local unbiasedness, which the
-                # pseudo-inverse fallback cannot provide
-                "expected_failure": any_pseudo,
-                "detail": f"min eigenvalue + tolerance = {worst:g}",
-            }
-        )
+    if rows:
+        worst = np.min(cols["cr_margin"] + cols["cr_bound"])
+        # the bound presupposes local unbiasedness, which the pseudo-inverse fallback cannot provide
+        checks.append(_check("cr_direction", worst >= 0.0, pseudo, f"min eigenvalue + tolerance = {worst:g}"))
         num_params = sc.channel.num_params
         nd = fit_by_name.get("nondegeneracy_det")
-        ratio, at = min((_hadamard_ratio(p), p["scale"]) for p in good)
-        gate = (
-            ratio > NONDEGENERACY_FLOOR
-            and nd is not None
-            and not nd["at_floor"]
-            and abs(nd["slope"] + num_params) <= 0.3
-        )
-        checks.append(
-            {
-                "name": "nondegeneracy_gate",
-                "passed": bool(gate),
-                "expected_failure": not sc.attainment_expected,
-                "detail": f"det order {None if nd is None else nd['slope']}, expected -D = {-num_params}; "
-                f"min |det G|/prod diag G = {ratio:g} at scale {at:g}, floor {NONDEGENERACY_FLOOR:g}",
-            }
-        )
-        ub = fit_by_name.get("unbiasedness")
-        md = fit_by_name.get("mse_vs_divergent_inverse")
+        # |det G| / prod_mu G_mumu, G = J_c / 4 the sqrt-probability Gram; 0 on a zero diagonal
+        diag = np.prod(np.diagonal(cols["classical_fisher"], axis1=-2, axis2=-1) / 4.0, axis=-1)
+        ratios = np.divide(np.abs(cols["nondegeneracy_det"]), diag, out=np.zeros_like(diag), where=diag > 0)
+        ratio, at = ratios.min(), gs[np.argmin(ratios)]
+        gate = (ratio > NONDEGENERACY_FLOOR and nd is not None and not nd["at_floor"]
+                and abs(nd["slope"] + num_params) <= 0.3)
+        checks.append(_check(
+            "nondegeneracy_gate", gate, not sc.attainment_expected,
+            f"det order {None if nd is None else nd['slope']}, expected -D = {-num_params}; "
+            f"min |det G|/prod diag G = {ratio:g} at scale {at:g}, floor {NONDEGENERACY_FLOOR:g}",
+        ))
         attained = (
-            not any(p["pseudo"] for p in good)
-            and ub is not None
-            and (ub["at_floor"] or ATTAINMENT_BAND[0] <= ub["slope"] <= ATTAINMENT_BAND[1])
-            and md is not None
-            and (md["at_floor"] or ATTAINMENT_BAND[0] <= md["slope"] <= ATTAINMENT_BAND[1])
+            not pseudo
+            and _within(fit_by_name.get("unbiasedness"), ATTAINMENT_BAND)
+            and _within(fit_by_name.get("mse_vs_divergent_inverse"), ATTAINMENT_BAND)
             and gate
         )
-        checks.append(
-            {
-                "name": "attainment",
-                "passed": bool(attained),
-                "expected_failure": not sc.attainment_expected,
-                "detail": "unbiasedness and MSE-gap orders both second order with a valid gate",
-            }
-        )
+        checks.append(_check(
+            "attainment", attained, not sc.attainment_expected,
+            "unbiasedness and MSE-gap orders both second order with a valid gate",
+        ))
 
-    passed = (not had_error) and all(c["passed"] or c["expected_failure"] for c in checks)
+    passed = (not errors) and all(c["passed"] or c["expected_failure"] for c in checks)
     return Report(
         scenario_name=sc.name,
         direction=[float(x) for x in sc.sweep.direction],

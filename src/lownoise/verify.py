@@ -58,9 +58,7 @@ def check_ancilla_bell() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_ancilla_bell()
-    spec = spectral.stack_spectra(
-        spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
-    )
+    spec = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     dms = spectral.output_deviation_matrix(spec.output, sc.input_state, sc.frame)
     shifts = np.sort(spectral.deviation_eigenvalues(dms))
     jq = fisher.fisher_inverse(fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives))
@@ -89,9 +87,7 @@ def check_pauli() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
     sc = scenario_pauli2()
-    spec = spectral.stack_spectra(
-        spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
-    )
+    spec = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     jq = fisher.fisher_inverse(fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives))
     for s, eps, entries in zip(sc.sweep.scales, spec.eps, jq.entries):
         closed = sc.closed_forms["fisher"](eps)
@@ -236,30 +232,28 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         rho_in = pure_state_density(phi)
         direction = np.full(num_params, 1.0 / num_params)
         d0 = [ch.derivative_at_zero(mu, rho_in) for mu in range(num_params)]
-        # one stacked channel evaluation for the whole grid: each spectrum
-        # carries its output state, derivatives, completeness residual and
-        # eigenvalue gradients
-        specs = spectral.output_shift_curves(ch, phi, direction, scales)
+        # one stacked channel evaluation for the whole grid: the spectrum
+        # carries every point's output state, derivatives, completeness
+        # residual and eigenvalue gradients
+        spec = spectral.output_shift_curves(ch, phi, direction, scales)
         first_order = []
-        for s, spec in zip(scales, specs):
-            eps = spec.eps
-            if spec.tpcp_residual > 1e-10:
+        for s, eps, residual, probs, output in zip(scales, spec.eps, spec.tpcp_residual, spec.probs, spec.output):
+            if residual > 1e-10:
                 failures.append(f"seed {seed}: trace-preservation residual at scale {s:g}")
             # probs diagonalize the symmetrized output state
-            if np.min(spec.probs) < -1e-10:
+            if np.min(probs) < -1e-10:
                 failures.append(f"seed {seed}: output negativity at scale {s:g}")
-            rem = spec.output - rho_in
+            rem = output - rho_in
             for mu in range(num_params):
                 rem = rem - eps[mu] * d0[mu]
             first_order.append(np.linalg.norm(rem))
         fit = power_order_fit(list(zip(scales, first_order)))
         if not 1.85 <= fit.slope <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {fit.slope:.3f}")
-        stack = spectral.stack_spectra(specs)
-        labels, _ = spectral.classify_shift_curves(scales, stack.shifts())
+        labels, _ = spectral.classify_shift_curves(scales, spec.shifts())
         included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-        jc = fisher.classical_fisher(stack.probs, stack.gradients).entries
-        jdiv = fisher.divergent_fisher(stack.shifts(), stack.shift_gradients(), included).entries
+        jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
+        jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries
         fit_cvd = fit_or_floor(scales, np.linalg.norm(jc - jdiv, axis=(1, 2)), 1e-13)
         if fit_cvd is not None and fit_cvd.slope < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope:.3f} diverges")
@@ -269,7 +263,7 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         if spectral.trace_power_residual(dm_lead, lm, kmax=5) > 1e-11:
             failures.append(f"seed {seed}: trace-power identity residual")
         try:
-            score = est.build_score_operators(specs[-3], included)
+            score = est.build_score_operators(spec[-3], included)
             povm = est.build_povm(est.raise_index(score, fisher.fisher_inverse(fisher.FisherMatrix(entries=jdiv[-3]))))
             # orthonormal columns, each in exactly one group: the outcomes'
             # projectors are then idempotent, orthogonal and complete

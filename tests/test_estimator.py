@@ -35,7 +35,7 @@ from lownoise.scenarios import (
     scenario_ancilla_bell,
     scenario_threelevel,
 )
-from lownoise.spectral import classify_shift_curves, output_shift_curves, output_spectrum_with_gradients, stack_spectra
+from lownoise.spectral import classify_shift_curves, output_shift_curves, output_spectrum_with_gradients
 
 SCALES = np.geomspace(1e-5, 1e-2, 8)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -226,10 +226,10 @@ class TestScoreOperators:
 
 def _grid_scores(ch, phi, direction):
     """(spec, included, divergent inverse, raised score) at each grid point, the sweep's way."""
-    specs = output_shift_curves(ch, phi, direction, DEFAULT_SCALES)
-    labels, _ = classify_shift_curves(DEFAULT_SCALES, [spec.shifts() for spec in specs])
+    stack = output_shift_curves(ch, phi, direction, DEFAULT_SCALES)
+    labels, _ = classify_shift_curves(DEFAULT_SCALES, stack.shifts())
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-    for spec in specs:
+    for spec in (stack[t] for t in range(len(DEFAULT_SCALES))):
         jdiv = divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
         try:
             jdiv_inv = fisher_inverse(jdiv)
@@ -584,10 +584,9 @@ class TestSampling:
 def test_stacked_rows_equal_one_point_calls(name):
     """A grid's estimator through the stacked calls equals each point's one-point pipeline bit for bit."""
     sc = build_scenario(name, seed=3)
-    specs = output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
-    labels, _ = classify_shift_curves(sc.sweep.scales, [spec.shifts() for spec in specs])
+    stack = output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    labels, _ = classify_shift_curves(sc.sweep.scales, stack.shifts())
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-    stack = stack_spectra(specs)
     jdiv = divergent_fisher(stack.shifts(), stack.shift_gradients(), included)
     score = raise_index(build_score_operators(stack, included), fisher_pseudo_inverse(jdiv))
     povms = [build_povm(replace(score, basis=v, log_gradients=g, estimates=x))
@@ -597,7 +596,8 @@ def test_stacked_rows_equal_one_point_calls(name):
     q = outcome_probabilities(povm, stack.probs)
     bias, mse = unbiasedness_residual(povm, q, stack.eps), analytic_mse(povm, q, stack.eps)
     margins = cr_direction_margin(mse.entries)
-    for t, spec in enumerate(specs):
+    for t in range(len(sc.sweep.scales)):
+        spec = stack[t]
         one_div = divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
         one = build_povm(raise_index(build_score_operators(spec, included), fisher_pseudo_inverse(one_div)))
         assert np.array_equal(povms[t].estimates, one.estimates) and povms[t].groups == one.groups

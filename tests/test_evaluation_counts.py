@@ -3,7 +3,8 @@
 A sweep, a property-suite seed and a channel's construction check each
 build the identity-family Kraus operators once, for the whole stack of
 their noise points; every consumer downstream reads the output state, its
-exact derivatives and the completeness residual from the spectra.  Calls
+exact derivatives and the completeness residual from the grid's one
+stacked spectrum.  Calls
 are recorded by the phase they are made in, with the number of noise
 points (rows of the eps stack) each one covers: a channel's own
 construction check (``_validate``) and the pure-input dominance check are
@@ -162,9 +163,10 @@ def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypa
     # the quantum stack, and the divergent one whose kept mask marks every row singular
     assert [len(m) for m in inversions["_kept_inverse"]] == [len(sc.sweep.scales)] * 2
     assert not raised and not inversions["fisher_pseudo_inverse"]
-    spectra = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    stack = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     included = [i for i, lab in enumerate(report.shift_labels) if lab == "order-1"]
-    for point, spec in zip(report.points, spectra):
+    for t, point in enumerate(report.points):
+        spec = stack[t]
         jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
         score = estimator.build_score_operators(spec, included)
         povm = estimator.build_povm(estimator.raise_index(score, fisher.fisher_pseudo_inverse(jdiv)))
@@ -191,6 +193,23 @@ def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
     assert result.passed, result.detail
     per_seed = [(len(DEFAULT_SCALES),)] * num_seeds
     assert stacks == {"classical_fisher": per_seed, "divergent_fisher": per_seed}
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_sweep_builds_one_spectrum_per_grid(monkeypatch, name):
+    """The grid's spectrum is built once, with one row per scale, and every layer reads it."""
+    built = []
+    init = spectral.OutputSpectrum.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(np.shape(self.eps))
+
+    monkeypatch.setattr(spectral.OutputSpectrum, "__init__", counting)
+    sc = build_scenario(name, seed=1)
+    report = run_sweep(sc, shots=1000)
+    assert report.passed
+    assert built == [(len(sc.sweep.scales), sc.channel.num_params)]
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])

@@ -112,13 +112,13 @@ def sqrt_prob_gram(probs, dprobs):
 
 
 def random_grid(dim, seed):
-    """Spectra of a random channel over SCALES, D = N-1 with generators on odd dim, and its order-1 shifts."""
+    """The spectrum of a random channel over SCALES, D = N-1 with generators on odd dim, and its order-1 shifts."""
     num = max(1, dim - 1)
     ch = random_channel(dim, num, [1] * num, seed, with_hamiltonian=bool(dim % 2))
-    specs = output_shift_curves(ch, random_input_state(dim, seed), np.full(num, 1.0 / num), SCALES)
-    labels, _ = classify_shift_curves(SCALES, [spec.shifts() for spec in specs])
+    stack = output_shift_curves(ch, random_input_state(dim, seed), np.full(num, 1.0 / num), SCALES)
+    labels, _ = classify_shift_curves(SCALES, stack.shifts())
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
-    return specs, included
+    return stack, included
 
 
 @pytest.fixture(scope="module")
@@ -482,8 +482,8 @@ class TestArrayBuilders:
     """The builders' array code against the loops it replaced, and on a stacked grid."""
 
     def test_match_loop_references(self, dim):
-        specs, included = random_grid(dim, seed=dim)
-        for spec in specs:
+        stack, included = random_grid(dim, seed=dim)
+        for spec in (stack[t] for t in range(len(SCALES))):
             pairs = [
                 (quantum_fisher(spec.probs, spec.basis, spec.derivatives).entries,
                  loop_quantum_fisher(spec.probs, spec.basis, spec.derivatives)),
@@ -500,18 +500,15 @@ class TestArrayBuilders:
             assert abs(det - np.linalg.det(gram)) <= 1e-12 * np.prod(np.diag(gram))
 
     def test_stacked_rows_equal_one_point_calls(self, dim):
-        specs, included = random_grid(dim, seed=dim)
-        probs = np.array([spec.probs for spec in specs])
-        grads = np.array([spec.gradients for spec in specs])
+        stack, included = random_grid(dim, seed=dim)
         stacked = [
-            quantum_fisher(probs, [spec.basis for spec in specs], [spec.derivatives for spec in specs]).entries,
-            classical_fisher(probs, grads).entries,
-            divergent_fisher(
-                np.array([spec.shifts() for spec in specs]), np.array([spec.shift_gradients() for spec in specs]), included
-            ).entries,
-            nondegeneracy_det(probs, grads),
+            quantum_fisher(stack.probs, stack.basis, stack.derivatives).entries,
+            classical_fisher(stack.probs, stack.gradients).entries,
+            divergent_fisher(stack.shifts(), stack.shift_gradients(), included).entries,
+            nondegeneracy_det(stack.probs, stack.gradients),
         ]
-        for t, spec in enumerate(specs):
+        for t in range(len(SCALES)):
+            spec = stack[t]
             single = [
                 quantum_fisher(spec.probs, spec.basis, spec.derivatives).entries,
                 classical_fisher(spec.probs, spec.gradients).entries,

@@ -186,6 +186,15 @@ class TestPowerOrderFit:
         with pytest.raises(DegenerateSamples):
             power_order_fit(list(zip(s, q)))
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples(self, capfd, column, bad):
+        samples = [[x, x] for x in np.geomspace(1e-4, 1e-1, 5)]
+        samples[2][column] = bad
+        with pytest.raises(DegenerateSamples, match="finite"):
+            power_order_fit(samples)
+        assert capfd.readouterr().err == ""  # no solver message on stderr
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, factor):

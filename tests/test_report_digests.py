@@ -1,7 +1,8 @@
-"""Golden digests: the built-in reports do not change by a single byte.
+"""Golden digests: the built-in and random-channel reports do not change by a single byte.
 
 Each digest is the SHA-256 of ``render_jsonl(run_sweep(...), with_meta=False)``
-for one built-in scenario, sweep seed and Monte Carlo shot count.  A change
+for one built-in scenario, sweep seed and Monte Carlo shot count, or for one
+random-channel sweep built as the property suite builds its channels.  A change
 that moves any byte of a deterministic record must update the digest here
 and state which fields moved and why.  The digests were taken with numpy
 2.4 on x86-64 with OpenBLAS; another BLAS build may move the last bits of
@@ -12,7 +13,7 @@ import hashlib
 import pytest
 
 from lownoise.report import render_jsonl
-from lownoise.scenarios import build_scenario
+from lownoise.scenarios import Scenario, SweepConfig, build_scenario, random_channel, random_input_state
 from lownoise.sweep import run_sweep
 
 DIGESTS = {
@@ -41,3 +42,25 @@ DIGESTS = {
 def test_report_digest(name, seed, shots):
     text = render_jsonl(run_sweep(build_scenario(name, seed=seed), shots=shots), with_meta=False)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name, seed, shots]
+
+
+# (N, D, seed): one jump per parameter, generators on odd seeds, uniform direction,
+# default scales, 1,000 shots.  D <= N-1 (K <= N-1, the covariance cross-checks
+# run) and D >= N (K > N-1, every row takes the divergent pseudo-inverse)
+RANDOM_DIGESTS = {
+    (2, 1, 0): "85bc11b282235cf35cdd1664b60a339aa4a55b7fd4a8e3f776d098def3382d32",
+    (3, 2, 1): "d2d3d46747bfe0307c4efa51900449beda9cc12dd9705b019595679fde184985",
+    (4, 3, 2): "988e19d313b5ec639df976abf67924379fbff95dbe7605ec5c94960d96ffb1ea",
+    (2, 2, 1): "071f7a806e3a757c8e6041ef863631b0c5f5f6f40ba092903d3da8f2fc61cb53",
+    (3, 4, 0): "0cf7506c340eb36cfec2c05387a54fefdda16ae6c26eef2034d2c9b0176bdc82",
+    (5, 5, 1): "aef43c02952d449909e8ef9a6e58652b0e8f17def32f24e16fd6406a41948aa4",
+}
+
+
+@pytest.mark.parametrize("dim, num_params, seed", sorted(RANDOM_DIGESTS))
+def test_random_channel_report_digest(dim, num_params, seed):
+    ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
+    sweep = SweepConfig(direction=(1.0 / num_params,) * num_params)
+    report = run_sweep(Scenario("random", ch, random_input_state(dim, seed), sweep), shots=1000)
+    text = render_jsonl(report, with_meta=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGESTS[dim, num_params, seed]

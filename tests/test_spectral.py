@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from lownoise.channels import pure_state_density, sqrt_completion_channel
-from lownoise.errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
+from lownoise.errors import ConfigInvalid, DegenerateSamples, DimensionMismatch, ReductionInvalid
 from lownoise.linalg import power_order_fit
 from lownoise.scenarios import (
     random_channel,
@@ -21,7 +23,6 @@ from lownoise.spectral import (
     output_shift_curves,
     output_spectrum_with_gradients,
     reduced_shifts,
-    stack_spectra,
     trace_power_residual,
 )
 
@@ -154,8 +155,8 @@ class TestDeviationMatrix:
 
 class TestShiftClassification:
     def test_bell_labels(self, bell):
-        spectra = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
-        rows = [deviation_eigenvalues(output_deviation_matrix(spec.output, bell.input_state, bell.frame)) for spec in spectra]
+        stack = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
+        rows = deviation_eigenvalues(output_deviation_matrix(stack.output, bell.input_state, bell.frame))
         labels, _ = classify_shift_curves(SCALES, rows)
         assert labels == ("order-1", "order-1", "higher-or-zero")
         eps = SCALES[-1] * np.asarray(bell.sweep.direction)
@@ -171,6 +172,24 @@ class TestShiftClassification:
         rows = np.column_stack([SCALES, SCALES**2])
         labels, _ = classify_shift_curves(SCALES, rows)
         assert labels == ("order-1", "higher-or-zero")
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DegenerateSamples):
+            classify_shift_curves([], np.zeros((0, 2)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e-5, 2e-5], [1e-4], [1e-3, 2e-3], [1e-2, 2e-2]],  # ragged
+            np.ones((5, 2)),  # five rows against four scales
+            np.ones((3, 2)),
+            np.ones(4),
+        ],
+        ids=["ragged", "extra-row", "missing-row", "one-dimensional"],
+    )
+    def test_rows_not_one_per_scale_rejected(self, rows):
+        with pytest.raises(DimensionMismatch):
+            classify_shift_curves(SCALES[:4], rows)
 
 
 class TestJumpCovariance:
@@ -223,6 +242,27 @@ class TestJumpCovariance:
             for m, mu in zip(ch.jumps, ch.params)
         )
         assert np.max(np.abs(dm - want)) <= 1e-18
+
+    @pytest.mark.parametrize("build", [deviation_matrix, jump_covariance])
+    @pytest.mark.parametrize(
+        "eps, error",
+        [
+            ([1e-3], DimensionMismatch),
+            ([1e-3, 2e-3, 3e-3], DimensionMismatch),
+            ([-1e-3, 1e-3], ConfigInvalid),
+            ([np.nan, 1e-3], ConfigInvalid),
+            ([[1e-3, 2e-3], [1e-3]], ValueError),  # not an array: numpy rejects it before any check
+            ([[1e-3, 2e-3], [-1e-3, 2e-3]], ConfigInvalid),
+            ([[1e-3], [2e-3]], DimensionMismatch),
+            (np.full((2, 2, 2), 1e-3), DimensionMismatch),
+        ],
+    )
+    def test_eps_checked_as_evaluate_checks_it(self, threelevel, build, eps, error):
+        with pytest.raises(error):
+            build(threelevel.channel, threelevel.input_state, eps)
+        with pytest.raises(error):
+            threelevel.channel.evaluate(pure_state_density(threelevel.input_state), eps)
+
 
 class TestReducedShifts:
     def test_matches_leading_deviation(self, threelevel):
@@ -287,16 +327,54 @@ class TestTracePowerIdentity:
 
 
 def test_output_shift_curves_consistency(threelevel):
-    spectra = output_shift_curves(
+    stack = output_shift_curves(
         threelevel.channel, threelevel.input_state, np.asarray(threelevel.sweep.direction), SCALES
     )
-    assert len(spectra) == len(SCALES)
-    for spec in spectra:
-        assert spec.shifts().shape == (2,)
-        assert spec.gradients.shape == (2, 3)
-        assert np.array_equal(spec.shift_gradients(), spec.gradients[:, 1:])
-        # eigenvalue gradients sum to the derivative of the total trace: zero
-        assert np.max(np.abs(spec.gradients.sum(axis=1))) <= 1e-12
+    b = len(SCALES)
+    assert stack.shifts().shape == (b, 2)
+    assert stack.gradients.shape == (b, 2, 3)
+    assert stack.basis.shape == stack.output.shape == (b, 3, 3)
+    assert stack.derivatives.shape == (b, 2, 3, 3) and stack.tpcp_residual.shape == (b,)
+    assert np.array_equal(stack.shift_gradients(), stack.gradients[:, :, 1:])
+    # eigenvalue gradients sum to the derivative of the total trace: zero
+    assert np.max(np.abs(stack.gradients.sum(axis=-1))) <= 1e-12
+    rows = stack[[1, 4]]
+    assert rows.probs.shape == (2, 3) and np.array_equal(rows.basis, stack.basis[[1, 4]])
+
+
+def assert_phase_convention(basis, phi):
+    for col in basis.T:
+        overlap = np.vdot(phi, col)
+        if abs(overlap) <= 1e-8:
+            overlap = col[np.argmax(np.abs(col))]
+        assert abs(overlap.imag) <= 1e-12 and overlap.real > 0
+
+
+def test_phase_convention_without_overlap(bell):
+    # the Bell input is orthogonal to three of the four eigenvectors: their largest entries carry the phase
+    stack = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
+    assert np.sum(np.abs(np.einsum("i,bin->bn", bell.input_state.conj(), stack.basis)) <= 1e-8) == 3 * len(SCALES)
+    for basis in stack.basis:
+        assert_phase_convention(basis, bell.input_state)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_stacked_rows_equal_one_point_spectra(dim):
+    """Row t of a grid's spectrum is the one-point spectrum at scales[t] * direction, bit for bit.
+
+    Every column of every row keeps the phase convention: <phi|n> real and
+    positive above 1e-8, else the column's largest entry.
+    """
+    num = 1 + dim % 3
+    ch = random_channel(dim, num, [1] * num, dim, with_hamiltonian=bool(dim % 2))
+    phi = random_input_state(dim, dim)
+    direction = np.full(num, 1.0 / num)
+    stack = output_shift_curves(ch, phi, direction, SCALES)
+    for t, s in enumerate(SCALES):
+        row, one = stack[t], output_spectrum_with_gradients(ch, phi, s * direction)
+        for f in fields(one):
+            assert np.array_equal(getattr(row, f.name), getattr(one, f.name)), f.name
+        assert_phase_convention(row.basis, phi)
 
 
 def scalar_trace_power_residual(dm, lm, kmax):
@@ -314,17 +392,15 @@ def test_stacked_cross_checks_equal_one_point_calls(dim, num, seed):
     ch = random_channel(dim, num, [1] * num, seed, with_hamiltonian=bool(seed % 2))
     phi = random_input_state(dim, seed)
     direction = np.full(num, 1.0 / num)
-    specs = output_shift_curves(ch, phi, direction, SCALES)
-    stack = stack_spectra(specs)
+    stack = output_shift_curves(ch, phi, direction, SCALES)
     frame = complement_basis(phi)
     full = output_deviation_matrix(stack.output, phi, frame)
     lead = deviation_matrix(ch, phi, stack.eps, frame)
     lm = jump_covariance(ch, phi, stack.eps)
     residuals = trace_power_residual(lead, lm, kmax=5)
     reduced, lead_vals = reduced_shifts(lm, dim), deviation_eigenvalues(lead)
-    for t, spec in enumerate(specs):
-        assert np.array_equal(stack.shifts()[t], spec.shifts())
-        assert np.array_equal(stack.shift_gradients()[t], spec.shift_gradients())
+    for t in range(len(SCALES)):
+        spec = stack[t]
         assert np.array_equal(full[t], output_deviation_matrix(spec.output, phi, frame))
         one_lead, one_lm = deviation_matrix(ch, phi, spec.eps), jump_covariance(ch, phi, spec.eps)
         assert np.array_equal(lead[t], one_lead) and np.array_equal(lm[t], one_lm)

@@ -184,6 +184,31 @@ class TestRunSweep:
             else:
                 assert json.dumps(point, sort_keys=True) == json.dumps(good, sort_keys=True)
 
+    def test_partly_pseudo_grid_records_every_point(self, monkeypatch):
+        # point 0's divergent matrix is made singular, so only that row takes the pseudo-inverse
+        sc = scenario_threelevel(scales=FAST_SCALES)
+        want = run_sweep(sc, shots=1000)
+        divergent = fisher.divergent_fisher
+
+        def singular_first_row(*args):
+            fm = divergent(*args)
+            entries = fm.entries.copy()
+            entries[0] = np.full((2, 2), entries[0, 0, 0])
+            return fisher.FisherMatrix(entries=entries)
+
+        monkeypatch.setattr(fisher, "divergent_fisher", singular_first_row)
+        report = run_sweep(sc, shots=1000)
+        assert [p["error"] for p in report.points] == [None] * len(FAST_SCALES)
+        assert [p["pseudo"] for p in report.points] == [True] + [False] * (len(FAST_SCALES) - 1)
+        assert report.points[0]["divergent_inverse"] is None and report.points[0]["gap_vs_divergent"] is None
+        for point, good in zip(report.points[1:], want.points[1:]):
+            assert json.dumps(point, sort_keys=True) == json.dumps(good, sort_keys=True)
+        fits = {f["name"] for f in report.fits}
+        assert "mse_vs_divergent_inverse" not in fits and "unbiasedness" in fits
+        checks = {c["name"]: c for c in report.checks}
+        assert checks["cr_direction"]["expected_failure"] and not checks["attainment"]["passed"]
+        assert parse_jsonl(render_jsonl(report, with_meta=False)) == report.records()
+
     def test_monte_carlo_points(self):
         report = run_sweep(scenario_ancilla_bell(scales=FAST_SCALES), shots=2000)
         for p in report.points:
