@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DegenerateSamples, DimensionMismatch, NoConvergence, NonHermitian
 
 HERMITIAN_RTOL = 1e-12
+MIN_FIT_SAMPLES = 4  # the fewest (scale, value) samples a power-law fit takes
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -69,14 +70,14 @@ class PowerFit:
 
 
 def power_order_fit(samples) -> PowerFit:
-    """Fit value ~ C * scale**k on >= 4 positive samples; returns k as slope.
+    """Fit value ~ C * scale**k on >= MIN_FIT_SAMPLES positive samples; returns k as slope.
 
     samples: iterable of (scale, value) pairs, scales distinct and positive;
     DegenerateSamples otherwise, or for a non-finite scale or value.
     """
     pts = [(float(s), float(q)) for s, q in samples]
-    if len(pts) < 4:
-        raise DegenerateSamples(f"need at least 4 samples, got {len(pts)}")
+    if len(pts) < MIN_FIT_SAMPLES:
+        raise DegenerateSamples(f"need at least {MIN_FIT_SAMPLES} samples, got {len(pts)}")
     scales = np.array([p[0] for p in pts])
     values = np.array([p[1] for p in pts])
     if not (np.all(np.isfinite(scales)) and np.all(np.isfinite(values))):

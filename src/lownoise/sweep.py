@@ -19,7 +19,7 @@ import numpy as np
 from . import estimator as est
 from . import fisher, spectral
 from .errors import ConfigInvalid, LowNoiseError
-from .linalg import eigensolve, fit_or_floor, guarded, richardson_zero_limit
+from .linalg import MIN_FIT_SAMPLES, eigensolve, fit_or_floor, guarded, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
 
@@ -221,7 +221,8 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         if "bad_direction_gap" in sc.expected_orders and len(rows) >= 2:
             u0 = eigensolve(richardson_zero_limit(gs[0], jinv[0], gs[1], jinv[1]))[1][:, -1]
             series["bad_direction_gap"] = [abs(float(u0 @ gap @ u0)) for gap in cols["gap_vs_quantum"]]
-        fits = [_fit(gs, values, name) for name, values in series.items() if values is not None]
+        if len(rows) >= MIN_FIT_SAMPLES:  # fewer records leave every fit missing, and their rows fail
+            fits = [_fit(gs, values, name) for name, values in series.items() if values is not None]
 
     fit_by_name = {f["name"]: f for f in fits}
     for name, band in sc.expected_orders.items():

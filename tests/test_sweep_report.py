@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lownoise import fisher, spectral
 from lownoise.errors import IOFailure, LowNoiseError, SingularFisher
@@ -184,6 +185,40 @@ class TestRunSweep:
             else:
                 assert json.dumps(point, sort_keys=True) == json.dumps(good, sort_keys=True)
 
+    def test_too_few_records_to_fit_still_make_a_report(self, monkeypatch):
+        # the spectrum fails at 3.0, so four spectra classify the shifts; the stacked
+        # inverse fails, and point 0's one-row quantum Fisher matrix is zero, which
+        # leaves three records, one fewer than a fit takes
+        sc = scenario_threelevel(scales=(1e-5, 1e-4, 1e-3, 1e-2, 3.0))
+        first = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, [1e-5]).probs
+        inverse, quantum = fisher.fisher_inverse, fisher.quantum_fisher
+
+        def stacked_fails(fm):
+            if np.ndim(fm.entries) == 3 and len(fm.entries) > 1:
+                raise SingularFisher("stacked inverse fails")
+            return inverse(fm)
+
+        def zero_at_first(probs, basis, drho):
+            fm = quantum(probs, basis, drho)
+            if np.array_equal(probs, first):
+                return fisher.FisherMatrix(entries=np.zeros_like(fm.entries))
+            return fm
+
+        monkeypatch.setattr(fisher, "fisher_inverse", stacked_fails)
+        monkeypatch.setattr(fisher, "quantum_fisher", zero_at_first)
+        report = run_sweep(sc)
+        assert not report.passed
+        errors = [p["error"] for p in report.points]
+        assert errors[0].startswith("SingularFisher") and errors[4].startswith("TPCPViolation")
+        assert errors[1:4] == [None] * 3
+        assert report.fits == []
+        checks = {c["name"]: c for c in report.checks}
+        for name in sc.expected_orders:
+            assert not checks[name]["passed"] and checks[name]["detail"] == "missing fit"
+        assert not checks["attainment"]["passed"]
+        assert parse_jsonl(render_jsonl(report, with_meta=False)) == report.records()
+        assert parse_csv(render_csv(report, with_meta=False)) == report.records()
+
     def test_partly_pseudo_grid_records_every_point(self, monkeypatch):
         # point 0's divergent matrix is made singular, so only that row takes the pseudo-inverse
         sc = scenario_threelevel(scales=FAST_SCALES)
@@ -214,6 +249,38 @@ class TestRunSweep:
         for p in report.points:
             assert p["mc"]["shots"] == 2000
             assert p["mc"]["within_4se_of_analytic"] in (True, False)
+
+
+@pytest.fixture(scope="module")
+def record_keys():
+    """The keys of a full point record of a sweep with Monte Carlo shots."""
+    return set(run_sweep(scenario_threelevel(scales=FAST_SCALES), shots=1000).points[0])
+
+
+@st.composite
+def random_scenarios(draw):
+    """A random channel with N = 2-8, D = 1..N+1 and 1 or 2 jumps per parameter, so K > N-1 occurs,
+    on a jump eigenstate or a random input state."""
+    dim = draw(st.integers(2, 8))
+    num_params = draw(st.integers(1, dim + 1))
+    counts = draw(st.lists(st.integers(1, 2), min_size=num_params, max_size=num_params))
+    seed = draw(st.integers(0, 10_000))
+    ch = random_channel(dim, num_params, counts, seed, with_hamiltonian=draw(st.booleans()))
+    phi = np.linalg.eig(ch.jumps[0])[1][:, 0] if draw(st.booleans()) else random_input_state(dim, seed)
+    return Scenario("random", ch, phi, SweepConfig(direction=(1.0 / num_params,) * num_params))
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_scenarios())
+def test_random_sweep_always_makes_a_whole_report(record_keys, sc):
+    report = run_sweep(sc, shots=1000)
+    assert len(report.points) == len(sc.sweep.scales)
+    for point in report.points:
+        assert set(point) == record_keys if point["error"] is None else set(point) == {"scale", "error"}
+    if any(point["error"] for point in report.points):
+        assert not report.passed
+    assert parse_jsonl(render_jsonl(report, with_meta=False)) == report.records()
+    assert parse_csv(render_csv(report, with_meta=False)) == report.records()
 
 
 class TestDeterminism:
