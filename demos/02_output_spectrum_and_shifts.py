@@ -64,5 +64,5 @@ bell = scenario_ancilla_bell()
 spectrum = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), scales)
 labels, fits = classify_shift_curves(scales, spectrum.shifts())
 print("\nancilla-Bell shift labels:", labels)
-print("fitted orders:", [None if f is None else round(f.slope, 3) for f in fits])
+print("fitted orders:", np.round(fits.slope, 3), "at the floor:", fits.at_floor)
 print("(the exactly-zero third shift never rises above the floor)")

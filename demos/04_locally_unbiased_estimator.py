@@ -15,7 +15,6 @@ from lownoise import (
     analytic_mse,
     build_povm,
     build_score_operators,
-    cr_gap,
     divergent_fisher,
     fisher_inverse,
     outcome_probabilities,
@@ -59,7 +58,7 @@ print("unbiasedness residual:", unbiasedness_residual(povm, q, eps))
 mse = analytic_mse(povm, q, eps)
 jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
 print("error matrix:\n", mse.entries)
-print("gap to the quantum bound (exact attainment here):\n", cr_gap(mse, jq))
+print("gap to the quantum bound (exact attainment here):\n", mse.entries - jq.inverse)
 
 # --- attainment order for the three-level scenario: the gap to the inverse
 # divergent Fisher matrix shrinks quadratically along the sweep

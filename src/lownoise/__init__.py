@@ -42,7 +42,6 @@ from .estimator import (
     build_povm,
     build_score_operators,
     cr_direction_margin,
-    cr_gap,
     outcome_probabilities,
     raise_index,
     sample_measurements,

@@ -171,15 +171,6 @@ def analytic_mse(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> MSEMatrix:
     return MSEMatrix(entries=(dev.swapaxes(-1, -2) * q[..., None, :]) @ dev, mean=mean)
 
 
-def cr_gap(mse: MSEMatrix, jinv: FisherMatrix) -> np.ndarray:
-    """Gap matrix V - J^-1 (point-wise; aggregate order fits live in sweeps)."""
-    if jinv.inverse is None:
-        raise DimensionMismatch("Fisher matrix must carry its inverse")
-    if mse.entries.shape != jinv.inverse.shape:
-        raise DimensionMismatch("MSE and Fisher inverse have different sizes")
-    return mse.entries - jinv.inverse
-
-
 def cr_direction_margin(gap: np.ndarray) -> float | np.ndarray:
     """min over unit vectors u of u (V - J^-1) u: the smallest eigenvalue of the gap's symmetric part.
 

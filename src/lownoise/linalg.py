@@ -1,7 +1,9 @@
 """Dense complex linear algebra primitives and power-law order fitting.
 
 Everything here works on plain numpy arrays. Matrices are complex 2-D
-arrays; vectors are complex 1-D arrays. All functions are pure.
+arrays; vectors are complex 1-D arrays. All functions are pure.  Power-law
+orders are closed-form centred least squares, one call per stack: a
+(..., S) stack of series over S scales is fitted in one pass.
 """
 from __future__ import annotations
 
@@ -58,15 +60,46 @@ def eigensolve(m: np.ndarray, vectors: bool = True):
 
 @dataclass(frozen=True)
 class PowerFit:
-    """Least-squares line through (log scale, log value).
+    """Least-squares lines through (log scale, log value): arrays over a stack's series, scalars for one.
 
     slope estimates the power-law order; residual is the max absolute
-    deviation of the log-data from the fitted line.
+    deviation of the log-data from the line.  The line is NaN on a series
+    at_floor.  floor_hits counts a series' samples clipped before the fit.
     """
 
-    slope: float
-    intercept: float
-    residual: float
+    slope: float | np.ndarray
+    intercept: float | np.ndarray
+    residual: float | np.ndarray
+    at_floor: bool | np.ndarray
+    floor_hits: int | np.ndarray
+
+
+def _fit(scales, values, floor: float) -> PowerFit:
+    """Closed-form centred least squares of log values on log scales, over the last axis of values.
+
+    slope = sum y (x - mean x) / sum (x - mean x)^2.  values is made
+    C-contiguous, so each row is summed as a one-series call sums it.
+    """
+    scales, values = np.asarray(scales, dtype=float).reshape(-1), np.ascontiguousarray(values, dtype=float)
+    if values.shape[-1] != scales.size:
+        raise DimensionMismatch(f"values of shape {values.shape} do not end in one axis of {scales.size} scales")
+    if scales.size < MIN_FIT_SAMPLES:
+        raise DegenerateSamples(f"need at least {MIN_FIT_SAMPLES} samples, got {scales.size}")
+    if not (np.all(np.isfinite(scales)) and np.all(np.isfinite(values))):
+        raise DegenerateSamples("scales and values must be finite")
+    if np.any(scales <= 0) or len(np.unique(scales)) != scales.size:
+        raise DegenerateSamples("scales must be distinct and positive")
+    at_floor, hits = np.max(np.abs(values), axis=-1) <= floor, np.count_nonzero(values < floor * 1e-3, axis=-1)
+    clipped = np.maximum(values, floor * 1e-3)
+    if np.any(clipped <= 0):  # reached only with floor <= 0, as in power_order_fit
+        raise DegenerateSamples("values must be positive for a log-log fit")
+    x, y = np.log(scales), np.log(clipped)
+    xc = x - np.mean(x)
+    slope = np.sum(y * xc, axis=-1) / np.sum(xc * xc)
+    intercept = np.mean(y, axis=-1) - slope * np.mean(x)
+    residual = np.max(np.abs(y - (slope[..., None] * x + intercept[..., None])), axis=-1)
+    line = (np.where(at_floor, np.nan, f)[()] for f in (slope, intercept, residual))
+    return PowerFit(*line, at_floor=at_floor[()], floor_hits=hits[()])
 
 
 def power_order_fit(samples) -> PowerFit:
@@ -75,35 +108,19 @@ def power_order_fit(samples) -> PowerFit:
     samples: iterable of (scale, value) pairs, scales distinct and positive;
     DegenerateSamples otherwise, or for a non-finite scale or value.
     """
-    pts = [(float(s), float(q)) for s, q in samples]
-    if len(pts) < MIN_FIT_SAMPLES:
-        raise DegenerateSamples(f"need at least {MIN_FIT_SAMPLES} samples, got {len(pts)}")
-    scales = np.array([p[0] for p in pts])
-    values = np.array([p[1] for p in pts])
-    if not (np.all(np.isfinite(scales)) and np.all(np.isfinite(values))):
-        raise DegenerateSamples("scales and values must be finite")
-    if np.any(scales <= 0) or len(np.unique(scales)) != len(scales):
-        raise DegenerateSamples("scales must be distinct and positive")
-    if np.any(values <= 0):
-        raise DegenerateSamples("values must be positive for a log-log fit")
-    x = np.log(scales)
-    y = np.log(values)
-    slope, intercept = guarded(np.polyfit, x, y, 1)
-    resid = float(np.max(np.abs(y - (slope * x + intercept))))
-    return PowerFit(slope=float(slope), intercept=float(intercept), residual=resid)
+    pts = np.array([(float(s), float(q)) for s, q in samples]).reshape(-1, 2)
+    return _fit(pts[:, 0], pts[:, 1], 0.0)
 
 
-def fit_or_floor(scales, values, floor: float) -> PowerFit | None:
-    """power_order_fit, or None when every |value| sits at/below the noise floor.
+def fit_or_floor(scales, values, floor: float) -> PowerFit:
+    """Fit each series of a (..., S) stack of values over S scales in one pass, checked as power_order_fit checks.
 
-    A None result means the quantity is numerically zero across the sweep, which
-    satisfies any decay-order claim trivially.
+    A series whose every |value| is at/below floor is at_floor: numerically
+    zero across the sweep, which satisfies any decay-order claim trivially.
+    Samples below floor * 1e-3 are raised to it (floor_hits) before the fit.
+    DimensionMismatch unless values ends in one axis of S.
     """
-    values = np.asarray([float(v) for v in values])
-    if np.max(np.abs(values)) <= floor:
-        return None
-    clipped = np.maximum(values, floor * 1e-3)
-    return power_order_fit(list(zip(scales, clipped)))
+    return _fit(scales, values, floor)
 
 
 def richardson_zero_limit(s1: float, a1: np.ndarray, s2: float, a2: np.ndarray) -> np.ndarray:

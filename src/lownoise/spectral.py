@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .channels import LowNoiseChannel, _validate_eps, pure_state_density
-from .errors import ConfigInvalid, DegenerateSamples, DimensionMismatch, ReductionInvalid
+from .errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
 from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
 
@@ -166,39 +166,26 @@ def deviation_eigenvalues(dm: np.ndarray) -> np.ndarray:
     return eigensolve(dm, vectors=False)[..., ::-1].copy()
 
 
-def classify_shift_curves(scales, curve_rows) -> tuple[tuple[str, ...], tuple[PowerFit | None, ...]]:
-    """Label each shift curve order-1 or higher-or-zero by its log-log slope.
+def classify_shift_curves(scales, curve_rows) -> tuple[tuple[str, ...], PowerFit]:
+    """Label each shift curve order-1 or higher-or-zero by its log-log slope; also returns the curves' stacked fit.
 
     curve_rows[t][i] is the i-th largest shift at scale scales[t].  A curve
     is order-1 when its slope lies in ORDER_ONE_BAND.  Curves whose
     magnitude never rises above the numerical floor are higher-or-zero
     regardless of slope (exactly degenerate directions).
-    DegenerateSamples for an empty grid; DimensionMismatch unless
-    curve_rows is a (len(scales), n) array.
+    DegenerateSamples for fewer than MIN_FIT_SAMPLES scales; DimensionMismatch
+    unless curve_rows is a (len(scales), n) array.
     """
-    scales = np.asarray(scales, dtype=float)
-    if scales.size == 0:
-        raise DegenerateSamples("no scales to classify the shift curves over")
     try:
         rows = np.asarray(curve_rows, dtype=float)
     except ValueError as exc:  # ragged rows
         raise DimensionMismatch(f"shift curves do not form an array: {exc}") from exc
-    if rows.ndim != 2 or rows.shape[0] != scales.shape[0]:
-        raise DimensionMismatch(f"shift curves have shape {rows.shape}, expected ({scales.shape[0]}, n)")
-    labels = []
-    fits = []
+    if rows.ndim != 2 or rows.shape[0] != len(scales):
+        raise DimensionMismatch(f"shift curves have shape {rows.shape}, expected ({len(scales)}, n)")
     floor = SHIFT_FLOOR * max(1.0, float(np.max(np.abs(rows))) if rows.size else 1.0)
-    for i in range(rows.shape[1]):
-        vals = np.abs(rows[:, i])
-        fit = fit_or_floor(scales, vals, floor)
-        fits.append(fit)
-        if fit is None:
-            labels.append("higher-or-zero")
-        elif ORDER_ONE_BAND[0] <= fit.slope <= ORDER_ONE_BAND[1]:
-            labels.append("order-1")
-        else:
-            labels.append("higher-or-zero")
-    return tuple(labels), tuple(fits)
+    fits = fit_or_floor(scales, np.abs(rows).T, floor)
+    order_one = ~fits.at_floor & (ORDER_ONE_BAND[0] <= fits.slope) & (fits.slope <= ORDER_ONE_BAND[1])
+    return tuple("order-1" if one else "higher-or-zero" for one in order_one.tolist()), fits
 
 
 def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> np.ndarray:

@@ -6,9 +6,9 @@ deviation/covariance cross-checks, the estimator with its error matrix,
 and the Cramer-Rao margin.  Each quantity is computed once for the whole
 grid, on a (B, ...) stack of its points that starts from the grid's one
 stacked spectrum; only the estimator's grouping and the Monte Carlo draw
-run point by point.  Sweep-level slope fits then grade each quantity
-against the scenario's expected asymptotic orders, reading each series
-as one array over the grid.
+run point by point.  One stacked slope fit of every series over the grid
+then grades each quantity against the scenario's expected asymptotic
+orders.
 """
 from __future__ import annotations
 
@@ -121,11 +121,18 @@ def _points(columns: dict) -> list[dict]:
     return records
 
 
-def _fit(scales, values, name: str) -> dict:
-    fit = fit_or_floor(scales, values, FIT_FLOOR)
-    if fit is None:
-        return {"name": name, "slope": None, "intercept": None, "residual": None, "at_floor": True}
-    return {"name": name, "slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual, "at_floor": False}
+def _fit_rows(scales, series: dict) -> list[dict]:
+    """One report row per named series, from one fit of their stack; a series at the floor has no line."""
+    fit = fit_or_floor(scales, list(series.values()), FIT_FLOOR)
+    keys = ("slope", "intercept", "residual", "floor_hits")
+    columns = zip(*(getattr(fit, key).tolist() for key in keys))
+    return [dict(name=name, at_floor=floor, **{key: None if floor else v for key, v in zip(keys, column)})
+            for name, floor, column in zip(series, fit.at_floor.tolist(), columns)]
+
+
+def _order(fit: dict | None, band) -> str:
+    """An order row's detail: the fit's slope and the band, or that the fit is missing."""
+    return "missing fit" if fit is None else f"slope={fit['slope']}, band=({band[0]}, {band[1]})"
 
 
 def _within(fit: dict | None, band) -> bool:
@@ -222,13 +229,11 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             u0 = eigensolve(richardson_zero_limit(gs[0], jinv[0], gs[1], jinv[1]))[1][:, -1]
             series["bad_direction_gap"] = [abs(float(u0 @ gap @ u0)) for gap in cols["gap_vs_quantum"]]
         if len(rows) >= MIN_FIT_SAMPLES:  # fewer records leave every fit missing, and their rows fail
-            fits = [_fit(gs, values, name) for name, values in series.items() if values is not None]
+            fits = _fit_rows(gs, {name: values for name, values in series.items() if values is not None})
 
     fit_by_name = {f["name"]: f for f in fits}
     for name, band in sc.expected_orders.items():
-        f = fit_by_name.get(name)
-        detail = "missing fit" if f is None else f"slope={f['slope']}, band=({band[0]}, {band[1]})"
-        checks.append(_check(name, _within(f, band), False, detail))
+        checks.append(_check(name, _within(fit_by_name.get(name), band), False, _order(fit_by_name.get(name), band)))
 
     if rows:
         worst = np.min(cols["cr_margin"] + cols["cr_bound"])
@@ -247,15 +252,15 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             f"det order {None if nd is None else nd['slope']}, expected -D = {-num_params}; "
             f"min |det G|/prod diag G = {ratio:g} at scale {at:g}, floor {NONDEGENERACY_FLOOR:g}",
         ))
-        attained = (
-            not pseudo
-            and _within(fit_by_name.get("unbiasedness"), ATTAINMENT_BAND)
-            and _within(fit_by_name.get("mse_vs_divergent_inverse"), ATTAINMENT_BAND)
-            and gate
-        )
+        missed = [f"pseudo-inverse rows at {int(np.sum(cols['pseudo']))} of {len(rows)} scales"] if pseudo else []
+        missed += [f"{name} {_order(fit_by_name.get(name), ATTAINMENT_BAND)}"
+                   for name in ("unbiasedness", "mse_vs_divergent_inverse")
+                   if not _within(fit_by_name.get(name), ATTAINMENT_BAND)]
+        if not gate:
+            missed.append("nondegeneracy gate failed")
         checks.append(_check(
-            "attainment", attained, not sc.attainment_expected,
-            "unbiasedness and MSE-gap orders both second order with a valid gate",
+            "attainment", not missed, not sc.attainment_expected,
+            "; ".join(missed) or "unbiasedness and MSE-gap orders both second order with a valid gate",
         ))
 
     passed = (not errors) and all(c["passed"] or c["expected_failure"] for c in checks)

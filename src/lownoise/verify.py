@@ -243,7 +243,7 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
         jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries
         fit_cvd = fit_or_floor(scales, np.linalg.norm(jc - jdiv, axis=(1, 2)), FIT_FLOOR)
-        if fit_cvd is not None and fit_cvd.slope < -0.2:
+        if not fit_cvd.at_floor and fit_cvd.slope < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope:.3f} diverges")
         eps = 1e-3 * direction
         dm_lead = spectral.deviation_matrix(ch, phi, eps)

@@ -426,9 +426,9 @@ def test_first_order_consistency_scenarios(pauli, threelevel):
             vals.append(np.linalg.norm(rem))
         fit = fit_or_floor(scales, vals, floor=1e-13)
         if expect_floor:
-            assert fit is None
+            assert fit.at_floor
         else:
-            assert fit is not None and 1.85 <= fit.slope <= 2.15
+            assert not fit.at_floor and 1.85 <= fit.slope <= 2.15
 
 
 def test_positivity_and_trace_over_grid(threelevel):

@@ -17,14 +17,15 @@ takes its pseudo-inverse from that same eigensolve.  The sweep computes
 each point's outcome probabilities once, in one stacked call per grouping
 of the eigenbasis, for the unbiasedness residual, the analytic MSE and the
 Monte Carlo draw alike.  Its eigensolves do not grow with the number of
-scales.
+scales.  It fits all its order series in one stacked call, and the shift
+classification fits all the curves of a grid in one.
 """
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from lownoise import estimator, fisher, spectral, sweep, verify
+from lownoise import estimator, fisher, linalg, spectral, sweep, verify
 from lownoise.channels import LowNoiseChannel
 from lownoise.errors import SingularFisher
 from lownoise.scenarios import DEFAULT_SCALES, build_scenario
@@ -274,3 +275,44 @@ def test_sweep_without_shots_makes_no_generator(monkeypatch, name):
     assert keys == []
     run_sweep(sc, shots=10)
     assert keys == [[sc.sweep.monte_carlo_seed(t), 0] for t in range(len(sc.sweep.scales))]
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Stacked fit_or_floor calls by the module that made them, with the shape of the values each fitted."""
+    calls = defaultdict(list)
+    for module in (sweep, spectral, verify):
+
+        def counting(scales, values, floor, _module=module.__name__.split(".")[-1]):
+            fit = linalg.fit_or_floor(scales, values, floor)
+            calls[_module].append(np.shape(fit.slope))
+            return fit
+
+        monkeypatch.setattr(module, "fit_or_floor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_sweep_fits_once_per_report(fits, name, shots):
+    report = run_sweep(build_scenario(name, seed=1), shots=shots)
+    assert all(p["error"] is None for p in report.points)
+    # one stack of every order series, and one of the grid's shift curves
+    assert fits == {"sweep": [(len(report.fits),)], "spectral": [(len(report.shift_labels),)]}
+
+
+def test_property_suite_classifies_once_per_grid(fits, monkeypatch):
+    classified = []
+    classify = spectral.classify_shift_curves
+
+    def counting(scales, rows):
+        classified.append(np.shape(rows))
+        return classify(scales, rows)
+
+    monkeypatch.setattr(spectral, "classify_shift_curves", counting)
+    num_seeds = 3
+    result = verify.check_property_suite(num_seeds=num_seeds)
+    assert result.passed, result.detail
+    assert classified == [(len(DEFAULT_SCALES), verify._seed_params(seed)[0] - 1) for seed in range(num_seeds)]
+    assert fits["spectral"] == [(n - 1,) for n, _ in map(verify._seed_params, range(num_seeds))]
+    assert fits["verify"] == [()] * num_seeds  # the classical-vs-divergent series, one per seed

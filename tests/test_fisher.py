@@ -247,7 +247,7 @@ class TestClassicalFisher:
             diffs.append(np.linalg.norm(jc.entries - jd.entries))
             j11.append(jd.entries[0, 0])
         fit = fit_or_floor(SCALES, diffs, 1e-13)
-        assert fit is None or fit.slope >= -0.2
+        assert fit.at_floor or fit.slope >= -0.2
         assert abs(power_order_fit(list(zip(SCALES, j11))).slope + 1) <= 0.15
 
 

@@ -149,15 +149,6 @@ class TestTensorProduct:
 
 
 class TestPowerOrderFit:
-    def test_solver_failure_is_no_convergence(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-        monkeypatch.setattr(np, "polyfit", fail)
-        s = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-        with pytest.raises(NoConvergence):
-            power_order_fit(list(zip(s, s**2)))
-
     def test_exact_square(self):
         s = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         fit = power_order_fit(list(zip(s, s**2)))
@@ -206,9 +197,114 @@ class TestPowerOrderFit:
 
     def test_fit_or_floor_detects_noise(self):
         s = np.geomspace(1e-5, 1e-2, 8)
-        assert fit_or_floor(s, np.full(8, 1e-17), floor=1e-13) is None
+        assert fit_or_floor(s, np.full(8, 1e-17), floor=1e-13).at_floor
         fit = fit_or_floor(s, s**2, floor=1e-13)
-        assert fit is not None and abs(fit.slope - 2.0) < 1e-6
+        assert not fit.at_floor and abs(fit.slope - 2.0) < 1e-6
+
+
+def polyfit_lines(scales, values, floor):
+    """Reference for fit_or_floor: one np.polyfit per series, None for a series at the floor."""
+    x = np.log(scales)
+    lines = []
+    for series in np.reshape(values, (-1, len(scales))):
+        if np.max(np.abs(series)) <= floor:
+            lines.append(None)
+            continue
+        y = np.log(np.maximum(series, floor * 1e-3))
+        slope, intercept = np.polyfit(x, y, 1)
+        lines.append((slope, intercept, np.max(np.abs(y - (slope * x + intercept)))))
+    return lines
+
+
+def random_series(seed, rows, scales):
+    """Power laws of random order and prefactor with noise; row 1 sits at the floor, row 2 has clipped samples."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0x464954]))
+    values = np.exp(rng.normal(size=(rows, len(scales)))) * scales ** rng.uniform(-3, 3, size=(rows, 1))
+    values[1] = rng.uniform(0, 1e-13, size=len(scales))
+    values[2, [0, 3]] = [1e-20, -1e-14]
+    return values
+
+
+class TestStackedFit:
+    SCALES = np.geomspace(1e-5, 1e-2, 8)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_polyfit_reference(self, seed):
+        values = random_series(seed, 40, self.SCALES)
+        fit = fit_or_floor(self.SCALES, values, 1e-13)
+        for t, want in enumerate(polyfit_lines(self.SCALES, values, 1e-13)):
+            if want is None:
+                assert fit.at_floor[t] and np.all(np.isnan([fit.slope[t], fit.intercept[t], fit.residual[t]]))
+            else:
+                assert not fit.at_floor[t]
+                np.testing.assert_allclose([fit.slope[t], fit.intercept[t], fit.residual[t]], want, rtol=0, atol=1e-12)
+        assert fit.at_floor[1] and not fit.at_floor[2]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_row_is_the_one_series_call(self, seed):
+        values = random_series(seed, 12, self.SCALES)
+        stacked = fit_or_floor(self.SCALES, values.reshape(3, 4, -1), 1e-13)
+        assert stacked.slope.shape == stacked.at_floor.shape == stacked.floor_hits.shape == (3, 4)
+        for t, series in enumerate(values):
+            one = fit_or_floor(self.SCALES, series, 1e-13)
+            for name in ("slope", "intercept", "residual", "at_floor", "floor_hits"):
+                assert np.ndim(getattr(one, name)) == 0
+                np.testing.assert_array_equal(getattr(one, name), getattr(stacked, name)[t // 4, t % 4])
+
+    def test_transposed_stack_gives_the_same_bits(self):
+        values = random_series(7, 10, self.SCALES)
+        fit = fit_or_floor(self.SCALES, values, 1e-13)
+        transposed = fit_or_floor(self.SCALES, np.asfortranarray(values), 1e-13)
+        np.testing.assert_array_equal(fit.slope, transposed.slope)
+        np.testing.assert_array_equal(fit.residual, transposed.residual)
+
+    def test_unclipped_series_is_power_order_fit(self):
+        values = random_series(3, 6, self.SCALES)[3:]
+        fit = fit_or_floor(self.SCALES, values, 0.0)
+        for t, series in enumerate(values):
+            one = power_order_fit(zip(self.SCALES, series))
+            assert (one.slope, one.intercept, one.residual) == (fit.slope[t], fit.intercept[t], fit.residual[t])
+            assert not one.at_floor and one.floor_hits == 0
+
+    def test_floor_hits_count_the_clipped_samples(self):
+        values = np.tile(self.SCALES**2, (4, 1))
+        values[1, :3] = [1e-17, 0.0, -1e-12]  # below floor * 1e-3 = 1e-16
+        values[2, 0] = 1e-13 * 1e-3  # at the clip value: kept as it is
+        values[3] = 1e-14  # at the floor
+        fit = fit_or_floor(self.SCALES, values, 1e-13)
+        assert fit.floor_hits.tolist() == [0, 3, 0, 0]  # the row at the floor is not clipped: 1e-14 > 1e-16
+        assert fit.at_floor.tolist() == [False, False, False, True]
+        assert fit.slope[1] > fit.slope[0] + 1  # the clipped small-scale samples make a steep false slope
+
+    @pytest.mark.parametrize(
+        "scales, bad",
+        [
+            (np.geomspace(1e-5, 1e-2, 3), None),  # too few scales
+            ([1e-5, 1e-4, 1e-4, 1e-2], None),  # duplicate scales
+            ([0.0, 1e-4, 1e-3, 1e-2], None),  # non-positive scale
+            ([1e-5, 1e-4, np.inf, 1e-2], None),
+            (np.geomspace(1e-5, 1e-2, 4), np.nan),
+            (np.geomspace(1e-5, 1e-2, 4), np.inf),
+        ],
+        ids=["too-few", "duplicate", "non-positive", "infinite-scale", "nan-value", "infinite-value"],
+    )
+    def test_degenerate_stack_rejected(self, scales, bad):
+        values = np.tile(np.asarray(scales, dtype=float) ** 2, (3, 1))
+        values[0] = 1e-20  # a row at the floor does not hide the others
+        if bad is not None:
+            values[2, 1] = bad
+        with pytest.raises(DegenerateSamples):
+            fit_or_floor(scales, np.abs(values), 1e-13)
+
+    def test_non_positive_sample_without_a_floor_rejected(self):
+        values = np.tile(self.SCALES**2, (2, 1))
+        values[1, 4] = 0.0
+        with pytest.raises(DegenerateSamples, match="positive"):
+            fit_or_floor(self.SCALES, values, 0.0)
+
+    def test_values_not_one_per_scale_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            fit_or_floor(self.SCALES, np.ones((2, 7)), 1e-13)
 
 
 class TestResidualNorm:

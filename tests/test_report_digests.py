@@ -17,24 +17,24 @@ from lownoise.scenarios import Scenario, SweepConfig, build_scenario, random_cha
 from lownoise.sweep import run_sweep
 
 DIGESTS = {
-    ("three-level", 1, 0): "ce721b8cc2ad06cb3dd0cf9e204e124600fed09ec4809061fa9b3634379cffad",
-    ("three-level", 1, 1000): "f2c9a88d3bbeb0479ff89c970f50f2d12956f43d8406242b369ecdf3559deb28",
-    ("three-level", 2, 0): "d40d12e8144e9cc161369f2946d70311f7d22ff554ae063be01a72da88a25e86",
-    ("three-level", 2, 1000): "a3e70c0a3cdafb6b9857bc38fd4b29e783e069414b0648822e41e7ea94c39375",
-    ("three-level", 3, 0): "093494ad2f4d6f31a57a4904fd1bebaabb9ac647e5b1f63526074a7b1ced53d1",
-    ("three-level", 3, 1000): "8b8e006cdd0454321fee0f9dbcea8506e2a7b538eaea321f41533f4aa110e1f1",
-    ("pauli2", 1, 0): "ea64e1bc2345a296c835af4ef13f84dcd756bf13c30b48009a51622f4ae0be7f",
-    ("pauli2", 1, 1000): "198b2e8d6b94dc3abd232e4a17a4178d8700cbf844dbdc6f36b413b82679b055",
-    ("pauli2", 2, 0): "570ddb3629be65a07cd5af9cd3403faa618644f28d141dae7cee1116a5c84a8e",
-    ("pauli2", 2, 1000): "507729166f875d8997017118b9b1ff0c843d26c86111f46ca96a7701c58afcd3",
-    ("pauli2", 3, 0): "617cba6cc3d65418f5084795c0da262aaf09b27b2cefb2fad8f15323071eab0e",
-    ("pauli2", 3, 1000): "6bbcd82de6744091a35c565d137433a209d5207514c2d5ddcdd631a577f3356a",
-    ("ancilla-bell", 1, 0): "439a38cc2172694bb4e14a48494ac0eba0613d0bf0d9a03a4e68a22874122118",
-    ("ancilla-bell", 1, 1000): "83fc46eb8996c82f4a6855f8777129c2913aa25185f8b8a0af0f44d6cfea5c89",
-    ("ancilla-bell", 2, 0): "fd4aa72e2637975ac6349ff50a4b612723da733aa372f6d122a15c3bfae0141f",
-    ("ancilla-bell", 2, 1000): "766fc17e241fafeb4391e8d34739cb100906fb5b6feb75a6441a83f4a23d1caa",
-    ("ancilla-bell", 3, 0): "d1c04ec3197ef16de98945badefacd048834c213afa6aa47fd62ec03715a9f04",
-    ("ancilla-bell", 3, 1000): "727701d940b86cdfc8780fd5884cc4f81d923a0e5a75aac83669f0426d40af87",
+    ("three-level", 1, 0): "d572b0bf67a180665e80b66f9aedb429617127cbdcce444e6a88b3e773624cca",
+    ("three-level", 1, 1000): "2be399bce84507055e7cc51d25341b38f84da677eb5cb80b623697afc9e54ed4",
+    ("three-level", 2, 0): "39dc5509d758eab24215b62037acc1290fedfd312a91bc0aebfabe49287f4b47",
+    ("three-level", 2, 1000): "9dfc6b4605da11be81d5bb1530969e2cebbed333a7a0e1e4943ffe020418d1db",
+    ("three-level", 3, 0): "eca2489826f97754b6a12aa935581f16bb3ce981035e26fe4b9360ad50639cf7",
+    ("three-level", 3, 1000): "6455b5e1422486a76e00beb2b43d4cb14c6e6c33c72635f2b26266f1dfcdf23b",
+    ("pauli2", 1, 0): "e34a6a81c593e49d85d4568b8be31062d5162ee2bd2935c4a95d726b0446bcc5",
+    ("pauli2", 1, 1000): "0abb34e5f24a4fd43d04c0c9d2b37b118c2fafffc3a805369595727887c440d7",
+    ("pauli2", 2, 0): "3bc6f887d3bd0ef20c73e9c9d905c5059299ab0bd2998741a106f8ed8fa4e1c5",
+    ("pauli2", 2, 1000): "83ba9f7ed9d9e294faea64fa44661a7b41c32f47e7460d35fbb5d1cb3a1f28cf",
+    ("pauli2", 3, 0): "e659d5dfa7c0cad24130cd352b9aa105493fbb5ad82ca0e738c8362e05b79644",
+    ("pauli2", 3, 1000): "eee49ff37eaf99e1af1e5b2e91d8e0c63236ff263a8b504fd600068a7d4295a4",
+    ("ancilla-bell", 1, 0): "4bd3fdafe9a0599448e24692ac518f1d81e09bca58806d20d5f72306c894796d",
+    ("ancilla-bell", 1, 1000): "8a54f2abf60e959acabc307089f2bd30b3dafe2037c99ab35df3435797793509",
+    ("ancilla-bell", 2, 0): "136d07c95a538bbf2deda9191962fc08557ec53a8f4125990bd801a5c841ee83",
+    ("ancilla-bell", 2, 1000): "c859fa50b3fba3a72ff2e45c99a4061e72975acdca8c0a2bf7824c9190fe9d81",
+    ("ancilla-bell", 3, 0): "395491024e0c264aebf9dc43ac9e2a80ac7f9612dc615c9f638dc359034eacb3",
+    ("ancilla-bell", 3, 1000): "fae4928fc3d4b650faa4f3d78d9f13b47949cd1d2e9d860fec9892fe393f2690",
 }
 
 
@@ -48,12 +48,12 @@ def test_report_digest(name, seed, shots):
 # default scales, 1,000 shots.  D <= N-1 (K <= N-1, the covariance cross-checks
 # run) and D >= N (K > N-1, every row takes the divergent pseudo-inverse)
 RANDOM_DIGESTS = {
-    (2, 1, 0): "85bc11b282235cf35cdd1664b60a339aa4a55b7fd4a8e3f776d098def3382d32",
-    (3, 2, 1): "d2d3d46747bfe0307c4efa51900449beda9cc12dd9705b019595679fde184985",
-    (4, 3, 2): "988e19d313b5ec639df976abf67924379fbff95dbe7605ec5c94960d96ffb1ea",
-    (2, 2, 1): "071f7a806e3a757c8e6041ef863631b0c5f5f6f40ba092903d3da8f2fc61cb53",
-    (3, 4, 0): "0cf7506c340eb36cfec2c05387a54fefdda16ae6c26eef2034d2c9b0176bdc82",
-    (5, 5, 1): "aef43c02952d449909e8ef9a6e58652b0e8f17def32f24e16fd6406a41948aa4",
+    (2, 1, 0): "855b723ba865432186f55082381c952f70cdecfd959137df1d3d79ccc818cfc5",
+    (3, 2, 1): "7bbf6b55b1c1beab23e02237fb02f5c783eab6d08ac9362b4f4bd7b4660e39d7",
+    (4, 3, 2): "54baa31e4a8a3659cdff5da7d37e3e474ed3d1a506b93f0804e8d8c708f76808",
+    (2, 2, 1): "46fa16eb8982bc0d036944958cde27188b03b785c2b026bbf8d35935ce21d3e3",
+    (3, 4, 0): "e7d35cfe055f710a89d1ad7079df2c0d2c38008048e16b8e68d04623f579461a",
+    (5, 5, 1): "f6fe0715eab98cf16db662a89bb3715a32e42f43b6ebbd95e3f65d749c3dd38c",
 }
 
 

@@ -166,7 +166,7 @@ class TestShiftClassification:
         rows = np.zeros((8, 3))
         labels, fits = classify_shift_curves(SCALES, rows)
         assert labels == ("higher-or-zero",) * 3
-        assert all(f is None for f in fits)
+        assert np.all(fits.at_floor)
 
     def test_quadratic_curve_excluded(self):
         rows = np.column_stack([SCALES, SCALES**2])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lownoise import fisher, spectral
+from lownoise import fisher, spectral, sweep
 from lownoise.errors import IOFailure, LowNoiseError, SingularFisher
 from lownoise.report import (
     CSV_COLUMNS,
@@ -23,7 +23,7 @@ from lownoise.scenarios import (
     scenario_pauli2,
     scenario_threelevel,
 )
-from lownoise.sweep import NONDEGENERACY_FLOOR, run_sweep
+from lownoise.sweep import FIT_FLOOR, NONDEGENERACY_FLOOR, run_sweep
 
 FAST_SCALES = tuple(np.geomspace(1e-5, 1e-2, 5))
 
@@ -65,6 +65,33 @@ class TestRunSweep:
         gate = by_name["nondegeneracy_gate"]
         assert not gate["passed"] and gate["expected_failure"]
         assert all(p["pseudo"] for p in pauli_report.points if p.get("error") is None)
+
+    def test_pauli_attainment_detail_names_the_pseudo_rows(self, pauli_report):
+        att = {c["name"]: c for c in pauli_report.checks}["attainment"]
+        assert att["detail"].startswith(f"pseudo-inverse rows at {len(FAST_SCALES)} of {len(FAST_SCALES)} scales; ")
+        assert att["detail"].endswith("; nondegeneracy gate failed")
+
+    def test_attainment_detail_names_the_slopes_outside_the_band(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ATTAINMENT_BAND", (5.0, 6.0))
+        report = run_sweep(scenario_threelevel(scales=FAST_SCALES))
+        assert not report.passed
+        att = {c["name"]: c for c in report.checks}["attainment"]
+        fits = {f["name"]: f for f in report.fits}
+        assert not att["passed"] and att["detail"] == (
+            f"unbiasedness slope={fits['unbiasedness']['slope']}, band=(5.0, 6.0); "
+            f"mse_vs_divergent_inverse slope={fits['mse_vs_divergent_inverse']['slope']}, band=(5.0, 6.0)"
+        )
+
+    def test_fit_rows_count_their_floor_hits(self, pauli_report):
+        # pauli2's determinants are exactly zero at most scales: those samples are clipped before the fit
+        fits = {f["name"]: f for f in pauli_report.fits}
+        dets = [abs(p["nondegeneracy_det"]) for p in pauli_report.points]
+        assert fits["nondegeneracy_det"]["floor_hits"] == sum(d < FIT_FLOOR * 1e-3 for d in dets) > 0
+        for fit in pauli_report.fits:
+            if fit["at_floor"]:
+                assert fit["floor_hits"] is None and fit["slope"] is None
+            else:
+                assert isinstance(fit["floor_hits"], int) and 0 <= fit["floor_hits"] <= len(FAST_SCALES)
 
     @pytest.mark.parametrize("dim, seed", [(3, 1), (4, 0)])
     def test_gate_fails_above_the_bound(self, dim, seed):

@@ -7,7 +7,7 @@ row and the row's own detail.
 """
 import pytest
 
-from lownoise import verify
+from lownoise import sweep, verify
 from lownoise.scenarios import scenario_ancilla_bell, scenario_pauli2
 from lownoise.sweep import run_sweep
 
@@ -63,3 +63,12 @@ def test_failed_row_fails_criterion_4_with_its_detail(monkeypatch, scenario, row
     result = verify.check_attainment()
     assert not result.passed
     assert result.detail == f"{scenario}: {row} failed ({details[0]})"
+
+
+def test_attainment_outside_its_band_fails_criterion_4_with_slope_and_band(monkeypatch):
+    monkeypatch.setattr(sweep, "ATTAINMENT_BAND", (5.0, 6.0))
+    result = verify.check_attainment()
+    assert not result.passed
+    # three-level is graded last, and its attainment row is its last row
+    assert "three-level: attainment failed (unbiasedness slope=" in result.detail
+    assert result.detail.endswith("band=(5.0, 6.0))")
