@@ -274,18 +274,19 @@ class LowNoiseChannel:
     def apply(self, rho: np.ndarray, eps, kraus=None) -> np.ndarray:
         """Output state of the channel at noise vector eps, or at each row of a (B, D) stack.
 
-        kraus is the identity-family Kraus operators that ``_identity_kraus``
-        built for the (B, D) stack eps, which the caller has validated
-        (``evaluate`` passes its own); the output then has shape (B, N, N).
-        Without kraus, eps is validated and the operators are built here.
+        kraus is the pair ``evaluate`` builds for the (B, D) stack eps and
+        the state it has checked: ``_identity_kraus``'s operators and the
+        jump images M_k rho M_k^dag; the output then has shape (B, N, N).
+        Without kraus, eps and rho are checked and both are built here.
         """
         single = False
         if kraus is None:
             eps, single = _validate_eps(eps, self.num_params)
-            kraus = self._identity_kraus(eps)[0]
-        rho = self._check_state(rho)
-        jumps = eps[:, self.params, None, None] * (self.jumps @ rho @ dagger(self.jumps))
-        out = _summed([*(kraus @ rho @ dagger(kraus)), *jumps.swapaxes(0, 1)], (eps.shape[0],) + rho.shape)
+            ops, rho = self._identity_kraus(eps)[0], self._check_state(rho)
+            kraus = ops, self.jumps @ rho @ dagger(self.jumps)
+        ops, images = kraus
+        jumps = eps[:, self.params, None, None] * images
+        out = _summed([*(ops @ rho @ dagger(ops)), *jumps.swapaxes(0, 1)], (eps.shape[0],) + rho.shape)
         drift = np.abs(np.trace(out, axis1=1, axis2=2) - np.trace(rho))
         off = drift > TRACE_TOL
         if off.any():
@@ -298,7 +299,7 @@ class LowNoiseChannel:
         """Frobenius deviation of the Kraus completeness sum from the identity.
 
         A float at one noise vector, one per row of a (B, D) stack; kraus
-        is as for ``apply``, and with it the result is the (B,) array.
+        is the operators of ``apply``'s pair, and with it a (B,) array.
         """
         single = False
         if kraus is None:
@@ -314,17 +315,18 @@ class LowNoiseChannel:
 
         eps is one noise vector (D,) or a stack (B, D); see
         ``ChannelEvaluation`` for the shapes.  One Kraus evaluation serves
-        all three: eps is validated once, and ``apply`` and
-        ``tpcp_residual`` get the operators built here.
+        all three: eps is validated once, ``apply`` and ``tpcp_residual`` get
+        the operators built here; ``apply`` and the derivatives share the jump images.
         """
         eps, single = _validate_eps(eps, self.num_params)
         rho = self._check_state(rho)
         ops, dops = self._identity_kraus(eps, with_derivative=True)
-        output = self.apply(rho, eps, kraus=ops)
+        images = self.jumps @ rho @ dagger(self.jumps)
+        output = self.apply(rho, eps, kraus=(ops, images))
         derivatives = np.zeros((eps.shape[0], self.num_params) + rho.shape, dtype=complex)
         for k, d in zip(ops, dops):
             derivatives = derivatives + d @ rho @ dagger(k)[:, None] + k[:, None] @ rho @ dagger(d)
-        for mu, image in zip(self.params, self.jumps @ rho @ dagger(self.jumps)):
+        for mu, image in zip(self.params, images):
             derivatives[:, mu] += image
         residuals = self.tpcp_residual(eps, kraus=ops)
         if single:

@@ -18,15 +18,18 @@ each point's outcome probabilities once, in one stacked call per grouping
 of the eigenbasis, for the unbiasedness residual, the analytic MSE and the
 Monte Carlo draw alike.  Its eigensolves do not grow with the number of
 scales.  It fits all its order series in one stacked call, and the shift
-classification fits all the curves of a grid in one.
+classification fits all the curves of a grid in one.  The property suite
+classifies the shift curves of all its seeds in one call, and fits the
+first-order remainders and the classical-vs-divergent series of all its
+seeds in one call each.
 """
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from lownoise import estimator, fisher, linalg, spectral, sweep, verify
-from lownoise.channels import LowNoiseChannel
+from lownoise import channels, estimator, fisher, linalg, spectral, sweep, verify
+from lownoise.channels import LowNoiseChannel, pure_state_density
 from lownoise.errors import SingularFisher
 from lownoise.scenarios import DEFAULT_SCALES, build_scenario
 from lownoise.sweep import run_sweep
@@ -111,6 +114,25 @@ def test_evaluate_makes_one_kraus_call(kraus_calls):
     kraus_calls.clear()
     sc.channel.evaluate(rho, np.outer([1.0, 2.0, 3.0, 4.0], [1e-3, 2e-3]))
     assert kraus_calls.rows == {"evaluations": [4]}
+
+
+def test_evaluate_forms_the_jump_images_once(monkeypatch):
+    """The output sum and the derivatives read one set of jump images M_k rho M_k^dag."""
+    sc = build_scenario("three-level")
+    rho = pure_state_density(sc.input_state)
+    eps = np.outer([1.0, 2.0, 3.0, 4.0], [1e-3, 2e-3])
+    daggered = []
+    dagger = channels.dagger
+
+    def recording(a):
+        daggered.append(a is sc.channel.jumps)
+        return dagger(a)
+
+    monkeypatch.setattr(channels, "dagger", recording)
+    ev = sc.channel.evaluate(rho, eps)
+    assert sum(daggered) == 1
+    # apply on its own forms them itself, to the same bits
+    assert np.array_equal(ev.output, sc.channel.apply(rho, eps)) and sum(daggered) == 2
 
 
 @pytest.fixture
@@ -301,7 +323,7 @@ def test_sweep_fits_once_per_report(fits, name, shots):
     assert fits == {"sweep": [(len(report.fits),)], "spectral": [(len(report.shift_labels),)]}
 
 
-def test_property_suite_classifies_once_per_grid(fits, monkeypatch):
+def test_property_suite_classifies_once_per_round(fits, monkeypatch):
     classified = []
     classify = spectral.classify_shift_curves
 
@@ -313,6 +335,28 @@ def test_property_suite_classifies_once_per_grid(fits, monkeypatch):
     num_seeds = 3
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    assert classified == [(len(DEFAULT_SCALES), verify._seed_params(seed)[0] - 1) for seed in range(num_seeds)]
-    assert fits["spectral"] == [(n - 1,) for n, _ in map(verify._seed_params, range(num_seeds))]
-    assert fits["verify"] == [()] * num_seeds  # the classical-vs-divergent series, one per seed
+    # every seed's N - 1 shift curves side by side, in one classification and one stacked fit
+    curves = sum(verify._seed_params(seed)[0] - 1 for seed in range(num_seeds))
+    assert classified == [(len(DEFAULT_SCALES), curves)]
+    assert fits["spectral"] == [(curves,)]
+    # the first-order remainders, then the classical-vs-divergent series: one row per seed each
+    assert fits["verify"] == [(num_seeds,), (num_seeds,)]
+
+
+def test_property_suite_fit_calls_do_not_grow_with_the_seeds(monkeypatch):
+    """The fit kernel that fit_or_floor and power_order_fit share runs three times per round, for any seed count."""
+    calls = Counter()
+    fit = linalg._fit
+
+    def counting(*args):
+        calls["fit"] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(linalg, "_fit", counting)
+    made = []
+    for num_seeds in (3, 7):
+        calls.clear()
+        result = verify.check_property_suite(num_seeds=num_seeds)
+        assert result.passed, result.detail
+        made.append(calls["fit"])
+    assert made == [3, 3]

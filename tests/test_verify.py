@@ -1,15 +1,33 @@
-"""Criteria 1, 2 and 4 grade the report run_sweep returns for their built-in.
+"""Criteria 1, 2 and 4 grade the report run_sweep returns for their built-in; criterion 6's stacked fits and failure lines.
 
-Each test wraps ``verify.run_sweep`` so that it alters the real report of
-one scenario, and checks that the criterion reading that report fails and
-names what failed: the point's scale and error, or the scenario, the check
-row and the row's own detail.
+Each criterion 1, 2 and 4 test wraps ``verify.run_sweep`` so that it
+alters the real report of one scenario, and checks that the criterion
+reading that report fails and names what failed: the point's scale and
+error, or the scenario, the check row and the row's own detail.
+
+The property suite (criterion 6) fits the series of all its seeds in
+stacked calls.  Its tests check each seed's share of those calls against
+the call on that seed alone, and pin the failure detail when checks are
+forced to fail: the lines in seed order, in the order of the checks within
+a seed, cut off after the seed that takes them past 20.
 """
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from lownoise import sweep, verify
-from lownoise.scenarios import scenario_ancilla_bell, scenario_pauli2
-from lownoise.sweep import run_sweep
+from lownoise import fisher, spectral, sweep, verify
+from lownoise.channels import pure_state_density
+from lownoise.errors import SingularFisher
+from lownoise.linalg import fit_or_floor, power_order_fit
+from lownoise.scenarios import (
+    DEFAULT_SCALES,
+    random_channel,
+    random_input_state,
+    scenario_ancilla_bell,
+    scenario_pauli2,
+)
+from lownoise.sweep import FIT_FLOOR, run_sweep
 
 
 def _alter_reports(monkeypatch, scenario: str, alter) -> None:
@@ -72,3 +90,119 @@ def test_attainment_outside_its_band_fails_criterion_4_with_slope_and_band(monke
     # three-level is graded last, and its attainment row is its last row
     assert "three-level: attainment failed (unbiasedness slope=" in result.detail
     assert result.detail.endswith("band=(5.0, 6.0))")
+
+
+# ---------------------------------------------------------------------------
+# criterion 6: the property suite's stacked fits and its failure lines
+
+
+def _seed_spectrum(seed: int):
+    """The grid spectrum, input state and zero-noise derivatives of one property-suite seed, built as the suite builds them."""
+    dim, num_params = verify._seed_params(seed)
+    ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
+    phi = random_input_state(dim, seed)
+    rho_in = pure_state_density(phi)
+    d0 = np.array([ch.derivative_at_zero(mu, rho_in) for mu in range(num_params)])
+    spec = spectral.output_shift_curves(ch, phi, np.full(num_params, 1.0 / num_params), DEFAULT_SCALES)
+    return spec, rho_in, d0
+
+
+def test_stacked_property_suite_fits_match_one_seed_calls(monkeypatch):
+    """Each seed's share of the suite's stacked calls equals the call on that seed alone, bit for bit.
+
+    The stacked shift classification uses one floor for every seed's
+    curves; each seed's own floor is the same because its shifts are
+    probabilities.
+    """
+    classified, fitted = [], []
+    classify, fit = spectral.classify_shift_curves, verify.fit_or_floor
+
+    def recording_classify(scales, rows):
+        labels, fits = classify(scales, rows)
+        classified.append(labels)
+        return labels, fits
+
+    def recording_fit(scales, values, floor):
+        fitted.append(fit(scales, values, floor))
+        return fitted[-1]
+
+    monkeypatch.setattr(spectral, "classify_shift_curves", recording_classify)
+    monkeypatch.setattr(verify, "fit_or_floor", recording_fit)
+    num_seeds = 100
+    assert verify.check_property_suite(num_seeds).passed
+    (labels,), (first_order, cvd) = classified, fitted
+    monkeypatch.undo()
+    scales, start = np.asarray(DEFAULT_SCALES), 0
+    for seed in range(num_seeds):
+        spec, rho_in, d0 = _seed_spectrum(seed)
+        own = spectral.classify_shift_curves(scales, spec.shifts())[0]
+        assert labels[start : start + len(own)] == own
+        start += len(own)
+        remainder = np.linalg.norm(spec.output - rho_in - np.tensordot(spec.eps, d0, axes=1), axis=(-2, -1))
+        assert first_order.slope[seed] == power_order_fit(list(zip(scales, remainder))).slope
+        included = [i for i, lab in enumerate(own) if lab == "order-1"]
+        jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
+        jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries
+        one = fit_or_floor(scales, np.linalg.norm(jc - jdiv, axis=(1, 2)), FIT_FLOOR)
+        assert cvd.at_floor[seed] == one.at_floor
+        assert np.array_equal(cvd.slope[seed], one.slope, equal_nan=True)
+    assert start == len(labels)
+
+
+def _forced(monkeypatch, module, name, make):
+    """Replace module.name by make(original)."""
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def test_failing_trace_power_identity_cuts_the_detail_after_the_seed_past_20(monkeypatch):
+    _forced(monkeypatch, spectral, "trace_power_residual", lambda original: lambda *args, **kwargs: 1.0)
+    result = verify.check_property_suite()
+    assert not result.passed
+    assert result.detail == "; ".join(f"seed {seed}: trace-power identity residual" for seed in range(21))
+
+
+def test_property_suite_failure_lines_keep_their_order_within_a_seed(monkeypatch):
+    """Five checks fail at every seed; the lines come seed by seed, in the order the checks were written."""
+
+    def residual_and_offset_at_a_scale(original):
+        def altered(*args):
+            spec = original(*args)
+            residual = spec.tpcp_residual.copy()
+            residual[2] = 1.0
+            return replace(spec, tpcp_residual=residual, output=spec.output + 1e-3 * np.eye(spec.output.shape[-1]))
+
+        return altered
+
+    def diverging_classical(original):
+        # divided by the summed shifts, which grow linearly in the scale
+        return lambda probs, gradients: fisher.FisherMatrix(
+            entries=original(probs, gradients).entries / (1.0 - probs[..., :1, None])
+        )
+
+    def singular(original):
+        def raising(fm):
+            raise SingularFisher("forced")
+
+        return raising
+
+    _forced(monkeypatch, spectral, "output_shift_curves", residual_and_offset_at_a_scale)
+    _forced(monkeypatch, spectral, "trace_power_residual", lambda original: lambda *args, **kwargs: 1.0)
+    _forced(monkeypatch, fisher, "classical_fisher", diverging_classical)
+    _forced(monkeypatch, fisher, "fisher_inverse", singular)
+    result = verify.check_property_suite()
+    assert not result.passed
+    expected = []
+    for seed in range(5):  # 25 lines: the cut-off comes after the fifth seed
+        expected += [
+            f"seed {seed}: trace-preservation residual at scale 7.19686e-05",
+            f"seed {seed}: first-order consistency slope 0.000",
+            f"seed {seed}: classical-vs-divergent slope {'-2.002' if seed == 0 else '-2.000'} diverges",
+            f"seed {seed}: trace-power identity residual",
+            f"seed {seed}: divergent Fisher unexpectedly singular",
+        ]
+    assert result.detail == "; ".join(expected)
+
+
+def test_property_suite_runs_on_one_seed():
+    result = verify.check_property_suite(1)
+    assert (result.name, result.passed, result.detail) == ("property suite (1 seeds)", True, "ok")
