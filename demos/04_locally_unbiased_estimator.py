@@ -22,7 +22,7 @@ from lownoise import (
     raise_index,
     unbiasedness_residual,
 )
-from lownoise.linalg import power_order_fit
+from lownoise.linalg import fit_or_floor
 from lownoise.scenarios import scenario_ancilla_bell, scenario_threelevel
 from lownoise.spectral import output_spectrum_with_gradients
 
@@ -73,5 +73,5 @@ for s in scales:
     povm = build_povm(score)
     v = analytic_mse(povm, outcome_probabilities(povm, spec.probs), e)
     gaps.append(np.linalg.norm(v.entries - jdiv_inv.inverse))
-fit = power_order_fit(list(zip(scales, gaps)))
+fit = fit_or_floor(scales, gaps, 0.0)
 print(f"\nthree-level ||V - inverse divergent Fisher|| order: {fit.slope:.3f} (want 2)")

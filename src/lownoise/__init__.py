@@ -57,7 +57,7 @@ from .fisher import (
     pure_input_dominance,
     quantum_fisher,
 )
-from .linalg import PowerFit, power_order_fit
+from .linalg import PowerFit
 from .report import Report, emit_report, parse_csv, parse_jsonl, render_csv, render_jsonl
 from .scenarios import (
     SCENARIO_BUILDERS,

@@ -307,7 +307,7 @@ class LowNoiseChannel:
             kraus = self._identity_kraus(eps)[0]
         jumps = eps[:, self.params, None, None] * self._gram
         acc = _summed([*(dagger(kraus) @ kraus), *jumps.swapaxes(0, 1)], (eps.shape[0], self.dim, self.dim))
-        residuals = np.array([frobenius(r) for r in acc - np.eye(self.dim)])
+        residuals = frobenius(acc - np.eye(self.dim))
         return float(residuals[0]) if single else residuals
 
     def evaluate(self, rho: np.ndarray, eps) -> ChannelEvaluation:

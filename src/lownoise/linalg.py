@@ -22,8 +22,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of one matrix (a float), or of each matrix of a (B, ...) stack (a (B,) array).
+
+    A stack's row is summed as np.linalg.norm sums one C-contiguous matrix,
+    one dot product of its real parts plus one of its imaginary parts, so
+    pass a C-contiguous stack for the same bits.
+    """
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    x = a.reshape(a.shape[0], -1)
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum(p[:, None, :] @ p[:, :, None] for p in parts))[:, 0, 0]
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -74,11 +85,17 @@ class PowerFit:
     floor_hits: int | np.ndarray
 
 
-def _fit(scales, values, floor: float) -> PowerFit:
-    """Closed-form centred least squares of log values on log scales, over the last axis of values.
+def fit_or_floor(scales, values, floor: float) -> PowerFit:
+    """Fit value ~ C * scale**k to each series of a (..., S) stack of values over S scales, in one pass.
 
-    slope = sum y (x - mean x) / sum (x - mean x)^2.  values is made
-    C-contiguous, so each row is summed as a one-series call sums it.
+    Closed-form centred least squares of log values on log scales,
+    slope = sum y (x - mean x) / sum (x - mean x)^2; values is made
+    C-contiguous, so each row is summed as a one-series call sums it.  A
+    series whose every |value| is at/below floor is at_floor: numerically
+    zero across the sweep, which satisfies any decay-order claim trivially.
+    Samples below floor * 1e-3 are raised to it (floor_hits) before the fit;
+    floor 0 clips nothing.  DimensionMismatch unless values ends in one axis
+    of S; DegenerateSamples for too few, non-finite or non-positive samples.
     """
     scales, values = np.asarray(scales, dtype=float).reshape(-1), np.ascontiguousarray(values, dtype=float)
     if values.shape[-1] != scales.size:
@@ -91,7 +108,7 @@ def _fit(scales, values, floor: float) -> PowerFit:
         raise DegenerateSamples("scales must be distinct and positive")
     at_floor, hits = np.max(np.abs(values), axis=-1) <= floor, np.count_nonzero(values < floor * 1e-3, axis=-1)
     clipped = np.maximum(values, floor * 1e-3)
-    if np.any(clipped <= 0):  # reached only with floor <= 0, as in power_order_fit
+    if np.any(clipped <= 0):  # reached only with floor <= 0
         raise DegenerateSamples("values must be positive for a log-log fit")
     x, y = np.log(scales), np.log(clipped)
     xc = x - np.mean(x)
@@ -100,27 +117,6 @@ def _fit(scales, values, floor: float) -> PowerFit:
     residual = np.max(np.abs(y - (slope[..., None] * x + intercept[..., None])), axis=-1)
     line = (np.where(at_floor, np.nan, f)[()] for f in (slope, intercept, residual))
     return PowerFit(*line, at_floor=at_floor[()], floor_hits=hits[()])
-
-
-def power_order_fit(samples) -> PowerFit:
-    """Fit value ~ C * scale**k on >= MIN_FIT_SAMPLES positive samples; returns k as slope.
-
-    samples: iterable of (scale, value) pairs, scales distinct and positive;
-    DegenerateSamples otherwise, or for a non-finite scale or value.
-    """
-    pts = np.array([(float(s), float(q)) for s, q in samples]).reshape(-1, 2)
-    return _fit(pts[:, 0], pts[:, 1], 0.0)
-
-
-def fit_or_floor(scales, values, floor: float) -> PowerFit:
-    """Fit each series of a (..., S) stack of values over S scales in one pass, checked as power_order_fit checks.
-
-    A series whose every |value| is at/below floor is at_floor: numerically
-    zero across the sweep, which satisfies any decay-order claim trivially.
-    Samples below floor * 1e-3 are raised to it (floor_hits) before the fit.
-    DimensionMismatch unless values ends in one axis of S.
-    """
-    return _fit(scales, values, floor)
 
 
 def richardson_zero_limit(s1: float, a1: np.ndarray, s2: float, a2: np.ndarray) -> np.ndarray:

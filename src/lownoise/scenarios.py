@@ -429,6 +429,17 @@ def random_input_state(dim: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_scenario(dim: int, num_params: int, seed: int) -> Scenario:
+    """The random-channel scenario of the property suite's seed: one jump per parameter, generators on odd seeds.
+
+    Its input is ``random_input_state(dim, seed)``; its sweep takes the
+    uniform direction with the default scales and sweep seed.
+    """
+    ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
+    sweep = SweepConfig(direction=(1.0 / num_params,) * num_params)
+    return Scenario("random", ch, random_input_state(dim, seed), sweep)
+
+
 # ---------------------------------------------------------------------------
 # registry and config round trip
 

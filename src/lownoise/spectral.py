@@ -58,8 +58,11 @@ class OutputSpectrum:
         return self.gradients[..., 1:]
 
     def __getitem__(self, rows) -> OutputSpectrum:
-        """Point t of a grid's spectrum for an index t, or the points rows as a grid for a list."""
-        return OutputSpectrum(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """Point t of a grid's spectrum for an index t, or the points rows as a grid for a list.
+
+        Every field is a copy, so a point holds none of the grid's memory.
+        """
+        return OutputSpectrum(*(getattr(self, f.name)[rows].copy() for f in fields(self)))
 
 
 def _fix_phases(bases: np.ndarray, phi: np.ndarray) -> None:

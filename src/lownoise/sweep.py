@@ -19,7 +19,7 @@ import numpy as np
 from . import estimator as est
 from . import fisher, spectral
 from .errors import ConfigInvalid, LowNoiseError
-from .linalg import MIN_FIT_SAMPLES, eigensolve, fit_or_floor, guarded, richardson_zero_limit
+from .linalg import MIN_FIT_SAMPLES, eigensolve, fit_or_floor, frobenius, guarded, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
 
@@ -29,11 +29,6 @@ ATTAINMENT_BAND = (1.8, 2.2)
 # Floor on |det G| / prod_mu G_mumu (<= 1 by Hadamard): above D <= N-1, det G is
 # rounding noise of about u * prod_mu G_mumu, with a true determinant's order -D
 NONDEGENERACY_FLOOR = 1e-10
-
-
-def _norms(stack) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, one np.linalg.norm call each, as a one-point call rounds it."""
-    return np.array([np.linalg.norm(m) for m in stack])
 
 
 def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, labels, shots: int) -> dict:
@@ -91,9 +86,9 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
         divergent_fisher=jdiv.entries, divergent_inverse=jdiv_inv.inverse, nondegeneracy_det=nondeg,
         jinv_eigenvalues=eigensolve(jq.inverse, vectors=False)[:, ::-1],
         unbiasedness_residual=bias, mse=mse, gap_vs_quantum=gap_quantum, gap_vs_divergent=mse - jdiv_inv.inverse,
-        cr_margin=cr_margin, cr_bound=CR_TOL * np.maximum(1.0, _norms(mse)),
-        lead_vs_full_deviation=_norms(dm_full - dm_lead),
-        classical_vs_divergent=_norms(jc.entries - jdiv.entries),
+        cr_margin=cr_margin, cr_bound=CR_TOL * np.maximum(1.0, frobenius(mse)),
+        lead_vs_full_deviation=frobenius(dm_full - dm_lead),
+        classical_vs_divergent=frobenius(jc.entries - jdiv.entries),
         pseudo=~np.all(kept, axis=-1),
         estimates=[p.estimates.tolist() for p in povms], povm_completeness=[p.completeness_residual() for p in povms],
         trace_power_residual=trace_power, reduced_shift_residual=reduced_residual,
@@ -215,8 +210,8 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         gs, jinv, pseudo = cols["scale"], cols["quantum_fisher_inverse"], bool(np.any(cols["pseudo"]))
         series = {
             "unbiasedness": np.max(cols["unbiasedness_residual"], axis=-1),
-            "mse_vs_quantum_inverse": _norms(cols["gap_vs_quantum"]),
-            "mse_vs_divergent_inverse": None if pseudo else _norms(cols["gap_vs_divergent"]),
+            "mse_vs_quantum_inverse": frobenius(cols["gap_vs_quantum"]),
+            "mse_vs_divergent_inverse": None if pseudo else frobenius(cols["gap_vs_divergent"]),
             "nondegeneracy_det": np.abs(cols["nondegeneracy_det"]),
             "jinv_large_eigenvalue": cols["jinv_eigenvalues"][:, 0],
             "jinv_small_eigenvalue": cols["jinv_eigenvalues"][:, -1],
@@ -224,7 +219,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
             "lead_vs_full_deviation": cols["lead_vs_full_deviation"],
         }
         if sc.reference_jinv is not None:
-            series["quantum_jinv_vs_reference"] = _norms(jinv - [sc.reference_jinv(eps) for eps in cols["eps"]])
+            series["quantum_jinv_vs_reference"] = frobenius(jinv - [sc.reference_jinv(eps) for eps in cols["eps"]])
         if "bad_direction_gap" in sc.expected_orders and len(rows) >= 2:
             u0 = eigensolve(richardson_zero_limit(gs[0], jinv[0], gs[1], jinv[1]))[1][:, -1]
             series["bad_direction_gap"] = [abs(float(u0 @ gap @ u0)) for gap in cols["gap_vs_quantum"]]
@@ -245,7 +240,7 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
         diag = np.prod(np.diagonal(cols["classical_fisher"], axis1=-2, axis2=-1) / 4.0, axis=-1)
         ratios = np.divide(np.abs(cols["nondegeneracy_det"]), diag, out=np.zeros_like(diag), where=diag > 0)
         ratio, at = ratios.min(), gs[np.argmin(ratios)]
-        gate = (ratio > NONDEGENERACY_FLOOR and nd is not None and not nd["at_floor"]
+        gate = (ratio > NONDEGENERACY_FLOOR and nd is not None and not nd["at_floor"] and nd["floor_hits"] == 0
                 and abs(nd["slope"] + num_params) <= 0.3)
         checks.append(_check(
             "nondegeneracy_gate", gate, not sc.attainment_expected,

@@ -2,14 +2,13 @@
 
 Each criterion is a function returning a CheckResult so the same code
 backs both the pytest acceptance module and the command-line ``verify``
-subcommand.  Tolerances are fixed here, not configurable.  Criteria 1, 2
-and 4 grade the report ``run_sweep`` returns for their built-in scenario:
-its point columns, and its check rows, whose order bands the scenario's
-``expected_orders`` and ``sweep.ATTAINMENT_BAND`` set.
+subcommand.  Tolerances are fixed here, not configurable.  Criteria 1, 2,
+4 and 7 grade the report ``run_sweep`` returns for their built-in scenario:
+its point columns and Monte Carlo records, and its check rows, whose order
+bands the scenario's ``expected_orders`` and ``sweep.ATTAINMENT_BAND`` set.
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -19,14 +18,7 @@ from . import curves, estimator as est, fisher, spectral
 from .channels import pure_state_density
 from .errors import ConfigInvalid, SingularFisher
 from .linalg import fit_or_floor, richardson_zero_limit
-from .scenarios import (
-    DEFAULT_SCALES,
-    random_channel,
-    random_input_state,
-    scenario_ancilla_bell,
-    scenario_pauli2,
-    scenario_threelevel,
-)
+from .scenarios import random_channel, random_scenario, scenario_ancilla_bell, scenario_pauli2, scenario_threelevel
 from .sweep import FIT_FLOOR, run_sweep
 from .report import render_jsonl
 
@@ -220,15 +212,13 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
     if num_seeds < 1:
         raise ConfigInvalid(f"the property suite needs at least one seed, got {num_seeds}")
     start = time.perf_counter()
-    scales = np.asarray(DEFAULT_SCALES)
     kept, remainders = [], []
     for seed in range(num_seeds):
-        dim, num_params = _seed_params(seed)
-        ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
-        phi = random_input_state(dim, seed)
+        sc = random_scenario(*_seed_params(seed), seed)
+        ch, phi, direction = sc.channel, sc.input_state, np.asarray(sc.sweep.direction)
+        scales = np.asarray(sc.sweep.scales)  # the default scales: every seed's, so the stacked fits take them
         rho_in = pure_state_density(phi)
-        direction = np.full(num_params, 1.0 / num_params)
-        d0 = np.array([ch.derivative_at_zero(mu, rho_in) for mu in range(num_params)])
+        d0 = np.array([ch.derivative_at_zero(mu, rho_in) for mu in range(ch.num_params)])
         # one stacked channel evaluation for the whole grid: the spectrum
         # carries every point's output state, derivatives, completeness
         # residual and eigenvalue gradients
@@ -243,9 +233,8 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
         if spectral.trace_power_residual(dm_lead, lm, kmax=5) > 1e-11:
             tail.append(f"seed {seed}: trace-power identity residual")
         jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
-        # a copy of the estimator's point, so the grid's arrays are not held
-        kept.append((head, tail, spec.shifts(), spec.shift_gradients(), jc, copy.deepcopy(spec[-3])))
-    first_order = fit_or_floor(scales, np.array(remainders), 0.0)  # floor 0 clips nothing, as in power_order_fit
+        kept.append((head, tail, spec.shifts(), spec.shift_gradients(), jc, spec[-3]))  # the point owns its arrays
+    first_order = fit_or_floor(scales, np.array(remainders), 0.0)  # floor 0 clips nothing
     # every shift is a probability, so max(1, max |shift|) = 1 and all seeds share one shift floor
     labels = iter(spectral.classify_shift_curves(scales, np.concatenate([shifts for _, _, shifts, *_ in kept], axis=-1))[0])
     cvd = []
@@ -301,34 +290,29 @@ def check_property_suite(num_seeds: int = 100) -> CheckResult:
 # criterion 7: Monte Carlo consistency and determinism
 
 
-MONTE_CARLO_SEED = 2026
+MONTE_CARLO_SEED = 2026  # the sweep seed
+# ancilla-bell's grid for criterion 7: its first point is eps = (1e-3, 2e-3), and
+# at 10^4 shots every outcome at every point expects at least 10 counts
+MONTE_CARLO_SCALES = tuple(np.geomspace(3e-3, 3e-2, 4))
 
 
 def check_monte_carlo(shots: int = 10**6) -> CheckResult:
+    """Criterion 7: the ``mc`` records of an ancilla-bell sweep with shots draws per point.
+
+    Each point's empirical MSE must lie within 4 standard errors of its
+    analytic MSE, and a second sweep must render the same bytes.
+    """
     if shots < 1:
         raise ConfigInvalid(f"the Monte Carlo check needs at least one shot, got {shots}")
     start = time.perf_counter()
-    failures: list[str] = []
-    sc = scenario_ancilla_bell()
-    report = run_sweep(sc, shots=1000)
-    included = [i for i, lab in enumerate(report.shift_labels) if lab == "order-1"]
-    eps = np.array([1e-3, 2e-3])
-    spec = spectral.output_spectrum_with_gradients(sc.channel, sc.input_state, eps)
-    jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
-    score = est.raise_index(est.build_score_operators(spec, included), fisher.fisher_inverse(jdiv))
-    povm = est.build_povm(score)
-    q = est.outcome_probabilities(povm, spec.probs)
-    analytic = est.analytic_mse(povm, q, eps)
-    mc = est.sample_measurements(povm, q, eps, shots, MONTE_CARLO_SEED)
-    dev = np.abs(mc.entries - analytic.entries)
-    if not np.all(dev <= 4.0 * mc.standard_error + 1e-300):
-        failures.append("empirical MSE outside 4 standard errors of the analytic value")
-    mc2 = est.sample_measurements(povm, q, eps, shots, MONTE_CARLO_SEED)
-    if not (np.array_equal(mc.entries, mc2.entries) and np.array_equal(mc.mean, mc2.mean)):
-        failures.append("rerun with the same seed changed the result")
-    rep_a = render_jsonl(report, with_meta=False)
-    rep_b = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)
-    if rep_a != rep_b:
+    sc = scenario_ancilla_bell(scales=MONTE_CARLO_SCALES, seed=MONTE_CARLO_SEED)
+    report = run_sweep(sc, shots)
+    failures = _report_failures(report, [])
+    failures += [
+        f"{report.scenario_name}: empirical MSE outside 4 standard errors of the analytic value at scale {p['scale']:g}"
+        for p in report.points if p["error"] is None and not p["mc"]["within_4se_of_analytic"]
+    ]
+    if render_jsonl(run_sweep(sc, shots), with_meta=False) != render_jsonl(report, with_meta=False):
         failures.append("reports are not byte-identical across reruns")
     return _result("monte carlo", start, failures)
 

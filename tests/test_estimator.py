@@ -25,7 +25,7 @@ from lownoise.fisher import (
     fisher_pseudo_inverse,
     quantum_fisher,
 )
-from lownoise.linalg import power_order_fit
+from lownoise.linalg import fit_or_floor
 from lownoise.scenarios import (
     DEFAULT_SCALES,
     build_scenario,
@@ -368,7 +368,7 @@ class TestUnbiasedness:
             eps, spec, jdiv, score = estimator_pipeline(threelevel, s)
             povm = build_povm(score)
             vals.append(np.max(unbiasedness_residual(povm, outcome_probabilities(povm, spec.probs), eps)))
-        fit = power_order_fit(list(zip(SCALES, vals)))
+        fit = fit_or_floor(SCALES, vals, 0.0)
         assert 1.8 <= fit.slope <= 2.2
 
     def test_kernel_outcome_contributes_nothing(self, bell):
@@ -429,7 +429,7 @@ class TestAnalyticMSE:
             mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
             second = score_second_moment(povm, bell.channel, bell.input_state, eps)
             vals.append(np.linalg.norm(mse.entries - second))
-        fit = power_order_fit(list(zip(SCALES, vals)))
+        fit = fit_or_floor(SCALES, vals, 0.0)
         assert 1.8 <= fit.slope <= 2.2
 
     def test_single_parameter_attains_quantum_bound(self):
@@ -447,7 +447,7 @@ class TestAnalyticMSE:
             mse = analytic_mse(povm, outcome_probabilities(povm, spec.probs), eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(abs(mse.entries[0, 0] - jq.inverse[0, 0]))
-        fit = power_order_fit(list(zip(SCALES, gaps)))
+        fit = fit_or_floor(SCALES, gaps, 0.0)
         assert 1.8 <= fit.slope <= 2.2
 
     def test_wrong_povm_fails_attainment(self, threelevel):
@@ -464,7 +464,7 @@ class TestAnalyticMSE:
             mse = analytic_mse(bad, dense_probabilities(bad, spec.output), eps)
             jq = fisher_inverse(quantum_fisher(spec.probs, spec.basis, spec.derivatives))
             gaps.append(np.linalg.norm(mse.entries - jq.inverse))
-        fit = power_order_fit(list(zip(SCALES, gaps)))
+        fit = fit_or_floor(SCALES, gaps, 0.0)
         assert fit.slope < 1.8
 
 

@@ -10,7 +10,7 @@ from lownoise.linalg import (
     dagger,
     eigensolve,
     fit_or_floor,
-    power_order_fit,
+    frobenius,
     require_hermitian,
     richardson_zero_limit,
 )
@@ -151,39 +151,39 @@ class TestTensorProduct:
 class TestPowerOrderFit:
     def test_exact_square(self):
         s = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-        fit = power_order_fit(list(zip(s, s**2)))
+        fit = fit_or_floor(s, s**2, 0.0)
         assert abs(fit.slope - 2.0) <= 1e-9
         assert fit.residual <= 1e-9
 
     def test_linear_with_prefactor(self):
         s = np.geomspace(1e-4, 1e-1, 6)
-        fit = power_order_fit(list(zip(s, 3.0 * s)))
+        fit = fit_or_floor(s, 3.0 * s, 0.0)
         assert abs(fit.slope - 1.0) <= 1e-9
         assert abs(fit.intercept - np.log(3.0)) <= 1e-9
 
     def test_mixed_orders_dominated_by_linear(self):
         s = np.geomspace(1e-5, 1e-2, 8)
         q = s + 10 * s**2  # evaluated oracle, linear term dominates on this grid
-        fit = power_order_fit(list(zip(s, q)))
+        fit = fit_or_floor(s, q, 0.0)
         assert 0.95 <= fit.slope <= 1.05
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSamples):
-            power_order_fit([(1e-2, 1.0), (1e-3, 0.1), (1e-4, 0.01)])
+            fit_or_floor([1e-2, 1e-3, 1e-4], [1.0, 0.1, 0.01], 0.0)
 
     def test_nonpositive_values(self):
         s = np.geomspace(1e-4, 1e-1, 5)
         q = [1.0, 2.0, 0.0, 3.0, 4.0]
         with pytest.raises(DegenerateSamples):
-            power_order_fit(list(zip(s, q)))
+            fit_or_floor(s, q, 0.0)
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, capfd, column, bad):
-        samples = [[x, x] for x in np.geomspace(1e-4, 1e-1, 5)]
-        samples[2][column] = bad
+        samples = np.tile(np.geomspace(1e-4, 1e-1, 5), (2, 1))
+        samples[column, 2] = bad
         with pytest.raises(DegenerateSamples, match="finite"):
-            power_order_fit(samples)
+            fit_or_floor(samples[0], samples[1], 0.0)
         assert capfd.readouterr().err == ""  # no solver message on stderr
 
     @settings(max_examples=25, deadline=None)
@@ -191,8 +191,8 @@ class TestPowerOrderFit:
     def test_scale_invariance(self, factor):
         s = np.geomspace(1e-5, 1e-2, 8)
         q = 0.7 * s**1.5
-        base = power_order_fit(list(zip(s, q))).slope
-        scaled = power_order_fit(list(zip(s, factor * q))).slope
+        base = fit_or_floor(s, q, 0.0).slope
+        scaled = fit_or_floor(s, factor * q, 0.0).slope
         assert abs(base - scaled) <= 1e-9
 
     def test_fit_or_floor_detects_noise(self):
@@ -258,11 +258,11 @@ class TestStackedFit:
         np.testing.assert_array_equal(fit.slope, transposed.slope)
         np.testing.assert_array_equal(fit.residual, transposed.residual)
 
-    def test_unclipped_series_is_power_order_fit(self):
+    def test_unclipped_rows_are_the_one_series_calls(self):
         values = random_series(3, 6, self.SCALES)[3:]
         fit = fit_or_floor(self.SCALES, values, 0.0)
         for t, series in enumerate(values):
-            one = power_order_fit(zip(self.SCALES, series))
+            one = fit_or_floor(self.SCALES, series, 0.0)
             assert (one.slope, one.intercept, one.residual) == (fit.slope[t], fit.intercept[t], fit.residual[t])
             assert not one.at_floor and one.floor_hits == 0
 
@@ -328,6 +328,19 @@ class TestResidualNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             matrix_residual_norm(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(1, 2, 2), (8, 4, 4), (5, 3, 7), (6, 8, 8)])
+def test_stacked_frobenius_equals_the_one_matrix_norm(shape, dtype):
+    rng = np.random.Generator(np.random.Philox(key=[shape[0], 0x46524F42]))
+    stack = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 2, size=(shape[0], 1, 1))
+    if dtype is complex:
+        stack = stack + 1j * rng.normal(size=shape)
+    norms = frobenius(stack)
+    assert norms.shape == (shape[0],)
+    assert norms.tolist() == [np.linalg.norm(m) for m in stack]
+    assert type(frobenius(stack[0])) is float and frobenius(stack[0]) == norms[0]
 
 
 def test_richardson_zero_limit_linear_exact():

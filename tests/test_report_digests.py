@@ -2,9 +2,9 @@
 
 Each digest is the SHA-256 of ``render_jsonl(run_sweep(...), with_meta=False)``
 for one built-in scenario, sweep seed and Monte Carlo shot count, or for one
-random-channel sweep built as the property suite builds its channels.  A change
-that moves any byte of a deterministic record must update the digest here
-and state which fields moved and why.  The digests were taken with numpy
+``random_scenario``, built as the property suite builds its seeds.  A
+change that moves any byte of a deterministic record must update the
+digest here and state which fields moved and why.  The digests were taken with numpy
 2.4 on x86-64 with OpenBLAS; another BLAS build may move the last bits of
 the floating-point fields.
 """
@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from lownoise.report import render_jsonl
-from lownoise.scenarios import Scenario, SweepConfig, build_scenario, random_channel, random_input_state
+from lownoise.scenarios import build_scenario, random_scenario
 from lownoise.sweep import run_sweep
 
 DIGESTS = {
@@ -44,9 +44,9 @@ def test_report_digest(name, seed, shots):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name, seed, shots]
 
 
-# (N, D, seed): one jump per parameter, generators on odd seeds, uniform direction,
-# default scales, 1,000 shots.  D <= N-1 (K <= N-1, the covariance cross-checks
-# run) and D >= N (K > N-1, every row takes the divergent pseudo-inverse)
+# (N, D, seed) of random_scenario: one jump per parameter, generators on odd seeds,
+# uniform direction, default scales; 1,000 shots.  D <= N-1 (K <= N-1, the covariance
+# cross-checks run) and D >= N (K > N-1, every row takes the divergent pseudo-inverse)
 RANDOM_DIGESTS = {
     (2, 1, 0): "855b723ba865432186f55082381c952f70cdecfd959137df1d3d79ccc818cfc5",
     (3, 2, 1): "7bbf6b55b1c1beab23e02237fb02f5c783eab6d08ac9362b4f4bd7b4660e39d7",
@@ -59,8 +59,5 @@ RANDOM_DIGESTS = {
 
 @pytest.mark.parametrize("dim, num_params, seed", sorted(RANDOM_DIGESTS))
 def test_random_channel_report_digest(dim, num_params, seed):
-    ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
-    sweep = SweepConfig(direction=(1.0 / num_params,) * num_params)
-    report = run_sweep(Scenario("random", ch, random_input_state(dim, seed), sweep), shots=1000)
-    text = render_jsonl(report, with_meta=False)
+    text = render_jsonl(run_sweep(random_scenario(dim, num_params, seed), shots=1000), with_meta=False)
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGESTS[dim, num_params, seed]

@@ -5,7 +5,7 @@ import pytest
 
 from lownoise.channels import pure_state_density, sqrt_completion_channel
 from lownoise.errors import ConfigInvalid, DegenerateSamples, DimensionMismatch, ReductionInvalid
-from lownoise.linalg import power_order_fit
+from lownoise.linalg import fit_or_floor
 from lownoise.scenarios import (
     random_channel,
     random_input_state,
@@ -138,7 +138,7 @@ class TestDeviationMatrix:
             full = output_deviation_matrix(spec.output, threelevel.input_state)
             lead = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
             vals.append(np.linalg.norm(full - lead))
-        fit = power_order_fit(list(zip(SCALES, vals)))
+        fit = fit_or_floor(SCALES, vals, 0.0)
         assert 1.85 <= fit.slope <= 2.15
 
     def test_leading_eigenvalues_track_output_shifts(self, threelevel):
@@ -149,7 +149,7 @@ class TestDeviationMatrix:
             spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
             diff = np.sort(deviation_eigenvalues(lead)) - np.sort(spec.shifts())
             vals.append(np.max(np.abs(diff)))
-        fit = power_order_fit(list(zip(SCALES, vals)))
+        fit = fit_or_floor(SCALES, vals, 0.0)
         assert 1.8 <= fit.slope <= 2.2
 
 
@@ -375,6 +375,16 @@ def test_stacked_rows_equal_one_point_spectra(dim):
         for f in fields(one):
             assert np.array_equal(getattr(row, f.name), getattr(one, f.name)), f.name
         assert_phase_convention(row.basis, phi)
+
+
+def test_a_point_of_a_grid_owns_its_arrays(threelevel):
+    """An integer index copies every field: holding one point keeps none of the grid's memory."""
+    grid = output_shift_curves(threelevel.channel, threelevel.input_state, threelevel.sweep.direction, SCALES)
+    point = grid[-3]
+    for f in fields(grid):
+        assert not np.shares_memory(getattr(point, f.name), getattr(grid, f.name)), f.name
+        assert np.array_equal(getattr(point, f.name), getattr(grid, f.name)[-3]), f.name
+    assert type(point.tpcp_residual) is np.float64
 
 
 def scalar_trace_power_residual(dm, lm, kmax):

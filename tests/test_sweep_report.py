@@ -19,6 +19,7 @@ from lownoise.scenarios import (
     SweepConfig,
     random_channel,
     random_input_state,
+    random_scenario,
     scenario_ancilla_bell,
     scenario_pauli2,
     scenario_threelevel,
@@ -97,14 +98,22 @@ class TestRunSweep:
     def test_gate_fails_above_the_bound(self, dim, seed):
         # D = N: det G is rounding noise that scales as s^-D like a true
         # determinant, so the order test alone passes; the floor fails it
-        ch = random_channel(dim, dim, [1] * dim, seed, with_hamiltonian=bool(seed % 2))
-        sweep = SweepConfig(direction=(1.0 / dim,) * dim)
-        report = run_sweep(Scenario("above-bound", ch, random_input_state(dim, seed), sweep))
+        report = run_sweep(random_scenario(dim, dim, seed))
         fit = {f["name"]: f for f in report.fits}["nondegeneracy_det"]
         assert abs(fit["slope"] + dim) <= 0.3
         gate = {c["name"]: c for c in report.checks}["nondegeneracy_gate"]
         assert not gate["passed"]
         assert f"floor {NONDEGENERACY_FLOOR:g}" in gate["detail"]
+
+    def test_gate_fails_a_det_fit_with_floor_hits(self, monkeypatch):
+        # half of pauli2's determinants are exactly zero and clipped before the fit;
+        # with the ratio floor out of the way the clipped fit's slope alone passes
+        # the order test, and only its floor hits fail the gate
+        monkeypatch.setattr(sweep, "NONDEGENERACY_FLOOR", -1.0)
+        report = run_sweep(scenario_pauli2())
+        fit = {f["name"]: f for f in report.fits}["nondegeneracy_det"]
+        assert fit["floor_hits"] > 0 and abs(fit["slope"] + 2) <= 0.3
+        assert not {c["name"]: c for c in report.checks}["nondegeneracy_gate"]["passed"]
 
     def test_gate_detail_names_the_worst_point(self, bell_report):
         gate = {c["name"]: c for c in bell_report.checks}["nondegeneracy_gate"]

@@ -1,9 +1,10 @@
-"""Criteria 1, 2 and 4 grade the report run_sweep returns for their built-in; criterion 6's stacked fits and failure lines.
+"""Criteria 1, 2, 4 and 7 grade the report run_sweep returns; criterion 6's stacked fits and failure lines.
 
-Each criterion 1, 2 and 4 test wraps ``verify.run_sweep`` so that it
+Each criterion 1, 2, 4 and 7 test wraps ``verify.run_sweep`` so that it
 alters the real report of one scenario, and checks that the criterion
 reading that report fails and names what failed: the point's scale and
-error, or the scenario, the check row and the row's own detail.
+error or Monte Carlo record, or the scenario, the check row and the row's
+own detail.
 
 The property suite (criterion 6) fits the series of all its seeds in
 stacked calls.  Its tests check each seed's share of those calls against
@@ -19,14 +20,8 @@ import pytest
 from lownoise import fisher, spectral, sweep, verify
 from lownoise.channels import pure_state_density
 from lownoise.errors import SingularFisher
-from lownoise.linalg import fit_or_floor, power_order_fit
-from lownoise.scenarios import (
-    DEFAULT_SCALES,
-    random_channel,
-    random_input_state,
-    scenario_ancilla_bell,
-    scenario_pauli2,
-)
+from lownoise.linalg import fit_or_floor
+from lownoise.scenarios import DEFAULT_SCALES, random_scenario, scenario_ancilla_bell, scenario_pauli2
 from lownoise.sweep import FIT_FLOOR, run_sweep
 
 
@@ -98,12 +93,10 @@ def test_attainment_outside_its_band_fails_criterion_4_with_slope_and_band(monke
 
 def _seed_spectrum(seed: int):
     """The grid spectrum, input state and zero-noise derivatives of one property-suite seed, built as the suite builds them."""
-    dim, num_params = verify._seed_params(seed)
-    ch = random_channel(dim, num_params, [1] * num_params, seed, with_hamiltonian=bool(seed % 2))
-    phi = random_input_state(dim, seed)
-    rho_in = pure_state_density(phi)
-    d0 = np.array([ch.derivative_at_zero(mu, rho_in) for mu in range(num_params)])
-    spec = spectral.output_shift_curves(ch, phi, np.full(num_params, 1.0 / num_params), DEFAULT_SCALES)
+    sc = random_scenario(*verify._seed_params(seed), seed)
+    rho_in = pure_state_density(sc.input_state)
+    d0 = np.array([sc.channel.derivative_at_zero(mu, rho_in) for mu in range(sc.channel.num_params)])
+    spec = spectral.output_shift_curves(sc.channel, sc.input_state, np.asarray(sc.sweep.direction), DEFAULT_SCALES)
     return spec, rho_in, d0
 
 
@@ -139,7 +132,7 @@ def test_stacked_property_suite_fits_match_one_seed_calls(monkeypatch):
         assert labels[start : start + len(own)] == own
         start += len(own)
         remainder = np.linalg.norm(spec.output - rho_in - np.tensordot(spec.eps, d0, axes=1), axis=(-2, -1))
-        assert first_order.slope[seed] == power_order_fit(list(zip(scales, remainder))).slope
+        assert first_order.slope[seed] == fit_or_floor(scales, remainder, 0.0).slope
         included = [i for i, lab in enumerate(own) if lab == "order-1"]
         jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
         jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries
@@ -206,3 +199,57 @@ def test_property_suite_failure_lines_keep_their_order_within_a_seed(monkeypatch
 def test_property_suite_runs_on_one_seed():
     result = verify.check_property_suite(1)
     assert (result.name, result.passed, result.detail) == ("property suite (1 seeds)", True, "ok")
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: the Monte Carlo records of an ancilla-bell sweep
+
+
+@pytest.mark.parametrize("shots", [10**4, 10**6])
+def test_criterion_7_grades_two_sweeps_of_its_grid(monkeypatch, shots):
+    reports = []
+    _alter_reports(monkeypatch, "ancilla-bell", reports.append)
+    result = verify.check_monte_carlo(shots)
+    assert (result.passed, result.detail) == (True, "ok")
+    assert len(reports) == 2
+    for report in reports:
+        assert report.scales == list(verify.MONTE_CARLO_SCALES) and report.seed == verify.MONTE_CARLO_SEED
+        assert report.points[0]["eps"] == [1e-3, 2e-3]
+        assert all(p["mc"]["shots"] == shots and p["mc"]["within_4se_of_analytic"] for p in report.points)
+
+
+def test_mc_record_outside_4_se_fails_criterion_7_at_its_scale(monkeypatch):
+    def outside_at_1(report):
+        report.points[1]["mc"]["within_4se_of_analytic"] = False
+
+    _alter_reports(monkeypatch, "ancilla-bell", outside_at_1)
+    result = verify.check_monte_carlo(10**4)
+    assert not result.passed
+    scale = verify.MONTE_CARLO_SCALES[1]
+    assert result.detail == f"ancilla-bell: empirical MSE outside 4 standard errors of the analytic value at scale {scale:g}"
+
+
+def test_errored_point_fails_criterion_7_at_its_scale(monkeypatch):
+    error = "BadProbabilities: outcome probabilities do not sum to 1"
+
+    def error_at_2(report):
+        report.points[2] = {"scale": report.points[2]["scale"], "error": error}
+
+    _alter_reports(monkeypatch, "ancilla-bell", error_at_2)
+    result = verify.check_monte_carlo(10**4)
+    assert not result.passed
+    assert result.detail == f"ancilla-bell: point at scale {verify.MONTE_CARLO_SCALES[2]:g}: {error}"
+
+
+def test_rerun_that_differs_fails_criterion_7(monkeypatch):
+    reports = []
+
+    def second_differs(report):
+        reports.append(report)
+        if len(reports) == 2:
+            report.points[0]["mc"]["seed"] += 1
+
+    _alter_reports(monkeypatch, "ancilla-bell", second_differs)
+    result = verify.check_monte_carlo(10**4)
+    assert not result.passed
+    assert result.detail == "reports are not byte-identical across reruns"
