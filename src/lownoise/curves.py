@@ -12,9 +12,10 @@ in parameter order; this is exact first-order degenerate perturbation
 theory whenever the restricted derivatives commute, and a documented
 deterministic choice otherwise.
 
-A stack of matrices is diagonalised by one stacked eigensolve; clusters
-are then refined matrix by matrix, and one stacked contraction takes
-every matrix's Hellmann-Feynman diagonals.
+A stack of matrices is diagonalised by one stacked eigensolve; one
+stacked pass over neighbouring eigenvalues finds the matrices that have
+a cluster, only those are refined matrix by matrix, and one stacked
+contraction takes every matrix's Hellmann-Feynman diagonals.
 """
 from __future__ import annotations
 
@@ -73,12 +74,12 @@ def eigencurve_derivatives(matrix: np.ndarray, derivatives):
     if single:
         matrix, perts = matrix[None], perts[None]
     values, vectors = _eigh_desc(matrix)
-    for b in range(values.shape[0]):
-        scale = max(1.0, float(np.max(np.abs(values[b]))) if values.shape[1] else 1.0)
-        tol = CLUSTER_RTOL * scale
-        for cluster in _clusters(values[b], tol):
+    tol = CLUSTER_RTOL * np.fmax(1.0, np.max(np.abs(values), axis=-1, initial=0.0))
+    # a matrix has a cluster where two neighbouring values lie within its tolerance
+    for b in np.flatnonzero(np.any(np.abs(np.diff(values, axis=-1)) <= tol[:, None], axis=-1)):
+        for cluster in _clusters(values[b], tol[b]):
             if len(cluster) > 1:
-                _refine_cluster(vectors[b], cluster, perts[b], 0, tol)
+                _refine_cluster(vectors[b], cluster, perts[b], 0, tol[b])
     # contiguous: a Gram sum over a strided real view rounds differently
     derivs = np.ascontiguousarray(np.einsum("bin,bmij,bjn->bmn", vectors.conj(), perts, vectors).real)
     if single:

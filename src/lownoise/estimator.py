@@ -10,8 +10,10 @@ divergent Fisher matrix to second order in the noise strengths.
 Each outcome is a group of the eigenbasis's columns, so its probability
 is the sum of the output eigenvalues in the group; no N x N projector is
 formed.  The Cramer-Rao margin is the smallest eigenvalue of the gap
-V - J^-1, the worst case over all directions.  All but ``build_povm`` and
-``sample_measurements`` also take a stack of points on a leading axis.
+V - J^-1, the worst case over all directions.  Every function also takes
+a stack of points on a leading axis: ``build_povm`` splits a stack into
+one stacked POVM per grouping, and ``sample_measurements`` makes one
+keyed draw per row of such a stack.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum
 from .fisher import FisherMatrix, included_shifts
-from .linalg import dagger, eigensolve
+from .linalg import dagger, eigensolve, frobenius
 from .spectral import OutputSpectrum
 
 MERGE_RTOL = 1e-10
@@ -60,9 +62,10 @@ def raise_index(partial: ScoreOperators, jdiv_inv: FisherMatrix) -> ScoreOperato
 
     They share the covariant eigenbasis, so the estimate vector of shift n
     is Jdiv^-1 applied to its log-gradient row.  jdiv_inv is the divergent
-    Fisher matrix as inverted by its caller: ``fisher_inverse``, or
-    ``fisher_pseudo_inverse`` when it is singular (negative-control path),
-    where the estimator is unbiased only inside the row space.
+    Fisher matrix as inverted by its caller: ``fisher_inverse``, or, in the
+    sweep, ``fisher._kept_inverse``, whose singular rows take the
+    pseudo-inverse (negative-control path), where the estimator is
+    unbiased only inside the row space.
     """
     inv = jdiv_inv.inverse
     lg = partial.log_gradients
@@ -84,42 +87,67 @@ class EstimatorPOVM:
     basis: np.ndarray
     estimates: np.ndarray  # (num outcomes, D)
 
-    def completeness_residual(self) -> float:
-        """||basis^H basis - I||: equal to ||sum_n P_n - I|| when the groups partition the columns."""
-        return float(np.linalg.norm(dagger(self.basis) @ self.basis - np.eye(self.basis.shape[1])))
+    def completeness_residual(self) -> float | np.ndarray:
+        """||basis^H basis - I||: equal to ||sum_n P_n - I|| when the groups partition the columns.
+
+        A float for one point, one per row for a stack.
+        """
+        return frobenius(dagger(self.basis) @ self.basis - np.eye(self.basis.shape[-1]))
 
 
-def build_povm(score: ScoreOperators) -> EstimatorPOVM:
+def build_povm(score: ScoreOperators) -> EstimatorPOVM | list[tuple[list[int], EstimatorPOVM]]:
     """Joint spectral decomposition of the contravariant score operators.
 
     One outcome per distinct estimate vector, grouping the eigenvectors of
     the included shifts that share it; the kernel of all score operators
     (the near-unit eigenvector and any excluded shifts) forms the
-    completion outcome with estimate zero.
+    completion outcome with estimate zero.  Shifts are taken in order,
+    each joining the first group whose first member's estimate lies within
+    MERGE_RTOL * max(1, its largest magnitude); the first group whose
+    estimate is within MERGE_RTOL of zero absorbs the kernel.
+
+    One point gives one EstimatorPOVM.  A (B, ...) score gives a list of
+    (rows, EstimatorPOVM), one stacked POVM per distinct grouping, in the
+    order of their first rows; row b of a stack equals the one-point call
+    on point rows[b] bit for bit.
     """
     if score.estimates is None:
         raise EmptySum("raise_index must run before building the estimator")
-    groups: list[tuple[np.ndarray, list[int]]] = []  # (estimate, basis columns)
-    for x, n in zip(score.estimates, score.included):
-        for gx, cols in groups:
-            if np.max(np.abs(gx - x)) <= MERGE_RTOL * max(1.0, float(np.max(np.abs(gx)))):
-                cols.append(n + 1)
-                break
+    single = score.estimates.ndim == 2
+    x = score.estimates[None] if single else score.estimates  # (B, K, D)
+    num_shifts = x.shape[1]
+    peak = np.max(np.abs(x), axis=-1)  # (B, K)
+    # near[b, j, k]: shift k lies within the merge tolerance of shift j's estimate
+    near = np.max(np.abs(x[:, :, None] - x[:, None]), axis=-1) <= MERGE_RTOL * np.fmax(1.0, peak)[..., None]
+    first = np.zeros(peak.shape, dtype=int)  # the first member of each shift's group
+    for k in range(1, num_shifts):
+        joins = near[:, :k, k] & (first[:, :k] == np.arange(k))
+        first[:, k] = np.where(joins.any(axis=1), joins.argmax(axis=1), k)
+    zero = (first == np.arange(num_shifts)) & (peak <= MERGE_RTOL)
+    absorbs = np.where(zero.any(axis=1), zero.argmax(axis=1), num_shifts)  # num_shifts: the kernel stands alone
+    layouts: dict[tuple, list[int]] = {}
+    for b, layout in enumerate(np.column_stack([first, absorbs]).tolist()):
+        layouts.setdefault(tuple(layout), []).append(b)
+
+    included = score.included
+    kernel = [0] + [n + 1 for n in range(score.basis.shape[-1] - 1) if n not in included]
+    stacks = []
+    for layout, rows in layouts.items():
+        heads = [j for j in range(num_shifts) if layout[j] == j]
+        groups = [[included[k] + 1 for k in range(num_shifts) if layout[k] == j] for j in heads]
+        estimates = np.zeros((len(rows), len(heads) + (layout[-1] == num_shifts), x.shape[-1]))
+        estimates[:, : len(heads)] = x[rows][:, heads]
+        if layout[-1] < num_shifts:
+            g = heads.index(layout[-1])
+            groups[g] += kernel
+            estimates[:, g] = 0.0
         else:
-            groups.append((x, [n + 1]))
-    kernel = [0] + [n + 1 for n in range(score.basis.shape[1] - 1) if n not in score.included]
-    zero = np.zeros(score.estimates.shape[1])
-    for gi, (gx, cols) in enumerate(groups):
-        if np.max(np.abs(gx)) <= MERGE_RTOL:
-            groups[gi] = (zero, cols + kernel)
-            break
-    else:
-        groups.append((zero, kernel))
-    return EstimatorPOVM(
-        groups=tuple(tuple(sorted(cols)) for _, cols in groups),
-        basis=score.basis,
-        estimates=np.asarray([x for x, _ in groups]),
-    )
+            groups.append(kernel)
+        groups = tuple(tuple(sorted(cols)) for cols in groups)
+        if single:
+            return EstimatorPOVM(groups=groups, basis=score.basis, estimates=estimates[0])
+        stacks.append((rows, EstimatorPOVM(groups=groups, basis=score.basis[rows], estimates=estimates)))
+    return stacks
 
 
 def outcome_probabilities(povm: EstimatorPOVM, probs) -> np.ndarray:
@@ -141,7 +169,6 @@ def _outcomes(povm: EstimatorPOVM, q) -> np.ndarray:
     if q.shape != povm.estimates.shape[:-1]:
         raise DimensionMismatch(f"{q.shape} outcome probabilities for {povm.estimates.shape[-2]} outcomes")
     return q
-
 
 
 def unbiasedness_residual(povm: EstimatorPOVM, q: np.ndarray, eps_true) -> np.ndarray:
@@ -185,37 +212,55 @@ def sample_measurements(
     q: np.ndarray,
     eps_true,
     shots: int,
-    seed: int,
+    seed,
 ) -> MSEMatrix:
     """Monte Carlo estimate of the mean and mean-square-error matrix.
 
     q are the outcome probabilities Tr[P_n rho] of the channel output rho
     at eps_true; BadProbabilities if one is negative or they do not sum to 1.
 
-    All shots are one multinomial draw from a fresh counter-based
-    ``Philox(key=[seed, 0])`` generator, so the same seed gives the same
-    counts on any platform, and its cost does not grow with shots.
-    ConfigInvalid if shots is below 1 or seed lies outside [0, 2**64).
+    All shots of a point are one multinomial draw from a counter-based
+    Philox generator keyed by [seed, 0] at counter 0, so the same seed
+    gives the same counts on any platform, and its cost does not grow with
+    shots.  A stacked POVM takes (B, n) q, (B, D) eps_true and a sequence
+    of B seeds: one generator is re-keyed for each row, which draws what a
+    fresh generator with that key draws; with B > 1 a BadProbabilities
+    error names its row.  ConfigInvalid if shots is below 1 or a seed lies
+    outside [0, 2**64); DimensionMismatch unless there is one seed a row.
     """
     if shots < 1:
         raise ConfigInvalid(f"shots must be >= 1, got {shots}")
-    if not 0 <= seed < 2**64:
-        raise ConfigInvalid(f"Monte Carlo seed must lie in [0, 2**64), got {seed}")
-    eps_true = np.asarray(eps_true, dtype=float)
+    seeds = [seed] if povm.estimates.ndim == 2 else list(seed)
+    for s in seeds:
+        if not 0 <= s < 2**64:
+            raise ConfigInvalid(f"Monte Carlo seed must lie in [0, 2**64), got {s}")
     q = _outcomes(povm, q)
-    if np.any(q < -1e-8):
-        raise BadProbabilities(f"negative outcome probability {np.min(q):g}")
-    total = float(np.sum(q))
-    if abs(total - 1.0) > 1e-8:
-        raise BadProbabilities(f"outcome probabilities sum to {total!r}")
+    estimates, q, eps_true = povm.estimates, np.atleast_2d(q), np.asarray(eps_true, dtype=float)
+    if len(seeds) != len(q):
+        raise DimensionMismatch(f"{len(seeds)} seeds for {len(q)} points")
+    lowest, totals = np.min(q, axis=-1), np.sum(q, axis=-1)
+    bad = np.flatnonzero((lowest < -1e-8) | (np.abs(totals - 1.0) > 1e-8))
+    if bad.size:
+        t = bad[0]
+        where = f" in row {t}" if len(q) > 1 else ""
+        if lowest[t] < -1e-8:
+            raise BadProbabilities(f"negative outcome probability {lowest[t]:g}{where}")
+        raise BadProbabilities(f"outcome probabilities sum to {float(totals[t])!r}{where}")
     q = np.clip(q, 0.0, None)
-    q = q / np.sum(q)
-    counts = np.random.Generator(np.random.Philox(key=[seed, 0])).multinomial(shots, q)
+    q = q / np.sum(q, axis=-1, keepdims=True)
+    bitgen = np.random.Philox(key=0)
+    draw, fresh = np.random.Generator(bitgen), bitgen.state  # counter 0, an empty buffer
+    counts = np.empty(q.shape, dtype=np.int64)
+    for b, s in enumerate(seeds):
+        fresh["state"]["key"] = np.array([s, 0], dtype=np.uint64)
+        bitgen.state = fresh
+        counts[b] = draw.multinomial(shots, q[b])
 
-    weights = counts / shots
-    dev = povm.estimates - eps_true
+    weights = (counts / shots).reshape(estimates.shape[:-2] + (1, -1))  # a row vector per point
+    dev = estimates - eps_true[..., None, :]
     sq = dev * dev
-    entries = (dev.T * weights) @ dev  # first moment of each (x - eps)_mu (x - eps)_nu
-    second = (sq.T * weights) @ sq  # and of its square
+    entries = (dev.swapaxes(-1, -2) * weights) @ dev  # first moment of each (x - eps)_mu (x - eps)_nu
+    second = (sq.swapaxes(-1, -2) * weights) @ sq  # and of its square
     se = np.sqrt(np.maximum(second - entries * entries, 0.0) / shots)
-    return MSEMatrix(entries=entries, mean=povm.estimates.T @ weights, standard_error=se)
+    mean = (estimates.swapaxes(-1, -2) @ weights.swapaxes(-1, -2))[..., 0]
+    return MSEMatrix(entries=entries, mean=mean, standard_error=se)

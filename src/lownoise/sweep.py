@@ -5,14 +5,12 @@ shifts and gradients, the three Fisher matrices and their inverses, the
 deviation/covariance cross-checks, the estimator with its error matrix,
 and the Cramer-Rao margin.  Each quantity is computed once for the whole
 grid, on a (B, ...) stack of its points that starts from the grid's one
-stacked spectrum; only the estimator's grouping and the Monte Carlo draw
-run point by point.  One stacked slope fit of every series over the grid
-then grades each quantity against the scenario's expected asymptotic
-orders.
+stacked spectrum; the estimator's tail runs once per grouping of the
+grid's POVMs, and only the Monte Carlo draw itself is made row by row.
+One stacked slope fit of every series over the grid then grades each
+quantity against the scenario's expected asymptotic orders.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,9 +36,11 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
     (B,) axis, or a list of B values where the points may differ in shape
     (``estimates``, the cross-check residuals, ``mc``).  Every quantity
     reads the output states and their derivatives from spec; the channel
-    is not evaluated again.  Only ``build_povm`` and the Monte Carlo draw
-    (with shots > 0, the record's ``mc``) run point by point.  Raises the
-    first LowNoiseError of any row.
+    is not evaluated again.  The POVM's outcome probabilities, residuals,
+    completeness and, with shots > 0, the record's ``mc`` are stacked over
+    the points that share a grouping, one pass per grouping; only the
+    multinomial draw is made row by row.  Raises the first LowNoiseError
+    of any row.
     """
     eps, dim = spec.eps, sc.channel.dim
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
@@ -53,16 +53,24 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
     jdiv_inv, _, kept = fisher._kept_inverse(jdiv)
 
     score = est.raise_index(est.build_score_operators(spec, included), jdiv_inv)
-    povms = [est.build_povm(replace(score, basis=v, log_gradients=g, estimates=x))
-             for v, g, x in zip(spec.basis, score.log_gradients, score.estimates)]
-    q, bias, mse = {}, np.empty(eps.shape), np.empty(jq.entries.shape)
-    for groups in dict.fromkeys(p.groups for p in povms):  # the points of one grouping form one stacked POVM
-        idx = [b for b, p in enumerate(povms) if p.groups == groups]
-        stack = est.EstimatorPOVM(groups, spec.basis[idx], np.array([povms[b].estimates for b in idx]))
-        q_stack = est.outcome_probabilities(stack, spec.probs[idx])
-        q.update(zip(idx, q_stack))
-        bias[idx] = est.unbiasedness_residual(stack, q_stack, eps[idx])
-        mse[idx] = est.analytic_mse(stack, q_stack, eps[idx]).entries
+    bias, mse, completeness = np.empty(eps.shape), np.empty(jq.entries.shape), np.empty(len(rows))
+    estimates, mc = [None] * len(rows), [None] * len(rows)
+    seeds = [sc.sweep.monte_carlo_seed(t) for t in rows]
+    for idx, povm in est.build_povm(score):  # one stacked POVM per grouping of the points
+        q = est.outcome_probabilities(povm, spec.probs[idx])
+        bias[idx] = est.unbiasedness_residual(povm, q, eps[idx])
+        mse[idx] = est.analytic_mse(povm, q, eps[idx]).entries
+        completeness[idx] = povm.completeness_residual()
+        for b, x in zip(idx, povm.estimates.tolist()):
+            estimates[b] = x
+        if shots > 0:
+            drawn = est.sample_measurements(povm, q, eps[idx], shots, [seeds[b] for b in idx])
+            se = drawn.standard_error
+            within = np.all(np.abs(drawn.entries - mse[idx]) <= 4.0 * se + 1e-300, axis=(-2, -1))
+            for b, mean, entries, se_b, ok in zip(idx, drawn.mean.tolist(), drawn.entries.tolist(), se.tolist(),
+                                                  within.tolist()):
+                mc[b] = dict(shots=shots, seed=seeds[b], mean=mean, mse=entries, standard_error=se_b,
+                             within_4se_of_analytic=ok)
     gap_quantum = mse - jq.inverse
     cr_margin = est.cr_direction_margin(gap_quantum)
 
@@ -90,19 +98,11 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
         lead_vs_full_deviation=frobenius(dm_full - dm_lead),
         classical_vs_divergent=frobenius(jc.entries - jdiv.entries),
         pseudo=~np.all(kept, axis=-1),
-        estimates=[p.estimates.tolist() for p in povms], povm_completeness=[p.completeness_residual() for p in povms],
+        estimates=estimates, povm_completeness=completeness,
         trace_power_residual=trace_power, reduced_shift_residual=reduced_residual,
     )
     if shots > 0:
-        columns["mc"] = []
-        for b, t in enumerate(rows):
-            seed = sc.sweep.monte_carlo_seed(t)
-            mc = est.sample_measurements(povms[b], q[b], eps[b], shots, seed)
-            se = mc.standard_error
-            columns["mc"].append(dict(
-                shots=shots, seed=seed, mean=mc.mean.tolist(), mse=mc.entries.tolist(), standard_error=se.tolist(),
-                within_4se_of_analytic=bool(np.all(np.abs(mc.entries - mse[b]) <= 4.0 * se + 1e-300)),
-            ))
+        columns["mc"] = mc
     return columns
 
 

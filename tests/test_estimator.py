@@ -7,8 +7,10 @@ from lownoise import sweep, verify
 from lownoise.channels import pure_state_density, sqrt_completion_channel
 from lownoise.errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum, SingularFisher
 from lownoise.estimator import (
+    MERGE_RTOL,
     EstimatorPOVM,
     MSEMatrix,
+    ScoreOperators,
     analytic_mse,
     build_povm,
     build_score_operators,
@@ -75,8 +77,8 @@ def score_second_moment(povm, ch, phi, eps_true):
 
 
 def one_draw_counts(q, shots, seed):
-    """Counts of one multinomial draw from a fresh Generator(Philox(key=[seed, 0]))."""
-    return np.random.Generator(np.random.Philox(key=[seed, 0])).multinomial(shots, q)
+    """Counts of one multinomial draw from a fresh Philox generator keyed by the uint64 pair [seed, 0]."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).multinomial(shots, q)
 
 
 def block_grid_counts(q, shots, seed):
@@ -105,6 +107,36 @@ def reference_sample(povm, q, eps_true, shots, seed, draw=one_draw_counts):
     second = ((dev * dev).T * weights) @ (dev * dev)
     se = np.sqrt(np.maximum(second - entries * entries, 0.0) / shots)
     return entries, xs.T @ weights, se
+
+
+def reference_povm(score):
+    """Reference: the greedy grouping of one point, shift by shift, as a loop over its groups.
+
+    Each shift joins the first group whose first member's estimate lies
+    within MERGE_RTOL * max(1, its largest magnitude); the first group
+    whose estimate is within MERGE_RTOL of zero absorbs the kernel.
+    """
+    groups = []  # (estimate, basis columns)
+    for x, n in zip(score.estimates, score.included):
+        for gx, cols in groups:
+            if np.max(np.abs(gx - x)) <= MERGE_RTOL * max(1.0, float(np.max(np.abs(gx)))):
+                cols.append(n + 1)
+                break
+        else:
+            groups.append((x, [n + 1]))
+    kernel = [0] + [n + 1 for n in range(score.basis.shape[1] - 1) if n not in score.included]
+    zero = np.zeros(score.estimates.shape[1])
+    for gi, (gx, cols) in enumerate(groups):
+        if np.max(np.abs(gx)) <= MERGE_RTOL:
+            groups[gi] = (zero, cols + kernel)
+            break
+    else:
+        groups.append((zero, kernel))
+    return EstimatorPOVM(
+        groups=tuple(tuple(sorted(cols)) for _, cols in groups),
+        basis=score.basis,
+        estimates=np.asarray([x for x, _ in groups]),
+    )
 
 
 def loop_moments(estimates, weights, eps_true):
@@ -588,10 +620,8 @@ def test_stacked_rows_equal_one_point_calls(name):
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
     jdiv = divergent_fisher(stack.shifts(), stack.shift_gradients(), included)
     score = raise_index(build_score_operators(stack, included), fisher_pseudo_inverse(jdiv))
-    povms = [build_povm(replace(score, basis=v, log_gradients=g, estimates=x))
-             for v, g, x in zip(stack.basis, score.log_gradients, score.estimates)]
-    assert len({povm.groups for povm in povms}) == 1
-    povm = EstimatorPOVM(povms[0].groups, stack.basis, np.array([p.estimates for p in povms]))
+    (rows, povm), = build_povm(score)  # the grid's points share one grouping
+    assert rows == list(range(len(sc.sweep.scales)))
     q = outcome_probabilities(povm, stack.probs)
     bias, mse = unbiasedness_residual(povm, q, stack.eps), analytic_mse(povm, q, stack.eps)
     margins = cr_direction_margin(mse.entries)
@@ -599,7 +629,7 @@ def test_stacked_rows_equal_one_point_calls(name):
         spec = stack[t]
         one_div = divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
         one = build_povm(raise_index(build_score_operators(spec, included), fisher_pseudo_inverse(one_div)))
-        assert np.array_equal(povms[t].estimates, one.estimates) and povms[t].groups == one.groups
+        assert np.array_equal(povm.estimates[t], one.estimates) and povm.groups == one.groups
         one_q = outcome_probabilities(one, spec.probs)
         one_mse = analytic_mse(one, one_q, spec.eps)
         assert np.array_equal(q[t], one_q)
@@ -612,15 +642,19 @@ def test_stacked_rows_equal_one_point_calls(name):
 def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
     """Each point's mc record samples the POVM and tests against the MSE of its own analysis.
 
-    The analytic MSE is one stacked call over the points that share a
-    grouping; its rows are matched to the points by their noise point.
+    The POVMs come from one stacked call, one stack per grouping, and the
+    analytic MSE is one stacked call over a grouping's points; a POVM row
+    is matched to its point by its row, an MSE row by its noise point.
     """
-    built = []
+    built = {}  # point -> its row of its grouping's stacked POVM
     analysed = {}  # eps row -> (q, MSE) of that point
+    calls = []
 
     def spy_povm(score):
-        built.append(build_povm(score))
-        return built[-1]
+        calls.append(build_povm(score))
+        for rows, povm in calls[-1]:
+            built.update((b, EstimatorPOVM(povm.groups, povm.basis[i], povm.estimates[i])) for i, b in enumerate(rows))
+        return calls[-1]
 
     def spy_mse(povm, q, eps_true):
         mse = analytic_mse(povm, q, eps_true)
@@ -633,8 +667,10 @@ def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
     sc = build_scenario(name, scales=tuple(np.geomspace(1e-5, 1e-2, 4)), seed=3)
     shots = 2 * BLOCK + 3
     report = sweep.run_sweep(sc, shots=shots)
-    assert len(built) == len(analysed) == len(report.points)
-    for t, (p, povm) in enumerate(zip(report.points, built)):
+    assert len(calls) == 1
+    assert sorted(built) == list(range(len(report.points))) and len(analysed) == len(report.points)
+    for t, p in enumerate(report.points):
+        povm = built[t]
         q, mse = analysed[tuple(p["eps"])]
         # q are the output's outcome probabilities, read back through the dense projectors
         rho = sc.channel.apply(pure_state_density(sc.input_state), np.asarray(p["eps"]))
@@ -649,3 +685,149 @@ def test_sweep_monte_carlo_reuses_point_estimator(monkeypatch, name):
             "standard_error": [[float(x) for x in row] for row in se],
             "within_4se_of_analytic": bool(np.all(np.abs(entries - mse.entries) <= 4.0 * se + 1e-300)),
         }
+
+
+def _mixed_score():
+    """A (B, K=3, D=2) score over N=5 columns whose rows group in every way build_povm distinguishes.
+
+    Shift 3 is excluded, so the kernel is columns 0 and 4.
+    """
+    tol = MERGE_RTOL
+    rows = [
+        [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]],  # all apart; the kernel stands alone
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],  # shifts 0 and 2 share an estimate
+        [[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]],  # a zero estimate absorbs the kernel
+        [[3.0, 1.0], [0.0, 2.0], [5.0, 5.0]],  # row 0's grouping, other estimates
+        [[1.0, 0.0], [1.0 + tol / 100, 0.0], [0.0, 1.0]],  # within the merge tolerance
+        [[tol / 100, 0.0], [0.0, 0.0], [1.0, 1.0]],  # a near-zero group: its estimate becomes exactly zero
+        [[1.0, 0.0], [1.0 + 1.5 * tol, 0.0], [1.0 + 0.8 * tol, 0.0]],  # shift 2 joins the first group it matches
+        [[4.0, 4.0], [4.0, 4.0], [4.0, 4.0]],  # one group
+        [[tol, 0.0], [1.0, 1.0], [-tol, 0.0]],  # two near-zero groups: only the first absorbs the kernel
+        [[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]],  # row 2's grouping again
+    ]
+    estimates = np.array(rows)
+    rng = np.random.Generator(np.random.Philox(key=[len(rows), 0x504F564D]))
+    g = rng.normal(size=(len(rows), 5, 5)) + 1j * rng.normal(size=(len(rows), 5, 5))
+    basis = np.linalg.qr(g)[0]
+    return ScoreOperators(included=(0, 1, 2), basis=basis, log_gradients=estimates.copy(), estimates=estimates)
+
+
+def _one_point(score, b):
+    return replace(score, basis=score.basis[b], log_gradients=score.log_gradients[b], estimates=score.estimates[b])
+
+
+@pytest.mark.parametrize("source", ["mixed", "random-grids"])
+def test_stacked_povm_rows_equal_one_point_calls(source):
+    """One stacked POVM per grouping; each row equals the one-point call and the reference loop bit for bit."""
+    if source == "mixed":
+        scores = [_mixed_score()]
+    else:
+        scores = []
+        for dim in (3, 5):
+            for ch, phi, direction in _random_cases(dim):
+                stack = output_shift_curves(ch, phi, direction, DEFAULT_SCALES)
+                labels, _ = classify_shift_curves(DEFAULT_SCALES, stack.shifts())
+                included = [i for i, lab in enumerate(labels) if lab == "order-1"]
+                jdiv = divergent_fisher(stack.shifts(), stack.shift_gradients(), included)
+                scores.append(raise_index(build_score_operators(stack, included), fisher_pseudo_inverse(jdiv)))
+    for score in scores:
+        stacks = build_povm(score)
+        refs = [reference_povm(_one_point(score, b)) for b in range(len(score.estimates))]
+        assert sorted(b for rows, _ in stacks for b in rows) == list(range(len(refs)))
+        assert [povm.groups for _, povm in stacks] == list(dict.fromkeys(ref.groups for ref in refs))
+        for rows, povm in stacks:
+            for i, b in enumerate(rows):
+                one = build_povm(_one_point(score, b))
+                assert povm.groups == one.groups == refs[b].groups
+                assert np.array_equal(povm.estimates[i], one.estimates)
+                assert np.array_equal(one.estimates, refs[b].estimates)
+                assert np.array_equal(povm.basis[i], score.basis[b])
+            residuals = povm.completeness_residual()
+            assert residuals.shape == (len(rows),)
+            assert all(residuals[i] == build_povm(_one_point(score, b)).completeness_residual()
+                       for i, b in enumerate(rows))
+    if source == "mixed":
+        groups = {b: povm.groups for rows, povm in stacks for b in rows}
+        assert groups[2] == ((1,), (0, 2, 4), (3,))  # the zero-estimate group took the kernel
+        assert groups[8] == ((0, 1, 4), (2,), (3,))
+        assert groups[6] == groups[1] == ((1, 3), (2,), (0, 4)) and len(stacks) == 7
+        assert not np.any(next(p for rows, p in stacks if 5 in rows).estimates[:, 0])
+
+
+def _threelevel_stack(threelevel):
+    """The three-level grid's one stacked POVM, its (B, n) q and its (B, D) eps."""
+    stack = output_shift_curves(threelevel.channel, threelevel.input_state, threelevel.sweep.direction, SCALES)
+    score = raise_index(build_score_operators(stack, [0, 1]),
+                        fisher_inverse(divergent_fisher(stack.shifts(), stack.shift_gradients(), [0, 1])))
+    (rows, povm), = build_povm(score)
+    assert rows == list(range(len(SCALES)))
+    return povm, outcome_probabilities(povm, stack.probs), stack.eps
+
+
+@pytest.mark.parametrize("shots", [1, 10**12])
+def test_stacked_sampling_rows_equal_one_point_calls(threelevel, shots):
+    """Each row of a stacked draw, one generator re-keyed per row, equals the one-point call and a fresh keyed draw."""
+    povm, q, eps = _threelevel_stack(threelevel)
+    seeds = [0, 41, 7, 2**63, 2**63 + 1, 2**64 - 1, 41, 3 * 1009 + 5]
+    mc = sample_measurements(povm, q, eps, shots, seeds)
+    assert mc.entries.shape == (len(seeds), 2, 2) and mc.mean.shape == (len(seeds), 2)
+    for t, seed in enumerate(seeds):
+        row = EstimatorPOVM(povm.groups, povm.basis[t], povm.estimates[t])
+        one = sample_measurements(row, q[t], eps[t], shots, seed)
+        entries, mean, se = reference_sample(row, q[t], eps[t], shots, seed)
+        for got, want, ref in ((mc.entries, one.entries, entries), (mc.mean, one.mean, mean),
+                               (mc.standard_error, one.standard_error, se)):
+            assert np.array_equal(got[t], want) and np.array_equal(want, ref)
+
+
+def test_keys_above_2_63_draw_distinct_counts(threelevel):
+    """Every key in [0, 2**64) is used as it is: neighbouring keys above 2**63 do not share a draw."""
+    povm, q, eps = _threelevel_stack(threelevel)
+    row = EstimatorPOVM(povm.groups, povm.basis[0], povm.estimates[0])
+    draws = [sample_measurements(row, q[0], eps[0], 10**6, seed).mean for seed in (2**63, 2**63 + 1, 2**64 - 1, 0)]
+    assert all(not np.array_equal(a, b) for i, a in enumerate(draws) for b in draws[i + 1:])
+
+
+def test_bad_probabilities_name_their_row(threelevel):
+    povm, q, eps = _threelevel_stack(threelevel)
+    seeds = list(range(len(q)))
+    for t in (0, 3):
+        for broken, message in ((q[t] + 0.01, f"sum to .* in row {t}$"), (q[t] - [0.1, 0, 0], f"-0.09.* in row {t}$")):
+            bad = q.copy()
+            bad[t] = broken
+            with pytest.raises(BadProbabilities, match=message):
+                sample_measurements(povm, bad, eps, 10, seeds)
+    with pytest.raises(DimensionMismatch):
+        sample_measurements(povm, q, eps, 10, seeds[:-1])
+
+
+def test_bad_probabilities_fail_only_their_point(monkeypatch):
+    """A stacked draw that raises for one row runs again point by point, and only that point fails."""
+    sc = build_scenario("three-level", seed=1)
+    clean = sweep.run_sweep(sc, shots=1000)
+    target = np.asarray(clean.points[3]["probs"])
+    probabilities = sweep.est.outcome_probabilities
+
+    def skewed(povm, probs):
+        q = probabilities(povm, probs)
+        return q + 0.01 * np.all(probs == target, axis=-1)[:, None]  # 0.03 over three outcomes
+
+    monkeypatch.setattr(sweep.est, "outcome_probabilities", skewed)
+    report = sweep.run_sweep(sc, shots=1000)
+    assert report.points[3]["error"].startswith("BadProbabilities: outcome probabilities sum to 1.03")
+    assert "row" not in report.points[3]["error"]
+    assert [p for t, p in enumerate(report.points) if t != 3] == [p for t, p in enumerate(clean.points) if t != 3]
+    assert not report.passed
+
+
+def test_records_of_mixed_groupings_equal_one_point_records(monkeypatch):
+    """A grid whose points group two ways: each grouping's stacked tail gives every row its one-row record."""
+    monkeypatch.setattr(sweep.est, "MERGE_RTOL", 3.995)  # merges the two estimate rows at the largest scale only
+    sc = build_scenario("three-level", seed=1)
+    spec = output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
+    labels, _ = classify_shift_curves(sc.sweep.scales, spec.shifts())
+    rows = list(range(len(sc.sweep.scales)))
+    stacked = sweep._points(sweep._records(sc, rows, spec, labels, 1000))
+    assert [len(p["estimates"]) for p in stacked] == [3] * (len(rows) - 1) + [2]
+    for t in rows:
+        assert stacked[t] == sweep._points(sweep._records(sc, [t], spec[[t]], labels, 1000))[0]

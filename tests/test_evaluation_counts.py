@@ -256,9 +256,37 @@ def test_sweep_computes_outcome_probabilities_once_per_point(monkeypatch, name, 
     assert all(p["error"] is None and ("mc" in p) == (shots > 0) for p in report.points)
     # the grid's points share one grouping: one stacked call, one row per point
     assert len(stacks) == 1 and stacks[0].shape[0] == len(report.points)
-    # and the Monte Carlo draw reads those rows, not a second computation
-    assert len(drawn) == (len(report.points) if shots else 0)
-    assert all(np.shares_memory(q, stacks[0]) for q in drawn)
+    # and the Monte Carlo draw reads those rows in one stacked call, not a second computation
+    assert len(drawn) == (1 if shots else 0)
+    assert all(np.shares_memory(q, stacks[0]) and q.shape == stacks[0].shape for q in drawn)
+
+
+@pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+def test_sweep_estimator_tail_calls_do_not_grow_with_the_grid(monkeypatch, name):
+    """One build_povm call per stacked pass, and one sample_measurements call per grouping it returns."""
+    calls, groupings = Counter(), []
+    build, sample = estimator.build_povm, estimator.sample_measurements
+
+    def building(score):
+        calls["build_povm"] += 1
+        groupings.append(len(build(score)))
+        return build(score)
+
+    def drawing(*args):
+        calls["sample_measurements"] += 1
+        return sample(*args)
+
+    monkeypatch.setattr(estimator, "build_povm", building)
+    monkeypatch.setattr(estimator, "sample_measurements", drawing)
+    made = []
+    for num in (8, 16):
+        calls.clear()
+        groupings.clear()
+        report = run_sweep(build_scenario(name, scales=tuple(np.geomspace(1e-5, 1e-2, num)), seed=1), shots=1000)
+        assert all(p["error"] is None for p in report.points)
+        assert calls == {"build_povm": 1, "sample_measurements": sum(groupings)}
+        made.append(dict(calls))
+    assert made[0] == made[1]
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
@@ -285,17 +313,31 @@ def test_sweep_eigensolves_do_not_grow_with_the_grid(monkeypatch, name):
 def test_sweep_without_shots_makes_no_generator(monkeypatch, name):
     """Only the Monte Carlo draw is random: the Cramer-Rao margin is an eigenvalue, not a sampled minimum."""
     sc = build_scenario(name, seed=1)
-    keys = []
+    made, keys = [], []
     philox = np.random.Philox
 
-    def counting(*args, **kwargs):
-        keys.append(kwargs.get("key"))
-        return philox(*args, **kwargs)
+    class Recording(philox):
+        """A Philox that records its construction and every key set through its state."""
 
-    monkeypatch.setattr(np.random, "Philox", counting)
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("key"))
+            super().__init__(*args, **kwargs)
+
+        @property
+        def state(self):
+            return philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            keys.append(value["state"]["key"].tolist())
+            philox.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "Philox", Recording)
     run_sweep(sc, shots=0)
-    assert keys == []
+    assert made == keys == []
     run_sweep(sc, shots=10)
+    # one generator for the grid's one grouping, re-keyed for each point
+    assert len(made) == 1
     assert keys == [[sc.sweep.monte_carlo_seed(t), 0] for t in range(len(sc.sweep.scales))]
 
 

@@ -35,6 +35,10 @@ DIGESTS = {
     ("ancilla-bell", 2, 1000): "c859fa50b3fba3a72ff2e45c99a4061e72975acdca8c0a2bf7824c9190fe9d81",
     ("ancilla-bell", 3, 0): "395491024e0c264aebf9dc43ac9e2a80ac7f9612dc615c9f638dc359034eacb3",
     ("ancilla-bell", 3, 1000): "fae4928fc3d4b650faa4f3d78d9f13b47949cd1d2e9d860fec9892fe393f2690",
+    # 10**8 shots, the monte-carlo workload's draw size
+    ("three-level", 1, 10**8): "b577d5b3f6a29b49210fb639ce607111a12b56d480962acce94f90c6b3e82a97",
+    ("pauli2", 1, 10**8): "2da6ee9f7758f7eb2a227a3b604b426a59b18fcd1930d1c9f538d4e9ac63b1d7",
+    ("ancilla-bell", 1, 10**8): "f7b7f7677c1b572e86e06a1fd655b6ab7b61c112233f7398802431ad6ae01953",
 }
 
 

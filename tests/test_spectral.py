@@ -5,6 +5,7 @@ import pytest
 
 from lownoise.channels import pure_state_density, sqrt_completion_channel
 from lownoise.errors import ConfigInvalid, DegenerateSamples, DimensionMismatch, ReductionInvalid
+from lownoise.curves import eigencurve_derivatives
 from lownoise.linalg import fit_or_floor
 from lownoise.scenarios import (
     random_channel,
@@ -418,3 +419,22 @@ def test_stacked_cross_checks_equal_one_point_calls(dim, num, seed):
         assert residuals[t] == scalar_trace_power_residual(one_lead, one_lm, kmax=5)
         assert np.array_equal(reduced[t], reduced_shifts(one_lm, dim))
         assert np.array_equal(lead_vals[t], deviation_eigenvalues(one_lead))
+
+
+def test_a_degenerate_row_of_a_stack_equals_its_one_point_call():
+    """Only the row with a degenerate cluster is refined, and every row equals its one-point call bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=[4, 0x44454745]))
+    g = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    frames = np.linalg.qr(g)[0]
+    spectra = np.array([[0.7, 0.2, 0.08, 0.02], [0.6, 0.15, 0.15, 0.1], [0.5, 0.3, 0.15, 0.05]])
+    matrices = (frames * spectra[:, None, :]) @ frames.conj().swapaxes(-1, -2)
+    h = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+    derivatives = h + h.conj().swapaxes(-1, -2)
+    values, vectors, derivs = eigencurve_derivatives(matrices, derivatives)
+    for b in range(3):
+        one = eigencurve_derivatives(matrices[b], derivatives[b])
+        assert all(np.array_equal(stacked[b], single) for stacked, single in zip((values, vectors, derivs), one))
+    # row 1's cluster at 0.15 is rotated to diagonalise the first derivative on its eigenspace
+    cols = vectors[1][:, 1:3]
+    restricted = cols.conj().T @ ((derivatives[1, 0] + derivatives[1, 0].conj().T) / 2) @ cols
+    assert np.max(np.abs(restricted - np.diag(np.diag(restricted)))) <= 1e-12 * np.max(np.abs(restricted))
