@@ -52,7 +52,6 @@ from .fisher import (
     classical_fisher,
     divergent_fisher,
     fisher_inverse,
-    fisher_pseudo_inverse,
     nondegeneracy_det,
     pure_input_dominance,
     quantum_fisher,

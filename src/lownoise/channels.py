@@ -133,7 +133,9 @@ class LowNoiseChannel:
     identity family is the square-root completion, and generators is its
     optional (D, N, N) stack of Hermitian G_mu.
     ``sqrt_completion_channel`` builds a completion channel from
-    per-parameter lists of jump operators.
+    per-parameter lists of jump operators.  Every channel is validated on
+    construction: its identity limit, non-vanishing and non-proportional
+    jumps, and first-order trace preservation.
     """
 
     def __init__(
@@ -144,7 +146,6 @@ class LowNoiseChannel:
         params,
         affine: tuple | None = None,
         generators=None,
-        validate: bool = True,
     ):
         self.dim = int(dim)
         self.num_params = int(num_params)
@@ -172,8 +173,7 @@ class LowNoiseChannel:
         self._sums = np.zeros((self.num_params, self.dim, self.dim), dtype=complex)
         for mu, gram in zip(self.params, self._gram):
             self._sums[mu] += gram
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- validation ---------------------------------------------------------
 
@@ -425,7 +425,6 @@ def _jump_stack(per_param: Sequence[Sequence[np.ndarray]]) -> tuple[list, list[i
 def sqrt_completion_channel(
     jump_operators: Sequence[Sequence[np.ndarray]],
     generators: Sequence[np.ndarray] | None = None,
-    validate: bool = True,
 ) -> LowNoiseChannel:
     """Build an exactly trace-preserving channel from jump operators alone.
 
@@ -442,7 +441,7 @@ def sqrt_completion_channel(
     jumps, params = _jump_stack(jump_operators)
     if generators is not None:
         generators = [require_hermitian(np.asarray(g, dtype=complex), 1e-10) for g in generators]
-    return LowNoiseChannel(dim, num_params, jumps, params, generators=generators, validate=validate)
+    return LowNoiseChannel(dim, num_params, jumps, params, generators=generators)
 
 
 # ---------------------------------------------------------------------------

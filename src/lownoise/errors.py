@@ -1,4 +1,5 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the one check of integer counts and seeds."""
+import operator
 
 
 class LowNoiseError(Exception):
@@ -55,3 +56,17 @@ class ConfigInvalid(LowNoiseError):
 
 class IOFailure(LowNoiseError):
     """Report could not be written or read."""
+
+
+def require_int(value, what: str, low: int, high: int | None = None) -> int:
+    """value as a Python int: ConfigInvalid unless it is a Python or numpy integer, not a bool, in [low, high)."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n >= low and (high is None or n < high):
+                return n
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ConfigInvalid(f"{what} must be an integer {bound}, got {value!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadProbabilities, ConfigInvalid, DimensionMismatch, EmptySum
+from .errors import BadProbabilities, DimensionMismatch, EmptySum, require_int
 from .fisher import FisherMatrix, included_shifts
 from .linalg import dagger, eigensolve, frobenius
 from .spectral import OutputSpectrum
@@ -225,15 +225,12 @@ def sample_measurements(
     shots.  A stacked POVM takes (B, n) q, (B, D) eps_true and a sequence
     of B seeds: one generator is re-keyed for each row, which draws what a
     fresh generator with that key draws; with B > 1 a BadProbabilities
-    error names its row.  ConfigInvalid if shots is below 1 or a seed lies
-    outside [0, 2**64); DimensionMismatch unless there is one seed a row.
+    error names its row.  ConfigInvalid unless shots is an integer >= 1 and
+    each seed an integer in [0, 2**64); DimensionMismatch unless there is
+    one seed a row.
     """
-    if shots < 1:
-        raise ConfigInvalid(f"shots must be >= 1, got {shots}")
-    seeds = [seed] if povm.estimates.ndim == 2 else list(seed)
-    for s in seeds:
-        if not 0 <= s < 2**64:
-            raise ConfigInvalid(f"Monte Carlo seed must lie in [0, 2**64), got {s}")
+    shots = require_int(shots, "shots", 1)
+    seeds = [require_int(s, "Monte Carlo seed", 0, 2**64) for s in ([seed] if povm.estimates.ndim == 2 else seed)]
     q = _outcomes(povm, q)
     estimates, q, eps_true = povm.estimates, np.atleast_2d(q), np.asarray(eps_true, dtype=float)
     if len(seeds) != len(q):

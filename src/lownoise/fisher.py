@@ -122,7 +122,11 @@ def nondegeneracy_det(probs: np.ndarray, dprobs: np.ndarray) -> float | np.ndarr
 
 
 def _kept_inverse(fm: FisherMatrix) -> tuple[FisherMatrix, np.ndarray, np.ndarray]:
-    """One eigensolve per matrix: fm inverted over eigenvalues above PINV_RCOND x the largest, |w|, the kept mask."""
+    """One eigensolve per matrix: fm inverted over eigenvalues above PINV_RCOND x the largest, |w|, the kept mask.
+
+    On a rank-deficient matrix the inverse is the Moore-Penrose inverse;
+    the zero matrix has the zero inverse and condition number inf.
+    """
     entries = np.asarray(fm.entries, dtype=float)
     w, v = eigensolve((entries + entries.swapaxes(-1, -2)) / 2)
     mag = np.abs(w)
@@ -147,17 +151,6 @@ def fisher_inverse(fm: FisherMatrix) -> FisherMatrix:
         bad = mag[singular][0]  # a 0-d mask takes the one matrix as a row
         raise SingularFisher(f"Fisher matrix numerically singular (eigenvalue magnitudes {min(bad):g} to {max(bad):g})")
     return inverted
-
-
-def fisher_pseudo_inverse(fm: FisherMatrix) -> FisherMatrix:
-    """Moore-Penrose inverse for rank-deficient Fisher matrices.
-
-    Used by the negative-control path when the divergent part is singular;
-    the resulting estimator is only unbiased inside the row space.
-    Eigenvalues at most PINV_RCOND times the largest magnitude count as
-    zero; the zero matrix has the zero inverse and condition number inf.
-    """
-    return _kept_inverse(fm)[0]
 
 
 def pure_input_dominance(

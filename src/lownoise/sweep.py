@@ -16,7 +16,7 @@ import numpy as np
 
 from . import estimator as est
 from . import fisher, spectral
-from .errors import ConfigInvalid, LowNoiseError
+from .errors import LowNoiseError, require_int
 from .linalg import MIN_FIT_SAMPLES, eigensolve, fit_or_floor, frobenius, guarded, richardson_zero_limit
 from .report import Report, config_hash
 from .scenarios import Scenario, scenario_to_config
@@ -180,10 +180,9 @@ def run_sweep(sc: Scenario, shots: int = 0) -> Report:
     by point so each failure is recorded at its own point.  Shifts are
     classified over the scales whose spectrum succeeded; if that fails,
     every point records the classification error.
-    ConfigInvalid if shots, the Monte Carlo shots per point, is negative.
+    ConfigInvalid unless shots, the Monte Carlo shots per point, is an integer >= 0.
     """
-    if shots < 0:
-        raise ConfigInvalid(f"shots must be >= 0, got {shots}")
+    shots = require_int(shots, "shots", 0)
     scales = np.asarray(sc.sweep.scales, dtype=float)
     direction = np.asarray(sc.sweep.direction, dtype=float)
 

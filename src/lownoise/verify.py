@@ -16,7 +16,7 @@ import numpy as np
 
 from . import curves, estimator as est, fisher, spectral
 from .channels import pure_state_density
-from .errors import ConfigInvalid, SingularFisher
+from .errors import SingularFisher, require_int
 from .linalg import fit_or_floor, richardson_zero_limit
 from .scenarios import random_channel, random_scenario, scenario_ancilla_bell, scenario_pauli2, scenario_threelevel
 from .sweep import FIT_FLOOR, run_sweep
@@ -209,8 +209,7 @@ def _seed_params(seed: int) -> tuple[int, int]:
 
 def check_property_suite(num_seeds: int = 100) -> CheckResult:
     """Criterion 6: per-seed checks in two passes around three fits, each stacked over all seeds."""
-    if num_seeds < 1:
-        raise ConfigInvalid(f"the property suite needs at least one seed, got {num_seeds}")
+    num_seeds = require_int(num_seeds, "the property suite's seed count", 1)
     start = time.perf_counter()
     kept, remainders = [], []
     for seed in range(num_seeds):
@@ -302,8 +301,7 @@ def check_monte_carlo(shots: int = 10**6) -> CheckResult:
     Each point's empirical MSE must lie within 4 standard errors of its
     analytic MSE, and a second sweep must render the same bytes.
     """
-    if shots < 1:
-        raise ConfigInvalid(f"the Monte Carlo check needs at least one shot, got {shots}")
+    shots = require_int(shots, "the Monte Carlo check's shot count", 1)
     start = time.perf_counter()
     sc = scenario_ancilla_bell(scales=MONTE_CARLO_SCALES, seed=MONTE_CARLO_SEED)
     report = run_sweep(sc, shots)
@@ -329,9 +327,8 @@ ALL_CHECKS = [
 
 
 def run_all(num_seeds: int = 100, shots: int = 10**6) -> list[CheckResult]:
-    """Every check in order; ConfigInvalid before any runs if a count is below 1."""
-    if num_seeds < 1 or shots < 1:
-        raise ConfigInvalid(f"verify needs at least one seed and one shot, got {num_seeds} seeds and {shots} shots")
+    """Every check in order; ConfigInvalid before any runs unless both counts are integers >= 1."""
+    num_seeds, shots = require_int(num_seeds, "verify's seed count", 1), require_int(shots, "verify's shot count", 1)
     results = []
     for fn in ALL_CHECKS:
         if fn is check_property_suite:

@@ -86,10 +86,12 @@ class TestTPCPResidual:
         for s in np.geomspace(1e-5, 1e-2, 8):
             assert ch.tpcp_residual(np.full(2, s / 2)) <= 1e-12
 
-    def test_rescaled_weight_detected(self):
+    def test_rescaled_weight_detected(self, monkeypatch):
         # weight 1.01 breaks sum |kappa|^2 = 1; residual at eps=0 is (1.01^2-1) sqrt(N)
         affine = ([1.01], [[0.5 * np.eye(2)]])
-        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=affine, validate=False)
+        with monkeypatch.context() as m:  # an unchecked channel, for its residual
+            m.setattr(LowNoiseChannel, "_validate", lambda self: None)
+            ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=affine)
         res = ch.tpcp_residual(np.zeros(1))
         assert abs(res - (1.01**2 - 1) * np.sqrt(2)) <= 1e-12
         with pytest.raises(InconsistentKrausData):
@@ -325,11 +327,13 @@ class TestHamiltonianGenerator:
         for mu in range(2):
             assert np.linalg.norm(ch.hamiltonian_generator(mu) - gs[mu]) <= 1e-10
 
-    def test_inconsistent_linear_term_detected(self):
+    def test_inconsistent_linear_term_detected(self, monkeypatch):
         # with S = X^dag X = 1 the consistent linear coefficient is 1 / 2; perturb it
         # without compensating the jump side
         bad = ([1.0], [[0.5 * np.eye(2) + 1e-3 * SIGMA_X]])
-        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=bad, validate=False)
+        with monkeypatch.context() as m:  # an unchecked channel, for its generator
+            m.setattr(LowNoiseChannel, "_validate", lambda self: None)
+            ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=bad)
         with pytest.raises(InconsistentKrausData):
             ch.hamiltonian_generator(0)
         with pytest.raises(InconsistentKrausData):
@@ -387,7 +391,7 @@ class TestFiniteDifference:
 
     def test_constant_map_gives_zero(self):
         affine = ([1.0], [[np.zeros((2, 2))]])
-        ch = LowNoiseChannel(2, 1, [], [], affine=affine, validate=False)  # oracle fixture only
+        ch = LowNoiseChannel(2, 1, [], [], affine=affine)
         rho = pure_state_density(np.array([1.0, 0.0], dtype=complex))
         fd = ch.finite_difference_derivative(rho, 0, np.zeros(1), h=1e-4)
         np.testing.assert_allclose(fd, np.zeros((2, 2)), atol=1e-12)
@@ -500,7 +504,7 @@ class TestConfigRoundTrip:
         np.testing.assert_allclose(ch.apply(rho, eps), ch2.apply(rho, eps), atol=1e-15)
 
     def test_explicit_round_trips_coefficients(self):
-        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]), validate=False)
+        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]))
         cfg = channel_to_config(ch)
         ch2 = channel_from_config(cfg)
         assert channel_to_config(ch2) == cfg
@@ -553,7 +557,7 @@ class TestConfigRoundTrip:
             channel_from_config(dict(cfg, builder="explicit", identity_terms=terms))
 
     def test_non_finite_entries_rejected(self):
-        cfg = channel_to_config(LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]), validate=False))
+        cfg = channel_to_config(LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]])))
         bad_matrix = json.loads(json.dumps(cfg))
         bad_matrix["jump_operators"][0]["matrix"][0][1] = [float("inf"), 0.0]
         bad_weight = json.loads(json.dumps(cfg))

@@ -22,9 +22,9 @@ from lownoise.estimator import (
 )
 from lownoise.fisher import (
     FisherMatrix,
+    _kept_inverse,
     divergent_fisher,
     fisher_inverse,
-    fisher_pseudo_inverse,
     quantum_fisher,
 )
 from lownoise.linalg import fit_or_floor
@@ -265,7 +265,7 @@ def _grid_scores(ch, phi, direction):
         try:
             jdiv_inv = fisher_inverse(jdiv)
         except SingularFisher:
-            jdiv_inv = fisher_pseudo_inverse(jdiv)
+            jdiv_inv = _kept_inverse(jdiv)[0]
         yield spec, included, jdiv_inv, raise_index(build_score_operators(spec, included), jdiv_inv)
 
 
@@ -328,12 +328,20 @@ def test_estimates_match_dense_reference_on_builtins(name):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def bell_projectors_zero(bell) -> list[np.ndarray]:
+    """ancilla-bell's zero-noise projectors: the Bell input, the frame's first column, and (f2 +- f3)/sqrt(2)."""
+    f1, f2, f3 = bell.frame.T
+    v23p = (f2 + f3) / np.sqrt(2)
+    v23m = (f2 - f3) / np.sqrt(2)
+    return [np.outer(v, v.conj()) for v in (bell.input_state, f1, v23p, v23m)]
+
+
 class TestBuildPOVM:
     def test_bell_projectors_match_reference_frame(self, bell):
         eps, spec, jdiv, score = estimator_pipeline(bell, 3e-4)
         povm = build_povm(score)
         projectors = dense_projectors(povm)
-        refs = bell.closed_forms["projectors_zero"]()
+        refs = bell_projectors_zero(bell)
         # informative outcomes: the eps_1 and eps_2 shift projectors
         v23p = refs[2]
         f1 = refs[1]
@@ -574,6 +582,21 @@ class TestSampling:
         with pytest.raises(ConfigInvalid):
             sample_measurements(povm, outcome_probabilities(povm, spec.probs), eps, shots=10, seed=seed)
 
+    @pytest.mark.parametrize("shots, seed", [(10, 3.5), (10, "3"), (10, True), (2.5, 1), ("3", 1), (True, 1)])
+    def test_count_or_seed_that_is_not_an_integer_is_a_config_error(self, bell, shots, seed):
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
+        povm = build_povm(score)
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            sample_measurements(povm, outcome_probabilities(povm, spec.probs), eps, shots=shots, seed=seed)
+
+    def test_numpy_integers_draw_what_python_integers_draw(self, bell):
+        eps, spec, jdiv, score = estimator_pipeline(bell, 3e-3)
+        povm = build_povm(score)
+        q = outcome_probabilities(povm, spec.probs)
+        a = sample_measurements(povm, q, eps, shots=np.int64(1000), seed=np.uint64(2**63 + 5))
+        b = sample_measurements(povm, q, eps, shots=1000, seed=2**63 + 5)
+        assert np.array_equal(a.entries, b.entries) and np.array_equal(a.standard_error, b.standard_error)
+
     def test_verify_check_rejects_shot_count_below_one(self):
         with pytest.raises(ConfigInvalid):
             verify.check_monte_carlo(shots=0)
@@ -619,7 +642,7 @@ def test_stacked_rows_equal_one_point_calls(name):
     labels, _ = classify_shift_curves(sc.sweep.scales, stack.shifts())
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
     jdiv = divergent_fisher(stack.shifts(), stack.shift_gradients(), included)
-    score = raise_index(build_score_operators(stack, included), fisher_pseudo_inverse(jdiv))
+    score = raise_index(build_score_operators(stack, included), _kept_inverse(jdiv)[0])
     (rows, povm), = build_povm(score)  # the grid's points share one grouping
     assert rows == list(range(len(sc.sweep.scales)))
     q = outcome_probabilities(povm, stack.probs)
@@ -628,7 +651,7 @@ def test_stacked_rows_equal_one_point_calls(name):
     for t in range(len(sc.sweep.scales)):
         spec = stack[t]
         one_div = divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
-        one = build_povm(raise_index(build_score_operators(spec, included), fisher_pseudo_inverse(one_div)))
+        one = build_povm(raise_index(build_score_operators(spec, included), _kept_inverse(one_div)[0]))
         assert np.array_equal(povm.estimates[t], one.estimates) and povm.groups == one.groups
         one_q = outcome_probabilities(one, spec.probs)
         one_mse = analytic_mse(one, one_q, spec.eps)
@@ -729,7 +752,7 @@ def test_stacked_povm_rows_equal_one_point_calls(source):
                 labels, _ = classify_shift_curves(DEFAULT_SCALES, stack.shifts())
                 included = [i for i, lab in enumerate(labels) if lab == "order-1"]
                 jdiv = divergent_fisher(stack.shifts(), stack.shift_gradients(), included)
-                scores.append(raise_index(build_score_operators(stack, included), fisher_pseudo_inverse(jdiv)))
+                scores.append(raise_index(build_score_operators(stack, included), _kept_inverse(jdiv)[0]))
     for score in scores:
         stacks = build_povm(score)
         refs = [reference_povm(_one_point(score, b)) for b in range(len(score.estimates))]

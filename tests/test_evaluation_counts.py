@@ -137,13 +137,13 @@ def test_evaluate_forms_the_jump_images_once(monkeypatch):
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """Entries inverted by fisher_inverse, fisher_pseudo_inverse and the eigensolve they share, by name.
+    """Entries inverted by fisher_inverse and the eigensolve it shares with the sweep, by name.
 
     Each is wrapped in every module that holds it; ``_kept_inverse`` is
-    also what fisher_inverse and fisher_pseudo_inverse call.
+    also what fisher_inverse calls.
     """
     calls = defaultdict(list)
-    for name in ("fisher_inverse", "fisher_pseudo_inverse", "_kept_inverse"):
+    for name in ("fisher_inverse", "_kept_inverse"):
         original = getattr(fisher, name)
 
         def counting(fm, _name=name, _original=original):
@@ -165,7 +165,6 @@ def test_sweep_inverts_each_fisher_matrix_once(inversions):
     assert [m.tolist() for m in quantum] == [p["quantum_fisher"] for p in report.points]
     assert [m.tolist() for m in divergent] == [p["divergent_fisher"] for p in report.points]
     assert len(inversions["fisher_inverse"]) == 1 and inversions["fisher_inverse"][0] is quantum
-    assert not inversions["fisher_pseudo_inverse"]
 
 
 def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypatch):
@@ -185,14 +184,14 @@ def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypa
     assert all(p["pseudo"] and p["error"] is None for p in report.points)
     # the quantum stack, and the divergent one whose kept mask marks every row singular
     assert [len(m) for m in inversions["_kept_inverse"]] == [len(sc.sweep.scales)] * 2
-    assert not raised and not inversions["fisher_pseudo_inverse"]
+    assert not raised
     stack = spectral.output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, sc.sweep.scales)
     included = [i for i, lab in enumerate(report.shift_labels) if lab == "order-1"]
     for t, point in enumerate(report.points):
         spec = stack[t]
         jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included)
         score = estimator.build_score_operators(spec, included)
-        povm = estimator.build_povm(estimator.raise_index(score, fisher.fisher_pseudo_inverse(jdiv)))
+        povm = estimator.build_povm(estimator.raise_index(score, fisher._kept_inverse(jdiv)[0]))
         assert point["estimates"] == [[float(x) for x in row] for row in povm.estimates]
 
 

@@ -8,17 +8,20 @@ from lownoise.errors import DimensionMismatch, EmptySum, NoConvergence, Singular
 from lownoise.estimator import build_score_operators
 from lownoise.fisher import (
     FisherMatrix,
+    _kept_inverse,
     classical_fisher,
     support_threshold,
     divergent_fisher,
     fisher_inverse,
-    fisher_pseudo_inverse,
     nondegeneracy_det,
     pure_input_dominance,
     quantum_fisher,
 )
 from lownoise.linalg import dagger, fit_or_floor
 from lownoise.scenarios import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     random_channel,
     random_input_state,
     scenario_ancilla_bell,
@@ -62,6 +65,24 @@ def sld_operators(probs, basis, drho) -> SLDSet:
         lmat = (lmat + dagger(lmat)) / 2
         ops.append(basis @ lmat @ dagger(basis))
     return SLDSet(operators=tuple(ops), support_threshold=float(threshold), dropped_weight=dropped)
+
+
+def pauli_sld_closed(eps) -> list[np.ndarray]:
+    """pauli2's SLDs in Bloch form, L_mu = l0 1 + l . sigma, for its input Bloch vector r = (1, 1, 1)/sqrt(3).
+
+    The output Bloch vector is y(eps), its derivatives dy_mu, and the
+    purity gap 1 - |y|^2 is written without cancellation.
+    """
+    r = np.ones(3) / np.sqrt(3)
+    e1, e2 = float(eps[0]), float(eps[1])
+    y = np.array([(1 - 2 * e2) * r[0], (1 - 2 * e1 - 2 * e2) * r[1], (1 - 2 * e1) * r[2]])
+    gap = r[0] ** 2 * 4 * e2 * (1 - e2) + r[1] ** 2 * 4 * (e1 + e2) * (1 - e1 - e2) + r[2] ** 2 * 4 * e1 * (1 - e1)
+    ops = []
+    for dy in (np.array([0.0, -2 * r[1], -2 * r[2]]), np.array([-2 * r[0], -2 * r[1], 0.0])):
+        v = 2 * dy @ y  # d |y|^2 / d eps_mu
+        lvec = dy + 0.5 * (v / gap) * y
+        ops.append(-0.5 * v / gap * np.eye(2, dtype=complex) + lvec[0] * SIGMA_X + lvec[1] * SIGMA_Y + lvec[2] * SIGMA_Z)
+    return ops
 
 
 def sld_fisher_cross_check(probs, basis, slds):
@@ -154,7 +175,7 @@ class TestSLD:
     def test_pauli_closed_form(self, pauli):
         eps, spec = pipeline_quantities(pauli, 1e-3)
         slds = sld_operators(spec.probs, spec.basis, spec.derivatives)
-        closed = pauli.closed_forms["sld"](eps)
+        closed = pauli_sld_closed(eps)
         for got, want in zip(slds.operators, closed):
             assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -327,9 +348,9 @@ class TestFisherInverse:
         factors = rng.normal(size=(5, 3, 3))
         stack = factors @ factors.swapaxes(-1, -2)
         stack[3] = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])  # rank one
-        pinv = fisher_pseudo_inverse(FisherMatrix(entries=stack))
+        pinv = _kept_inverse(FisherMatrix(entries=stack))[0]
         for t in range(len(stack)):
-            one = fisher_pseudo_inverse(FisherMatrix(entries=stack[t]))
+            one = _kept_inverse(FisherMatrix(entries=stack[t]))[0]
             assert np.array_equal(pinv.inverse[t], one.inverse)
             assert pinv.condition_number[t] == one.condition_number
         regular = np.delete(stack, 3, axis=0)
@@ -350,7 +371,7 @@ class TestFisherInverse:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         fm = divergent_fisher(np.array([1e-3]), np.array([[1.0], [2.0]]), [0])
         with pytest.raises(NoConvergence):
-            fisher_pseudo_inverse(fm)
+            _kept_inverse(fm)[0]
 
     def test_bell_inverse_closed_form(self, bell):
         eps, spec = pipeline_quantities(bell, 3e-3)
@@ -390,13 +411,13 @@ class TestFisherInverse:
             fisher_inverse(fm)
         with pytest.raises(SingularFisher):
             fisher_inverse(FisherMatrix(entries=np.zeros((3, 3))))
-        pinv = fisher_pseudo_inverse(fm)
+        pinv = _kept_inverse(fm)[0]
         assert np.linalg.norm(pinv.inverse @ fm.entries @ pinv.inverse - pinv.inverse) <= 1e-10
         np.testing.assert_allclose(pinv.inverse, np.linalg.pinv(fm.entries, rcond=1e-12, hermitian=True), atol=1e-15)
         assert pinv.condition_number == 1.0
 
     def test_pseudo_inverse_of_zero_matrix(self):
-        pinv = fisher_pseudo_inverse(FisherMatrix(entries=np.zeros((2, 2))))
+        pinv = _kept_inverse(FisherMatrix(entries=np.zeros((2, 2))))[0]
         assert np.array_equal(pinv.inverse, np.zeros((2, 2)))
         assert pinv.condition_number == float("inf")
 

@@ -4,7 +4,7 @@ import pytest
 from lownoise.channels import channel_to_config, pure_state_density
 from lownoise.errors import ConfigInvalid
 from lownoise.report import config_hash
-from lownoise.spectral import output_shift_curves
+from lownoise.spectral import jump_covariance, output_shift_curves
 from lownoise.sweep import run_sweep
 from lownoise.scenarios import (
     SweepConfig,
@@ -46,18 +46,12 @@ class TestRandomChannel:
 class TestThreeLevelScenario:
     def test_default_conditions_hold(self):
         sc = scenario_threelevel()
-        dm = sc.closed_forms["covariance_elements"]()
+        dm = jump_covariance(sc.channel, sc.input_state, np.ones(2))
         a, d = dm[0, 0].real, dm[1, 1].real
         det = a * d - (dm[0, 1] * dm[1, 0]).real
         assert det == pytest.approx(1 / 54, rel=1e-12)
         n1, n2 = sc.sweep.direction
         assert abs(n1 * a - n2 * d) == pytest.approx(1 / 18, rel=1e-12)
-
-    def test_singular_covariance_rejected(self):
-        m1 = np.zeros((3, 3), dtype=complex)
-        m1[1, 0] = 1.0
-        with pytest.raises(ConfigInvalid):
-            scenario_threelevel(m1=m1, m2=0.5 * m1)
 
     def test_degenerate_direction_rejected(self):
         with pytest.raises(ConfigInvalid, match="direction"):
@@ -65,10 +59,6 @@ class TestThreeLevelScenario:
 
 
 class TestPauliScenario:
-    def test_bad_input_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            scenario_pauli2(input_bloch=np.array([0.5, 0.0, 0.0]))
-
     def test_input_state_matches_bloch(self):
         sc = scenario_pauli2()
         rho = pure_state_density(sc.input_state)
@@ -105,6 +95,12 @@ class TestSweepConfig:
             SweepConfig(direction=(0.7, 0.7))
         with pytest.raises(ConfigInvalid):
             SweepConfig(direction=(1.2, -0.2))
+
+    @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
+    @pytest.mark.parametrize("sweep", [dict(direction="ab"), dict(scales=["x"]), dict(direction=[[0.5], [0.25, 0.25]])])
+    def test_direction_or_scales_that_are_not_numbers_rejected(self, name, sweep):
+        with pytest.raises(ConfigInvalid, match="must be numbers"):
+            build_scenario(name, **sweep)
 
     def test_seed_keys_span_the_philox_range(self):
         # grid point t draws its Monte Carlo shots with key seed * 1009 + t < 2**64

@@ -204,7 +204,8 @@ class TestJumpCovariance:
     def test_threelevel_matches_covariance_elements(self, threelevel):
         eps = np.array([1e-3, 2e-3])
         lm = jump_covariance(threelevel.channel, threelevel.input_state, eps)
-        dm = threelevel.closed_forms["covariance_elements"]()
+        # <M_i^dag M_j> - <M_i^dag><M_j> on the uniform input: M_1 = |1><0|, M_2 = (|1> + |2>)<0| / sqrt(2)
+        dm = np.array([[2 / 9, np.sqrt(2) / 18], [np.sqrt(2) / 18, 1 / 9]])
         want = np.sqrt(np.outer(eps, eps)) * dm
         np.testing.assert_allclose(lm, want, atol=1e-15)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lownoise import fisher, spectral, sweep
-from lownoise.errors import IOFailure, LowNoiseError, SingularFisher
+from lownoise.errors import ConfigInvalid, IOFailure, LowNoiseError, SingularFisher
 from lownoise.report import (
     CSV_COLUMNS,
     emit_report,
@@ -279,6 +279,20 @@ class TestRunSweep:
         checks = {c["name"]: c for c in report.checks}
         assert checks["cr_direction"]["expected_failure"] and not checks["attainment"]["passed"]
         assert parse_jsonl(render_jsonl(report, with_meta=False)) == report.records()
+
+    @pytest.mark.parametrize("shots", [2.5, "3", True, -1])
+    def test_shots_that_are_not_a_count_are_rejected_before_any_point(self, monkeypatch, shots):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(spectral, "output_shift_curves", unreachable)
+        with pytest.raises(ConfigInvalid, match="shots must be an integer >= 0"):
+            run_sweep(scenario_ancilla_bell(), shots=shots)
+
+    def test_numpy_shot_count_gives_the_python_count_report(self):
+        sc = scenario_ancilla_bell(scales=FAST_SCALES)
+        want = render_jsonl(run_sweep(sc, shots=1000), with_meta=False)
+        assert render_jsonl(run_sweep(sc, shots=np.int64(1000)), with_meta=False) == want
 
     def test_monte_carlo_points(self):
         report = run_sweep(scenario_ancilla_bell(scales=FAST_SCALES), shots=2000)

@@ -19,7 +19,7 @@ import pytest
 
 from lownoise import fisher, spectral, sweep, verify
 from lownoise.channels import pure_state_density
-from lownoise.errors import SingularFisher
+from lownoise.errors import ConfigInvalid, SingularFisher
 from lownoise.linalg import fit_or_floor
 from lownoise.scenarios import DEFAULT_SCALES, random_scenario, scenario_ancilla_bell, scenario_pauli2
 from lownoise.sweep import FIT_FLOOR, run_sweep
@@ -199,6 +199,23 @@ def test_property_suite_failure_lines_keep_their_order_within_a_seed(monkeypatch
 def test_property_suite_runs_on_one_seed():
     result = verify.check_property_suite(1)
     assert (result.name, result.passed, result.detail) == ("property suite (1 seeds)", True, "ok")
+
+
+@pytest.mark.parametrize("count", [2.5, "3", True, 0])
+@pytest.mark.parametrize("check", [verify.check_property_suite, verify.check_monte_carlo])
+def test_check_count_that_is_not_a_positive_integer_is_a_config_error(check, count):
+    with pytest.raises(ConfigInvalid, match="must be an integer >= 1"):
+        check(count)
+
+
+@pytest.mark.parametrize("counts", [(2.5, 10), (1, "3"), (True, 10)])
+def test_run_all_rejects_a_count_before_any_check_runs(monkeypatch, counts):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", [unreachable])
+    with pytest.raises(ConfigInvalid, match="must be an integer >= 1"):
+        verify.run_all(*counts)
 
 
 # ---------------------------------------------------------------------------
