@@ -4,17 +4,18 @@ A channel here is a family of completely positive trace-preserving maps
 indexed by a vector of small non-negative noise strengths eps = (eps_1,
 ..., eps_D).  Its Kraus data are plain arrays.  The jump operators form a
 (K, N, N) stack M with a (K,) parameter index: jump k enters with weight
-eps[params[k]].  The identity-like family reduces to kappa * 1 at eps = 0
-and comes in one of two kinds:
+eps[params[k]].  The identity-like family is the square-root completion,
+the single operator exp(-i sum eps_mu G_mu) sqrt(1 - sum eps_mu S_mu),
+with S_mu the dissipator sums of the jump stack and G_mu an optional
+(D, N, N) stack of Hermitian generators (none means all zero).  It is
+trace-preserving wherever it exists.
 
-- explicit affine data: (I,) weights kappa_i and an (I, D, N, N) linear
-  stack L, giving the operators kappa_i * 1 - sum_mu eps_mu L[i, mu];
-- otherwise the square-root completion, the single operator
-  exp(-i sum eps_mu G_mu) sqrt(1 - sum eps_mu S_mu), with S_mu the
-  dissipator sums of the jump stack and G_mu an optional (D, N, N) stack
-  of Hermitian generators (none means all zero).
+An "explicit" config's identity operators kappa_i * 1 - sum_mu eps_mu
+L[i, mu] are read as the completion with their first-order content, the
+generators G_mu = i (S_mu / 2 - sum_i conj(kappa_i) L[i, mu]); its output
+differs from theirs at second order in eps.
 
-Both kinds have an exact eps-derivative; ``LowNoiseChannel.evaluate``
+The completion has an exact eps-derivative; ``LowNoiseChannel.evaluate``
 returns the output state, its derivatives and the completeness residual
 from one evaluation of the Kraus operators.  Evaluation takes one noise
 vector of shape (D,) or a stack of B of them, shape (B, D): a stack is
@@ -78,6 +79,14 @@ def _summed(terms, shape: tuple[int, ...]) -> np.ndarray:
     return reduce(np.add, terms, np.zeros(shape, dtype=complex))
 
 
+def _param_sums(gram: np.ndarray, params: np.ndarray, num_params: int) -> np.ndarray:
+    """S_mu, the sum of the (K, N, N) stack gram = M_k^dag M_k over parameter mu's jumps, in stack order."""
+    sums = np.zeros((num_params,) + gram.shape[1:], dtype=complex)
+    for mu, g in zip(params, gram):
+        sums[mu] += g
+    return sums
+
+
 class ChannelEvaluation(NamedTuple):
     """Channel output at a noise point, with its exact eps-derivatives.
 
@@ -128,14 +137,12 @@ class LowNoiseChannel:
     """A D-parameter dissipative low-noise channel on an N-dimensional system.
 
     jumps is the (K, N, N) jump stack and params its (K,) 0-based
-    parameter index.  affine = (weights, linear), of shapes (I,) and
-    (I, D, N, N), makes the identity family explicit; without it the
-    identity family is the square-root completion, and generators is its
-    optional (D, N, N) stack of Hermitian G_mu.
+    parameter index.  The identity family is the square-root completion,
+    and generators is its optional (D, N, N) stack of Hermitian G_mu.
     ``sqrt_completion_channel`` builds a completion channel from
     per-parameter lists of jump operators.  Every channel is validated on
-    construction: its identity limit, non-vanishing and non-proportional
-    jumps, and first-order trace preservation.
+    construction: non-vanishing and non-proportional jumps, and trace
+    preservation.
     """
 
     def __init__(
@@ -144,7 +151,6 @@ class LowNoiseChannel:
         num_params: int,
         jumps,
         params,
-        affine: tuple | None = None,
         generators=None,
     ):
         self.dim = int(dim)
@@ -155,37 +161,18 @@ class LowNoiseChannel:
             raise DimensionMismatch("need one parameter index per jump operator")
         if np.any((self.params < 0) | (self.params >= self.num_params)):
             raise ConfigInvalid("jump parameter index out of range")
-        self.weights = self.linear = None
-        if affine is not None:
-            self.weights = np.asarray(affine[0], dtype=complex).reshape(-1)
-            self.linear = _stack(affine[1], (self.num_params, self.dim, self.dim), "linear coefficients")
-            if len(self.linear) != len(self.weights):
-                raise ConfigInvalid("each identity term needs one weight and one linear coefficient per parameter")
         self.generators = None
         if generators is not None:
-            if affine is not None:
-                raise ConfigInvalid("generators belong to the square-root completion, not to explicit data")
             self.generators = _stack(generators, (self.dim, self.dim), "generators")
             if len(self.generators) != self.num_params:
                 raise ConfigInvalid("need one Hermitian generator per parameter")
         self._gram = dagger(self.jumps) @ self.jumps
-        # S_mu = sum of M_k^dag M_k over the jumps of parameter mu, summed in stack order
-        self._sums = np.zeros((self.num_params, self.dim, self.dim), dtype=complex)
-        for mu, gram in zip(self.params, self._gram):
-            self._sums[mu] += gram
+        self._sums = _param_sums(self._gram, self.params, self.num_params)
         self._validate()
 
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        if self.linear is not None:
-            # with affine identity terms the eps = 0 map is sum |kappa|^2 times the
-            # identity, so this weight check is the identity-limit check
-            wsum = float(np.sum(np.abs(self.weights) ** 2))
-            if abs(wsum - 1.0) > 1e-12:
-                raise InconsistentKrausData(f"identity-term weights give sum |kappa|^2 = {wsum!r}")
-            for mu in range(self.num_params):
-                self.hamiltonian_generator(mu)
         norms = np.linalg.norm(self.jumps, axis=(1, 2))
         if np.any(norms == 0.0):
             raise ConfigInvalid("jump operators must be non-vanishing")
@@ -197,38 +184,25 @@ class LowNoiseChannel:
             raise ConfigInvalid(
                 f"jump operators {k} and {l} of parameter {self.params[k] + 1} are proportional"
             )
-        # First-order trace preservation at three scales.  The completion is
-        # trace-preserving to rounding; explicit data get a second-order
-        # allowance sized by the operator norms of their linear stack.
-        nmax, count = 0.0, 1
-        if self.linear is not None:
-            nmax = float(np.max(np.linalg.norm(self.linear, 2, axis=(-2, -1))))
-            count = len(self.weights)
-        quad = 10.0 * (1.0 + nmax + count) ** 2
+        # trace preservation at three scales, which the completion keeps to rounding
         scales = (1e-6, 1e-4, 1e-2)
         residuals = self.tpcp_residual([[s / self.num_params] * self.num_params for s in scales])
         for s, residual in zip(scales, residuals):
-            if residual > 1e-10 + quad * s * s:
+            if residual > 1e-10 + 40.0 * s * s:
                 raise TPCPViolation(f"trace-preservation residual too large at scale {s:g}")
 
     # -- evaluation ---------------------------------------------------------
 
     def _identity_kraus(self, eps: np.ndarray, with_derivative: bool = False):
-        """Identity-family Kraus operators on a validated (B, D) stack eps.
+        """The completion operator K at each row of a validated (B, D) stack eps.
 
-        Returns (ops, dops): ops has shape (I, B, N, N) and
-        dops[i][..., mu, :, :] = d ops[i] / d eps_mu, shape (I, B, D, N, N),
-        or (I, D, N, N) for explicit affine data; dops is None unless asked
-        for.  The square-root completion (I = 1) makes one stacked
-        eigensolve of its B completion arguments and one of its B generator
-        sums, and differentiates sqrt and exp(-i .) by the Daleckii-Krein
-        formula in their eigenbases (Bhatia, Matrix Analysis, Thm V.3.3).
+        Returns (ops, dops): ops has shape (B, N, N) and dops[:, mu] =
+        d K / d eps_mu, shape (B, D, N, N); dops is None unless asked for.
+        One stacked eigensolve of the B completion arguments and one of the
+        B generator sums; sqrt and exp(-i .) are differentiated by the
+        Daleckii-Krein formula in their eigenbases (Bhatia, Matrix Analysis,
+        Thm V.3.3).
         """
-        if self.linear is not None:
-            ops = self.weights[:, None, None, None] * np.eye(self.dim, dtype=complex)
-            for mu in range(self.num_params):
-                ops = ops - eps[:, mu, None, None] * self.linear[:, None, mu]
-            return ops, -self.linear if with_derivative else None
         arg = np.eye(self.dim, dtype=complex)
         for mu in range(self.num_params):
             arg = arg - eps[:, mu, None, None] * self._sums[mu]
@@ -263,7 +237,7 @@ class LowNoiseChannel:
                     for g, d in zip(self.generators, dk0)
                 ]
             k0 = unitary @ k0
-        return k0[None], None if dk0 is None else np.stack(dk0, axis=1)[None]
+        return k0, None if dk0 is None else np.stack(dk0, axis=1)
 
     def _check_state(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -286,7 +260,7 @@ class LowNoiseChannel:
             kraus = ops, self.jumps @ rho @ dagger(self.jumps)
         ops, images = kraus
         jumps = eps[:, self.params, None, None] * images
-        out = _summed([*(ops @ rho @ dagger(ops)), *jumps.swapaxes(0, 1)], (eps.shape[0],) + rho.shape)
+        out = _summed([ops @ rho @ dagger(ops), *jumps.swapaxes(0, 1)], (eps.shape[0],) + rho.shape)
         drift = np.abs(np.trace(out, axis1=1, axis2=2) - np.trace(rho))
         off = drift > TRACE_TOL
         if off.any():
@@ -306,7 +280,7 @@ class LowNoiseChannel:
             eps, single = _validate_eps(eps, self.num_params)
             kraus = self._identity_kraus(eps)[0]
         jumps = eps[:, self.params, None, None] * self._gram
-        acc = _summed([*(dagger(kraus) @ kraus), *jumps.swapaxes(0, 1)], (eps.shape[0], self.dim, self.dim))
+        acc = _summed([dagger(kraus) @ kraus, *jumps.swapaxes(0, 1)], (eps.shape[0], self.dim, self.dim))
         residuals = frobenius(acc - np.eye(self.dim))
         return float(residuals[0]) if single else residuals
 
@@ -324,8 +298,7 @@ class LowNoiseChannel:
         images = self.jumps @ rho @ dagger(self.jumps)
         output = self.apply(rho, eps, kraus=(ops, images))
         derivatives = np.zeros((eps.shape[0], self.num_params) + rho.shape, dtype=complex)
-        for k, d in zip(ops, dops):
-            derivatives = derivatives + d @ rho @ dagger(k)[:, None] + k[:, None] @ rho @ dagger(d)
+        derivatives = derivatives + dops @ rho @ dagger(ops)[:, None] + ops[:, None] @ rho @ dagger(dops)
         for mu, image in zip(self.params, images):
             derivatives[:, mu] += image
         residuals = self.tpcp_residual(eps, kraus=ops)
@@ -336,24 +309,10 @@ class LowNoiseChannel:
     # -- derivatives at zero --------------------------------------------------
 
     def hamiltonian_generator(self, mu: int) -> np.ndarray:
-        """Hermitian generator of the unitary part of the first-order motion.
-
-        For the square-root completion this is G_mu (zero without
-        generators).  For explicit data it is i (S_mu / 2 - sum_i
-        conj(kappa_i) L[i, mu]), which must be Hermitian.
-        """
-        if self.linear is None:
-            if self.generators is None:
-                return np.zeros((self.dim, self.dim), dtype=complex)
-            return self.generators[mu]
-        x = np.tensordot(np.conj(self.weights), self.linear[:, mu], axes=1) - 0.5 * self._sums[mu]
-        h = -1j * x
-        res = hermiticity_residual(h)
-        if res > 1e-8:
-            raise InconsistentKrausData(
-                f"effective Hamiltonian for parameter {mu + 1} has Hermiticity residual {res:g}"
-            )
-        return (h + dagger(h)) / 2
+        """Hermitian generator of the unitary part of the first-order motion: G_mu, zero without generators."""
+        if self.generators is None:
+            return np.zeros((self.dim, self.dim), dtype=complex)
+        return self.generators[mu]
 
     def derivative_at_zero(self, mu: int, rho: np.ndarray) -> np.ndarray:
         """First derivative of the output state in eps_mu at eps = 0.
@@ -382,19 +341,11 @@ class LowNoiseChannel:
         e[mu] = 1.0
         try:
             if eps0[mu] < h:
-                probes = [eps0, eps0 + h * e, eps0 + 2 * h * e]
-                for p in probes:
-                    if self.tpcp_residual(p) > TRACE_TOL:
-                        raise StepTooLarge("probe point violates trace preservation")
-                f0 = self.apply(rho, probes[0])
-                f1 = self.apply(rho, probes[1])
-                f2 = self.apply(rho, probes[2])
+                f0 = self.apply(rho, eps0)
+                f1 = self.apply(rho, eps0 + h * e)
+                f2 = self.apply(rho, eps0 + 2 * h * e)
                 return (4 * f1 - 3 * f0 - f2) / (2 * h)
-            probes = [eps0 - h * e, eps0 + h * e]
-            for p in probes:
-                if self.tpcp_residual(p) > TRACE_TOL:
-                    raise StepTooLarge("probe point violates trace preservation")
-            return (self.apply(rho, probes[1]) - self.apply(rho, probes[0])) / (2 * h)
+            return (self.apply(rho, eps0 + h * e) - self.apply(rho, eps0 - h * e)) / (2 * h)
         except TPCPViolation as exc:
             raise StepTooLarge(str(exc)) from exc
 
@@ -408,7 +359,6 @@ class LowNoiseChannel:
             self.num_params,
             np.kron(self.jumps, eye),
             self.params,
-            affine=None if self.linear is None else (self.weights, np.kron(self.linear, eye)),
             generators=None if self.generators is None else np.kron(self.generators, eye),
         )
 
@@ -460,27 +410,46 @@ def matrix_from_json(data) -> np.ndarray:
     return m
 
 
+def _explicit_channel(dim: int, num_params: int, per_param, weights, linear) -> LowNoiseChannel:
+    """The completion that explicit identity data kappa_i (I,) and L[i, mu] (I, D, N, N) define at first order.
+
+    sum |kappa|^2 must be 1 and each G_mu = i (S_mu / 2 - sum_i conj(kappa_i) L[i, mu])
+    Hermitian; the channel has no generators if every G_mu vanishes.  A parameter may have no jump.
+    """
+    jumps, params = _jump_stack(per_param)
+    jumps = _stack(jumps, (dim, dim), "jump operators")
+    weights = np.asarray(weights, dtype=complex).reshape(-1)
+    linear = _stack(linear, (num_params, dim, dim), "linear coefficients")
+    if len(linear) != len(weights):
+        raise ConfigInvalid("each identity term needs one weight and one linear coefficient per parameter")
+    wsum = float(np.sum(np.abs(weights) ** 2))
+    if abs(wsum - 1.0) > 1e-12:
+        raise InconsistentKrausData(f"identity-term weights give sum |kappa|^2 = {wsum!r}")
+    sums = _param_sums(dagger(jumps) @ jumps, params, num_params)
+    generators = np.zeros((num_params, dim, dim), dtype=complex)
+    for mu in range(num_params):
+        h = -1j * (np.tensordot(np.conj(weights), linear[:, mu], axes=1) - 0.5 * sums[mu])
+        res = hermiticity_residual(h)
+        if res > 1e-8:
+            raise InconsistentKrausData(
+                f"effective Hamiltonian for parameter {mu + 1} has Hermiticity residual {res:g}"
+            )
+        generators[mu] = (h + dagger(h)) / 2
+    return LowNoiseChannel(dim, num_params, jumps, params, generators=generators if generators.any() else None)
+
+
 def channel_to_config(ch: LowNoiseChannel) -> dict:
-    """JSON-able description of a channel; both kinds round-trip exactly."""
+    """JSON-able description of a channel as its completion; it round-trips when every parameter has a jump."""
     cfg: dict = {
         "dim": ch.dim,
         "num_params": ch.num_params,
-        "builder": "sqrt-completion" if ch.linear is None else "explicit",
+        "builder": "sqrt-completion",
         "jump_operators": [
             {"param": int(mu) + 1, "matrix": matrix_to_json(m)} for mu, m in zip(ch.params, ch.jumps)
         ],
     }
-    if ch.linear is None:
-        if ch.generators is not None:
-            cfg["generators"] = [matrix_to_json(g) for g in ch.generators]
-    else:
-        cfg["identity_terms"] = [
-            {
-                "weight": [float(w.real), float(w.imag)],
-                "linear": [matrix_to_json(n) for n in linear],
-            }
-            for w, linear in zip(ch.weights, ch.linear)
-        ]
+    if ch.generators is not None:
+        cfg["generators"] = [matrix_to_json(g) for g in ch.generators]
     return cfg
 
 
@@ -509,9 +478,10 @@ def channel_from_config(cfg: dict) -> LowNoiseChannel:
     try:
         if builder == "sqrt-completion":
             channel = sqrt_completion_channel(per_param, gens)
+        elif gens is not None:
+            raise ConfigInvalid("generators belong to the square-root completion, not to explicit data")
         else:
-            jumps, params = _jump_stack(per_param)
-            channel = LowNoiseChannel(dim, num_params, jumps, params, affine=(weights, linear), generators=gens)
+            channel = _explicit_channel(dim, num_params, per_param, weights, linear)
     except (DimensionMismatch, InconsistentKrausData, NonHermitian, TPCPViolation) as exc:
         raise ConfigInvalid(f"channel config: {type(exc).__name__}: {exc}") from exc
     if channel.dim != dim:

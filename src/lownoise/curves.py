@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import dagger, eigensolve
 
 CLUSTER_RTOL = 1e-10
@@ -67,9 +68,13 @@ def eigencurve_derivatives(matrix: np.ndarray, derivatives):
     stack of B matrices (B, N, N) with derivatives (B, D, N, N) every
     result carries a leading B axis.  Eigenvalues within CLUSTER_RTOL times
     max(1, largest magnitude) of each other form a degenerate cluster.
+    DimensionMismatch unless the shapes fit these.
     """
-    matrix = np.asarray(matrix)
-    perts = _sym(np.asarray(derivatives))
+    matrix, derivatives = np.asarray(matrix), np.asarray(derivatives)
+    fits = derivatives.ndim >= 3 and derivatives.shape[:-3] + derivatives.shape[-2:] == matrix.shape
+    if not fits or matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise DimensionMismatch(f"derivatives of shape {derivatives.shape} do not fit matrices of shape {matrix.shape}")
+    perts = _sym(derivatives)
     single = matrix.ndim == 2
     if single:
         matrix, perts = matrix[None], perts[None]

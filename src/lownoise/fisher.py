@@ -126,8 +126,11 @@ def _kept_inverse(fm: FisherMatrix) -> tuple[FisherMatrix, np.ndarray, np.ndarra
 
     On a rank-deficient matrix the inverse is the Moore-Penrose inverse;
     the zero matrix has the zero inverse and condition number inf.
+    DimensionMismatch unless the entries are a D x D matrix or a stack of them.
     """
     entries = np.asarray(fm.entries, dtype=float)
+    if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
+        raise DimensionMismatch(f"Fisher entries of shape {entries.shape} are not square matrices")
     w, v = eigensolve((entries + entries.swapaxes(-1, -2)) / 2)
     mag = np.abs(w)
     top = np.max(mag, axis=-1, keepdims=True)

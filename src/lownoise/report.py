@@ -134,14 +134,25 @@ def emit_report(report: Report, fmt: str, path: str) -> str:
     return path
 
 
+def _record(text, line: int) -> dict:
+    """One JSON object of a report; IOFailure naming its line otherwise."""
+    try:
+        rec = json.loads(text)
+    except (TypeError, json.JSONDecodeError) as exc:
+        raise IOFailure(f"report line {line} is not JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise IOFailure(f"report line {line} is not a JSON object")
+    return rec
+
+
 def parse_jsonl(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """The records of a JSONL report; IOFailure on a line that is not a JSON object."""
+    return [_record(line, n) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
 
 
 def parse_csv(text: str) -> list[dict]:
+    """The records of a CSV report; IOFailure without its record and payload columns or on a bad payload."""
     reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        rec = {"kind": row["record"], **json.loads(row["payload"])}
-        out.append(rec)
-    return out
+    if not {"record", "payload"} <= set(reader.fieldnames or ()):
+        raise IOFailure(f"CSV report needs record and payload columns, got {reader.fieldnames}")
+    return [{"kind": row["record"], **_record(row["payload"], reader.line_num)} for row in reader]

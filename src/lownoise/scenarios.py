@@ -19,7 +19,7 @@ from .channels import (
     matrix_to_json,
     sqrt_completion_channel,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, require_int
 from .linalg import dagger, eigensolve
 from .spectral import _complement_frame, jump_covariance
 
@@ -36,7 +36,8 @@ class SweepConfig:
 
     ConfigInvalid unless direction and scales read as finite floats.  seed
     keys the Monte Carlo draw of each grid point (``monte_carlo_seed``);
-    ConfigInvalid unless it is an int whose keys all lie in [0, 2**64).
+    ConfigInvalid unless it is a Python or numpy integer whose keys all lie
+    in [0, 2**64); it is stored as a Python int, so the keys cannot wrap.
     """
 
     direction: tuple[float, ...]
@@ -59,9 +60,8 @@ class SweepConfig:
             raise ConfigInvalid("sweep needs at least one scale")
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
             raise ConfigInvalid("scales must be positive and strictly increasing")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigInvalid(f"sweep seed must be an integer, got {self.seed!r}")
-        if self.seed < 0 or self.monte_carlo_seed(s.size - 1) >= 2**64:
+        object.__setattr__(self, "seed", require_int(self.seed, "sweep seed", 0))
+        if self.monte_carlo_seed(s.size - 1) >= 2**64:
             raise ConfigInvalid(f"sweep seed {self.seed} gives Monte Carlo keys outside [0, 2**64)")
 
     def monte_carlo_seed(self, t: int) -> int:

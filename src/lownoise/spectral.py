@@ -141,6 +141,15 @@ def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarr
     return (entries + dagger(entries)) / 2
 
 
+def _checked_point(ch: LowNoiseChannel, phi: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
+    """phi as a flat complex vector of the channel's dimension and eps as floats, checked as ``evaluate`` checks it."""
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    if phi.shape[0] != ch.dim:
+        raise DimensionMismatch(f"input state has length {phi.shape[0]}, channel dimension {ch.dim}")
+    _validate_eps(eps, ch.num_params)
+    return phi, np.asarray(eps, dtype=float)
+
+
 def deviation_matrix(
     ch: LowNoiseChannel,
     phi: np.ndarray,
@@ -154,9 +163,7 @@ def deviation_matrix(
     defaults to ``complement_basis(phi)``.  eps is checked as ``evaluate``
     checks it.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    _validate_eps(eps, ch.num_params)
-    eps = np.asarray(eps, dtype=float)
+    phi, eps = _checked_point(ch, phi, eps)
     frame = _complement_frame(phi, frame)
     u = (dagger(frame) @ (ch.jumps @ phi)[..., None])[..., 0]  # u[k] = frame^dag M_k phi
     grams = eps[..., ch.params, None, None] * (u[:, :, None] * u[:, None, :].conj())
@@ -198,9 +205,7 @@ def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> np.ndarray:
     the K x K Hermitian PSD matrix; row i belongs to parameter
     ``ch.params[i]``.  eps is checked as ``evaluate`` checks it.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    _validate_eps(eps, ch.num_params)
-    eps = np.asarray(eps, dtype=float)
+    phi, eps = _checked_point(ch, phi, eps)
     images = (ch.jumps @ phi)[..., None]  # (K, N, 1)
     means = phi.conj() @ images  # (K, 1)
     overlaps = (dagger(images)[:, None] @ images)[..., 0, 0]

@@ -2,18 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from lownoise.channels import (
     LowNoiseChannel,
     channel_from_config,
     channel_to_config,
+    matrix_to_json,
     pure_state_density,
     sqrt_completion_channel,
 )
 from lownoise.errors import (
     ConfigInvalid,
     DimensionMismatch,
-    InconsistentKrausData,
     StepTooLarge,
     TPCPViolation,
 )
@@ -86,17 +87,6 @@ class TestTPCPResidual:
         for s in np.geomspace(1e-5, 1e-2, 8):
             assert ch.tpcp_residual(np.full(2, s / 2)) <= 1e-12
 
-    def test_rescaled_weight_detected(self, monkeypatch):
-        # weight 1.01 breaks sum |kappa|^2 = 1; residual at eps=0 is (1.01^2-1) sqrt(N)
-        affine = ([1.01], [[0.5 * np.eye(2)]])
-        with monkeypatch.context() as m:  # an unchecked channel, for its residual
-            m.setattr(LowNoiseChannel, "_validate", lambda self: None)
-            ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=affine)
-        res = ch.tpcp_residual(np.zeros(1))
-        assert abs(res - (1.01**2 - 1) * np.sqrt(2)) <= 1e-12
-        with pytest.raises(InconsistentKrausData):
-            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=affine)
-
 
 class TestDerivativeAtZero:
     def test_annihilated_input(self):
@@ -130,10 +120,26 @@ class TestDerivativeAtZero:
             assert np.linalg.norm(d - d.conj().T) <= 1e-12
 
 
+def explicit_config(per_param, terms, dim=2):
+    """An "explicit" channel config: per_param[mu] lists parameter mu's jumps, terms the (kappa_i, [L[i, mu], ...])."""
+    return {
+        "dim": dim,
+        "num_params": len(per_param),
+        "builder": "explicit",
+        "jump_operators": [
+            {"param": mu + 1, "matrix": matrix_to_json(m)} for mu, ms in enumerate(per_param) for m in ms
+        ],
+        "identity_terms": [
+            {"weight": [complex(w).real, complex(w).imag], "linear": [matrix_to_json(n) for n in linear]}
+            for w, linear in terms
+        ],
+    }
+
+
 def explicit_damping():
-    """Amplitude damping with the affine identity term 1 - eps S/2 (TP to second order)."""
+    """Amplitude damping from the explicit identity term 1 - eps S/2: the completion sqrt(1 - eps S)."""
     s = LOWER.conj().T @ LOWER
-    return LowNoiseChannel(2, 1, [LOWER], [0], affine=([1.0], [[0.5 * s]]))
+    return channel_from_config(explicit_config([[LOWER]], [(1.0, [0.5 * s])]))
 
 
 def assert_matches_central_difference(ch, rho, eps, tol=1e-7):
@@ -221,12 +227,9 @@ class TestStackedJumpProducts:
         ch = build()
         rho = pure_state_density(random_input_state(ch.dim, 4))
         eps = np.outer([1e-5, 1e-4], np.linspace(1.0, 2.0, ch.num_params))
-        ops, dops = ch._identity_kraus(eps, with_derivative=True)
-        out = np.zeros((2, ch.dim, ch.dim), dtype=complex)
-        completeness = out.copy()
-        for k in ops:
-            out = out + k @ rho @ dagger(k)
-            completeness = completeness + dagger(k) @ k
+        k, dk = ch._identity_kraus(eps, with_derivative=True)
+        out = np.zeros((2, ch.dim, ch.dim), dtype=complex) + k @ rho @ dagger(k)
+        completeness = np.zeros_like(out) + dagger(k) @ k
         for m, mu in zip(ch.jumps, ch.params):
             out = out + eps[:, mu, None, None] * (m @ rho @ dagger(m))
             completeness = completeness + eps[:, mu, None, None] * (dagger(m) @ m)
@@ -234,10 +237,7 @@ class TestStackedJumpProducts:
         assert np.array_equal(ev.output, out)
         assert ev.tpcp_residual.tolist() == [np.linalg.norm(c - np.eye(ch.dim)) for c in completeness]
         for mu in range(ch.num_params):
-            acc = np.zeros_like(out)
-            for k, dk in zip(ops, dops):
-                d = dk[..., mu, :, :]
-                acc = acc + d @ rho @ dagger(k) + k @ rho @ dagger(d)
+            acc = np.zeros_like(out) + dk[:, mu] @ rho @ dagger(k) + k @ rho @ dagger(dk[:, mu])
             for m in ch.jumps[ch.params == mu]:
                 acc = acc + m @ rho @ dagger(m)
             assert np.array_equal(ev.derivatives[:, mu], acc)
@@ -261,9 +261,7 @@ class TestStackedEvaluate:
         ch = build()
         rho = pure_state_density(random_input_state(ch.dim, 5))
         direction = np.linspace(1.0, 2.0, ch.num_params) / ch.num_params
-        # the explicit channel is trace-preserving to second order only
-        top = 1e-4 if ch.linear is not None else 1e-2
-        eps = np.vstack([np.zeros(ch.num_params), np.geomspace(top * 1e-3, top, 6)[:, None] * direction])
+        eps = np.vstack([np.zeros(ch.num_params), np.geomspace(1e-5, 1e-2, 6)[:, None] * direction])
         stacked = ch.evaluate(rho, eps)
         assert stacked.output.shape == (len(eps), ch.dim, ch.dim)
         assert stacked.derivatives.shape == (len(eps), ch.num_params, ch.dim, ch.dim)
@@ -327,18 +325,6 @@ class TestHamiltonianGenerator:
         for mu in range(2):
             assert np.linalg.norm(ch.hamiltonian_generator(mu) - gs[mu]) <= 1e-10
 
-    def test_inconsistent_linear_term_detected(self, monkeypatch):
-        # with S = X^dag X = 1 the consistent linear coefficient is 1 / 2; perturb it
-        # without compensating the jump side
-        bad = ([1.0], [[0.5 * np.eye(2) + 1e-3 * SIGMA_X]])
-        with monkeypatch.context() as m:  # an unchecked channel, for its generator
-            m.setattr(LowNoiseChannel, "_validate", lambda self: None)
-            ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=bad)
-        with pytest.raises(InconsistentKrausData):
-            ch.hamiltonian_generator(0)
-        with pytest.raises(InconsistentKrausData):
-            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=bad)
-
 
 class TestAncillaExtend:
     def test_tpcp_residual_preserved(self, pauli):
@@ -390,8 +376,7 @@ class TestFiniteDifference:
         assert err_h / err_h2 >= 3.0
 
     def test_constant_map_gives_zero(self):
-        affine = ([1.0], [[np.zeros((2, 2))]])
-        ch = LowNoiseChannel(2, 1, [], [], affine=affine)
+        ch = LowNoiseChannel(2, 1, [], [])  # no jumps: the completion is the identity map
         rho = pure_state_density(np.array([1.0, 0.0], dtype=complex))
         fd = ch.finite_difference_derivative(rho, 0, np.zeros(1), h=1e-4)
         np.testing.assert_allclose(fd, np.zeros((2, 2)), atol=1e-12)
@@ -451,7 +436,7 @@ class TestJumpStack:
         assert ch.jumps.shape == (3, 2, 2)
         assert np.array_equal(ch.jumps, np.stack([SIGMA_X, SIGMA_Z, LOWER]))
         assert ch.params.tolist() == [0, 1, 1]
-        assert ch.weights is None and ch.linear is None and ch.generators is None
+        assert ch.generators is None
 
     def test_completion_hamiltonian_is_its_generator(self):
         g = np.array([[0.0, 1j], [-1j, 0.0]])
@@ -465,9 +450,6 @@ class TestJumpStack:
         assert np.array_equal(ext.params, ch.params)
         for small, big in ((ch.jumps, ext.jumps), (ch.generators, ext.generators)):
             assert np.array_equal(big, np.stack([np.kron(m, np.eye(2)) for m in small]))
-        explicit = explicit_damping().ancilla_extend()
-        assert explicit.weights.tolist() == [1.0]
-        assert np.array_equal(explicit.linear[0, 0], np.kron(0.5 * LOWER.conj().T @ LOWER, np.eye(2)))
 
     @pytest.mark.parametrize(
         "jumps,params,error",
@@ -482,15 +464,9 @@ class TestJumpStack:
         with pytest.raises(error):
             LowNoiseChannel(2, 1, jumps, params)
 
-    def test_constructor_checks_identity_data(self):
-        with pytest.raises(ConfigInvalid):
-            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0, 0.0], [[0.5 * np.eye(2)]]))
-        with pytest.raises(DimensionMismatch):
-            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)] * 2]))
+    def test_constructor_checks_the_generator_count(self):
         with pytest.raises(ConfigInvalid):
             LowNoiseChannel(2, 1, [SIGMA_X], [0], generators=[SIGMA_Z, SIGMA_Z])
-        with pytest.raises(ConfigInvalid):
-            LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]), generators=[SIGMA_Z])
 
 
 class TestConfigRoundTrip:
@@ -503,14 +479,15 @@ class TestConfigRoundTrip:
         eps = np.array([1e-3, 2e-3])
         np.testing.assert_allclose(ch.apply(rho, eps), ch2.apply(rho, eps), atol=1e-15)
 
-    def test_explicit_round_trips_coefficients(self):
-        ch = LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]]))
+    def test_explicit_config_writes_back_as_its_completion(self):
+        ch = channel_from_config(explicit_config([[SIGMA_X]], [(1.0, [0.5 * np.eye(2)])]))
         cfg = channel_to_config(ch)
+        assert cfg == channel_to_config(sqrt_completion_channel([[SIGMA_X]]))
         ch2 = channel_from_config(cfg)
         assert channel_to_config(ch2) == cfg
         rho = pure_state_density(np.array([0.6, 0.8j]))
         eps = np.array([1e-4])
-        assert np.max(np.abs(ch.apply(rho, eps) - ch2.apply(rho, eps))) <= 1e-15
+        assert np.array_equal(ch.apply(rho, eps), ch2.apply(rho, eps))
 
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):
@@ -557,7 +534,7 @@ class TestConfigRoundTrip:
             channel_from_config(dict(cfg, builder="explicit", identity_terms=terms))
 
     def test_non_finite_entries_rejected(self):
-        cfg = channel_to_config(LowNoiseChannel(2, 1, [SIGMA_X], [0], affine=([1.0], [[0.5 * np.eye(2)]])))
+        cfg = explicit_config([[SIGMA_X]], [(1.0, [0.5 * np.eye(2)])])
         bad_matrix = json.loads(json.dumps(cfg))
         bad_matrix["jump_operators"][0]["matrix"][0][1] = [float("inf"), 0.0]
         bad_weight = json.loads(json.dumps(cfg))
@@ -569,3 +546,109 @@ class TestConfigRoundTrip:
     def test_proportional_jumps_rejected(self):
         with pytest.raises(ConfigInvalid):
             sqrt_completion_channel([[SIGMA_X, 2.0 * SIGMA_X]])
+
+
+class TestExplicitConfig:
+    """An "explicit" config's identity terms kappa_i 1 - sum eps_mu L[i, mu] are read as their completion."""
+
+    def test_rescaled_weight_rejected(self):
+        # weight 1.01 breaks the identity limit sum |kappa|^2 = 1
+        with pytest.raises(ConfigInvalid, match=r"InconsistentKrausData: .*sum \|kappa\|\^2"):
+            channel_from_config(explicit_config([[SIGMA_X]], [(1.01, [0.5 * np.eye(2)])]))
+
+    def test_inconsistent_linear_term_rejected(self):
+        # with S = X^dag X = 1 the consistent linear coefficient is 1 / 2; perturb it
+        # without compensating the jump side
+        bad = explicit_config([[SIGMA_X]], [(1.0, [0.5 * np.eye(2) + 1e-3 * SIGMA_X])])
+        with pytest.raises(ConfigInvalid, match="InconsistentKrausData: effective Hamiltonian for parameter 1"):
+            channel_from_config(bad)
+
+    def test_identity_data_checked(self):
+        two_weights = explicit_config([[SIGMA_X]], [(1.0, [0.5 * np.eye(2)])])
+        two_weights["identity_terms"][0]["linear"] = []
+        with pytest.raises(ConfigInvalid, match="one weight and one linear coefficient"):
+            channel_from_config(two_weights)
+        with pytest.raises(ConfigInvalid, match="DimensionMismatch"):
+            channel_from_config(explicit_config([[SIGMA_X]], [(1.0, [0.5 * np.eye(2)] * 2)]))
+
+    @pytest.mark.parametrize("builder", ["sqrt-completion", "explicit"])
+    def test_completion_outside_its_region_at_scale_1e_2_rejected(self, builder):
+        # S = 121 |1><1|: the completion argument 1 - eps S is negative at eps = 1e-2, whichever builder reads it
+        strong = 11 * LOWER
+        cfg = explicit_config([[strong]], [(1.0, [0.5 * strong.conj().T @ strong])])
+        with pytest.raises(ConfigInvalid, match="TPCPViolation: completion argument has negative eigenvalue"):
+            channel_from_config(dict(cfg, builder=builder))
+
+    def test_generators_are_the_effective_hamiltonians(self):
+        # kappa = e^{i theta} and L = kappa (S/2 + i H) give G = H, whatever theta is
+        kappa = np.exp(0.3j)
+        h = np.array([[0.2, 0.1 - 0.4j], [0.1 + 0.4j, -0.5]])
+        s = LOWER.conj().T @ LOWER
+        ch = channel_from_config(explicit_config([[LOWER]], [(kappa, [kappa * (0.5 * s + 1j * h)])]))
+        np.testing.assert_allclose(ch.generators[0], h, atol=1e-15)
+        completion = sqrt_completion_channel([[LOWER]], generators=[ch.generators[0]])
+        assert channel_to_config(ch) == channel_to_config(completion)
+
+    def test_parameter_without_a_jump_is_legal(self):
+        # parameter 2 has no jump and acts only through its Hamiltonian
+        s = SIGMA_X.conj().T @ SIGMA_X
+        ch = channel_from_config(explicit_config([[SIGMA_X], []], [(1.0, [0.5 * s, 1j * SIGMA_Z])]))
+        assert ch.params.tolist() == [0]
+        np.testing.assert_array_equal(ch.generators[1], SIGMA_Z)
+        rho = pure_state_density(np.array([0.6, 0.8]))
+        np.testing.assert_allclose(ch.derivative_at_zero(1, rho), -1j * (SIGMA_Z @ rho - rho @ SIGMA_Z), atol=1e-15)
+
+
+@st.composite
+def explicit_data(draw):
+    """Random explicit identity data, consistent at first order, with the Hamiltonians G they define.
+
+    N = 2-4, D = 1-3, 1 or 2 jumps per parameter and 1-3 identity terms.
+    Term 0's L[0, mu] is solved from sum_i conj(kappa_i) L[i, mu] = S_mu / 2 + i G_mu.
+    """
+    dim, num_params, count = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix():
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return m / np.linalg.norm(m, 2)
+
+    per_param = [[matrix() for _ in range(rng.integers(1, 3))] for _ in range(num_params)]
+    kappa = np.concatenate([[1.0], 0.5 * (rng.uniform(-1, 1, count - 1) + 1j * rng.uniform(-1, 1, count - 1))])
+    kappa /= np.linalg.norm(kappa)
+    hams = [(m + m.conj().T) / 2 for m in (matrix() for _ in range(num_params))]
+    linear = [[matrix() for _ in range(num_params)] for _ in range(count)]
+    for mu, (ms, g) in enumerate(zip(per_param, hams)):
+        rest = sum(np.conj(k) * lin[mu] for k, lin in zip(kappa[1:], linear[1:]))
+        linear[0][mu] = (sum(m.conj().T @ m for m in ms) / 2 + 1j * g - rest) / np.conj(kappa[0])
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return per_param, list(zip(kappa, linear)), hams, pure_state_density(phi / np.linalg.norm(phi))
+
+
+def linear_identity_map(per_param, terms, rho, eps):
+    """The explicit data's own map: sum_i K_i rho K_i^dag plus the jumps, K_i = kappa_i 1 - sum eps_mu L[i, mu]."""
+    out = sum(eps[mu] * m @ rho @ m.conj().T for mu, ms in enumerate(per_param) for m in ms)
+    for kappa, linear in terms:
+        k = kappa * np.eye(len(rho)) - sum(e * lin for e, lin in zip(eps, linear))
+        out = out + k @ rho @ k.conj().T
+    return out
+
+
+@seed(29)
+@settings(max_examples=40, deadline=None)
+@given(explicit_data())
+def test_explicit_data_give_their_first_order_and_differ_at_second(data):
+    per_param, terms, hams, rho = data
+    ch = channel_from_config(explicit_config(per_param, terms, dim=len(rho)))
+    at_zero = ch.evaluate(rho, np.zeros(ch.num_params)).derivatives
+    for mu, (ms, g) in enumerate(zip(per_param, hams)):
+        s = sum(m.conj().T @ m for m in ms)
+        lindblad = sum(m @ rho @ m.conj().T for m in ms) - 0.5 * (s @ rho + rho @ s) - 1j * (g @ rho - rho @ g)
+        assert np.max(np.abs(ch.derivative_at_zero(mu, rho) - lindblad)) <= 1e-12
+        assert np.max(np.abs(at_zero[mu] - lindblad)) <= 1e-12
+    scales = np.geomspace(1e-4, 1e-2, 5)
+    eps = scales[:, None] * np.full(ch.num_params, 1.0 / ch.num_params)
+    outputs = ch.apply(rho, eps)
+    gaps = [np.linalg.norm(linear_identity_map(per_param, terms, rho, e) - out) for e, out in zip(eps, outputs)]
+    slope = np.polyfit(np.log(scales), np.log(gaps), 1)[0]
+    assert 1.8 < slope < 2.2

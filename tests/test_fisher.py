@@ -429,6 +429,11 @@ class TestFisherInverse:
         np.testing.assert_allclose(fm.inverse, np.diag(1.0 / np.diag(entries)), rtol=1e-12)
         assert fm.condition_number == pytest.approx(2e5)
 
+    @pytest.mark.parametrize("entries", [np.ones(2), np.ones((2, 3)), np.float64(1.0)], ids=["1-d", "2x3", "0-d"])
+    def test_entries_that_are_not_square_matrices_rejected(self, entries):
+        with pytest.raises(DimensionMismatch, match="not square matrices"):
+            fisher_inverse(FisherMatrix(entries=entries))
+
     def test_singularity_threshold_is_relative(self):
         for ratio, singular in ((1e-11, False), (1e-12, True), (1e-13, True)):
             fm = FisherMatrix(entries=1e-20 * np.diag([1.0, ratio]))

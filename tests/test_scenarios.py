@@ -3,7 +3,7 @@ import pytest
 
 from lownoise.channels import channel_to_config, pure_state_density
 from lownoise.errors import ConfigInvalid
-from lownoise.report import config_hash
+from lownoise.report import config_hash, render_jsonl
 from lownoise.spectral import jump_covariance, output_shift_curves
 from lownoise.sweep import run_sweep
 from lownoise.scenarios import (
@@ -159,6 +159,13 @@ class TestScenarioConfig:
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):
             scenario_from_config({"name": "x"})
+
+    def test_numpy_seed_gives_the_python_seed_report(self):
+        scales = (1e-4, 1e-3, 3e-3, 1e-2)
+        sc = build_scenario("pauli2", scales=scales, seed=np.int64(3))
+        assert type(sc.sweep.seed) is int
+        want = render_jsonl(run_sweep(build_scenario("pauli2", scales=scales, seed=3), shots=1000), with_meta=False)
+        assert render_jsonl(run_sweep(sc, shots=1000), with_meta=False) == want
 
     @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7", None])
     def test_seed_that_is_not_an_integer_rejected(self, seed):

@@ -125,6 +125,13 @@ class TestDeviationMatrix:
         with pytest.raises(DimensionMismatch):
             output_deviation_matrix(np.eye(2) / 2, threelevel.input_state)
 
+    @pytest.mark.parametrize("build", [deviation_matrix, jump_covariance], ids=["deviation", "covariance"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_input_of_another_length_rejected(self, threelevel, build, length):
+        phi = np.eye(length, dtype=complex)[0]
+        with pytest.raises(DimensionMismatch, match=f"input state has length {length}, channel dimension 3"):
+            build(threelevel.channel, phi, np.array([1e-3, 1e-3]))
+
     def test_leading_is_psd_and_hermitian(self, threelevel):
         eps = np.array([1e-3, 2e-3])
         dm = deviation_matrix(threelevel.channel, threelevel.input_state, eps)
@@ -439,3 +446,19 @@ def test_a_degenerate_row_of_a_stack_equals_its_one_point_call():
     cols = vectors[1][:, 1:3]
     restricted = cols.conj().T @ ((derivatives[1, 0] + derivatives[1, 0].conj().T) / 2) @ cols
     assert np.max(np.abs(restricted - np.diag(np.diag(restricted)))) <= 1e-12 * np.max(np.abs(restricted))
+
+
+@pytest.mark.parametrize(
+    "matrix,derivatives",
+    [
+        (np.eye(3), np.ones((2, 2, 2))),  # derivatives of another size
+        (np.eye(3), np.ones((3, 3))),  # no parameter axis
+        (np.ones((4, 3, 3)), np.ones((5, 2, 3, 3))),  # stacks of four and five
+        (np.ones((2, 3)), np.ones((1, 2, 3))),  # not square
+        (np.ones(3), np.ones((1, 3))),  # not a matrix
+    ],
+    ids=["size", "no-parameter-axis", "stacks", "not-square", "vector"],
+)
+def test_eigencurve_derivatives_of_the_wrong_shape_rejected(matrix, derivatives):
+    with pytest.raises(DimensionMismatch, match="do not fit"):
+        eigencurve_derivatives(matrix, derivatives)

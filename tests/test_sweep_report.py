@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lownoise import fisher, spectral, sweep
+from lownoise.channels import channel_from_config, matrix_to_json
 from lownoise.errors import ConfigInvalid, IOFailure, LowNoiseError, SingularFisher
 from lownoise.report import (
     CSV_COLUMNS,
@@ -15,6 +16,7 @@ from lownoise.report import (
     render_jsonl,
 )
 from lownoise.scenarios import (
+    DEFAULT_SCALES,
     Scenario,
     SweepConfig,
     random_channel,
@@ -333,6 +335,25 @@ def test_random_sweep_always_makes_a_whole_report(record_keys, sc):
     assert parse_csv(render_csv(report, with_meta=False)) == report.records()
 
 
+def test_explicit_damping_and_dephasing_sweeps_the_default_grid():
+    # the identity term 1 - sum eps_mu S_mu / 2 is trace-preserving only to first order;
+    # read as its completion, no point of the default grid leaves the channel
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    dephase = np.diag([1.0, -1.0]).astype(complex)
+    cfg = {
+        "dim": 2,
+        "num_params": 2,
+        "builder": "explicit",
+        "jump_operators": [{"param": mu + 1, "matrix": matrix_to_json(m)} for mu, m in enumerate((lower, dephase))],
+        "identity_terms": [
+            {"weight": [1.0, 0.0], "linear": [matrix_to_json(m.conj().T @ m / 2) for m in (lower, dephase)]}
+        ],
+    }
+    phi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    report = run_sweep(Scenario("explicit", channel_from_config(cfg), phi, SweepConfig(direction=(0.5, 0.5))))
+    assert [p["error"] for p in report.points] == [None] * len(DEFAULT_SCALES)
+
+
 class TestDeterminism:
     def test_jsonl_byte_identical(self):
         sc = scenario_ancilla_bell(scales=FAST_SCALES)
@@ -381,6 +402,19 @@ class TestEmission:
         path_csv = tmp_path / "report.csv"
         emit_report(bell_report, "csv", str(path_csv))
         assert parse_csv(path_csv.read_text())[1:] == bell_report.records()
+
+    @pytest.mark.parametrize("bad", ["not json", "[1, 2]"], ids=["not-json", "not-an-object"])
+    def test_jsonl_line_that_is_not_a_record_is_an_io_failure(self, bell_report, bad):
+        lines = render_jsonl(bell_report, with_meta=False).splitlines()
+        lines.insert(2, bad)
+        with pytest.raises(IOFailure, match="report line 3 is not"):
+            parse_jsonl("\n".join(lines))
+
+    @pytest.mark.parametrize("column", ["record", "payload"])
+    def test_csv_without_its_columns_is_an_io_failure(self, bell_report, column):
+        text = render_csv(bell_report, with_meta=False).replace(column, "other", 1)
+        with pytest.raises(IOFailure, match="record and payload columns"):
+            parse_csv(text)
 
     def test_unknown_format(self, tmp_path, bell_report):
         with pytest.raises(IOFailure):
