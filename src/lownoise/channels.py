@@ -23,6 +23,13 @@ evaluated in one pass, with one stacked eigensolve per Hermitian argument,
 and the results carry a leading B axis.  One noise vector is the one-row
 stack.
 
+``stack_channels`` makes a channel stack: C channels of one shape (the
+same N, D, parameter index and generator presence) whose Kraus data carry
+a leading C axis.  Every evaluation indexes the channel data with a
+leading ``...``, so one channel is the unstacked case of the same lines:
+a stack takes one input state per channel, shape (C, N, N), and row r of
+every result, shape (C, B, ...), belongs to channel r.
+
 Channels are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -51,10 +58,12 @@ POSITIVITY_TOL = 1e-12
 
 
 def pure_state_density(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+    """|vec><vec| for a normalized state vector, or for each row of a (C, N) stack of them."""
+    vec = np.asarray(vec, dtype=complex)
+    vec = vec if vec.ndim == 2 else vec.reshape(-1)
+    if any(abs(np.linalg.norm(row) - 1.0) > 1e-12 for row in vec.reshape(-1, vec.shape[-1])):
         raise ConfigInvalid("state vector must be normalized")
-    return np.outer(vec, vec.conj())
+    return vec[..., :, None] * vec[..., None, :].conj()
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +88,11 @@ def _summed(terms, shape: tuple[int, ...]) -> np.ndarray:
     return reduce(np.add, terms, np.zeros(shape, dtype=complex))
 
 
+def _terms(stack: np.ndarray) -> list[np.ndarray]:
+    """The (..., K, N, N) stack as its K (..., N, N) terms, in order (np.moveaxis costs more per call)."""
+    return [stack[..., k, :, :] for k in range(stack.shape[-3])]
+
+
 def _param_sums(gram: np.ndarray, params: np.ndarray, num_params: int) -> np.ndarray:
     """S_mu, the sum of the (K, N, N) stack gram = M_k^dag M_k over parameter mu's jumps, in stack order."""
     sums = np.zeros((num_params,) + gram.shape[1:], dtype=complex)
@@ -94,8 +108,9 @@ class ChannelEvaluation(NamedTuple):
     tpcp_residual is the Frobenius deviation of the Kraus completeness sum
     from the identity.  For a (B, D) stack of noise points every field
     carries a leading B axis: output (B, N, N), derivatives (B, D, N, N)
-    and tpcp_residual (B,).  A NamedTuple rather than a frozen dataclass:
-    it is as immutable and costs a fifth of the time to define at import.
+    and tpcp_residual (B,); a channel stack puts its C axis before it.  A
+    NamedTuple rather than a frozen dataclass: it is as immutable and
+    costs a fifth of the time to define at import.
     """
 
     output: np.ndarray
@@ -104,10 +119,19 @@ class ChannelEvaluation(NamedTuple):
 
 
 def _at_row(bad: np.ndarray) -> str:
-    """Where a check failed in a stack: the first row bad marks, or nothing for one row."""
-    if bad.shape[0] == 1:
-        return ""
-    return f" (row {int(np.argmax(bad))})"
+    """Where a check failed: the first (channel, noise point) bad marks, over a (B,) or (C, B) mask.
+
+    An axis of length one is not named, so one noise point of one channel names nothing.
+    """
+    where = np.unravel_index(np.argmax(bad), bad.shape)
+    names = ("channel", "row")[2 - bad.ndim :]
+    named = [f"{name} {int(i)}" for name, i, n in zip(names, where, bad.shape) if n > 1]
+    return f" ({', '.join(named)})" if named else ""
+
+
+def _one_point(residuals: np.ndarray) -> float | np.ndarray:
+    """The residuals at one noise vector: a float for one channel, one per channel for a stack."""
+    return float(residuals) if residuals.ndim == 0 else residuals
 
 
 def _validate_eps(eps, num_params: int) -> tuple[np.ndarray, bool]:
@@ -155,6 +179,8 @@ class LowNoiseChannel:
     ):
         self.dim = int(dim)
         self.num_params = int(num_params)
+        if self.num_params < 1:
+            raise ConfigInvalid(f"a channel needs at least one noise parameter, got {self.num_params}")
         self.jumps = _stack(jumps, (self.dim, self.dim), "jump operators")
         self.params = np.asarray(params, dtype=int).reshape(-1)
         if self.params.shape != self.jumps.shape[:1]:
@@ -198,50 +224,55 @@ class LowNoiseChannel:
 
         Returns (ops, dops): ops has shape (B, N, N) and dops[:, mu] =
         d K / d eps_mu, shape (B, D, N, N); dops is None unless asked for.
-        One stacked eigensolve of the B completion arguments and one of the
-        B generator sums; sqrt and exp(-i .) are differentiated by the
-        Daleckii-Krein formula in their eigenbases (Bhatia, Matrix Analysis,
-        Thm V.3.3).
+        A stack's operators carry its C axis first.  One stacked eigensolve
+        of the completion arguments and one of the generator sums; sqrt and
+        exp(-i .) are differentiated by the Daleckii-Krein formula in their
+        eigenbases (Bhatia, Matrix Analysis, Thm V.3.3).
         """
+        sums = self._sums[..., None, :, :, :]  # (..., 1, D, N, N): broadcast over the B points
         arg = np.eye(self.dim, dtype=complex)
         for mu in range(self.num_params):
-            arg = arg - eps[:, mu, None, None] * self._sums[mu]
+            arg = arg - eps[:, mu, None, None] * sums[..., mu, :, :]
         a, va = eigensolve((arg + dagger(arg)) / 2)
-        negative = a[:, 0] < -POSITIVITY_TOL
+        negative = a[..., 0] < -POSITIVITY_TOL
         if negative.any():
-            low = a[np.argmax(negative), 0]
+            low = a[..., 0][negative][0]
             raise TPCPViolation(
                 f"completion argument has negative eigenvalue {low:g}; eps outside validity region" + _at_row(negative)
             )
         root = np.sqrt(np.clip(a, 0.0, None))
-        k0 = (va * root[:, None, :]) @ dagger(va)
+        k0 = (va * root[..., None, :]) @ dagger(va)
         dk0 = None
         if with_derivative:
-            denom = root[:, :, None] + root[:, None, :]
-            singular = (denom <= 0.0).any(axis=(1, 2))
+            denom = root[..., :, None] + root[..., None, :]
+            singular = (denom <= 0.0).any(axis=(-2, -1))
             if singular.any():
                 raise TPCPViolation(
                     "completion argument is singular; its square root has no derivative" + _at_row(singular)
                 )
-            dk0 = [-(va @ ((dagger(va) @ s @ va) / denom) @ dagger(va)) for s in self._sums]
+            dk0 = [
+                -(va @ ((dagger(va) @ sums[..., mu, :, :] @ va) / denom) @ dagger(va)) for mu in range(self.num_params)
+            ]
         if self.generators is not None:
-            htot = sum(eps[:, mu, None, None] * g for mu, g in enumerate(self.generators))
+            gens = self.generators[..., None, :, :, :]
+            htot = sum(eps[:, mu, None, None] * gens[..., mu, :, :] for mu in range(self.num_params))
             h, vh = eigensolve(htot)
-            unitary = (vh * np.exp(-1j * h)[:, None, :]) @ dagger(vh)
+            unitary = (vh * np.exp(-1j * h)[..., None, :]) @ dagger(vh)
             if with_derivative:
                 # divided differences of exp(-i h): -i exp(-i (h_i + h_j)/2) sinc((h_i - h_j)/2)
-                hi, hj = h[:, :, None], h[:, None, :]
+                hi, hj = h[..., :, None], h[..., None, :]
                 kernel = -1j * np.exp(-0.5j * (hi + hj)) * np.sinc((hi - hj) / (2 * np.pi))
                 dk0 = [
-                    vh @ ((dagger(vh) @ g @ vh) * kernel) @ dagger(vh) @ k0 + unitary @ d
-                    for g, d in zip(self.generators, dk0)
+                    vh @ ((dagger(vh) @ gens[..., mu, :, :] @ vh) * kernel) @ dagger(vh) @ k0 + unitary @ d
+                    for mu, d in enumerate(dk0)
                 ]
             k0 = unitary @ k0
-        return k0, None if dk0 is None else np.stack(dk0, axis=1)
+        return k0, None if dk0 is None else np.stack(dk0, axis=-3)
 
     def _check_state(self, rho: np.ndarray) -> np.ndarray:
+        """rho as a complex (N, N) state, or one per channel of a stack."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
+        if rho.shape != self.jumps.shape[:-3] + (self.dim, self.dim):
             raise DimensionMismatch(f"state has shape {rho.shape}, channel dimension {self.dim}")
         return rho
 
@@ -257,17 +288,18 @@ class LowNoiseChannel:
         if kraus is None:
             eps, single = _validate_eps(eps, self.num_params)
             ops, rho = self._identity_kraus(eps)[0], self._check_state(rho)
-            kraus = ops, self.jumps @ rho @ dagger(self.jumps)
+            kraus = ops, self.jumps @ rho[..., None, :, :] @ dagger(self.jumps)
         ops, images = kraus
-        jumps = eps[:, self.params, None, None] * images
-        out = _summed([ops @ rho @ dagger(ops), *jumps.swapaxes(0, 1)], (eps.shape[0],) + rho.shape)
-        drift = np.abs(np.trace(out, axis1=1, axis2=2) - np.trace(rho))
+        rho = rho[..., None, :, :]  # broadcast over the B points
+        jumps = eps[:, self.params, None, None] * images[..., None, :, :, :]
+        out = _summed([ops @ rho @ dagger(ops), *_terms(jumps)], ops.shape)
+        drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho, axis1=-2, axis2=-1))
         off = drift > TRACE_TOL
         if off.any():
             raise TPCPViolation(
-                f"output trace deviates by {drift[np.argmax(off)]:g}; eps outside validity region" + _at_row(off)
+                f"output trace deviates by {drift[off][0]:g}; eps outside validity region" + _at_row(off)
             )
-        return out[0] if single else out
+        return out[..., 0, :, :] if single else out
 
     def tpcp_residual(self, eps, kraus=None) -> float | np.ndarray:
         """Frobenius deviation of the Kraus completeness sum from the identity.
@@ -279,10 +311,10 @@ class LowNoiseChannel:
         if kraus is None:
             eps, single = _validate_eps(eps, self.num_params)
             kraus = self._identity_kraus(eps)[0]
-        jumps = eps[:, self.params, None, None] * self._gram
-        acc = _summed([dagger(kraus) @ kraus, *jumps.swapaxes(0, 1)], (eps.shape[0], self.dim, self.dim))
+        jumps = eps[:, self.params, None, None] * self._gram[..., None, :, :, :]
+        acc = _summed([dagger(kraus) @ kraus, *_terms(jumps)], kraus.shape)
         residuals = frobenius(acc - np.eye(self.dim))
-        return float(residuals[0]) if single else residuals
+        return _one_point(residuals[..., 0]) if single else residuals
 
     def evaluate(self, rho: np.ndarray, eps) -> ChannelEvaluation:
         """Output state, exact d channel[rho] / d eps_mu and completeness residual at eps.
@@ -295,15 +327,16 @@ class LowNoiseChannel:
         eps, single = _validate_eps(eps, self.num_params)
         rho = self._check_state(rho)
         ops, dops = self._identity_kraus(eps, with_derivative=True)
-        images = self.jumps @ rho @ dagger(self.jumps)
+        images = self.jumps @ rho[..., None, :, :] @ dagger(self.jumps)
         output = self.apply(rho, eps, kraus=(ops, images))
-        derivatives = np.zeros((eps.shape[0], self.num_params) + rho.shape, dtype=complex)
-        derivatives = derivatives + dops @ rho @ dagger(ops)[:, None] + ops[:, None] @ rho @ dagger(dops)
-        for mu, image in zip(self.params, images):
-            derivatives[:, mu] += image
+        point = rho[..., None, None, :, :]  # broadcast over the B points and D parameters
+        derivatives = np.zeros(dops.shape, dtype=complex) + dops @ point @ dagger(ops)[..., None, :, :]
+        derivatives = derivatives + ops[..., None, :, :] @ point @ dagger(dops)
+        for mu, image in zip(self.params, _terms(images)):
+            derivatives[..., mu, :, :] += image[..., None, :, :]
         residuals = self.tpcp_residual(eps, kraus=ops)
         if single:
-            return ChannelEvaluation(output[0], derivatives[0], float(residuals[0]))
+            return ChannelEvaluation(output[..., 0, :, :], derivatives[..., 0, :, :, :], _one_point(residuals[..., 0]))
         return ChannelEvaluation(output, derivatives, residuals)
 
     # -- derivatives at zero --------------------------------------------------
@@ -312,20 +345,21 @@ class LowNoiseChannel:
         """Hermitian generator of the unitary part of the first-order motion: G_mu, zero without generators."""
         if self.generators is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.generators[mu]
+        return self.generators[..., mu, :, :]
 
     def derivative_at_zero(self, mu: int, rho: np.ndarray) -> np.ndarray:
         """First derivative of the output state in eps_mu at eps = 0.
 
         Lindblad form: dissipation by the parameter's jump operators plus
         commutator motion under the effective Hamiltonian. The result is
-        Hermitian and traceless.
+        Hermitian and traceless; a stack gives one per channel.
         """
         rho = np.asarray(rho, dtype=complex)
-        ms = self.jumps[self.params == mu]
-        s = self._sums[mu]
+        ms = self.jumps[..., self.params == mu, :, :]
+        s = self._sums[..., mu, :, :]
         h = self.hamiltonian_generator(mu)
-        return np.sum(ms @ rho @ dagger(ms), axis=0) - 0.5 * (s @ rho + rho @ s) - 1j * (h @ rho - rho @ h)
+        dissipation = np.sum(ms @ rho[..., None, :, :] @ dagger(ms), axis=-3) - 0.5 * (s @ rho + rho @ s)
+        return dissipation - 1j * (h @ rho - rho @ h)
 
     def finite_difference_derivative(self, rho: np.ndarray, mu: int, eps0, h: float) -> np.ndarray:
         """Second-order finite difference of eps -> channel[rho] along parameter mu.
@@ -394,6 +428,37 @@ def sqrt_completion_channel(
     return LowNoiseChannel(dim, num_params, jumps, params, generators=generators)
 
 
+def _shape(ch: LowNoiseChannel) -> tuple:
+    """What the channels of one stack share: dimension, parameter count, jump parameter index, generator presence."""
+    return ch.dim, ch.num_params, ch.params.tolist(), ch.generators is None
+
+
+def stack_channels(channels: Sequence[LowNoiseChannel]) -> LowNoiseChannel:
+    """C channels of one shape as one channel stack, whose Kraus data carry a leading C axis.
+
+    One shape means the same dimension, parameter count, jump parameter
+    index and generator presence; DimensionMismatch unless every channel
+    has the first's and none is itself a stack.  Row r of every result the
+    stack gives belongs to channels[r].  A stack evaluates (``evaluate``,
+    ``apply``, ``tpcp_residual``, ``derivative_at_zero``); its other
+    methods take one channel.  Each channel was validated when it was
+    built, so the stack reads their data and validates nothing again.
+    """
+    if not channels:
+        raise DimensionMismatch("a channel stack needs at least one channel")
+    first = channels[0]
+    for r, ch in enumerate(channels):
+        if ch.jumps.ndim != 3 or _shape(ch) != _shape(first):
+            raise DimensionMismatch(f"channel {r} does not have the shape of channel 0, or is itself a stack")
+    stack = object.__new__(LowNoiseChannel)
+    stack.dim, stack.num_params, stack.params = first.dim, first.num_params, first.params
+    stack.jumps = np.stack([ch.jumps for ch in channels])
+    stack.generators = None if first.generators is None else np.stack([ch.generators for ch in channels])
+    stack._gram = np.stack([ch._gram for ch in channels])
+    stack._sums = np.stack([ch._sums for ch in channels])
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # config serialization (complex entries as [re, im] pairs)
 
@@ -439,7 +504,7 @@ def _explicit_channel(dim: int, num_params: int, per_param, weights, linear) -> 
 
 
 def channel_to_config(ch: LowNoiseChannel) -> dict:
-    """JSON-able description of a channel as its completion; it round-trips when every parameter has a jump."""
+    """JSON-able description of a channel as its completion; ``channel_from_config`` reads it back."""
     cfg: dict = {
         "dim": ch.dim,
         "num_params": ch.num_params,
@@ -477,13 +542,14 @@ def channel_from_config(cfg: dict) -> LowNoiseChannel:
         raise ConfigInvalid(f"unknown builder {builder!r}")
     try:
         if builder == "sqrt-completion":
-            channel = sqrt_completion_channel(per_param, gens)
+            # built directly, not through sqrt_completion_channel: a parameter may have no jump
+            jumps, params = _jump_stack(per_param)
+            gens = None if gens is None else [require_hermitian(g, 1e-10) for g in gens]
+            channel = LowNoiseChannel(dim, num_params, jumps, params, generators=gens)
         elif gens is not None:
             raise ConfigInvalid("generators belong to the square-root completion, not to explicit data")
         else:
             channel = _explicit_channel(dim, num_params, per_param, weights, linear)
     except (DimensionMismatch, InconsistentKrausData, NonHermitian, TPCPViolation) as exc:
         raise ConfigInvalid(f"channel config: {type(exc).__name__}: {exc}") from exc
-    if channel.dim != dim:
-        raise ConfigInvalid(f"channel config has dim {dim} but {channel.dim} x {channel.dim} operators")
     return channel

@@ -65,19 +65,18 @@ def eigencurve_derivatives(matrix: np.ndarray, derivatives):
 
     derivatives[mu] is d matrix / d eps_mu.  Returns (values, vectors,
     derivs) with derivs[mu, n] = <n|d_mu matrix|n> of shape (D, N).  For a
-    stack of B matrices (B, N, N) with derivatives (B, D, N, N) every
-    result carries a leading B axis.  Eigenvalues within CLUSTER_RTOL times
+    stack of matrices (..., N, N) with derivatives (..., D, N, N) every
+    result carries the stack's leading axes; the stack is taken as one
+    flat stack of matrices.  Eigenvalues within CLUSTER_RTOL times
     max(1, largest magnitude) of each other form a degenerate cluster.
     DimensionMismatch unless the shapes fit these.
     """
     matrix, derivatives = np.asarray(matrix), np.asarray(derivatives)
     fits = derivatives.ndim >= 3 and derivatives.shape[:-3] + derivatives.shape[-2:] == matrix.shape
-    if not fits or matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+    if not fits or matrix.shape[-1] != matrix.shape[-2]:
         raise DimensionMismatch(f"derivatives of shape {derivatives.shape} do not fit matrices of shape {matrix.shape}")
-    perts = _sym(derivatives)
-    single = matrix.ndim == 2
-    if single:
-        matrix, perts = matrix[None], perts[None]
+    lead = matrix.shape[:-2]
+    matrix, perts = matrix.reshape((-1,) + matrix.shape[-2:]), _sym(derivatives).reshape((-1,) + derivatives.shape[-3:])
     values, vectors = _eigh_desc(matrix)
     tol = CLUSTER_RTOL * np.fmax(1.0, np.max(np.abs(values), axis=-1, initial=0.0))
     # a matrix has a cluster where two neighbouring values lie within its tolerance
@@ -87,6 +86,5 @@ def eigencurve_derivatives(matrix: np.ndarray, derivatives):
                 _refine_cluster(vectors[b], cluster, perts[b], 0, tol[b])
     # contiguous: a Gram sum over a strided real view rounds differently
     derivs = np.ascontiguousarray(np.einsum("bin,bmij,bjn->bmn", vectors.conj(), perts, vectors).real)
-    if single:
-        return values[0], vectors[0], derivs[0]
-    return values, vectors, derivs
+    n, d = values.shape[-1], derivs.shape[-2]
+    return values.reshape(lead + (n,)), vectors.reshape(lead + (n, n)), derivs.reshape(lead + (d, n))

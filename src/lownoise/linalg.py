@@ -23,7 +23,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm of one matrix (a float), or of each matrix of a (B, ...) stack (a (B,) array).
+    """Frobenius norm of one matrix (a float), or of each matrix of a (..., M, N) stack (a (...) array).
 
     A stack's row is summed as np.linalg.norm sums one C-contiguous matrix,
     one dot product of its real parts plus one of its imaginary parts, so
@@ -32,9 +32,9 @@ def frobenius(a: np.ndarray) -> float | np.ndarray:
     a = np.asarray(a)
     if a.ndim <= 2:
         return float(np.linalg.norm(a))
-    x = a.reshape(a.shape[0], -1)
+    x = a.reshape(a.shape[:-2] + (-1,))
     parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return np.sqrt(sum(p[:, None, :] @ p[:, :, None] for p in parts))[:, 0, 0]
+    return np.sqrt(sum(p[..., None, :] @ p[..., :, None] for p in parts))[..., 0, 0]
 
 
 def hermiticity_residual(m: np.ndarray) -> float:

@@ -14,6 +14,11 @@ grid: every point's eigenvalues, eigenbasis, (D, N) eigenvalue
 each field with a leading (B,) axis.  ``spectrum[t]`` is point t alone.
 Deviation and covariance matrices are plain Hermitian arrays; they take
 one noise point or a (B, ...) stack of them.
+
+``output_shift_curves``, ``deviation_matrix`` and ``jump_covariance``
+also take a channel stack (``channels.stack_channels``) with one input
+state per channel, a (C, N) array, through the same lines: their results
+carry the stack's C axis first, and row r belongs to channel r.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import LowNoiseChannel, _validate_eps, pure_state_density
+from .channels import LowNoiseChannel, _terms, _validate_eps, pure_state_density
 from .errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
 from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
@@ -107,20 +112,20 @@ def complement_basis(phi: np.ndarray) -> np.ndarray:
 
 
 def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
-    """frame checked against phi, or ``complement_basis(phi)`` when None.
+    """frame checked against phi, or ``complement_basis(phi)`` when None, one per row of a (C, N) phi.
 
     A given frame must be N x (N-1) with orthonormal columns orthogonal to phi.
     """
     if frame is None:
-        return complement_basis(phi)
+        return complement_basis(phi) if phi.ndim == 1 else np.stack([complement_basis(row) for row in phi])
     frame = np.asarray(frame, dtype=complex)
-    n = phi.shape[0]
+    n = phi.shape[-1]
     if frame.shape != (n, n - 1):
         raise ConfigInvalid(f"frame has shape {frame.shape}, expected {(n, n - 1)} for a {n}-level input")
     gram = dagger(frame) @ frame
     if np.linalg.norm(gram - np.eye(frame.shape[1])) > 1e-10:
         raise ConfigInvalid("frame columns must be orthonormal")
-    if np.linalg.norm(dagger(frame) @ phi) > 1e-10:
+    if np.linalg.norm(dagger(frame) @ phi[..., None]) > 1e-10:
         raise ConfigInvalid("frame columns must be orthogonal to the input state")
     return frame
 
@@ -141,13 +146,16 @@ def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarr
     return (entries + dagger(entries)) / 2
 
 
-def _checked_point(ch: LowNoiseChannel, phi: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
-    """phi as a flat complex vector of the channel's dimension and eps as floats, checked as ``evaluate`` checks it."""
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if phi.shape[0] != ch.dim:
-        raise DimensionMismatch(f"input state has length {phi.shape[0]}, channel dimension {ch.dim}")
-    _validate_eps(eps, ch.num_params)
-    return phi, np.asarray(eps, dtype=float)
+def _input_vectors(ch: LowNoiseChannel, phi: np.ndarray) -> np.ndarray:
+    """phi as a flat complex vector of the channel's dimension, or a (C, N) array of one per channel of a stack."""
+    phi = np.asarray(phi, dtype=complex)
+    stack = ch.jumps.shape[:-3]
+    phi = phi if stack else phi.reshape(-1)
+    if phi.shape[-1] != ch.dim:
+        raise DimensionMismatch(f"input state has length {phi.shape[-1]}, channel dimension {ch.dim}")
+    if phi.shape[:-1] != stack:
+        raise DimensionMismatch(f"input states have shape {phi.shape}, expected one per channel of a stack {stack}")
+    return phi
 
 
 def deviation_matrix(
@@ -163,12 +171,13 @@ def deviation_matrix(
     defaults to ``complement_basis(phi)``.  eps is checked as ``evaluate``
     checks it.
     """
-    phi, eps = _checked_point(ch, phi, eps)
+    phi, (eps, single) = _input_vectors(ch, phi), _validate_eps(eps, ch.num_params)
     frame = _complement_frame(phi, frame)
-    u = (dagger(frame) @ (ch.jumps @ phi)[..., None])[..., 0]  # u[k] = frame^dag M_k phi
-    grams = eps[..., ch.params, None, None] * (u[:, :, None] * u[:, None, :].conj())
-    entries = reduce(np.add, np.moveaxis(grams, -3, 0), np.zeros(grams.shape[-2:], dtype=complex))
-    return (entries + dagger(entries)) / 2
+    u = (dagger(frame)[..., None, :, :] @ (ch.jumps @ phi[..., None, :, None]))[..., 0]  # u[k] = frame^dag M_k phi
+    grams = eps[:, ch.params, None, None] * (u[..., None, :, :, None] * u[..., None, :, None, :].conj())
+    entries = reduce(np.add, _terms(grams), np.zeros(grams.shape[-2:], dtype=complex))
+    entries = (entries + dagger(entries)) / 2
+    return entries[..., 0, :, :] if single else entries
 
 
 def deviation_eigenvalues(dm: np.ndarray) -> np.ndarray:
@@ -205,14 +214,15 @@ def jump_covariance(ch: LowNoiseChannel, phi: np.ndarray, eps) -> np.ndarray:
     the K x K Hermitian PSD matrix; row i belongs to parameter
     ``ch.params[i]``.  eps is checked as ``evaluate`` checks it.
     """
-    phi, eps = _checked_point(ch, phi, eps)
-    images = (ch.jumps @ phi)[..., None]  # (K, N, 1)
-    means = phi.conj() @ images  # (K, 1)
-    overlaps = (dagger(images)[:, None] @ images)[..., 0, 0]
-    cov = overlaps - means.conj() @ means.T  # conj(<M_i>) <M_j> as a rank-one matmul
-    weights = eps[..., ch.params]
-    entries = np.sqrt(weights[..., :, None] * weights[..., None, :]) * cov
-    return (entries + dagger(entries)) / 2
+    phi, (eps, single) = _input_vectors(ch, phi), _validate_eps(eps, ch.num_params)
+    images = ch.jumps @ phi[..., None, :, None]  # (..., K, N, 1)
+    means = (phi[..., None, None, :].conj() @ images)[..., 0]  # (..., K, 1)
+    overlaps = (dagger(images)[..., :, None, :, :] @ images[..., None, :, :, :])[..., 0, 0]
+    cov = overlaps - means.conj() @ means.swapaxes(-1, -2)  # conj(<M_i>) <M_j> as a rank-one matmul
+    weights = eps[:, ch.params]
+    entries = np.sqrt(weights[:, :, None] * weights[:, None, :]) * cov[..., None, :, :]
+    entries = (entries + dagger(entries)) / 2
+    return entries[..., 0, :, :] if single else entries
 
 
 def reduced_shifts(lm: np.ndarray, dim: int) -> np.ndarray:
@@ -272,10 +282,16 @@ def output_shift_curves(
     downstream estimator construction relies on this.  Eigenvector phases
     are fixed so <phi|n> is real and non-negative whenever it is nonzero.
     A point outside the channel's validity region fails the whole call.
+
+    A channel stack with its (C, N) inputs gives (C, B, ...) fields, the
+    grid of channel r in row r; eps is every channel's grid.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    phi = _input_vectors(ch, phi)
     eps = np.asarray(scales, dtype=float)[:, None] * np.asarray(direction, dtype=float).reshape(-1)
     ev = ch.evaluate(pure_state_density(phi), eps)
     values, vectors, grads = curves.eigencurve_derivatives(ev.output, ev.derivatives)
-    _fix_phases(vectors, phi)
-    return OutputSpectrum(eps, values, vectors, grads, ev.output, ev.derivatives, ev.tpcp_residual)
+    for bases, vec in zip(vectors.reshape((-1,) + vectors.shape[-3:]), phi.reshape(-1, ch.dim)):
+        _fix_phases(bases, vec)  # in place, through a view: one channel's grid at a time
+    grids = np.empty(phi.shape[:-1] + eps.shape)
+    grids[...] = eps  # one grid per channel, so every field indexes alike
+    return OutputSpectrum(grids, values, vectors, grads, ev.output, ev.derivatives, ev.tpcp_residual)

@@ -6,6 +6,10 @@ subcommand.  Tolerances are fixed here, not configurable.  Criteria 1, 2,
 4 and 7 grade the report ``run_sweep`` returns for their built-in scenario:
 its point columns and Monte Carlo records, and its check rows, whose order
 bands the scenario's ``expected_orders`` and ``sweep.ATTAINMENT_BAND`` set.
+Criterion 6 groups its random channels into cells of one shape and takes
+each cell as one channel stack (``channels.stack_channels``) through the
+same evaluation, spectral, Fisher and estimator calls a single channel
+takes; each seed reads its own row of every stacked result.
 """
 from __future__ import annotations
 
@@ -15,10 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves, estimator as est, fisher, spectral
-from .channels import pure_state_density
+from .channels import pure_state_density, stack_channels
 from .errors import SingularFisher, require_int
 from .linalg import fit_or_floor, richardson_zero_limit
-from .scenarios import random_channel, random_scenario, scenario_ancilla_bell, scenario_pauli2, scenario_threelevel
+from .scenarios import (
+    DEFAULT_SCALES,
+    random_channel,
+    random_scenario,
+    scenario_ancilla_bell,
+    scenario_pauli2,
+    scenario_threelevel,
+)
 from .sweep import FIT_FLOOR, run_sweep
 from .report import render_jsonl
 
@@ -207,61 +218,116 @@ def _seed_params(seed: int) -> tuple[int, int]:
     return dim, num_params
 
 
+def _cells(num_seeds: int) -> list[list[int]]:
+    """The suite's seeds grouped into cells whose channels share a shape, in first-seed order.
+
+    A seed's shape is its (N, D) from ``_seed_params`` and whether it has
+    generators, which ``random_scenario`` gives odd seeds; ``stack_channels``
+    checks it.
+    """
+    cells: dict[tuple, list[int]] = {}
+    for seed in range(num_seeds):
+        cells.setdefault(_seed_params(seed) + (seed % 2,), []).append(seed)
+    return list(cells.values())
+
+
+def _stacked_cell(seeds: list[int], scales: np.ndarray, head: dict, tail: dict) -> tuple:
+    """The first stacked pass over one cell of seeds, built from their ``random_scenario``.
+
+    One stacked channel evaluation of every seed's grid, whose spectrum
+    carries each point's output state, derivatives, completeness residual
+    and eigenvalue gradients; one zero-noise derivative, deviation,
+    covariance and trace-power pass at eps = 1e-3 u; one classical Fisher
+    call.  Each seed's failure lines go to head[seed] and tail[seed].
+    Returns what the fits and the second pass read, row r for seeds[r]:
+    the first-order remainders, the shifts, their gradients, the classical
+    Fisher matrices and the points at scale index -3.  The cell's
+    scenarios, stacked channel, output states and bases go when it returns.
+    """
+    scenarios = [random_scenario(*_seed_params(seed), seed) for seed in seeds]
+    ch = stack_channels([sc.channel for sc in scenarios])
+    phi = np.array([sc.input_state for sc in scenarios])
+    direction = np.asarray(scenarios[0].sweep.direction)  # every seed of a cell sweeps the uniform direction
+    rho_in = pure_state_density(phi)
+    d0 = np.stack([ch.derivative_at_zero(mu, rho_in) for mu in range(ch.num_params)], axis=-3)
+    spec = spectral.output_shift_curves(ch, phi, direction, scales)
+    linear = (spec.eps @ d0.reshape(len(seeds), ch.num_params, -1)).reshape(spec.output.shape)  # sum_mu eps_mu d0_mu
+    remainders = np.linalg.norm(spec.output - rho_in[:, None] - linear, axis=(-2, -1))
+    eps = 1e-3 * direction
+    dm_lead, lm = spectral.deviation_matrix(ch, phi, eps), spectral.jump_covariance(ch, phi, eps)
+    residual = spectral.trace_power_residual(dm_lead, lm, kmax=5)
+    # probs diagonalize the symmetrized output state
+    rows = zip(seeds, spec.tpcp_residual, np.min(spec.probs, axis=-1), np.broadcast_to(residual > 1e-11, len(seeds)))
+    for seed, tpcp, lowest, trace_power in rows:
+        head[seed] = [f"seed {seed}: trace-preservation residual at scale {s:g}" for s in scales[tpcp > 1e-10]]
+        head[seed] += [f"seed {seed}: output negativity at scale {s:g}" for s in scales[lowest < -1e-10]]
+        tail[seed] = [f"seed {seed}: trace-power identity residual"] if trace_power else []
+    jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
+    return remainders, spec.shifts(), spec.shift_gradients(), jc, spec[:, -3]  # the points own their arrays
+
+
+def _estimator_lines(points, included: tuple[int, ...], jdiv: np.ndarray) -> list[list[str]]:
+    """The estimator check's failure lines for each row of a stack of points that share their included shifts.
+
+    One score, inverse and POVM pass for the stack.  If the stacked inverse
+    is singular, each row is checked alone, and only its singular rows fail.
+    """
+    score = est.build_score_operators(points, included)
+    try:
+        inverse = fisher.fisher_inverse(fisher.FisherMatrix(entries=jdiv))
+    except SingularFisher:
+        if len(jdiv) == 1:
+            return [["divergent Fisher unexpectedly singular"]]
+        return [_estimator_lines(points[[r]], included, jdiv[[r]])[0] for r in range(len(jdiv))]
+    lines: list[list[str]] = [[] for _ in jdiv]
+    for rows, povm in est.build_povm(est.raise_index(score, inverse)):
+        # orthonormal columns, each in exactly one group: the outcomes'
+        # projectors are then idempotent, orthogonal and complete
+        partitions = sorted(c for cols in povm.groups for c in cols) == list(range(points.probs.shape[-1]))
+        for r, completeness in zip(rows, povm.completeness_residual()):
+            lines[r] += ["POVM basis not orthonormal"] if completeness > 1e-10 else []
+            lines[r] += [] if partitions else ["POVM outcomes do not partition the basis"]
+    return lines
+
+
 def check_property_suite(num_seeds: int = 100) -> CheckResult:
-    """Criterion 6: per-seed checks in two passes around three fits, each stacked over all seeds."""
+    """Criterion 6: a stacked pass per cell of seeds whose channels share a shape, around three fits over all seeds."""
     num_seeds = require_int(num_seeds, "the property suite's seed count", 1)
     start = time.perf_counter()
-    kept, remainders = [], []
-    for seed in range(num_seeds):
-        sc = random_scenario(*_seed_params(seed), seed)
-        ch, phi, direction = sc.channel, sc.input_state, np.asarray(sc.sweep.direction)
-        scales = np.asarray(sc.sweep.scales)  # the default scales: every seed's, so the stacked fits take them
-        rho_in = pure_state_density(phi)
-        d0 = np.array([ch.derivative_at_zero(mu, rho_in) for mu in range(ch.num_params)])
-        # one stacked channel evaluation for the whole grid: the spectrum
-        # carries every point's output state, derivatives, completeness
-        # residual and eigenvalue gradients
-        spec = spectral.output_shift_curves(ch, phi, direction, scales)
-        head = [f"seed {seed}: trace-preservation residual at scale {s:g}" for s in scales[spec.tpcp_residual > 1e-10]]
-        # probs diagonalize the symmetrized output state
-        head += [f"seed {seed}: output negativity at scale {s:g}" for s in scales[np.min(spec.probs, axis=-1) < -1e-10]]
-        remainders.append(np.linalg.norm(spec.output - rho_in - np.tensordot(spec.eps, d0, axes=1), axis=(-2, -1)))
-        eps = 1e-3 * direction
-        dm_lead, lm = spectral.deviation_matrix(ch, phi, eps), spectral.jump_covariance(ch, phi, eps)
-        tail = []
-        if spectral.trace_power_residual(dm_lead, lm, kmax=5) > 1e-11:
-            tail.append(f"seed {seed}: trace-power identity residual")
-        jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
-        kept.append((head, tail, spec.shifts(), spec.shift_gradients(), jc, spec[-3]))  # the point owns its arrays
-    first_order = fit_or_floor(scales, np.array(remainders), 0.0)  # floor 0 clips nothing
+    scales = np.asarray(DEFAULT_SCALES)  # every seed's sweep scales, so the stacked fits take them
+    head: dict[int, list[str]] = {}
+    tail: dict[int, list[str]] = {}
+    remainders, shifts, kept = np.empty((num_seeds, len(scales))), [None] * num_seeds, []
+    for seeds in _cells(num_seeds):
+        remainders[seeds], *arrays = _stacked_cell(seeds, scales, head, tail)
+        for seed, seed_shifts in zip(seeds, arrays[0]):
+            shifts[seed] = seed_shifts
+        kept.append((seeds, *arrays))
+    first_order = fit_or_floor(scales, remainders, 0.0)  # floor 0 clips nothing
     # every shift is a probability, so max(1, max |shift|) = 1 and all seeds share one shift floor
-    labels = iter(spectral.classify_shift_curves(scales, np.concatenate([shifts for _, _, shifts, *_ in kept], axis=-1))[0])
-    cvd = []
-    for seed, (head, tail, shifts, shift_gradients, jc, point) in enumerate(kept):
-        # each seed takes the next N - 1 labels, one per shift curve
-        included = [i for i in range(shifts.shape[-1]) if next(labels) == "order-1"]
-        jdiv = fisher.divergent_fisher(shifts, shift_gradients, included).entries
-        cvd.append(np.linalg.norm(jc - jdiv, axis=(1, 2)))
-        try:
-            score = est.build_score_operators(point, included)
-            povm = est.build_povm(est.raise_index(score, fisher.fisher_inverse(fisher.FisherMatrix(entries=jdiv[-3]))))
-            # orthonormal columns, each in exactly one group: the outcomes'
-            # projectors are then idempotent, orthogonal and complete
-            if povm.completeness_residual() > 1e-10:
-                tail.append(f"seed {seed}: POVM basis not orthonormal")
-            if sorted(c for cols in povm.groups for c in cols) != list(range(len(point.probs))):
-                tail.append(f"seed {seed}: POVM outcomes do not partition the basis")
-        except SingularFisher:
-            tail.append(f"seed {seed}: divergent Fisher unexpectedly singular")
-    fit_cvd = fit_or_floor(scales, np.array(cvd), FIT_FLOOR)
+    labels = iter(spectral.classify_shift_curves(scales, np.concatenate(shifts, axis=-1))[0])
+    # each seed takes the next N - 1 labels, one per shift curve
+    included = [tuple(i for i in range(s.shape[-1]) if next(labels) == "order-1") for s in shifts]
+    cvd = np.empty((num_seeds, len(scales)))
+    for seeds, cell_shifts, shift_gradients, jc, points in kept:
+        # one divergent Fisher call and one estimator pass per set of included shifts, one set per cell as a rule
+        groups: dict[tuple, list[int]] = {}
+        for r, seed in enumerate(seeds):
+            groups.setdefault(included[seed], []).append(r)
+        for shared, rows in groups.items():
+            jdiv = fisher.divergent_fisher(cell_shifts[rows], shift_gradients[rows], shared).entries
+            cvd[[seeds[r] for r in rows]] = np.linalg.norm(jc[rows] - jdiv, axis=(-2, -1))
+            for r, lines in zip(rows, _estimator_lines(points[rows], shared, jdiv[:, -3])):
+                tail[seeds[r]] += [f"seed {seeds[r]}: {line}" for line in lines]
+    fit_cvd = fit_or_floor(scales, cvd, FIT_FLOOR)
     failures: list[str] = []
-    for seed, (head, tail, *_) in enumerate(kept):
-        failures += head
+    for seed in range(num_seeds):
+        failures += head[seed]
         if not 1.85 <= first_order.slope[seed] <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {first_order.slope[seed]:.3f}")
         if not fit_cvd.at_floor[seed] and fit_cvd.slope[seed] < -0.2:
             failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope[seed]:.3f} diverges")
-        failures += tail
+        failures += tail[seed]
         if len(failures) > 20:
             break
     # pure-input dominance on mixed fixtures

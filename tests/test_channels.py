@@ -464,6 +464,15 @@ class TestJumpStack:
         with pytest.raises(error):
             LowNoiseChannel(2, 1, jumps, params)
 
+    def test_constructor_rejects_a_channel_without_noise_parameters(self):
+        with pytest.raises(ConfigInvalid, match="at least one noise parameter, got 0"):
+            LowNoiseChannel(2, 0, [], [])
+
+    def test_builder_needs_a_jump_per_parameter(self):
+        # the per-parameter builder keeps its own check; a channel built directly may leave a parameter without a jump
+        with pytest.raises(ConfigInvalid, match="at least one jump operator per parameter"):
+            sqrt_completion_channel([[SIGMA_X], []])
+
     def test_constructor_checks_the_generator_count(self):
         with pytest.raises(ConfigInvalid):
             LowNoiseChannel(2, 1, [SIGMA_X], [0], generators=[SIGMA_Z, SIGMA_Z])
@@ -488,6 +497,17 @@ class TestConfigRoundTrip:
         rho = pure_state_density(np.array([0.6, 0.8j]))
         eps = np.array([1e-4])
         assert np.array_equal(ch.apply(rho, eps), ch2.apply(rho, eps))
+
+    @pytest.mark.parametrize("generators", [None, [SIGMA_Z, SIGMA_X]], ids=["plain", "generators"])
+    def test_parameter_without_a_jump_round_trips(self, generators):
+        ch = LowNoiseChannel(2, 2, [SIGMA_X], [0], generators=generators)
+        cfg = channel_to_config(ch)
+        back = channel_from_config(cfg)
+        assert channel_to_config(back) == cfg
+        assert back.params.tolist() == [0] and (back.generators is None) == (generators is None)
+        rho = pure_state_density(np.array([0.6, 0.8j]))
+        eps = np.array([1e-4, 2e-4])
+        assert np.array_equal(ch.apply(rho, eps), back.apply(rho, eps))
 
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):

@@ -1,14 +1,15 @@
 """One stacked Kraus build per scale grid, one inversion per Fisher matrix.
 
-A sweep, a property-suite seed and a channel's construction check each
-build the identity-family Kraus operators once, for the whole stack of
-their noise points; every consumer downstream reads the output state, its
-exact derivatives and the completeness residual from the grid's one
-stacked spectrum.  Calls
-are recorded by the phase they are made in, with the number of noise
-points (rows of the eps stack) each one covers: a channel's own
-construction check (``_validate``) and the pure-input dominance check are
-recorded apart from the per-grid evaluations.
+A sweep and a channel's construction check each build the identity-family
+Kraus operators once, for the whole stack of their noise points; the
+property suite builds them once per cell, a stack of the channels of one
+shape over their shared grid.  Every consumer downstream reads the output
+state, its exact derivatives and the completeness residual from the one
+stacked spectrum.  Calls are recorded by the phase they are made in, with
+the number of noise points (rows of the eps stack) each one covers and
+the shape of the channel stack: a channel's own construction check
+(``_validate``) and the pure-input dominance check are recorded apart
+from the per-grid evaluations.
 
 A sweep inverts the quantum and the divergent Fisher matrices of its grid
 with one stacked eigensolve each, and the estimator raises its index with
@@ -36,10 +37,11 @@ from lownoise.sweep import run_sweep
 
 
 class KrausCounter:
-    """_identity_kraus calls by phase: the eps-stack row count of each call."""
+    """_identity_kraus calls by phase: the eps-stack row count and the channel-stack shape of each call."""
 
     def __init__(self):
         self.rows: defaultdict = defaultdict(list)
+        self.stacks: defaultdict = defaultdict(list)
         self.entries: Counter = Counter()
         self.phase = "evaluations"
 
@@ -58,6 +60,7 @@ class KrausCounter:
 
     def clear(self):
         self.rows.clear()
+        self.stacks.clear()
         self.entries.clear()
 
 
@@ -68,6 +71,7 @@ def kraus_calls(monkeypatch):
 
     def counting_kraus(self, eps, with_derivative=False):
         counter.rows[counter.phase].append(eps.shape[0])
+        counter.stacks[counter.phase].append(self.jumps.shape[:-3])
         return kraus(self, eps, with_derivative)
 
     monkeypatch.setattr(LowNoiseChannel, "_identity_kraus", counting_kraus)
@@ -85,6 +89,15 @@ def test_sweep_evaluates_the_channel_once_per_point(kraus_calls, name, shots):
     assert kraus_calls.rows == {"evaluations": [len(sc.sweep.scales)]}
 
 
+def suite_cells(num_seeds: int) -> list[int]:
+    """The seed count of each cell of the property suite, the seeds whose channels share a shape, in first-seed order."""
+    return [len(seeds) for seeds in verify._cells(num_seeds)]
+
+
+# twelve seeds fill each of the suite's six cells with two
+SUITE_SEEDS = 12
+
+
 def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
     input_states = []
     dominance = kraus_calls.within("dominance", fisher.pure_input_dominance)
@@ -94,10 +107,13 @@ def test_property_suite_evaluates_each_scale_once(kraus_calls, monkeypatch):
         return dominance(ch, rho_mixed, decomposition, *args, **kwargs)
 
     monkeypatch.setattr(fisher, "pure_input_dominance", counted_dominance)
-    num_seeds = 3
+    num_seeds, cells = SUITE_SEEDS, suite_cells(SUITE_SEEDS)
+    assert cells == [2] * 6
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    assert kraus_calls.rows["evaluations"] == [len(DEFAULT_SCALES)] * num_seeds
+    # one stacked evaluation per cell: its channels over the shared grid
+    assert kraus_calls.rows["evaluations"] == [len(DEFAULT_SCALES)] * len(cells)
+    assert kraus_calls.stacks["evaluations"] == [(size,) for size in cells]
     # each channel's construction check probes its three scales in one call
     assert kraus_calls.entries["validation"] >= num_seeds
     assert kraus_calls.rows["validation"] == [3] * kraus_calls.entries["validation"]
@@ -196,12 +212,13 @@ def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypa
 
 
 def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
-    """One classical and one divergent matrix per scale, each from one stacked call per seed.
+    """One classical and one divergent matrix per seed and scale, each from one stacked call per cell.
 
-    The estimator check reuses its point's divergent matrix.
+    The estimator check reuses its point's divergent matrix, in one
+    inversion and one POVM build per cell.
     """
     stacks = defaultdict(list)
-    for name in ("classical_fisher", "divergent_fisher"):
+    for name in ("classical_fisher", "divergent_fisher", "fisher_inverse"):
         original = getattr(fisher, name)
 
         def counting(*args, _name=name, _original=original):
@@ -210,11 +227,23 @@ def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
             return fm
 
         monkeypatch.setattr(fisher, name, counting)
-    num_seeds = 3
+    build, povms = estimator.build_povm, []
+
+    def building(score):
+        povms.append(score.estimates.shape[:-2])
+        return build(score)
+
+    monkeypatch.setattr(estimator, "build_povm", building)
+    num_seeds, cells = SUITE_SEEDS, suite_cells(SUITE_SEEDS)
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    per_seed = [(len(DEFAULT_SCALES),)] * num_seeds
-    assert stacks == {"classical_fisher": per_seed, "divergent_fisher": per_seed}
+    per_cell = [(size, len(DEFAULT_SCALES)) for size in cells]
+    assert stacks == {
+        "classical_fisher": per_cell,
+        "divergent_fisher": per_cell,
+        "fisher_inverse": [(size,) for size in cells],
+    }
+    assert povms == [(size,) for size in cells]
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])

@@ -155,13 +155,17 @@ def test_failing_trace_power_identity_cuts_the_detail_after_the_seed_past_20(mon
 
 
 def test_property_suite_failure_lines_keep_their_order_within_a_seed(monkeypatch):
-    """Five checks fail at every seed; the lines come seed by seed, in the order the checks were written."""
+    """Five checks fail at every seed; the lines come seed by seed, in the order the checks were written.
+
+    The suite evaluates a cell of seeds in one stacked call, so the patch
+    marks scale index 2 of every seed's row of that call.
+    """
 
     def residual_and_offset_at_a_scale(original):
         def altered(*args):
             spec = original(*args)
             residual = spec.tpcp_residual.copy()
-            residual[2] = 1.0
+            residual[..., 2] = 1.0
             return replace(spec, tpcp_residual=residual, output=spec.output + 1e-3 * np.eye(spec.output.shape[-1]))
 
         return altered
