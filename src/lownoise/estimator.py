@@ -109,7 +109,7 @@ def build_povm(score: ScoreOperators) -> EstimatorPOVM | list[tuple[list[int], E
     One point gives one EstimatorPOVM.  A (B, ...) score gives a list of
     (rows, EstimatorPOVM), one stacked POVM per distinct grouping, in the
     order of their first rows; row b of a stack equals the one-point call
-    on point rows[b] bit for bit.
+    on point rows[b] bit for bit.  DimensionMismatch unless the outcomes partition the basis's columns.
     """
     if score.estimates is None:
         raise EmptySum("raise_index must run before building the estimator")
@@ -144,6 +144,8 @@ def build_povm(score: ScoreOperators) -> EstimatorPOVM | list[tuple[list[int], E
         else:
             groups.append(kernel)
         groups = tuple(tuple(sorted(cols)) for cols in groups)
+        if sorted(c for cols in groups for c in cols) != list(range(score.basis.shape[-1])):
+            raise DimensionMismatch(f"POVM outcomes do not partition the basis: groups {groups}")
         if single:
             return EstimatorPOVM(groups=groups, basis=score.basis, estimates=estimates[0])
         stacks.append((rows, EstimatorPOVM(groups=groups, basis=score.basis[rows], estimates=estimates)))

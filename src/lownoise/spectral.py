@@ -114,16 +114,16 @@ def complement_basis(phi: np.ndarray) -> np.ndarray:
 def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
     """frame checked against phi, or ``complement_basis(phi)`` when None, one per row of a (C, N) phi.
 
-    A given frame must be N x (N-1) with orthonormal columns orthogonal to phi.
+    A given frame, N x (N-1) for each phi, must have orthonormal columns orthogonal to its phi.
     """
     if frame is None:
         return complement_basis(phi) if phi.ndim == 1 else np.stack([complement_basis(row) for row in phi])
     frame = np.asarray(frame, dtype=complex)
     n = phi.shape[-1]
-    if frame.shape != (n, n - 1):
-        raise ConfigInvalid(f"frame has shape {frame.shape}, expected {(n, n - 1)} for a {n}-level input")
+    if frame.shape != phi.shape + (n - 1,):
+        raise ConfigInvalid(f"frame has shape {frame.shape}, expected {phi.shape + (n - 1,)} for a {n}-level input")
     gram = dagger(frame) @ frame
-    if np.linalg.norm(gram - np.eye(frame.shape[1])) > 1e-10:
+    if np.linalg.norm(gram - np.eye(n - 1)) > 1e-10:
         raise ConfigInvalid("frame columns must be orthonormal")
     if np.linalg.norm(dagger(frame) @ phi[..., None]) > 1e-10:
         raise ConfigInvalid("frame columns must be orthogonal to the input state")
@@ -135,14 +135,17 @@ def output_deviation_matrix(output: np.ndarray, phi: np.ndarray, frame: np.ndarr
 
     output is the channel's output state at the noise point
     (``OutputSpectrum.output``); frame defaults to ``complement_basis(phi)``.
-    Returns the exact compression as an (N-1, N-1) Hermitian array.
+    Returns the exact compression as an (N-1, N-1) Hermitian array.  A
+    channel stack's (C, N) inputs take its (C, B, N, N) outputs.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    output = np.asarray(output, dtype=complex)
-    if output.shape[-2:] != (phi.shape[0], phi.shape[0]):
-        raise DimensionMismatch(f"output state has shape {output.shape}, input dimension {phi.shape[0]}")
-    frame = _complement_frame(phi, frame)
-    entries = dagger(frame) @ (output - pure_state_density(phi)) @ frame
+    phi, output = np.asarray(phi, dtype=complex), np.asarray(output, dtype=complex)
+    stack = phi.ndim == 2 and output.ndim == 4 and len(phi) == len(output)
+    phi = phi if stack else phi.reshape(-1)
+    if output.shape[-2:] != (phi.shape[-1],) * 2:
+        raise DimensionMismatch(f"output states have shape {output.shape} for input states of shape {phi.shape}")
+    grid = (slice(None), None) if stack else ()  # a stack's grid axis, between its own and the matrices'
+    frame, rho = _complement_frame(phi, frame)[grid], pure_state_density(phi)[grid]
+    entries = dagger(frame) @ (output - rho) @ frame
     return (entries + dagger(entries)) / 2
 
 

@@ -8,7 +8,8 @@ grid, on a (B, ...) stack of its points that starts from the grid's one
 stacked spectrum; the estimator's tail runs once per grouping of the
 grid's POVMs, and only the Monte Carlo draw itself is made row by row.
 One stacked slope fit of every series over the grid then grades each
-quantity against the scenario's expected asymptotic orders.
+quantity against the scenario's expected asymptotic orders.  The records
+pass takes a channel stack too, a cell of ``verify``'s property suite.
 """
 from __future__ import annotations
 
@@ -32,18 +33,22 @@ NONDEGENERACY_FLOOR = 1e-10
 def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, labels, shots: int) -> dict:
     """The records of grid points rows as columns, from one stacked pass over their spectrum spec.
 
-    Returns {record key: column}, each column an array with a leading
-    (B,) axis, or a list of B values where the points may differ in shape
-    (``estimates``, the cross-check residuals, ``mc``).  Every quantity
-    reads the output states and their derivatives from spec; the channel
-    is not evaluated again.  The POVM's outcome probabilities, residuals,
-    completeness and, with shots > 0, the record's ``mc`` are stacked over
-    the points that share a grouping, one pass per grouping; only the
-    multinomial draw is made row by row.  Raises the first LowNoiseError
-    of any row.
+    sc's channel may be a channel stack (``channels.stack_channels``) with
+    (C, N) inputs, and frames None or one per input; spec is then the
+    stack's, and every channel shares the labels.  Each column has one row
+    per point, channel by channel (row r * B + t is channel r's point t):
+    an array, or a list where the points may differ in shape.  The POVM
+    tail runs once per grouping of the points; only the multinomial draw
+    is made row by row.  Raises the first LowNoiseError of any row.
     """
-    eps, dim = spec.eps, sc.channel.dim
+    ch, phi, dim = sc.channel, spectral._input_vectors(sc.channel, sc.input_state), sc.channel.dim
     included = [i for i, lab in enumerate(labels) if lab == "order-1"]
+    frame = spectral._complement_frame(phi, sc.frame)  # one per channel, made once
+    dm_full = spectral.output_deviation_matrix(spec.output, phi, frame).reshape(-1, dim - 1, dim - 1)
+    lead = spec.probs.ndim - 1  # the grid's axis, or a stack's and its grid's
+    if lead > 1:  # a stack's (C, B) points on one axis of C * B rows, channel by channel
+        spec = spectral.OutputSpectrum(**{key: np.reshape(v, (-1,) + v.shape[lead:]) for key, v in vars(spec).items()})
+    eps, reps = spec.eps, len(spec.eps) // len(rows)
 
     jq = fisher.fisher_inverse(fisher.quantum_fisher(spec.probs, spec.basis, spec.derivatives))
     jc = fisher.classical_fisher(spec.probs, spec.gradients)
@@ -53,9 +58,8 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
     jdiv_inv, _, kept = fisher._kept_inverse(jdiv)
 
     score = est.raise_index(est.build_score_operators(spec, included), jdiv_inv)
-    bias, mse, completeness = np.empty(eps.shape), np.empty(jq.entries.shape), np.empty(len(rows))
-    estimates, mc = [None] * len(rows), [None] * len(rows)
-    seeds = [sc.sweep.monte_carlo_seed(t) for t in rows]
+    bias, mse, completeness = np.empty(eps.shape), np.empty(jq.entries.shape), np.empty(len(eps))
+    estimates, mc, seeds = [None] * len(eps), [None] * len(eps), [sc.sweep.monte_carlo_seed(t) for t in rows] * reps
     for idx, povm in est.build_povm(score):  # one stacked POVM per grouping of the points
         q = est.outcome_probabilities(povm, spec.probs[idx])
         bias[idx] = est.unbiasedness_residual(povm, q, eps[idx])
@@ -74,13 +78,12 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
     gap_quantum = mse - jq.inverse
     cr_margin = est.cr_direction_margin(gap_quantum)
 
-    # deviation-matrix and covariance cross checks, in one complement frame
-    frame = spectral.complement_basis(sc.input_state) if sc.frame is None else sc.frame
-    dm_full = spectral.output_deviation_matrix(spec.output, sc.input_state, frame)
-    dm_lead = spectral.deviation_matrix(sc.channel, sc.input_state, eps, frame)
-    trace_power = reduced_residual = [None] * len(rows)
-    if len(sc.channel.jumps) <= dim - 1:
-        lm = spectral.jump_covariance(sc.channel, sc.input_state, eps)
+    # deviation-matrix and covariance cross checks, in each channel's one complement frame
+    grid = eps[: len(rows)]  # every channel of a stack sweeps the same points
+    dm_lead = spectral.deviation_matrix(ch, phi, grid, frame).reshape(dm_full.shape)
+    trace_power = reduced_residual = [None] * len(eps)
+    if len(ch.params) <= dim - 1:
+        lm = spectral.jump_covariance(ch, phi, grid).reshape(len(eps), len(ch.params), len(ch.params))
         trace_power = spectral.trace_power_residual(dm_lead, lm, kmax=5).tolist()
         padded = np.zeros(spec.shifts().shape)
         padded[:, : lm.shape[-1]] = spectral.reduced_shifts(lm, dim)
@@ -88,7 +91,7 @@ def _records(sc: Scenario, rows: list[int], spec: spectral.OutputSpectrum, label
         reduced_residual = np.max(np.abs(np.sort(padded) - np.sort(lead_vals)), axis=-1).tolist()
 
     columns = dict(
-        scale=np.asarray(sc.sweep.scales, dtype=float)[rows], eps=eps, probs=spec.probs,
+        scale=np.tile(np.asarray(sc.sweep.scales, dtype=float)[rows], reps), eps=eps, probs=spec.probs,
         shifts=spec.shifts(), shift_gradients=spec.shift_gradients(),
         quantum_fisher=jq.entries, quantum_fisher_inverse=jq.inverse, classical_fisher=jc.entries,
         divergent_fisher=jdiv.entries, divergent_inverse=jdiv_inv.inverse, nondegeneracy_det=nondeg,

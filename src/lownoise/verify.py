@@ -5,25 +5,27 @@ backs both the pytest acceptance module and the command-line ``verify``
 subcommand.  Tolerances are fixed here, not configurable.  Criteria 1, 2,
 4 and 7 grade the report ``run_sweep`` returns for their built-in scenario:
 its point columns and Monte Carlo records, and its check rows, whose order
-bands the scenario's ``expected_orders`` and ``sweep.ATTAINMENT_BAND`` set.
-Criterion 6 groups its random channels into cells of one shape and takes
-each cell as one channel stack (``channels.stack_channels``) through the
-same evaluation, spectral, Fisher and estimator calls a single channel
-takes; each seed reads its own row of every stacked result.
+bands the scenario's ``expected_orders`` and ``sweep.ATTAINMENT_BAND`` set;
+``run_all`` sweeps each built-in's default grid once for them all.
+Criterion 6 takes each cell of its random channels of one shape as one
+channel stack (``channels.stack_channels``) through one evaluation and the
+sweep's own records pass, whose rows equal each seed's own sweep bit for bit.
 """
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import curves, estimator as est, fisher, spectral
+from . import curves, fisher, spectral, sweep
 from .channels import pure_state_density, stack_channels
-from .errors import SingularFisher, require_int
+from .errors import LowNoiseError, require_int
 from .linalg import fit_or_floor, richardson_zero_limit
 from .scenarios import (
     DEFAULT_SCALES,
+    Scenario,
     random_channel,
     random_scenario,
     scenario_ancilla_bell,
@@ -66,14 +68,26 @@ def _report_failures(report, rows) -> list[str]:
     return fails
 
 
+# {scenario builder: (scenario, default-grid report)} of the run_all call in progress
+_ROUND: ContextVar[dict] = ContextVar("verify_round")
+
+
+def _default_report(build) -> tuple:
+    """build()'s scenario and its shots-0 report; within ``run_all``, one sweep per builder for every check."""
+    made = _ROUND.get({})
+    if build not in made:
+        sc = build()
+        made[build] = sc, run_sweep(sc)
+    return made[build]
+
+
 # ---------------------------------------------------------------------------
 # criterion 1: ancilla Bell closed forms
 
 
 def check_ancilla_bell() -> CheckResult:
     start = time.perf_counter()
-    sc = scenario_ancilla_bell()
-    report = run_sweep(sc)
+    sc, report = _default_report(scenario_ancilla_bell)
     failures = _report_failures(report, ["quantum_jinv_vs_reference"])
     good = [p for p in report.points if p["error"] is None]
     if good:
@@ -100,8 +114,7 @@ def check_ancilla_bell() -> CheckResult:
 
 def check_pauli() -> CheckResult:
     start = time.perf_counter()
-    sc = scenario_pauli2()
-    report = run_sweep(sc)
+    sc, report = _default_report(scenario_pauli2)
     failures = _report_failures(report, ["jinv_large_eigenvalue", "jinv_small_eigenvalue"])
     good = [p for p in report.points if p["error"] is None]
     for p in good:
@@ -181,9 +194,9 @@ def check_threelevel() -> CheckResult:
 def check_attainment() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
-    for sc in (scenario_ancilla_bell(), scenario_threelevel()):
+    for build in (scenario_ancilla_bell, scenario_threelevel):
         failures += _report_failures(
-            run_sweep(sc), ["unbiasedness", "mse_vs_divergent_inverse", "cr_direction", "attainment"]
+            _default_report(build)[1], ["unbiasedness", "mse_vs_divergent_inverse", "cr_direction", "attainment"]
         )
     return _result("attainment orders", start, failures, budget=30.0)
 
@@ -195,7 +208,7 @@ def check_attainment() -> CheckResult:
 def check_negative_control() -> CheckResult:
     start = time.perf_counter()
     failures: list[str] = []
-    report = run_sweep(scenario_pauli2())
+    report = _default_report(scenario_pauli2)[1]
     fits = {f["name"]: f for f in report.fits}
     gap = fits.get("bad_direction_gap")
     if gap is None or gap["at_floor"]:
@@ -231,18 +244,12 @@ def _cells(num_seeds: int) -> list[list[int]]:
     return list(cells.values())
 
 
-def _stacked_cell(seeds: list[int], scales: np.ndarray, head: dict, tail: dict) -> tuple:
-    """The first stacked pass over one cell of seeds, built from their ``random_scenario``.
+def _stacked_cell(seeds: list[int], scales: np.ndarray, head: dict) -> tuple:
+    """The first pass over a cell of seeds: their ``random_scenario``, one stacked evaluation, one d0 pass.
 
-    One stacked channel evaluation of every seed's grid, whose spectrum
-    carries each point's output state, derivatives, completeness residual
-    and eigenvalue gradients; one zero-noise derivative, deviation,
-    covariance and trace-power pass at eps = 1e-3 u; one classical Fisher
-    call.  Each seed's failure lines go to head[seed] and tail[seed].
-    Returns what the fits and the second pass read, row r for seeds[r]:
-    the first-order remainders, the shifts, their gradients, the classical
-    Fisher matrices and the points at scale index -3.  The cell's
-    scenarios, stacked channel, output states and bases go when it returns.
+    Each seed's trace-preservation and negativity lines go to head[seed].
+    Returns the first-order remainders, row r for seeds[r], the scenarios
+    and their stacked spectrum, which the second pass reads.
     """
     scenarios = [random_scenario(*_seed_params(seed), seed) for seed in seeds]
     ch = stack_channels([sc.channel for sc in scenarios])
@@ -253,80 +260,81 @@ def _stacked_cell(seeds: list[int], scales: np.ndarray, head: dict, tail: dict) 
     spec = spectral.output_shift_curves(ch, phi, direction, scales)
     linear = (spec.eps @ d0.reshape(len(seeds), ch.num_params, -1)).reshape(spec.output.shape)  # sum_mu eps_mu d0_mu
     remainders = np.linalg.norm(spec.output - rho_in[:, None] - linear, axis=(-2, -1))
-    eps = 1e-3 * direction
-    dm_lead, lm = spectral.deviation_matrix(ch, phi, eps), spectral.jump_covariance(ch, phi, eps)
-    residual = spectral.trace_power_residual(dm_lead, lm, kmax=5)
     # probs diagonalize the symmetrized output state
-    rows = zip(seeds, spec.tpcp_residual, np.min(spec.probs, axis=-1), np.broadcast_to(residual > 1e-11, len(seeds)))
-    for seed, tpcp, lowest, trace_power in rows:
+    for seed, tpcp, lowest in zip(seeds, spec.tpcp_residual, np.min(spec.probs, axis=-1)):
         head[seed] = [f"seed {seed}: trace-preservation residual at scale {s:g}" for s in scales[tpcp > 1e-10]]
         head[seed] += [f"seed {seed}: output negativity at scale {s:g}" for s in scales[lowest < -1e-10]]
-        tail[seed] = [f"seed {seed}: trace-power identity residual"] if trace_power else []
-    jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
-    return remainders, spec.shifts(), spec.shift_gradients(), jc, spec[:, -3]  # the points own their arrays
+    return remainders, scenarios, spec
 
 
-def _estimator_lines(points, included: tuple[int, ...], jdiv: np.ndarray) -> list[list[str]]:
-    """The estimator check's failure lines for each row of a stack of points that share their included shifts.
+# the sweep's point columns criterion 6 grades at every scale: each one's bound and failure line
+_GRADED = {
+    "trace_power_residual": (1e-11, "trace-power identity residual"),
+    "povm_completeness": (1e-10, "POVM basis not orthonormal"),
+    "pseudo": (0.0, "divergent Fisher unexpectedly singular"),
+}
 
-    One score, inverse and POVM pass for the stack.  If the stacked inverse
-    is singular, each row is checked alone, and only its singular rows fail.
+
+def _graded_records(seeds: list[int], scenarios, spec, labels: tuple[str, ...], tail: dict) -> np.ndarray:
+    """The (C, B) classical-vs-divergent columns of C seeds sharing their shift labels; their lines go to tail[seed].
+
+    One ``sweep._records`` pass over the seeds' channel stack and stacked spectrum spec.  If it raises,
+    each seed runs alone through ``run_sweep``, whose row fallback fails only its own points, NaN in each column.
     """
-    score = est.build_score_operators(points, included)
+    names, sweep_config = ["classical_vs_divergent", *_GRADED], scenarios[0].sweep  # every seed sweeps one grid
+    scales, errors = np.asarray(sweep_config.scales), [{}] * len(seeds)
     try:
-        inverse = fisher.fisher_inverse(fisher.FisherMatrix(entries=jdiv))
-    except SingularFisher:
-        if len(jdiv) == 1:
-            return [["divergent Fisher unexpectedly singular"]]
-        return [_estimator_lines(points[[r]], included, jdiv[[r]])[0] for r in range(len(jdiv))]
-    lines: list[list[str]] = [[] for _ in jdiv]
-    for rows, povm in est.build_povm(est.raise_index(score, inverse)):
-        # orthonormal columns, each in exactly one group: the outcomes'
-        # projectors are then idempotent, orthogonal and complete
-        partitions = sorted(c for cols in povm.groups for c in cols) == list(range(points.probs.shape[-1]))
-        for r, completeness in zip(rows, povm.completeness_residual()):
-            lines[r] += ["POVM basis not orthonormal"] if completeness > 1e-10 else []
-            lines[r] += [] if partitions else ["POVM outcomes do not partition the basis"]
-    return lines
+        ch, phi = stack_channels([sc.channel for sc in scenarios]), np.array([sc.input_state for sc in scenarios])
+        cols = sweep._records(Scenario("random", ch, phi, sweep_config), list(range(len(scales))), spec, labels, 0)
+    except LowNoiseError:
+        points = [run_sweep(sc).points for sc in scenarios]
+        cols = {name: [p.get(name, np.nan) for own in points for p in own] for name in names}
+        errors = [{p["scale"]: p["error"] for p in own if p["error"]} for own in points]
+    cols = {name: np.asarray(cols[name], dtype=float).reshape(len(seeds), -1) for name in names}
+    for i, seed in enumerate(seeds):
+        tail[seed] = [f"seed {seed}: point at scale {s:g}: {error}" for s, error in errors[i].items()]
+        for name, (bound, line) in _GRADED.items():
+            tail[seed] += [f"seed {seed}: {line} at scale {s:g}" for s in scales[cols[name][i] > bound]]
+    return cols["classical_vs_divergent"]
 
 
 def check_property_suite(num_seeds: int = 100) -> CheckResult:
-    """Criterion 6: a stacked pass per cell of seeds whose channels share a shape, around three fits over all seeds."""
+    """Criterion 6: two stacked passes per cell of seeds of one channel shape, around three fits over all seeds."""
     num_seeds = require_int(num_seeds, "the property suite's seed count", 1)
     start = time.perf_counter()
     scales = np.asarray(DEFAULT_SCALES)  # every seed's sweep scales, so the stacked fits take them
     head: dict[int, list[str]] = {}
     tail: dict[int, list[str]] = {}
-    remainders, shifts, kept = np.empty((num_seeds, len(scales))), [None] * num_seeds, []
+    remainders, shifts, cells = np.empty((num_seeds, len(scales))), [None] * num_seeds, []
     for seeds in _cells(num_seeds):
-        remainders[seeds], *arrays = _stacked_cell(seeds, scales, head, tail)
-        for seed, seed_shifts in zip(seeds, arrays[0]):
+        remainders[seeds], scenarios, spec = _stacked_cell(seeds, scales, head)
+        for seed, seed_shifts in zip(seeds, spec.shifts()):
             shifts[seed] = seed_shifts
-        kept.append((seeds, *arrays))
+        cells.append((seeds, scenarios, spec))
     first_order = fit_or_floor(scales, remainders, 0.0)  # floor 0 clips nothing
     # every shift is a probability, so max(1, max |shift|) = 1 and all seeds share one shift floor
     labels = iter(spectral.classify_shift_curves(scales, np.concatenate(shifts, axis=-1))[0])
     # each seed takes the next N - 1 labels, one per shift curve
-    included = [tuple(i for i in range(s.shape[-1]) if next(labels) == "order-1") for s in shifts]
+    seed_labels = [tuple(next(labels) for _ in range(s.shape[-1])) for s in shifts]
     cvd = np.empty((num_seeds, len(scales)))
-    for seeds, cell_shifts, shift_gradients, jc, points in kept:
-        # one divergent Fisher call and one estimator pass per set of included shifts, one set per cell as a rule
-        groups: dict[tuple, list[int]] = {}
+    while cells:  # a cell's spectrum goes once its records are graded, and the records with it
+        seeds, scenarios, spec = cells.pop(0)
+        groups: dict[tuple, list[int]] = {}  # one set of shift labels per cell as a rule
         for r, seed in enumerate(seeds):
-            groups.setdefault(included[seed], []).append(r)
+            groups.setdefault(seed_labels[seed], []).append(r)
         for shared, rows in groups.items():
-            jdiv = fisher.divergent_fisher(cell_shifts[rows], shift_gradients[rows], shared).entries
-            cvd[[seeds[r] for r in rows]] = np.linalg.norm(jc[rows] - jdiv, axis=(-2, -1))
-            for r, lines in zip(rows, _estimator_lines(points[rows], shared, jdiv[:, -3])):
-                tail[seeds[r]] += [f"seed {seeds[r]}: {line}" for line in lines]
-    fit_cvd = fit_or_floor(scales, cvd, FIT_FLOOR)
+            picked, cell = [seeds[r] for r in rows], spec if len(rows) == len(seeds) else spec[rows]
+            cvd[picked] = _graded_records(picked, [scenarios[r] for r in rows], cell, shared, tail)
+    fitted = ~np.any(np.isnan(cvd), axis=-1)  # a seed with an errored point fails by its point lines
+    cvd_slope = np.full(num_seeds, np.nan)
+    cvd_slope[fitted] = fit_or_floor(scales, cvd[fitted], FIT_FLOOR).slope  # NaN at the floor
     failures: list[str] = []
     for seed in range(num_seeds):
         failures += head[seed]
         if not 1.85 <= first_order.slope[seed] <= 2.15:
             failures.append(f"seed {seed}: first-order consistency slope {first_order.slope[seed]:.3f}")
-        if not fit_cvd.at_floor[seed] and fit_cvd.slope[seed] < -0.2:
-            failures.append(f"seed {seed}: classical-vs-divergent slope {fit_cvd.slope[seed]:.3f} diverges")
+        if cvd_slope[seed] < -0.2:
+            failures.append(f"seed {seed}: classical-vs-divergent slope {cvd_slope[seed]:.3f} diverges")
         failures += tail[seed]
         if len(failures) > 20:
             break
@@ -393,14 +401,10 @@ ALL_CHECKS = [
 
 
 def run_all(num_seeds: int = 100, shots: int = 10**6) -> list[CheckResult]:
-    """Every check in order; ConfigInvalid before any runs unless both counts are integers >= 1."""
+    """Every check in order, each built-in's default grid swept once; ConfigInvalid unless both counts are ints >= 1."""
     num_seeds, shots = require_int(num_seeds, "verify's seed count", 1), require_int(shots, "verify's shot count", 1)
-    results = []
-    for fn in ALL_CHECKS:
-        if fn is check_property_suite:
-            results.append(fn(num_seeds))
-        elif fn is check_monte_carlo:
-            results.append(fn(shots))
-        else:
-            results.append(fn())
-    return results
+    counts, token = {check_property_suite: (num_seeds,), check_monte_carlo: (shots,)}, _ROUND.set({})
+    try:
+        return [fn(*counts.get(fn, ())) for fn in ALL_CHECKS]
+    finally:
+        _ROUND.reset(token)

@@ -394,6 +394,29 @@ class TestBuildPOVM:
             assert np.max(np.abs(p - q)) <= 1e-10
         assert np.max(np.abs(povm.estimates - povm_scaled.estimates)) <= 1e-10
 
+    def test_outcomes_that_do_not_partition_the_basis_raise(self, threelevel):
+        """Both order-1 shifts named as shift 0: column 1 lies in two outcomes and column 2 in none."""
+        eps, spec, jdiv, score = estimator_pipeline(threelevel, 1e-3)
+        broken = replace(score, included=(0, 0))
+        with pytest.raises(DimensionMismatch, match="POVM outcomes do not partition the basis"):
+            build_povm(broken)
+        stacked = replace(broken, basis=broken.basis[None], estimates=broken.estimates[None])
+        with pytest.raises(DimensionMismatch, match="POVM outcomes do not partition the basis"):
+            build_povm(stacked)
+
+    def test_sweep_records_a_broken_partition_at_each_point(self, monkeypatch):
+        score_operators = sweep.est.build_score_operators
+
+        def repeating_the_first_shift(spec, included):
+            score = score_operators(spec, included)
+            return replace(score, included=(score.included[0],) * len(score.included))
+
+        monkeypatch.setattr(sweep.est, "build_score_operators", repeating_the_first_shift)
+        report = sweep.run_sweep(build_scenario("three-level", seed=1))
+        assert len(report.points) == len(DEFAULT_SCALES) and not report.passed
+        for point in report.points:
+            assert point["error"].startswith("DimensionMismatch: POVM outcomes do not partition the basis")
+
 
 class TestUnbiasedness:
     def test_bell_expectation_exact(self, bell):

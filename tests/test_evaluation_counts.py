@@ -214,17 +214,19 @@ def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypa
 def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
     """One classical and one divergent matrix per seed and scale, each from one stacked call per cell.
 
-    The estimator check reuses its point's divergent matrix, in one
-    inversion and one POVM build per cell.
+    The suite's second pass is the sweep's records pass over the cell's
+    channel stack, with its C seeds' B points on one axis: one quantum and
+    one divergent eigensolve (``_kept_inverse``, the quantum one through
+    ``fisher_inverse``) and one POVM build per cell.
     """
     stacks = defaultdict(list)
-    for name in ("classical_fisher", "divergent_fisher", "fisher_inverse"):
+    for name in ("classical_fisher", "divergent_fisher", "fisher_inverse", "_kept_inverse"):
         original = getattr(fisher, name)
 
         def counting(*args, _name=name, _original=original):
-            fm = _original(*args)
-            stacks[_name].append(fm.entries.shape[:-2])
-            return fm
+            result = _original(*args)
+            stacks[_name].append((result[0] if isinstance(result, tuple) else result).entries.shape[:-2])
+            return result
 
         monkeypatch.setattr(fisher, name, counting)
     build, povms = estimator.build_povm, []
@@ -237,13 +239,14 @@ def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
     num_seeds, cells = SUITE_SEEDS, suite_cells(SUITE_SEEDS)
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    per_cell = [(size, len(DEFAULT_SCALES)) for size in cells]
+    per_cell = [(size * len(DEFAULT_SCALES),) for size in cells]
     assert stacks == {
         "classical_fisher": per_cell,
         "divergent_fisher": per_cell,
-        "fisher_inverse": [(size,) for size in cells],
+        "fisher_inverse": per_cell,
+        "_kept_inverse": [rows for rows in per_cell for _ in range(2)],
     }
-    assert povms == [(size,) for size in cells]
+    assert povms == per_cell
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
