@@ -71,7 +71,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named estimation problem: channel, input, sweep, and references."""
+    """A named estimation problem: channel, input, sweep, and references.
+
+    ConfigInvalid unless the direction has one component per noise parameter
+    and the input has shape (N,), or (C, N) for a channel stack.
+    """
 
     name: str
     channel: LowNoiseChannel
@@ -87,6 +91,9 @@ class Scenario:
         num = len(self.sweep.direction)
         if num != self.channel.num_params:
             raise ConfigInvalid(f"sweep direction has {num} components for {self.channel.num_params} noise parameters")
+        shape = self.channel.jumps.shape[:-3] + (self.channel.dim,)  # (N,), or (C, N) for a channel stack
+        if np.shape(self.input_state) != shape:
+            raise ConfigInvalid(f"input state has shape {np.shape(self.input_state)}, expected {shape}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ subcommand.  Tolerances are fixed here, not configurable.  Criteria 1, 2,
 its point columns and Monte Carlo records, and its check rows, whose order
 bands the scenario's ``expected_orders`` and ``sweep.ATTAINMENT_BAND`` set;
 ``run_all`` sweeps each built-in's default grid once for them all.
-Criterion 6 takes each cell of its random channels of one shape as one
-channel stack (``channels.stack_channels``) through one evaluation and the
-sweep's own records pass, whose rows equal each seed's own sweep bit for bit.
+Criterion 6 grades its random channels one cell of one shape at a time:
+the cell's channel stack (``channels.stack_channels``) goes through one
+evaluation, its own fits and shift classification, and the sweep's own
+records pass, whose rows equal each seed's own sweep bit for bit; a cell
+whose pass raises runs again seed by seed.
 """
 from __future__ import annotations
 
@@ -244,29 +246,6 @@ def _cells(num_seeds: int) -> list[list[int]]:
     return list(cells.values())
 
 
-def _stacked_cell(seeds: list[int], scales: np.ndarray, head: dict) -> tuple:
-    """The first pass over a cell of seeds: their ``random_scenario``, one stacked evaluation, one d0 pass.
-
-    Each seed's trace-preservation and negativity lines go to head[seed].
-    Returns the first-order remainders, row r for seeds[r], the scenarios
-    and their stacked spectrum, which the second pass reads.
-    """
-    scenarios = [random_scenario(*_seed_params(seed), seed) for seed in seeds]
-    ch = stack_channels([sc.channel for sc in scenarios])
-    phi = np.array([sc.input_state for sc in scenarios])
-    direction = np.asarray(scenarios[0].sweep.direction)  # every seed of a cell sweeps the uniform direction
-    rho_in = pure_state_density(phi)
-    d0 = np.stack([ch.derivative_at_zero(mu, rho_in) for mu in range(ch.num_params)], axis=-3)
-    spec = spectral.output_shift_curves(ch, phi, direction, scales)
-    linear = (spec.eps @ d0.reshape(len(seeds), ch.num_params, -1)).reshape(spec.output.shape)  # sum_mu eps_mu d0_mu
-    remainders = np.linalg.norm(spec.output - rho_in[:, None] - linear, axis=(-2, -1))
-    # probs diagonalize the symmetrized output state
-    for seed, tpcp, lowest in zip(seeds, spec.tpcp_residual, np.min(spec.probs, axis=-1)):
-        head[seed] = [f"seed {seed}: trace-preservation residual at scale {s:g}" for s in scales[tpcp > 1e-10]]
-        head[seed] += [f"seed {seed}: output negativity at scale {s:g}" for s in scales[lowest < -1e-10]]
-    return remainders, scenarios, spec
-
-
 # the sweep's point columns criterion 6 grades at every scale: each one's bound and failure line
 _GRADED = {
     "trace_power_residual": (1e-11, "trace-power identity residual"),
@@ -275,67 +254,77 @@ _GRADED = {
 }
 
 
-def _graded_records(seeds: list[int], scenarios, spec, labels: tuple[str, ...], tail: dict) -> np.ndarray:
-    """The (C, B) classical-vs-divergent columns of C seeds sharing their shift labels; their lines go to tail[seed].
+def _cell_lines(seeds: list[int], scales: np.ndarray) -> list[list[str]]:
+    """The failure lines of each seed of a cell of seeds whose channels share a shape, row r for seeds[r].
 
-    One ``sweep._records`` pass over the seeds' channel stack and stacked spectrum spec.  If it raises,
-    each seed runs alone through ``run_sweep``, whose row fallback fails only its own points, NaN in each column.
+    One stacked evaluation of the seeds' ``random_scenario`` channels and one
+    d0 pass; one fit of the first-order remainders; one classification of
+    every seed's shift curves side by side; one ``sweep._records`` pass per
+    set of shift labels in the cell; one classical-vs-divergent fit.  If the
+    pass raises, each seed runs again as a cell of one; a seed that raises
+    alone takes the errored points of its own ``run_sweep`` as its lines, or
+    the error's line when no point errored, so it cannot pass.
     """
-    names, sweep_config = ["classical_vs_divergent", *_GRADED], scenarios[0].sweep  # every seed sweeps one grid
-    scales, errors = np.asarray(sweep_config.scales), [{}] * len(seeds)
     try:
+        scenarios = [random_scenario(*_seed_params(seed), seed) for seed in seeds]
         ch, phi = stack_channels([sc.channel for sc in scenarios]), np.array([sc.input_state for sc in scenarios])
-        cols = sweep._records(Scenario("random", ch, phi, sweep_config), list(range(len(scales))), spec, labels, 0)
-    except LowNoiseError:
-        points = [run_sweep(sc).points for sc in scenarios]
-        cols = {name: [p.get(name, np.nan) for own in points for p in own] for name in names}
-        errors = [{p["scale"]: p["error"] for p in own if p["error"]} for own in points]
-    cols = {name: np.asarray(cols[name], dtype=float).reshape(len(seeds), -1) for name in names}
-    for i, seed in enumerate(seeds):
-        tail[seed] = [f"seed {seed}: point at scale {s:g}: {error}" for s, error in errors[i].items()]
+        sweep_config = scenarios[0].sweep  # every seed of a cell sweeps the uniform direction over one grid
+        rho_in = pure_state_density(phi)
+        d0 = np.stack([ch.derivative_at_zero(mu, rho_in) for mu in range(ch.num_params)], axis=-3)
+        spec = spectral.output_shift_curves(ch, phi, np.asarray(sweep_config.direction), scales)
+        linear = (spec.eps @ d0.reshape(len(seeds), ch.num_params, -1)).reshape(spec.output.shape)  # sum eps_mu d0_mu
+        remainders = np.linalg.norm(spec.output - rho_in[:, None] - linear, axis=(-2, -1))
+        first_order = fit_or_floor(scales, remainders, 0.0).slope  # floor 0 clips nothing
+        # every shift is a probability, so max(1, max |shift|) = 1 and each seed's own shift floor is the cell's
+        shifts = spec.shifts()
+        labels = spectral.classify_shift_curves(scales, np.concatenate(list(shifts), axis=-1))[0]
+        groups: dict[tuple, list[int]] = {}  # row r takes the N - 1 labels of its own curves
+        for r in range(len(seeds)):
+            groups.setdefault(labels[r * shifts.shape[-1] : (r + 1) * shifts.shape[-1]], []).append(r)
+        graded = {name: np.empty((len(seeds), len(scales))) for name in ("classical_vs_divergent", *_GRADED)}
+        for shared, rows in groups.items():  # one set of shift labels per cell as a rule
+            sc = Scenario("random", stack_channels([scenarios[r].channel for r in rows]), phi[rows], sweep_config)
+            part = spec if len(rows) == len(seeds) else spec[rows]
+            cols = sweep._records(sc, list(range(len(scales))), part, shared, 0)
+            for name, column in graded.items():
+                column[rows] = np.asarray(cols[name], dtype=float).reshape(len(rows), -1)
+        cvd_slope = fit_or_floor(scales, graded["classical_vs_divergent"], FIT_FLOOR).slope  # NaN at the floor
+    except LowNoiseError as exc:
+        if len(seeds) > 1:
+            return [_cell_lines([seed], scales)[0] for seed in seeds]
+        seed = seeds[0]
+        try:
+            points = run_sweep(random_scenario(*_seed_params(seed), seed)).points
+        except LowNoiseError:
+            points = []
+        lines = [f"seed {seed}: point at scale {p['scale']:g}: {p['error']}" for p in points if p["error"]]
+        return [lines or [f"seed {seed}: {sweep._error(exc)}"]]
+    lines = []
+    # probs diagonalize the symmetrized output state
+    for r, (seed, tpcp, lowest) in enumerate(zip(seeds, spec.tpcp_residual, np.min(spec.probs, axis=-1))):
+        own = [f"seed {seed}: trace-preservation residual at scale {s:g}" for s in scales[tpcp > 1e-10]]
+        own += [f"seed {seed}: output negativity at scale {s:g}" for s in scales[lowest < -1e-10]]
+        if not 1.85 <= first_order[r] <= 2.15:
+            own.append(f"seed {seed}: first-order consistency slope {first_order[r]:.3f}")
+        if cvd_slope[r] < -0.2:
+            own.append(f"seed {seed}: classical-vs-divergent slope {cvd_slope[r]:.3f} diverges")
         for name, (bound, line) in _GRADED.items():
-            tail[seed] += [f"seed {seed}: {line} at scale {s:g}" for s in scales[cols[name][i] > bound]]
-    return cols["classical_vs_divergent"]
+            own += [f"seed {seed}: {line} at scale {s:g}" for s in scales[graded[name][r] > bound]]
+        lines.append(own)
+    return lines
 
 
 def check_property_suite(num_seeds: int = 100) -> CheckResult:
-    """Criterion 6: two stacked passes per cell of seeds of one channel shape, around three fits over all seeds."""
+    """Criterion 6: one pass per cell of seeds of one channel shape; the seeds' lines in seed order."""
     num_seeds = require_int(num_seeds, "the property suite's seed count", 1)
     start = time.perf_counter()
     scales = np.asarray(DEFAULT_SCALES)  # every seed's sweep scales, so the stacked fits take them
-    head: dict[int, list[str]] = {}
-    tail: dict[int, list[str]] = {}
-    remainders, shifts, cells = np.empty((num_seeds, len(scales))), [None] * num_seeds, []
-    for seeds in _cells(num_seeds):
-        remainders[seeds], scenarios, spec = _stacked_cell(seeds, scales, head)
-        for seed, seed_shifts in zip(seeds, spec.shifts()):
-            shifts[seed] = seed_shifts
-        cells.append((seeds, scenarios, spec))
-    first_order = fit_or_floor(scales, remainders, 0.0)  # floor 0 clips nothing
-    # every shift is a probability, so max(1, max |shift|) = 1 and all seeds share one shift floor
-    labels = iter(spectral.classify_shift_curves(scales, np.concatenate(shifts, axis=-1))[0])
-    # each seed takes the next N - 1 labels, one per shift curve
-    seed_labels = [tuple(next(labels) for _ in range(s.shape[-1])) for s in shifts]
-    cvd = np.empty((num_seeds, len(scales)))
-    while cells:  # a cell's spectrum goes once its records are graded, and the records with it
-        seeds, scenarios, spec = cells.pop(0)
-        groups: dict[tuple, list[int]] = {}  # one set of shift labels per cell as a rule
-        for r, seed in enumerate(seeds):
-            groups.setdefault(seed_labels[seed], []).append(r)
-        for shared, rows in groups.items():
-            picked, cell = [seeds[r] for r in rows], spec if len(rows) == len(seeds) else spec[rows]
-            cvd[picked] = _graded_records(picked, [scenarios[r] for r in rows], cell, shared, tail)
-    fitted = ~np.any(np.isnan(cvd), axis=-1)  # a seed with an errored point fails by its point lines
-    cvd_slope = np.full(num_seeds, np.nan)
-    cvd_slope[fitted] = fit_or_floor(scales, cvd[fitted], FIT_FLOOR).slope  # NaN at the floor
+    lines: dict[int, list[str]] = {}
+    for seeds in _cells(num_seeds):  # a cell's spectrum and records go once its lines are made
+        lines.update(zip(seeds, _cell_lines(seeds, scales)))
     failures: list[str] = []
     for seed in range(num_seeds):
-        failures += head[seed]
-        if not 1.85 <= first_order.slope[seed] <= 2.15:
-            failures.append(f"seed {seed}: first-order consistency slope {first_order.slope[seed]:.3f}")
-        if cvd_slope[seed] < -0.2:
-            failures.append(f"seed {seed}: classical-vs-divergent slope {cvd_slope[seed]:.3f} diverges")
-        failures += tail[seed]
+        failures += lines[seed]
         if len(failures) > 20:
             break
     # pure-input dominance on mixed fixtures

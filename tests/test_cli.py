@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lownoise import cli
 from lownoise.cli import main
 from lownoise.report import parse_jsonl
-from lownoise.scenarios import scenario_ancilla_bell, scenario_threelevel, scenario_to_config
+from lownoise.scenarios import build_scenario, scenario_ancilla_bell, scenario_threelevel, scenario_to_config
 
 FAST = ["--scales", "1e-5:1e-2:5"]
 
@@ -127,6 +129,18 @@ def test_run_direction_of_wrong_length_exits_2(args, capsys):
     # one component per noise parameter, checked before any point runs
     assert main(["run", *args]) == 2
     assert "noise parameters" in capsys.readouterr().err
+
+
+def test_run_column_input_state_exits_2(monkeypatch, capsys):
+    """A scenario whose input state is a (N, 1) column is a config error, not a TypeError after the sweep."""
+
+    def with_column_input(name, **kwargs):
+        sc = build_scenario(name, **kwargs)
+        return replace(sc, input_state=sc.input_state[:, None])
+
+    monkeypatch.setattr(cli, "build_scenario", with_column_input)
+    assert main(["run", "three-level", *FAST]) == 2
+    assert capsys.readouterr().err == "error: input state has shape (3, 1), expected (3,)\n"
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,9 @@ of the eigenbasis, for the unbiasedness residual, the analytic MSE and the
 Monte Carlo draw alike.  Its eigensolves do not grow with the number of
 scales.  It fits all its order series in one stacked call, and the shift
 classification fits all the curves of a grid in one.  The property suite
-classifies the shift curves of all its seeds in one call, and fits the
-first-order remainders and the classical-vs-divergent series of all its
-seeds in one call each.
+classifies the shift curves of each cell of its seeds in one call, and fits
+the first-order remainders and the classical-vs-divergent series of each
+cell in one call each.
 """
 from collections import Counter, defaultdict
 
@@ -214,7 +214,7 @@ def test_pseudo_inverse_path_reads_the_divergent_eigensolve(inversions, monkeypa
 def test_property_suite_builds_each_divergent_matrix_once(monkeypatch):
     """One classical and one divergent matrix per seed and scale, each from one stacked call per cell.
 
-    The suite's second pass is the sweep's records pass over the cell's
+    The suite grades each cell through the sweep's records pass over the cell's
     channel stack, with its C seeds' B points on one axis: one quantum and
     one divergent eigensolve (``_kept_inverse``, the quantum one through
     ``fisher_inverse``) and one POVM build per cell.
@@ -396,7 +396,7 @@ def test_sweep_fits_once_per_report(fits, name, shots):
     assert fits == {"sweep": [(len(report.fits),)], "spectral": [(len(report.shift_labels),)]}
 
 
-def test_property_suite_classifies_once_per_round(fits, monkeypatch):
+def test_property_suite_classifies_once_per_cell(fits, monkeypatch):
     classified = []
     classify = spectral.classify_shift_curves
 
@@ -405,23 +405,25 @@ def test_property_suite_classifies_once_per_round(fits, monkeypatch):
         return classify(scales, rows)
 
     monkeypatch.setattr(spectral, "classify_shift_curves", counting)
-    num_seeds = 3
+    num_seeds = SUITE_SEEDS
     result = verify.check_property_suite(num_seeds=num_seeds)
     assert result.passed, result.detail
-    # every seed's N - 1 shift curves side by side, in one classification and one stacked fit
-    curves = sum(verify._seed_params(seed)[0] - 1 for seed in range(num_seeds))
-    assert classified == [(len(DEFAULT_SCALES), curves)]
-    assert fits["spectral"] == [(curves,)]
-    # the first-order remainders, then the classical-vs-divergent series: one row per seed each
-    assert fits["verify"] == [(num_seeds,), (num_seeds,)]
+    # each cell's seeds' N - 1 shift curves side by side, in one classification and one stacked fit
+    cells = verify._cells(num_seeds)
+    curves = [sum(verify._seed_params(seed)[0] - 1 for seed in seeds) for seeds in cells]
+    assert classified == [(len(DEFAULT_SCALES), n) for n in curves]
+    assert fits["spectral"] == [(n,) for n in curves]
+    # per cell, the first-order remainders, then the classical-vs-divergent series: one row per seed each
+    assert fits["verify"] == [(len(seeds),) for seeds in cells for _ in range(2)]
 
 
 def test_property_suite_fit_calls_do_not_grow_with_the_seeds(fits):
-    """The suite makes three fit_or_floor calls per round, for any seed count."""
+    """The suite makes three fit_or_floor calls per cell, for any seed count that fills the same cells."""
     made = []
-    for num_seeds in (3, 7):
+    for num_seeds in (SUITE_SEEDS, 2 * SUITE_SEEDS):
         fits.clear()
         result = verify.check_property_suite(num_seeds=num_seeds)
         assert result.passed, result.detail
+        assert len(verify._cells(num_seeds)) == 6
         made.append(sum(len(calls) for calls in fits.values()))
-    assert made == [3, 3]
+    assert made == [18, 18]

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lownoise.channels import channel_to_config, pure_state_density
+from lownoise.channels import channel_to_config, pure_state_density, stack_channels
 from lownoise.errors import ConfigInvalid
 from lownoise.report import config_hash, render_jsonl
 from lownoise.spectral import jump_covariance, output_shift_curves
 from lownoise.sweep import run_sweep
 from lownoise.scenarios import (
+    Scenario,
     SweepConfig,
     build_scenario,
     random_channel,
@@ -143,6 +146,20 @@ class TestScenarioConfig:
         cfg = scenario_to_config(sc)
         sc2 = scenario_from_config(cfg)
         assert scenario_to_config(sc2) == cfg
+
+    def test_column_input_state_is_a_config_error_before_any_point(self):
+        # every layer flattens one channel's input, so a (N, 1) column would sweep the whole grid first
+        sc = scenario_threelevel()
+        with pytest.raises(ConfigInvalid, match=r"input state has shape \(3, 1\), expected \(3,\)"):
+            run_sweep(replace(sc, input_state=sc.input_state[:, None]))
+
+    def test_channel_stack_takes_one_input_per_channel(self):
+        sc = scenario_threelevel()
+        stack = stack_channels([sc.channel] * 2)
+        assert Scenario("stack", stack, np.array([sc.input_state] * 2), sc.sweep).input_state.shape == (2, 3)
+        for phi in (sc.input_state, np.array([sc.input_state] * 3)):
+            with pytest.raises(ConfigInvalid, match="input state has shape"):
+                Scenario("stack", stack, phi, sc.sweep)
 
     def test_builtin_name_with_other_channel_keeps_the_file(self):
         cfg = scenario_to_config(scenario_threelevel())

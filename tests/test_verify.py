@@ -6,13 +6,15 @@ reading that report fails and names what failed: the point's scale and
 error or Monte Carlo record, or the scenario, the check row and the row's
 own detail.
 
-The property suite (criterion 6) fits the series of all its seeds in
-stacked calls, and grades the columns of the sweep's records pass over each
-cell of seeds at every scale.  Its tests check each seed's share of those
-calls against the call on that seed alone, or its own sweep, and pin the
-failure detail when checks are forced to fail: the lines in seed order, in
-the order of the checks within a seed, cut off after the seed that takes
-them past 20.  ``run_all`` sweeps each built-in's default grid once.
+The property suite (criterion 6) fits the series of each cell of seeds of
+one channel shape in stacked calls, and grades the columns of the sweep's
+records pass over the cell at every scale.  Its tests check each seed's
+share of those calls against the call on that seed alone, or its own
+sweep, and pin the failure detail when checks are forced to fail: the
+lines in seed order, in the order of the checks within a seed, cut off
+after the seed that takes them past 20; a cell whose pass raises fails
+only the seeds that raise alone.  ``run_all`` sweeps each built-in's
+default grid once.
 """
 from dataclasses import replace
 
@@ -20,8 +22,8 @@ import numpy as np
 import pytest
 
 from lownoise import fisher, spectral, sweep, verify
-from lownoise.channels import pure_state_density
-from lownoise.errors import ConfigInvalid
+from lownoise.channels import LowNoiseChannel, pure_state_density
+from lownoise.errors import ConfigInvalid, DegenerateSamples, TPCPViolation
 from lownoise.linalg import fit_or_floor, frobenius
 from lownoise.scenarios import DEFAULT_SCALES, random_scenario, scenario_ancilla_bell, scenario_pauli2
 from lownoise.sweep import FIT_FLOOR, run_sweep
@@ -103,11 +105,10 @@ def _seed_spectrum(seed: int):
 
 
 def test_stacked_property_suite_fits_match_one_seed_calls(monkeypatch):
-    """Each seed's share of the suite's stacked calls equals the call on that seed alone, bit for bit.
+    """Each seed's share of its cell's stacked calls equals the call on that seed alone, bit for bit.
 
-    The stacked shift classification uses one floor for every seed's
-    curves; each seed's own floor is the same because its shifts are
-    probabilities.
+    A cell's shift classification uses one floor for every seed's curves;
+    each seed's own floor is the same because its shifts are probabilities.
     """
     classified, fitted = [], []
     classify, fit = spectral.classify_shift_curves, verify.fit_or_floor
@@ -125,23 +126,27 @@ def test_stacked_property_suite_fits_match_one_seed_calls(monkeypatch):
     monkeypatch.setattr(verify, "fit_or_floor", recording_fit)
     num_seeds = 100
     assert verify.check_property_suite(num_seeds).passed
-    (labels,), (first_order, cvd) = classified, fitted
+    cells = verify._cells(num_seeds)
+    # one classification per cell, and per cell the first-order then the classical-vs-divergent fit
+    assert len(classified) == len(cells) and len(fitted) == 2 * len(cells)
     monkeypatch.undo()
-    scales, start = np.asarray(DEFAULT_SCALES), 0
-    for seed in range(num_seeds):
-        spec, rho_in, d0 = _seed_spectrum(seed)
-        own = spectral.classify_shift_curves(scales, spec.shifts())[0]
-        assert labels[start : start + len(own)] == own
-        start += len(own)
-        remainder = np.linalg.norm(spec.output - rho_in - np.tensordot(spec.eps, d0, axes=1), axis=(-2, -1))
-        assert first_order.slope[seed] == fit_or_floor(scales, remainder, 0.0).slope
-        included = [i for i, lab in enumerate(own) if lab == "order-1"]
-        jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
-        jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries
-        one = fit_or_floor(scales, frobenius(jc - jdiv), FIT_FLOOR)  # the sweep's classical_vs_divergent column
-        assert cvd.at_floor[seed] == one.at_floor
-        assert np.array_equal(cvd.slope[seed], one.slope, equal_nan=True)
-    assert start == len(labels)
+    scales = np.asarray(DEFAULT_SCALES)
+    for seeds, labels, first_order, cvd in zip(cells, classified, fitted[::2], fitted[1::2]):
+        start = 0
+        for r, seed in enumerate(seeds):
+            spec, rho_in, d0 = _seed_spectrum(seed)
+            own = spectral.classify_shift_curves(scales, spec.shifts())[0]
+            assert labels[start : start + len(own)] == own
+            start += len(own)
+            remainder = np.linalg.norm(spec.output - rho_in - np.tensordot(spec.eps, d0, axes=1), axis=(-2, -1))
+            assert first_order.slope[r] == fit_or_floor(scales, remainder, 0.0).slope
+            included = [i for i, lab in enumerate(own) if lab == "order-1"]
+            jc = fisher.classical_fisher(spec.probs, spec.gradients).entries
+            jdiv = fisher.divergent_fisher(spec.shifts(), spec.shift_gradients(), included).entries
+            one = fit_or_floor(scales, frobenius(jc - jdiv), FIT_FLOOR)  # the sweep's classical_vs_divergent column
+            assert cvd.at_floor[r] == one.at_floor
+            assert np.array_equal(cvd.slope[r], one.slope, equal_nan=True)
+        assert start == len(labels)
 
 
 def _forced(monkeypatch, module, name, make):
@@ -294,14 +299,63 @@ def test_singular_quantum_fisher_fails_only_its_seed_at_its_scale(monkeypatch):
     )
 
 
+def test_cell_whose_evaluation_raises_fails_only_its_seed_at_its_points(monkeypatch):
+    """Seed 4's cell raises in its stacked evaluation, so each of its seeds runs alone; seed 4's sweep names its points."""
+    target = random_scenario(*verify._seed_params(4), 4).input_state
+    curves = spectral.output_shift_curves
+
+    def violating_with_seed_4(ch, phi, direction, scales):
+        rows = np.reshape(phi, (-1, np.shape(phi)[-1]))
+        if any(np.array_equal(row, target) for row in rows) and np.max(scales) > 1e-3:
+            raise TPCPViolation("forced violation")
+        return curves(ch, phi, direction, scales)
+
+    monkeypatch.setattr(spectral, "output_shift_curves", violating_with_seed_4)
+    result = verify.check_property_suite(12)
+    assert not result.passed
+    assert result.detail == "; ".join(
+        f"seed 4: point at scale {s}: TPCPViolation: forced violation" for s in ("0.0013895", "0.00372759", "0.01")
+    )
+
+
+@pytest.mark.parametrize("sweep_raises", [False, True])
+def test_seed_that_raises_alone_fails_without_an_errored_point(monkeypatch, sweep_raises):
+    """Seed 4's zero-noise derivative is non-finite, so its first-order fit raises, in its cell and alone.
+
+    Its own sweep reads no such derivative and errs at no point, or raises
+    itself; either way the seed fails with the error of its pass.
+    """
+    target = pure_state_density(random_scenario(*verify._seed_params(4), 4).input_state)
+    derivative = LowNoiseChannel.derivative_at_zero
+
+    def non_finite_for_seed_4(self, mu, rho):
+        d0 = derivative(self, mu, rho)
+        if rho.shape[-2:] != target.shape:
+            return d0
+        return np.where(np.all(rho == target, axis=(-2, -1))[..., None, None], np.nan, d0)
+
+    def raising(*args):
+        raise DegenerateSamples("forced")
+
+    monkeypatch.setattr(LowNoiseChannel, "derivative_at_zero", non_finite_for_seed_4)
+    if sweep_raises:
+        monkeypatch.setattr(sweep, "fit_or_floor", raising)  # the sweep's order fits, which the suite does not make
+    result = verify.check_property_suite(12)
+    assert not result.passed
+    assert result.detail == "seed 4: DegenerateSamples: scales and values must be finite"
+
+
 def test_cell_with_two_label_sets_takes_one_records_pass_each(monkeypatch):
     """Seed 4's second shift is labelled order-1 and its cell mate's is not: each set takes its own pass."""
-    classify, records, passes = spectral.classify_shift_curves, sweep._records, []
+    classify, records, classified, passes = spectral.classify_shift_curves, sweep._records, [], []
 
     def seed_4_differs(scales, rows):
         labels, fits = classify(scales, rows)
-        assert labels[8] == "higher-or-zero"  # seeds 0-3 take labels 0-6, seed 4 (N = 3) labels 7 and 8
-        return labels[:8] + ("order-1",) + labels[9:], fits
+        classified.append(labels)
+        if len(classified) == 5:  # the fifth cell holds seeds 4 and 10 (N = 3): seed 4 takes labels 0 and 1
+            assert labels[1] == "higher-or-zero"
+            labels = labels[:1] + ("order-1",) + labels[2:]
+        return labels, fits
 
     def recording(sc, *args):  # args: rows, spec, labels, shots
         columns = records(sc, *args)
@@ -312,6 +366,7 @@ def test_cell_with_two_label_sets_takes_one_records_pass_each(monkeypatch):
     monkeypatch.setattr(sweep, "_records", recording)
     verify.check_property_suite(12)
     monkeypatch.undo()
+    assert len(classified) == 6
     assert [len(phi) for phi, _, _ in passes] == [2, 2, 2, 2, 1, 1, 2]
     for seed, (phi, labels, points) in zip((4, 10), passes[4:6]):
         spec, _, _ = _seed_spectrum(seed)
