@@ -46,6 +46,7 @@ from .errors import (
     NonHermitian,
     StepTooLarge,
     TPCPViolation,
+    require_int,
 )
 from .linalg import dagger, eigensolve, frobenius, hermiticity_residual, require_hermitian
 
@@ -71,7 +72,7 @@ def pure_state_density(vec: np.ndarray) -> np.ndarray:
 
 
 def _stack(arrays, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """arrays as one complex stack of shape (n,) + shape."""
+    """arrays as one complex stack of shape (n,) + shape; ConfigInvalid unless every entry is finite."""
     try:
         out = np.asarray(arrays, dtype=complex)
     except ValueError as exc:
@@ -80,6 +81,8 @@ def _stack(arrays, shape: tuple[int, ...], what: str) -> np.ndarray:
         out = out.reshape((0,) + shape)
     if out.shape[1:] != shape:
         raise DimensionMismatch(f"{what} have shape {out.shape[1:]}, expected {shape}")
+    if not np.isfinite(out).all():
+        raise ConfigInvalid(f"{what} must be finite")
     return out
 
 
@@ -165,8 +168,8 @@ class LowNoiseChannel:
     and generators is its optional (D, N, N) stack of Hermitian G_mu.
     ``sqrt_completion_channel`` builds a completion channel from
     per-parameter lists of jump operators.  Every channel is validated on
-    construction: non-vanishing and non-proportional jumps, and trace
-    preservation.
+    construction: integer counts, finite data, non-vanishing and
+    non-proportional jumps, and trace preservation.
     """
 
     def __init__(
@@ -177,8 +180,8 @@ class LowNoiseChannel:
         params,
         generators=None,
     ):
-        self.dim = int(dim)
-        self.num_params = int(num_params)
+        self.dim = require_int(dim, "channel dimension", 1)
+        self.num_params = require_int(num_params, "noise parameter count", 0)
         if self.num_params < 1:
             raise ConfigInvalid(f"a channel needs at least one noise parameter, got {self.num_params}")
         self.jumps = _stack(jumps, (self.dim, self.dim), "jump operators")
@@ -342,7 +345,11 @@ class LowNoiseChannel:
     # -- derivatives at zero --------------------------------------------------
 
     def hamiltonian_generator(self, mu: int) -> np.ndarray:
-        """Hermitian generator of the unitary part of the first-order motion: G_mu, zero without generators."""
+        """Hermitian generator of the unitary part of the first-order motion: G_mu, zero without generators.
+
+        ConfigInvalid unless mu is a parameter index in [0, D).
+        """
+        mu = require_int(mu, "parameter index", 0, self.num_params)
         if self.generators is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return self.generators[..., mu, :, :]
@@ -352,8 +359,10 @@ class LowNoiseChannel:
 
         Lindblad form: dissipation by the parameter's jump operators plus
         commutator motion under the effective Hamiltonian. The result is
-        Hermitian and traceless; a stack gives one per channel.
+        Hermitian and traceless; a stack gives one per channel.  ConfigInvalid
+        unless mu is a parameter index in [0, D).
         """
+        mu = require_int(mu, "parameter index", 0, self.num_params)
         rho = np.asarray(rho, dtype=complex)
         ms = self.jumps[..., self.params == mu, :, :]
         s = self._sums[..., mu, :, :]
@@ -521,8 +530,8 @@ def channel_to_config(ch: LowNoiseChannel) -> dict:
 def channel_from_config(cfg: dict) -> LowNoiseChannel:
     """Inverse of ``channel_to_config``; ConfigInvalid if the config describes no valid dim-level channel."""
     try:
-        dim = int(cfg["dim"])
-        num_params = int(cfg["num_params"])
+        dim = require_int(cfg["dim"], "channel config's dim", 1)
+        num_params = require_int(cfg["num_params"], "channel config's num_params", 1)
         builder = cfg.get("builder", "explicit")
         per_param: list[list[np.ndarray]] = [[] for _ in range(num_params)]
         for item in cfg["jump_operators"]:

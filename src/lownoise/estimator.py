@@ -219,7 +219,8 @@ def sample_measurements(
     """Monte Carlo estimate of the mean and mean-square-error matrix.
 
     q are the outcome probabilities Tr[P_n rho] of the channel output rho
-    at eps_true; BadProbabilities if one is negative or they do not sum to 1.
+    at eps_true; BadProbabilities if one is not finite or negative, or they
+    do not sum to 1.
 
     All shots of a point are one multinomial draw from a counter-based
     Philox generator keyed by [seed, 0] at counter 0, so the same seed
@@ -237,11 +238,14 @@ def sample_measurements(
     estimates, q, eps_true = povm.estimates, np.atleast_2d(q), np.asarray(eps_true, dtype=float)
     if len(seeds) != len(q):
         raise DimensionMismatch(f"{len(seeds)} seeds for {len(q)} points")
-    lowest, totals = np.min(q, axis=-1), np.sum(q, axis=-1)
-    bad = np.flatnonzero((lowest < -1e-8) | (np.abs(totals - 1.0) > 1e-8))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row's sum: that row is named below
+        finite, lowest, totals = np.isfinite(q).all(axis=-1), np.min(q, axis=-1), np.sum(q, axis=-1)
+    bad = np.flatnonzero(~finite | (lowest < -1e-8) | (np.abs(totals - 1.0) > 1e-8))
     if bad.size:
         t = bad[0]
         where = f" in row {t}" if len(q) > 1 else ""
+        if not finite[t]:
+            raise BadProbabilities(f"non-finite outcome probability {q[t][~np.isfinite(q[t])][0]:g}{where}")
         if lowest[t] < -1e-8:
             raise BadProbabilities(f"negative outcome probability {lowest[t]:g}{where}")
         raise BadProbabilities(f"outcome probabilities sum to {float(totals[t])!r}{where}")

@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import LowNoiseChannel, _terms, _validate_eps, pure_state_density
+from .channels import LowNoiseChannel, _at_row, _terms, _validate_eps, pure_state_density
 from .errors import ConfigInvalid, DimensionMismatch, ReductionInvalid
 from .linalg import PowerFit, dagger, eigensolve, fit_or_floor
 from . import curves
@@ -70,45 +70,21 @@ class OutputSpectrum:
         return OutputSpectrum(*(getattr(self, f.name)[rows].copy() for f in fields(self)))
 
 
-def _fix_phases(bases: np.ndarray, phi: np.ndarray) -> None:
-    """Fix, in place, the phase of every column of a (B, N, N) stack of eigenbases.
-
-    <phi|n> becomes real and positive where it exceeds 1e-8, else the
-    column's largest entry does.
-    """
-    for basis in bases:
-        for k in range(basis.shape[1]):
-            col = basis[:, k]
-            overlap = np.vdot(phi, col)
-            if abs(overlap) > 1e-8:
-                basis[:, k] = col * (overlap.conjugate() / abs(overlap))
-            else:
-                j = int(np.argmax(np.abs(col)))
-                pivot = col[j]
-                if abs(pivot) > 0:
-                    basis[:, k] = col * (pivot.conjugate() / abs(pivot))
-
-
 def complement_basis(phi: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of phi (N x (N-1)).
+    """Orthonormal basis of the complement of phi, N x (N-1), or one per row of a (C, N) stack.
 
-    Gram-Schmidt over the standard basis, skipping the basis vector with
-    the largest overlap with phi.
+    Columns 1: of the Q of one QR factorisation of [phi | 1]: Q's first
+    column is phi up to a phase, so the others span its complement, and
+    phi = e_0 gives e_1..e_{N-1}.  Consumers read only forms invariant
+    under a unitary change of this frame.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    n = phi.shape[0]
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
-        raise ConfigInvalid("input state must be normalized")
-    skip = int(np.argmax(np.abs(phi)))
-    cols = [phi] + [np.eye(n, dtype=complex)[:, j] for j in range(n) if j != skip]
-    ortho: list[np.ndarray] = []
-    for c in cols:
-        for q in ortho:
-            c = c - np.vdot(q, c) * q
-        nc = np.linalg.norm(c)
-        c = c / nc
-        ortho.append(c)
-    return np.column_stack(ortho[1:])
+    phi = np.asarray(phi, dtype=complex)
+    phi = phi if phi.ndim == 2 else phi.reshape(-1)
+    off = ~(np.abs(np.linalg.norm(phi, axis=-1) - 1.0) <= 1e-12)  # a NaN entry is off too
+    if off.any():
+        raise ConfigInvalid("input state must be normalized" + _at_row(off))
+    eye = np.broadcast_to(np.eye(phi.shape[-1], dtype=complex), phi.shape + phi.shape[-1:])
+    return np.linalg.qr(np.concatenate([phi[..., None], eye], axis=-1))[0][..., 1:]
 
 
 def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
@@ -117,7 +93,7 @@ def _complement_frame(phi: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
     A given frame, N x (N-1) for each phi, must have orthonormal columns orthogonal to its phi.
     """
     if frame is None:
-        return complement_basis(phi) if phi.ndim == 1 else np.stack([complement_basis(row) for row in phi])
+        return complement_basis(phi)
     frame = np.asarray(frame, dtype=complex)
     n = phi.shape[-1]
     if frame.shape != phi.shape + (n - 1,):
@@ -282,8 +258,8 @@ def output_shift_curves(
     eigenvalue derivatives are Hellmann-Feynman diagonals of the state
     derivative.  Each point's basis is the cluster-refined eigenbasis,
     so degenerate eigenvectors pair correctly with their shift derivatives;
-    downstream estimator construction relies on this.  Eigenvector phases
-    are fixed so <phi|n> is real and non-negative whenever it is nonzero.
+    downstream estimator construction relies on this.  Each column's phase
+    is the eigensolver's: consumers read only projectors onto the columns.
     A point outside the channel's validity region fails the whole call.
 
     A channel stack with its (C, N) inputs gives (C, B, ...) fields, the
@@ -293,8 +269,6 @@ def output_shift_curves(
     eps = np.asarray(scales, dtype=float)[:, None] * np.asarray(direction, dtype=float).reshape(-1)
     ev = ch.evaluate(pure_state_density(phi), eps)
     values, vectors, grads = curves.eigencurve_derivatives(ev.output, ev.derivatives)
-    for bases, vec in zip(vectors.reshape((-1,) + vectors.shape[-3:]), phi.reshape(-1, ch.dim)):
-        _fix_phases(bases, vec)  # in place, through a view: one channel's grid at a time
     grids = np.empty(phi.shape[:-1] + eps.shape)
     grids[...] = eps  # one grid per channel, so every field indexes alike
     return OutputSpectrum(grids, values, vectors, grads, ev.output, ev.derivatives, ev.tpcp_residual)

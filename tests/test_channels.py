@@ -119,6 +119,15 @@ class TestDerivativeAtZero:
             assert abs(np.trace(d)) <= 1e-12
             assert np.linalg.norm(d - d.conj().T) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [-1, 2, 5, 1.0])
+    def test_parameter_index_outside_the_parameters_rejected(self, threelevel, mu):
+        # -1 would wrap to the last parameter's S_mu but select no jump: a derivative of trace -1/3, not 0
+        rho = pure_state_density(threelevel.input_state)
+        with pytest.raises(ConfigInvalid, match=r"parameter index must be an integer in \[0, 2\)"):
+            threelevel.channel.derivative_at_zero(mu, rho)
+        with pytest.raises(ConfigInvalid, match=r"parameter index must be an integer in \[0, 2\)"):
+            threelevel.channel.hamiltonian_generator(mu)
+
 
 def explicit_config(per_param, terms, dim=2):
     """An "explicit" channel config: per_param[mu] lists parameter mu's jumps, terms the (kappa_i, [L[i, mu], ...])."""
@@ -458,6 +467,9 @@ class TestJumpStack:
             ([SIGMA_X], [1], ConfigInvalid),  # index out of range
             ([np.eye(3)], [0], DimensionMismatch),  # wrong matrix shape
             ([SIGMA_X, np.eye(3)], [0, 0], DimensionMismatch),  # ragged stack
+            ([np.full((2, 2), np.nan)], [0], ConfigInvalid),  # non-finite entries
+            ([SIGMA_X, np.full((2, 2), np.inf)], [0, 0], ConfigInvalid),
+            ([SIGMA_X, np.full((2, 2), -np.inf)], [0, 0], ConfigInvalid),
         ],
     )
     def test_constructor_checks_the_stack(self, jumps, params, error):
@@ -476,6 +488,24 @@ class TestJumpStack:
     def test_constructor_checks_the_generator_count(self):
         with pytest.raises(ConfigInvalid):
             LowNoiseChannel(2, 1, [SIGMA_X], [0], generators=[SIGMA_Z, SIGMA_Z])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generators_rejected(self, bad):
+        with pytest.raises(ConfigInvalid, match="generators must be finite"):
+            LowNoiseChannel(2, 1, [SIGMA_X], [0], generators=[np.full((2, 2), bad)])
+
+    @pytest.mark.parametrize(
+        "dim, num_params, message",
+        [
+            (0, 1, "channel dimension must be an integer >= 1, got 0"),
+            (2.0, 1, "channel dimension must be an integer >= 1, got 2.0"),
+            (2, -1, "noise parameter count must be an integer >= 0, got -1"),
+            (2, True, "noise parameter count must be an integer >= 0, got True"),
+        ],
+    )
+    def test_counts_that_are_not_integers_in_range_rejected(self, dim, num_params, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            LowNoiseChannel(dim, num_params, [], [])
 
 
 class TestConfigRoundTrip:
@@ -512,6 +542,15 @@ class TestConfigRoundTrip:
     def test_malformed_config(self):
         with pytest.raises(ConfigInvalid):
             channel_from_config({"dim": 2})
+
+    @pytest.mark.parametrize(
+        "dim, num_params, message",
+        [(2, -1, "num_params must be an integer >= 1, got -1"), (2, 0, "num_params must be an integer >= 1, got 0"),
+         (0, 1, "dim must be an integer >= 1, got 0"), (2.5, 1, "dim must be an integer >= 1, got 2.5")],
+    )
+    def test_counts_checked_before_the_jump_lists(self, dim, num_params, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            channel_from_config({"dim": dim, "num_params": num_params, "jump_operators": []})
 
     @pytest.mark.parametrize(
         "cfg",

@@ -33,6 +33,7 @@ from lownoise.scenarios import (
     build_scenario,
     random_channel,
     random_input_state,
+    random_scenario,
     scenario_ancilla_bell,
     scenario_threelevel,
 )
@@ -319,6 +320,40 @@ def test_moments_match_the_outcome_loop_on_random_channels(dim):
             counts = one_draw_counts(np.clip(q, 0.0, None) / np.sum(np.clip(q, 0.0, None)), 1000, 5)
             ref, bound = loop_moments(povm.estimates, counts / 1000, spec.eps)
             assert np.all(np.abs(sample_measurements(povm, q, spec.eps, 1000, 5).entries - ref) <= bound)
+
+
+def _phase_free_consumers(spec, included):
+    """J_Q, and per POVM grouping the outcome probabilities (as the sweep takes them and as Tr[P_n rho]), MSE and bias."""
+    out = {"quantum_fisher": quantum_fisher(spec.probs, spec.basis, spec.derivatives).entries}
+    jdiv_inv = _kept_inverse(divergent_fisher(spec.shifts(), spec.shift_gradients(), included))[0]
+    for g, (rows, povm) in enumerate(build_povm(raise_index(build_score_operators(spec, included), jdiv_inv))):
+        q = outcome_probabilities(povm, spec.probs[rows])
+        diag = np.einsum("bin,bij,bjn->bn", povm.basis.conj(), spec.output[rows], povm.basis).real
+        out[g, "q"], out[g, "projected_q"] = q, np.stack([diag[:, list(c)].sum(axis=-1) for c in povm.groups], -1)
+        out[g, "mse"] = analytic_mse(povm, q, spec.eps[rows]).entries
+        out[g, "bias"] = unbiasedness_residual(povm, q, spec.eps[rows])
+    return out
+
+
+@pytest.mark.parametrize("name", ["three-level", "ancilla-bell", "random"])
+def test_consumers_do_not_read_eigenvector_phases(name):
+    """A random phase on every basis column of a grid's spectrum moves no consumer beyond 1e-12 relative.
+
+    ancilla-bell has three eigenvectors orthogonal to its input; the random
+    scenario is N = 4, D = 3, with generators.
+    """
+    sc = random_scenario(4, 3, 1) if name == "random" else build_scenario(name)
+    assert name != "random" or sc.channel.generators is not None
+    spec = output_shift_curves(sc.channel, sc.input_state, sc.sweep.direction, SCALES)
+    labels, _ = classify_shift_curves(SCALES, spec.shifts())
+    included = [i for i, lab in enumerate(labels) if lab == "order-1"]
+    phases = np.exp(2j * np.pi * np.random.default_rng(7).random(spec.probs.shape))
+    turned = replace(spec, basis=spec.basis * phases[:, None, :])
+    assert not np.allclose(turned.basis, spec.basis)
+    got, want = _phase_free_consumers(turned, included), _phase_free_consumers(spec, included)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        assert np.max(np.abs(got[key] - ref)) <= 1e-12 * np.max(np.abs(ref)), key
 
 
 @pytest.mark.parametrize("name", ["three-level", "pauli2", "ancilla-bell"])
@@ -845,6 +880,19 @@ def test_bad_probabilities_name_their_row(threelevel):
                 sample_measurements(povm, bad, eps, 10, seeds)
     with pytest.raises(DimensionMismatch):
         sample_measurements(povm, q, eps, 10, seeds[:-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_probabilities_name_their_row(threelevel, bad):
+    """A NaN or infinite q fails every comparison-based check, so it is caught as non-finite, not left to numpy."""
+    povm, q, eps = _threelevel_stack(threelevel)
+    broken = q.copy()
+    broken[3, 1:] = bad, -bad  # inf - inf in the row's sum
+    with pytest.raises(BadProbabilities, match=rf"non-finite outcome probability {bad:g} in row 3$"):
+        sample_measurements(povm, broken, eps, 10, list(range(len(q))))
+    row = EstimatorPOVM(povm.groups, povm.basis[3], povm.estimates[3])
+    with pytest.raises(BadProbabilities, match=rf"non-finite outcome probability {bad:g}$"):
+        sample_measurements(row, broken[3], eps[3], 10, 1)
 
 
 def test_bad_probabilities_fail_only_their_point(monkeypatch):

@@ -67,12 +67,6 @@ class TestDiagonalizeOutput:
             assert spec.probs.min() >= -1e-12
             assert 1 - spec.probs[0] <= 4.0 * np.sum(eps)
 
-    def test_phase_convention(self, threelevel):
-        eps = np.array([1e-3, 1e-3])
-        spec = output_spectrum_with_gradients(threelevel.channel, threelevel.input_state, eps)
-        overlap = np.vdot(threelevel.input_state, spec.basis[:, 0])
-        assert abs(overlap.imag) <= 1e-12 and overlap.real > 0
-
 
 class TestComplementBasis:
     def test_standard_basis_case(self):
@@ -82,15 +76,25 @@ class TestComplementBasis:
     def test_nearly_normalized_input_rejected(self):
         with pytest.raises(ConfigInvalid):
             complement_basis(np.array([1.0 + 5e-6, 0.0, 0.0], dtype=complex))
+        with pytest.raises(ConfigInvalid, match="normalized$"):
+            complement_basis(np.array([np.nan, 0.0, 0.0]))
+        phis = np.eye(3, dtype=complex)  # a stack names its row
+        phis[1] *= 1 + 5e-6
+        with pytest.raises(ConfigInvalid, match=r"normalized \(row 1\)$"):
+            complement_basis(phis)
 
     def test_orthonormal_completion(self):
+        """Each input completes to a unitary; a (C, N) stack's rows are the one-input calls bit for bit."""
         rng = np.random.default_rng(12)
-        for _ in range(5):
-            phi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            phi /= np.linalg.norm(phi)
+        phis = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        stack = complement_basis(phis)
+        assert stack.shape == (5, 4, 3)
+        for phi, rows in zip(phis, stack):
             v = complement_basis(phi)
             full = np.column_stack([phi, v])
             assert np.linalg.norm(full.conj().T @ full - np.eye(4)) <= 1e-12
+            assert np.array_equal(rows, v)
 
     def test_deviation_eigenvalues_frame_invariant(self, threelevel):
         eps = np.array([2e-3, 1e-3])
@@ -351,29 +355,9 @@ def test_output_shift_curves_consistency(threelevel):
     assert rows.probs.shape == (2, 3) and np.array_equal(rows.basis, stack.basis[[1, 4]])
 
 
-def assert_phase_convention(basis, phi):
-    for col in basis.T:
-        overlap = np.vdot(phi, col)
-        if abs(overlap) <= 1e-8:
-            overlap = col[np.argmax(np.abs(col))]
-        assert abs(overlap.imag) <= 1e-12 and overlap.real > 0
-
-
-def test_phase_convention_without_overlap(bell):
-    # the Bell input is orthogonal to three of the four eigenvectors: their largest entries carry the phase
-    stack = output_shift_curves(bell.channel, bell.input_state, np.asarray(bell.sweep.direction), SCALES)
-    assert np.sum(np.abs(np.einsum("i,bin->bn", bell.input_state.conj(), stack.basis)) <= 1e-8) == 3 * len(SCALES)
-    for basis in stack.basis:
-        assert_phase_convention(basis, bell.input_state)
-
-
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_stacked_rows_equal_one_point_spectra(dim):
-    """Row t of a grid's spectrum is the one-point spectrum at scales[t] * direction, bit for bit.
-
-    Every column of every row keeps the phase convention: <phi|n> real and
-    positive above 1e-8, else the column's largest entry.
-    """
+    """Row t of a grid's spectrum is the one-point spectrum at scales[t] * direction, bit for bit."""
     num = 1 + dim % 3
     ch = random_channel(dim, num, [1] * num, dim, with_hamiltonian=bool(dim % 2))
     phi = random_input_state(dim, dim)
@@ -383,7 +367,6 @@ def test_stacked_rows_equal_one_point_spectra(dim):
         row, one = stack[t], output_spectrum_with_gradients(ch, phi, s * direction)
         for f in fields(one):
             assert np.array_equal(getattr(row, f.name), getattr(one, f.name)), f.name
-        assert_phase_convention(row.basis, phi)
 
 
 def test_a_point_of_a_grid_owns_its_arrays(threelevel):
